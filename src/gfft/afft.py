@@ -19,7 +19,7 @@ from .errors import (
 )
 from .gf import Field
 from .poly import Poly
-from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values
+from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, field_values
 
 
 def _frobenius(poly: Poly) -> Poly:
@@ -74,9 +74,11 @@ class AddPlan:
         self.points = level_points[0]
 
         self._validate()
-        self._inv_locals = engine.build_inverse_locals(
-            field, self.radices, level_points, engine.MODE_BLOCK
-        )
+        # fibers are contiguous blocks: point t of fiber sq sits at t + sq*p
+        self.kernel = [
+            engine.Level(p, 1, p, [pts] * (p - 1)) for p, pts in zip(self.radices, level_points)
+        ]
+        engine.build_inverse_locals(field, self.kernel)
 
     def _validate(self):
         f = self.field
@@ -136,16 +138,14 @@ def add_plan(field: Field, basis_elems) -> AddPlan:
 
 
 def add_fft(plan: AddPlan, coeffs):
-    vals = coeff_values(coeffs, BASIS_LCH, plan.n)
-    return engine.forward(plan.field, plan.radices, plan.level_points, vals, engine.MODE_BLOCK)
+    vals = coeff_values(plan.field, coeffs, BASIS_LCH, plan.n)
+    return engine.forward(plan.field, plan.kernel, vals)
 
 
 def add_ifft(plan: AddPlan, values) -> CoeffVec:
     if len(values) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(values)}")
-    out = engine.inverse(
-        plan.field, plan.radices, plan.level_points, plan._inv_locals, list(values), engine.MODE_BLOCK
-    )
+    out = engine.inverse(plan.field, plan.kernel, field_values(plan.field, values))
     return CoeffVec(tuple(out), BASIS_LCH)
 
 
@@ -261,7 +261,7 @@ def padic_reassemble(field, terms, alpha) -> Poly:
 
 
 def standard_to_lch(plan: AddPlan, coeffs) -> CoeffVec:
-    vals = coeff_values(coeffs, BASIS_STANDARD)
+    vals = coeff_values(plan.field, coeffs, BASIS_STANDARD)
     if len(vals) > plan.n:
         raise DegreeTooLarge(f"degree must be < {plan.n}")
     vals = vals + [0] * (plan.n - len(vals))
@@ -285,7 +285,7 @@ def _to_lch(field, coeffs, betas):
 
 
 def lch_to_standard(plan: AddPlan, coeffs) -> CoeffVec:
-    vals = coeff_values(coeffs, BASIS_LCH, plan.n)
+    vals = coeff_values(plan.field, coeffs, BASIS_LCH, plan.n)
     poly = _from_lch(plan.field, vals, plan.betas)
     out = list(poly.coeffs) + [0] * (plan.n - len(poly.coeffs))
     return CoeffVec(tuple(out), BASIS_STANDARD)

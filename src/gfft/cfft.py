@@ -8,17 +8,16 @@ two independent routes, failing loudly on disagreement.  Coefficients live
 in the "cyclic-z" basis: products of reciprocal linear factors of the tower
 coordinates, scaled so the basis spans the polynomials of degree < n.
 
-When n = q+1 the evaluation set is every rational point including infinity;
-the recursion then routes the fiber over each level's point at infinity
-through precomputed constants instead of direct evaluation.
+The transforms run on the shared kernel in engine.py, with Horner weights
+1/(x - pole) per level.  When n = q+1 the evaluation set is every rational
+point including infinity; the kernel then routes the fiber over each level's
+point at infinity through precomputed constants instead of direct evaluation.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
+from . import engine
 from .errors import (
-    BasisMismatch,
     DegreeTooLarge,
     LengthMismatch,
     PrimitivityFailure,
@@ -28,10 +27,13 @@ from .errors import (
     ValidationError,
 )
 from .gf import Field, find_primitive_quadratic, quadratic_is_irreducible, quadratic_root_order
-from .linalg import invert, mat_vec, solve
+# invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
+# checks that the tracer rebinds it in this module too
+from .linalg import invert, solve  # noqa: F401
 from .moebius import MoebiusMap, match_moebius
 from .poly import INF, Poly, RatFn, compose_moebius, lagrange_basis_interpolate, mod_inverse
-from .vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values
+from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
+                      field_values)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -61,7 +63,7 @@ class CyclicLevel:
     """Connects the line in x_{i-1} to the line in x_i (radix p_i)."""
 
     __slots__ = ("radix", "induced", "num", "den", "poles", "wtails", "norm_const",
-                 "pole_consts", "weights", "inv_local")
+                 "pole_consts")
 
     def __init__(self, radix, induced, num, den, poles):
         self.radix = radix
@@ -72,8 +74,6 @@ class CyclicLevel:
         self.wtails = None  # [prod_{u>k}(T - pole_u)]_k, set at build
         self.norm_const = None
         self.pole_consts = None  # {(t, k): value}, full plans only
-        self.weights = None  # per point: tuple of 1/(xi - pole_u), None on pole rows
-        self.inv_local = None  # per quotient: inverse local matrix, None on the pole fiber
 
 
 class CyclicPlan:
@@ -127,7 +127,7 @@ class CyclicPlan:
         self._build_points(fiber_key)
         self._extract_poles()
         self._build_scaling()
-        self._build_constants_and_weights()
+        self._build_kernel()
 
     # -- construction --------------------------------------------------------
 
@@ -355,17 +355,16 @@ class CyclicPlan:
             if self.base_value == 0:
                 raise ValidationError("base level value vanishes; fiber unusable")
 
-    def _build_constants_and_weights(self):
+    def _build_kernel(self):
         f = self.field
         # W chain: value of (tower map * reciprocal quadratic * level coordinate)
         # at each level's point at infinity
-        w = f.inv(self.quads[self.r].lc())
         w_chain = [None] * (self.r + 1)
-        w_chain[self.r] = w
+        w_chain[self.r] = f.inv(self.quads[self.r].lc())
         for j in range(self.r - 1, 0, -1):
             w_chain[j] = f.div(w_chain[j + 1], self.levels[j].num.lc())
-        self._w_chain = w_chain
 
+        kernel = []
         for i in range(1, self.r + 1):
             lv = self.levels[i - 1]
             p = lv.radix
@@ -384,30 +383,19 @@ class CyclicPlan:
                     if consts[(t, t)] == 0:
                         raise SingularLocalSystem("zero diagonal in the pole-fiber system")
                 lv.pole_consts = consts
-            weights = []
+            # Horner weight of step j at point s: 1/(x_s - pole_j); the pole
+            # fiber of a full plan (s % nq == 0) goes through pole_consts
+            weights = [[None] * len(pts) for _ in lv.poles]
             for s, xi in enumerate(pts):
                 if self.is_full and s % nq == 0:
-                    weights.append(None)
                     continue
                 if xi is INF or xi in lv.poles:
                     raise ValidationError("evaluation point collides with a level pole")
-                weights.append(tuple(f.inv(f.sub(xi, lam)) for lam in lv.poles))
-            lv.weights = weights
-            inv_local = []
-            for sq in range(nq):
-                if self.is_full and sq == 0:
-                    inv_local.append(None)
-                    continue
-                rows = []
-                for t in range(p):
-                    wt = weights[sq + t * nq]
-                    row, acc = [1], 1
-                    for u_ in range(p - 1):
-                        acc = f.mul(acc, wt[u_])
-                        row.append(acc)
-                    rows.append(row)
-                inv_local.append(invert(f, rows))
-            lv.inv_local = inv_local
+                for col, lam in zip(weights, lv.poles):
+                    col[s] = f.inv(f.sub(xi, lam))
+            kernel.append(engine.Level(p, nq, 1, weights, lv.pole_consts))
+        engine.build_inverse_locals(f, kernel)
+        self.kernel = kernel
 
     # -- introspection ---------------------------------------------------------
 
@@ -447,10 +435,9 @@ def _wtails(field, poles):
 # forward / inverse transforms
 
 
-def q1_fft(plan: CyclicPlan, coeffs, threads: int = 0) -> CyclicEvalVec:
-    vals = coeff_values(coeffs, BASIS_CYCLIC, plan.n)
-    vals = [v if isinstance(v, int) else plan.field(v).raw for v in vals]
-    tilde = _forward(plan, 0, vals, threads)
+def q1_fft(plan: CyclicPlan, coeffs) -> CyclicEvalVec:
+    vals = coeff_values(plan.field, coeffs, BASIS_CYCLIC, plan.n)
+    tilde = engine.forward(plan.field, plan.kernel, vals, plan.base_value)
     f = plan.field
     out = []
     for idx, pt in enumerate(plan.points):
@@ -460,41 +447,6 @@ def q1_fft(plan: CyclicPlan, coeffs, threads: int = 0) -> CyclicEvalVec:
             out.append(f.mul(plan.scales[idx], tilde[idx]))
     a0 = vals[0] if plan.is_full else None
     return CyclicEvalVec(plan.points, out, tilde, a0)
-
-
-def _forward(plan, depth, coeffs, threads=0):
-    f = plan.field
-    if depth == plan.r:
-        return [f.mul(coeffs[0], plan.base_value) if plan.base_value else 0]
-    lv = plan.levels[depth]
-    p = lv.radix
-    nq = plan.sizes[depth + 1]
-    if threads and threads > 1 and depth == 0 and plan.r >= 1:
-        with ThreadPoolExecutor(max_workers=min(threads, p)) as pool:
-            subs = list(pool.map(lambda k: _forward(plan, 1, coeffs[k::p]), range(p)))
-    else:
-        subs = [_forward(plan, depth + 1, coeffs[k::p]) for k in range(p)]
-    add, mul = f.add, f.mul
-    pts = plan.level_points[depth]
-    out = [0] * len(pts)
-    weights = lv.weights
-    if plan.is_full:
-        consts = lv.pole_consts
-        for t in range(1, p):
-            acc = 0
-            for k in range(t, p):
-                acc = add(acc, mul(coeffs[k], consts[(t, k)]))
-            out[t * nq] = acc
-    for s in range(len(pts)):
-        wt = weights[s]
-        if wt is None:
-            continue
-        sq = s % nq
-        acc = subs[p - 1][sq]
-        for k in range(p - 1, 0, -1):
-            acc = add(subs[k - 1][sq], mul(acc, wt[k - 1]))
-        out[s] = acc
-    return out
 
 
 def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
@@ -512,57 +464,21 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
     if len(seq) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(seq)}")
     f = plan.field
+    seq = field_values(f, seq)
     tilde = []
     for idx, pt in enumerate(plan.points):
         if pt is INF:
             tilde.append(0)
         else:
             tilde.append(f.div(seq[idx], plan.scales[idx]))
-    out = _inverse(plan, 0, tilde)
+    out = engine.inverse(f, plan.kernel, tilde, plan.base_value)
     if plan.is_full:
         if a0 is None:
             raise ValidationError(
                 "full-length inversion needs the carried top coefficient a0"
             )
-        out[0] = f(a0).raw if not isinstance(a0, int) else a0
+        out[0] = field_values(f, [a0])[0]
     return CoeffVec(tuple(out), BASIS_CYCLIC)
-
-
-def _inverse(plan, depth, values):
-    f = plan.field
-    if depth == plan.r:
-        if plan.is_full:
-            return [None]
-        return [f.div(values[0], plan.base_value)]
-    lv = plan.levels[depth]
-    p = lv.radix
-    nq = plan.sizes[depth + 1]
-    subvals = [[0] * nq for _ in range(p)]
-    for sq in range(nq):
-        local = lv.inv_local[sq]
-        if local is None:
-            continue  # pole fiber: sub-values at the level point at infinity are 0
-        ys = [values[sq + t * nq] for t in range(p)]
-        sol = mat_vec(f, local, ys)
-        for k in range(p):
-            subvals[k][sq] = sol[k]
-    subc = [_inverse(plan, depth + 1, subvals[k]) for k in range(p)]
-    if plan.is_full:
-        consts = lv.pole_consts
-        recovered = {}
-        for k in range(p - 1, 0, -1):
-            acc = values[k * nq]
-            for k2 in range(k + 1, p):
-                acc = f.sub(acc, f.mul(recovered[k2], consts[(k, k2)]))
-            recovered[k] = f.div(acc, consts[(k, k)])
-        for k in range(1, p):
-            if subc[k][0] is not None:
-                raise SingularLocalSystem("pole-fiber slot doubly determined")
-            subc[k][0] = recovered[k]
-    out = [0] * plan.sizes[depth]
-    for k in range(p):
-        out[k::p] = subc[k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +487,7 @@ def _inverse(plan, depth, values):
 
 def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     """Expand cyclic-z coefficients to standard polynomial coefficients."""
-    vals = coeff_values(coeffs, BASIS_CYCLIC, plan.n)
-    vals = [v if isinstance(v, int) else plan.field(v).raw for v in vals]
+    vals = coeff_values(plan.field, coeffs, BASIS_CYCLIC, plan.n)
     poly = _expand(plan, 0, vals)
     if poly.degree >= plan.n:
         raise ValidationError("basis expansion exceeded the degree bound")
@@ -606,7 +521,7 @@ def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     if isinstance(coeffs, Poly):
         vals = list(coeffs.coeffs)
     else:
-        vals = coeff_values(coeffs, BASIS_STANDARD)
+        vals = coeff_values(plan.field, coeffs, BASIS_STANDARD)
     if len(vals) > plan.n:
         raise DegreeTooLarge(f"degree must be < {plan.n}")
     poly = Poly(plan.field, vals)

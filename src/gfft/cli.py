@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import fileio
 from .afft import AddPlan, add_fft, add_ifft, add_plan, lch_to_standard, standard_to_lch
 from .cfft import CyclicPlan, cyclic_plan, q1_fft, q1_ifft, std_to_tilde, tilde_to_std
-from .errors import MismatchError, ValidationError
+from .errors import InputError, MismatchError, ValidationError
 from .gf import field_make
 from .mfft import MultPlan, mult_fft, mult_ifft, mult_plan
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD, CoeffVec, CyclicEvalVec
@@ -37,15 +36,25 @@ def poly_str(poly) -> str:
     return "+".join(parts)
 
 
-def _threads() -> int:
+def _int(text):
     try:
-        return max(int(os.environ.get("GFFT_THREADS", "0")), 0)
-    except ValueError:
-        return 0
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"expected an integer, got {text!r}") from exc
 
 
 def _parse_ints(text):
-    return [int(v) for v in text.split(",") if v != ""]
+    return [_int(v) for v in text.split(",") if v != ""]
+
+
+def _read_input(path, parse):
+    """parse(text) of an input file.  A file that cannot be opened or does not
+    parse is bad input (exit 2), not a traceback."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _build_plan(args):
@@ -54,7 +63,7 @@ def _build_plan(args):
         return mult_plan(field, _parse_ints(args.radices), args.beta)
     if args.case == "add":
         if args.basis:
-            basis = [fileio._elem_in(field, json.loads(v) if v.startswith("[") else int(v))
+            basis = [fileio._elem_in(field, json.loads(v) if v.startswith("[") else _int(v))
                      for v in args.basis.split(",")]
         else:
             basis = None
@@ -63,7 +72,7 @@ def _build_plan(args):
         return add_plan(field, basis)
     if args.case == "cyclic":
         m_pair = tuple(_parse_ints(args.m)) if args.m else None
-        fiber = None if args.fiber in (None, "", "inf") else int(args.fiber)
+        fiber = None if args.fiber in (None, "", "inf") else _int(args.fiber)
         return cyclic_plan(field, _parse_ints(args.radices), m_pair=m_pair, fiber_key=fiber)
     raise ValidationError(f"unknown case {args.case!r}")
 
@@ -86,7 +95,7 @@ def _print_plan_summary(plan, out=sys.stdout):
         print(f"scale constant = {plan.scale_const}", file=out)
         consts = plan.example_constants()
         if consts is not None:
-            print(f"level constants = {consts}", file=out)
+            print(f"pole-fiber constants = {consts}", file=out)
         key = "inf" if plan.is_full else plan.bucket_key
         print(f"evaluation fiber = {key}", file=out)
 
@@ -102,17 +111,13 @@ def cmd_plan(args) -> int:
 
 
 def _load_plan(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return fileio.plan_from_json(obj)
+    return _read_input(path, lambda text: fileio.plan_from_json(json.loads(text)))
 
 
 def _read_coeffs(field, path, fmt, basis):
     if fmt == "csv" or (fmt is None and path.endswith(".csv")):
-        with open(path) as fh:
-            return fileio.coeffs_from_csv(field, fh.read(), basis)
-    with open(path) as fh:
-        return fileio.coeffs_from_json(field, json.load(fh))
+        return _read_input(path, lambda text: fileio.coeffs_from_csv(field, text, basis))
+    return _read_input(path, lambda text: fileio.coeffs_from_json(field, json.loads(text)))
 
 
 def _default_basis(plan):
@@ -135,7 +140,7 @@ def cmd_fft(args) -> int:
         elif isinstance(plan, AddPlan):
             values = add_fft(plan, coeffs)
         else:
-            values = q1_fft(plan, coeffs, threads=_threads())
+            values = q1_fft(plan, coeffs)
         elapsed = time.perf_counter() - t0
         ctr_report = ctr.snapshot()
     if args.count_ops:
@@ -158,9 +163,8 @@ def _write_values(field, values, path, fmt):
 def cmd_ifft(args) -> int:
     plan = _load_plan(args.plan)
     field = plan.field
-    with open(args.infile) as fh:
-        obj = json.load(fh)
-    values = fileio.values_from_json(field, obj, plan)
+    values = _read_input(
+        args.infile, lambda text: fileio.values_from_json(field, json.loads(text), plan))
     if isinstance(plan, MultPlan):
         coeffs = mult_ifft(plan, values)
     elif isinstance(plan, AddPlan):
@@ -217,6 +221,8 @@ def cmd_bench(args) -> int:
             plan = cyclic_plan(field, radices)
             rows.append(_bench_one(field, plan, rng, label=f"q={p} n={n}"))
     else:
+        if args.p is None:
+            raise InputError(f"bench --case {args.case} needs --p (or --fields for cyclic)")
         field = field_make(args.p, args.r)
         for n in _parse_ints(args.ladder):
             if args.case == "mult":

@@ -96,3 +96,11 @@ class SingularMatrix(ValidationError):
 
 class SingularLocalSystem(ValidationError):
     pass
+
+
+class InvalidFieldValue(ValidationError):
+    """A raw value that is not an int in [0, q)."""
+
+
+class InputError(ValidationError):
+    """Command-line input that cannot be read or parsed."""

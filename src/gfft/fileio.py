@@ -31,10 +31,6 @@ def _point_out(field, pt):
     return "inf" if pt is INF else _elem_out(field, pt)
 
 
-def _point_in(field, obj):
-    return INF if obj == "inf" else _elem_in(field, obj)
-
-
 # ---------------------------------------------------------------------------
 # coefficient files
 
@@ -204,7 +200,3 @@ def plan_from_json(obj):
             if key in stored and stored[key] != val:
                 raise MismatchError(f"plan table {key!r} does not match the regenerated plan")
     return plan
-
-
-def plan_field(obj) -> Field:
-    return field_from_json(obj["field"])

@@ -350,10 +350,6 @@ class Field:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def elements(self):
-        for v in range(self.q):
-            yield FieldElement(self, v)
-
     # -- instrumentation -----------------------------------------------------
 
     @contextlib.contextmanager

@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import engine
 from .errors import LengthMismatch, RadixNotDividingGroupOrder, ValidationError
 from .gf import Field, find_primitive_element
-from .vectors import BASIS_STANDARD, CoeffVec, coeff_values
+from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, field_values
 
 
 class MultPlan:
@@ -59,7 +59,12 @@ class MultPlan:
                 if field.pow(x, P_i) != level_points[i][s % nq]:
                     raise ValidationError(f"fiber constancy violated at level {i}")
 
-        self._inv_locals = engine.build_inverse_locals(field, radices, level_points, engine.MODE_STRIDE)
+        # fibers are strided: point t of fiber sq sits at t*nq + sq
+        self.kernel = [
+            engine.Level(p, len(pts) // p, 1, [pts] * (p - 1))
+            for p, pts in zip(radices, level_points)
+        ]
+        engine.build_inverse_locals(field, self.kernel)
 
     def __repr__(self):
         return f"MultPlan(q={self.field.q}, n={self.n}, radices={self.radices}, beta={self.beta})"
@@ -70,15 +75,12 @@ def mult_plan(field: Field, radices, beta=1) -> MultPlan:
 
 
 def mult_fft(plan: MultPlan, coeffs):
-    vals = coeff_values(coeffs, BASIS_STANDARD, plan.n)
-    vals = [plan.field(v).raw if not isinstance(v, int) else v for v in vals]
-    return engine.forward(plan.field, plan.radices, plan.level_points, vals, engine.MODE_STRIDE)
+    vals = coeff_values(plan.field, coeffs, BASIS_STANDARD, plan.n)
+    return engine.forward(plan.field, plan.kernel, vals)
 
 
 def mult_ifft(plan: MultPlan, values) -> CoeffVec:
     if len(values) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(values)}")
-    out = engine.inverse(
-        plan.field, plan.radices, plan.level_points, plan._inv_locals, list(values), engine.MODE_STRIDE
-    )
+    out = engine.inverse(plan.field, plan.kernel, field_values(plan.field, values))
     return CoeffVec(tuple(out), BASIS_STANDARD)

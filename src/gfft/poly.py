@@ -31,10 +31,6 @@ class _InfType:
 INF = _InfType()
 
 
-def is_inf(v) -> bool:
-    return v is INF
-
-
 def _raw(field, v):
     if isinstance(v, FieldElement):
         if v.field != field:
@@ -188,9 +184,6 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other) -> bool:
-        return (other % self).is_zero()
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():

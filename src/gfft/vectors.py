@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BasisMismatch, LengthMismatch
+from .errors import BasisMismatch, InvalidFieldValue, LengthMismatch
+from .gf import FieldElement
 from .poly import INF
 
 BASIS_STANDARD = "standard"
@@ -27,14 +28,28 @@ class CoeffVec:
         return self.values[i]
 
 
-def coeff_values(coeffs, expected_basis, n=None):
-    """Unwrap a CoeffVec (tag-checked) or accept a raw sequence."""
+def field_values(field, values):
+    """Raw values of field: FieldElements are unwrapped, anything else must
+    already be an int in [0, q)."""
+    vals = list(values)
+    q = field.q
+    for i, v in enumerate(vals):
+        if isinstance(v, int) and 0 <= v < q:
+            continue
+        if not isinstance(v, FieldElement):
+            raise InvalidFieldValue(f"{v!r} is not a raw value of F_{q}")
+        vals[i] = field(v).raw
+    return vals
+
+
+def coeff_values(field, coeffs, expected_basis, n=None):
+    """Unwrap a CoeffVec (tag-checked) or accept a sequence; the entries come
+    back as checked raw values of field."""
     if isinstance(coeffs, CoeffVec):
         if coeffs.basis != expected_basis:
             raise BasisMismatch(f"expected {expected_basis!r} basis, got {coeffs.basis!r}")
-        vals = list(coeffs.values)
-    else:
-        vals = list(coeffs)
+        coeffs = coeffs.values
+    vals = field_values(field, coeffs)
     if n is not None and len(vals) != n:
         raise LengthMismatch(f"expected length {n}, got {len(vals)}")
     return vals

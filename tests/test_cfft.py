@@ -205,13 +205,6 @@ def test_fiber_choice_override():
         cyclic_plan(F11, (2, 2), fiber_key=0)
 
 
-def test_threads_match_serial(plan23, rng):
-    c = [rng.randrange(23) for _ in range(24)]
-    serial = q1_fft(plan23, c)
-    threaded = q1_fft(plan23, c, threads=3)
-    assert serial.values == threaded.values and serial.tilde == threaded.tilde
-
-
 def test_basis_and_length_errors(plan7):
     with pytest.raises(LengthMismatch):
         q1_fft(plan7, [1, 2, 3])

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gfft import fileio
+from gfft import cli, fileio
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan, q1_fft
 from gfft.errors import MismatchError
@@ -90,6 +90,7 @@ def test_cli_plan_summary_and_error(tmp_path):
                 "--radices", "2,2,2,2,2,2,2", "--m", "126,3", "--out", str(out))
     assert r.returncode == 0
     assert "Q = x^2+42x+85" in r.stdout
+    assert "pole-fiber constants = [54, 77, 51, 108, 27, 102, 89]" in r.stdout
     assert out.exists()
     r = run_cli("plan", "--case", "mult", "--p", "17", "--radices", "3")
     assert r.returncode == 2
@@ -126,18 +127,24 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
     assert json.loads(conv_path.read_text())["coeffs"] == [0] * 128
 
 
-def test_cli_threads_env_equivalence(tmp_path):
+@pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p"])
+def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
-    run_cli("plan", "--case", "cyclic", "--p", "23", "--radices", "2,2,2,3",
-            "--out", str(plan_path))
+    assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
+                     "--out", str(plan_path)]) == 0
     coeffs_path = tmp_path / "c.json"
-    coeffs_path.write_text(json.dumps({"basis": "cyclic-z", "coeffs": list(range(24))}))
-    out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    r1 = run_cli("fft", "--plan", str(plan_path), "--in", str(coeffs_path), "--out", str(out1))
-    r2 = run_cli("fft", "--plan", str(plan_path), "--in", str(coeffs_path), "--out", str(out2),
-                 env_extra={"GFFT_THREADS": "4"})
-    assert r1.returncode == r2.returncode == 0
-    assert json.loads(out1.read_text()) == json.loads(out2.read_text())
+    if case == "non-integer":
+        coeffs_path.write_text(json.dumps({"coeffs": [1, "x", 3, 4]}))
+    elif case == "non-json":
+        coeffs_path.write_text("not json")
+    argv = ["fft", "--plan", str(plan_path), "--in", str(coeffs_path),
+            "--out", str(tmp_path / "v.json")]
+    if case == "bench-no-p":
+        argv = ["bench", "--case", "mult", "--ladder", "4"]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InputError:"), err
 
 
 def test_cli_bench_ladders():
