@@ -31,7 +31,7 @@ from .gf import Field, find_primitive_quadratic, quadratic_is_irreducible, quadr
 # checks that the tracer rebinds it in this module too
 from .linalg import invert, solve  # noqa: F401
 from .moebius import MoebiusMap, match_moebius
-from .poly import INF, Poly, RatFn, compose_moebius, lagrange_basis_interpolate, mod_inverse
+from .poly import INF, Poly, RatFn, compose_moebius
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
                       field_values)
 
@@ -517,7 +517,14 @@ def _expand(plan, depth, vals):
 
 
 def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
-    """Express a standard-coefficient polynomial of degree < n in cyclic-z."""
+    """Express a standard-coefficient polynomial of degree < n in cyclic-z.
+
+    The transform maps cyclic-z coefficients bijectively onto values at the
+    plan's points, so the polynomial is evaluated there (Horner) and the
+    values are inverted through the kernel.  On a full plan the slot at
+    infinity is unused: the index-0 basis element x^q - x vanishes on F_q, so
+    its coefficient is the x^q coefficient, passed as a0.
+    """
     if isinstance(coeffs, Poly):
         vals = list(coeffs.coeffs)
     else:
@@ -525,51 +532,5 @@ def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     if len(vals) > plan.n:
         raise DegreeTooLarge(f"degree must be < {plan.n}")
     poly = Poly(plan.field, vals)
-    out = _contract(plan, 0, poly)
-    return CoeffVec(tuple(out), BASIS_CYCLIC)
-
-
-def _contract(plan, depth, fpoly):
-    f = plan.field
-    if depth == plan.r:
-        return [fpoly[0]]
-    lv = plan.levels[depth]
-    p = lv.radix
-    nsub = plan.sizes[depth + 1]
-    ncur = plan.sizes[depth]
-    U, V = lv.num, lv.den
-
-    tops = [0] * p
-    tops[0] = fpoly[ncur - 1]
-    for s in range(p - 1, 0, -1):
-        lam = lv.poles[s - 1]
-        u_pow = f.pow(U.eval(lam), nsub - 1)
-        acc = fpoly.eval(lam)
-        for k in range(s + 1, p):
-            acc = f.sub(acc, f.mul(tops[k], f.mul(lv.wtails[k].eval(lam), u_pow)))
-        tops[s] = f.div(acc, f.mul(lv.wtails[s].eval(lam), u_pow))
-
-    betas = [v for v in plan.inf_levels[depth + 1] if v is not INF]
-    gvals = [[] for _ in range(p)]
-    for beta in betas:
-        fber = U - V.scale(beta)
-        rem = fpoly % fber
-        base = Poly.one(f)
-        vmod = V % fber
-        for _ in range(nsub - 1):
-            base = (base * vmod) % fber
-        s_poly = (rem * mod_inverse(base, fber)) % fber
-        work = s_poly
-        for k in range(p):
-            c = work[p - 1 - k]
-            gvals[k].append(c)
-            if c:
-                work = work - lv.wtails[k].scale(c)
-
-    mpoly = Poly.from_roots(f, betas)
-    out = [0] * ncur
-    for k in range(p):
-        h = lagrange_basis_interpolate(f, betas, gvals[k])
-        g = h + mpoly.scale(tops[k])
-        out[k::p] = _contract(plan, depth + 1, g)
-    return out
+    values = [0 if pt is INF else poly.eval(pt) for pt in plan.points]
+    return q1_ifft(plan, values, poly[plan.n - 1] if plan.is_full else None)

@@ -14,7 +14,7 @@ import time
 from . import fileio
 from .afft import AddPlan, add_fft, add_ifft, add_plan, lch_to_standard, standard_to_lch
 from .cfft import CyclicPlan, cyclic_plan, q1_fft, q1_ifft, std_to_tilde, tilde_to_std
-from .errors import InputError, MismatchError, ValidationError
+from .errors import InputError, InvalidFieldValue, MismatchError, ValidationError
 from .gf import field_make
 from .mfft import MultPlan, mult_fft, mult_ifft, mult_plan
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD, CoeffVec, CyclicEvalVec
@@ -48,12 +48,13 @@ def _parse_ints(text):
 
 
 def _read_input(path, parse):
-    """parse(text) of an input file.  A file that cannot be opened or does not
-    parse is bad input (exit 2), not a traceback."""
+    """parse(text) of an input file.  A file that cannot be opened, does not
+    parse or holds an out-of-range value is bad input (exit 2), not a
+    traceback."""
     try:
         with open(path) as fh:
             return parse(fh.read())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, InvalidFieldValue) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -62,13 +63,12 @@ def _build_plan(args):
     if args.case == "mult":
         return mult_plan(field, _parse_ints(args.radices), args.beta)
     if args.case == "add":
-        if args.basis:
-            basis = [fileio._elem_in(field, json.loads(v) if v.startswith("[") else _int(v))
-                     for v in args.basis.split(",")]
-        else:
-            basis = None
-        if basis is None:
+        if not args.basis:
             raise ValidationError("additive plans need --basis v1,v2,...")
+        try:
+            basis = [fileio._elem_in(field, v) for v in json.loads("[" + args.basis + "]")]
+        except (ValueError, TypeError) as exc:
+            raise InputError(f"cannot parse --basis {args.basis!r}: {exc}") from exc
         return add_plan(field, basis)
     if args.case == "cyclic":
         m_pair = tuple(_parse_ints(args.m)) if args.m else None

@@ -53,7 +53,7 @@ def _cell_out(field, raw):
 def _cell_in(field, cell):
     cell = cell.strip()
     if ":" in cell:
-        return field.pack(int(d) for d in cell.split(":"))
+        return _elem_in(field, [int(d) for d in cell.split(":")])
     return _elem_in(field, int(cell))
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from .errors import MixedFields, NonPrimeP, ReducibleModulus, ValidationError, ZeroInverse
+from .errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ValidationError,
+                     ZeroInverse)
 
 DESK_Q_BOUND = 1 << 20
 
@@ -141,6 +142,13 @@ def is_irreducible_modp(coeffs, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _int_entry(v) -> int:
+    """int(v) for one entry of a value file; a float is refused, not truncated."""
+    if isinstance(v, float):
+        raise InvalidFieldValue(f"{v!r} is not an integer")
+    return int(v)
 
 
 class Field:
@@ -374,9 +382,18 @@ class Field:
         return raw if self.r == 1 else list(self.unpack(raw))
 
     def parse_raw(self, obj) -> int:
+        """Inverse of serialize_raw.  Entries are checked, not reduced: an
+        integer outside [0, q), a list longer than r, or a digit outside
+        [0, p) raises InvalidFieldValue."""
         if isinstance(obj, list):
-            return self.pack(obj)
-        return int(obj) % self.q if self.r == 1 else int(obj)
+            digits = [_int_entry(d) for d in obj]
+            if len(digits) > self.r or any(not 0 <= d < self.p for d in digits):
+                raise InvalidFieldValue(f"{obj!r} is not a digit list of GF({self.q})")
+            return self.pack(digits)
+        raw = _int_entry(obj)
+        if not 0 <= raw < self.q:
+            raise InvalidFieldValue(f"{obj!r} is not a raw value of GF({self.q})")
+        return raw
 
     def __repr__(self):
         if self.r == 1:

@@ -135,6 +135,12 @@ class Poly:
                 if ai:
                     for j, bj in enumerate(b):
                         out[i + j] = (out[i + j] + ai * bj) % p
+            ctr = f._counter
+            if ctr is not None:
+                # as the extension branch counts: one mul and one add per nonzero pair
+                pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
+                ctr.muls += pairs
+                ctr.adds += pairs
         else:
             for i, ai in enumerate(a):
                 if ai:

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from gfft.afft import add_fft, add_ifft, add_plan, padic_expand, padic_reassemble, standard_to_lch
-from gfft.cfft import cyclic_plan, q1_fft, q1_ifft, tilde_to_std
+from gfft.cfft import cyclic_plan, q1_fft, q1_ifft, std_to_tilde, tilde_to_std
 from gfft.gf import field_make
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.oracle import basis_matrix, mpe_horner
@@ -256,6 +256,27 @@ def test_criterion_5_standard_pipeline():
         notes.append(f"n{n}->{2*n} {ratio:.2f}<={bound:.2f}")
     _report("criterion-5 standard-basis pipeline", True,
             "pipeline equals the evaluation oracle; " + "; ".join(notes))
+
+
+def test_criterion_5_cyclic_std_to_tilde_ladder():
+    """The cyclic standard -> cyclic-z conversion, gated like criterion 5:
+    n^2 Horner steps plus one kernel pass keep count(2n) / count(n) near 4,
+    where an n^3 route grows by 6 to 7 per doubling."""
+    rng = random.Random(SEED + 7)
+    field = field_make(383)
+    counts = {}
+    for k in (5, 6, 7):
+        plan = cyclic_plan(field, (2,) * k)
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        with field.count_ops() as ctr:
+            std_to_tilde(plan, c)
+        counts[plan.n] = ctr.total()
+    notes = []
+    for n in (32, 64):
+        ratio = counts[2 * n] / counts[n]
+        assert ratio <= 4.5, (n, ratio, counts)
+        notes.append(f"n{n}->{2*n} {ratio:.2f}<=4.50")
+    _report("criterion-5 cyclic std->tilde", True, "; ".join(notes))
 
 
 # -- criterion 6 ---------------------------------------------------------------

@@ -10,6 +10,8 @@ from gfft.cfft import (
 )
 from gfft.errors import (
     BasisMismatch,
+    DegreeTooLarge,
+    InvalidFieldValue,
     LengthMismatch,
     PrimitivityFailure,
     RadixNotDividing,
@@ -19,7 +21,7 @@ from gfft.gf import field_make
 from gfft.oracle import basis_matrix, mpe_horner
 from gfft.poly import INF, Poly
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
-from gfft.vectors import BASIS_STANDARD, CoeffVec
+from gfft.vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +159,37 @@ def test_conversion_roundtrip_and_horner_anchor(plan23, plan127, rng):
 
 
 def test_std_to_tilde_rejects_large_degree(plan11):
-    with pytest.raises(Exception):
+    with pytest.raises(DegreeTooLarge):
         std_to_tilde(plan11, [0] * 5)
+    with pytest.raises(DegreeTooLarge):
+        std_to_tilde(plan11, Poly(plan11.field, [1] * 5))
+
+
+def test_std_to_tilde_checks_basis_and_values(plan11):
+    with pytest.raises(BasisMismatch):
+        std_to_tilde(plan11, CoeffVec((1, 2, 3, 4), BASIS_CYCLIC))
+    with pytest.raises(InvalidFieldValue):
+        std_to_tilde(plan11, [1, 11, 3])
+
+
+@pytest.mark.parametrize("config", ["plan7", "plan11", "plan23", "F49-255", "F27-227"])
+def test_std_to_tilde_matches_basis_matrix(request, config, rng):
+    """std_to_tilde against the dense oracle, whose columns are built from
+    point-set data and share no code with the transform."""
+    if config.startswith("plan"):
+        plan = request.getfixturevalue(config)
+    elif config == "F49-255":
+        plan = cyclic_plan(field_make(7, 2), (2, 5, 5))
+    else:
+        plan = cyclic_plan(field_make(3, 3), (2, 2, 7))
+    bm = basis_matrix(plan)
+    q, n = plan.field.q, plan.n
+    for trial in range(20):
+        std = [rng.randrange(q) for _ in range(rng.randrange(n + 1))]
+        expected = bm.solve(std + [0] * (n - len(std)))
+        assert list(std_to_tilde(plan, std).values) == expected
+        if trial == 0:
+            assert list(std_to_tilde(plan, Poly(plan.field, std)).values) == expected
 
 
 def test_radix_order_variants(rng):

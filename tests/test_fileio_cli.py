@@ -127,7 +127,8 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
     assert json.loads(conv_path.read_text())["coeffs"] == [0] * 128
 
 
-@pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p"])
+@pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p",
+                                  "basis-unclosed", "out-of-range"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -137,14 +138,28 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         coeffs_path.write_text(json.dumps({"coeffs": [1, "x", 3, 4]}))
     elif case == "non-json":
         coeffs_path.write_text("not json")
+    elif case == "out-of-range":
+        # entries are checked, not reduced mod 17 to [13, 16, 3, 4]
+        coeffs_path.write_text(json.dumps({"coeffs": [200, -1, 3, 4]}))
     argv = ["fft", "--plan", str(plan_path), "--in", str(coeffs_path),
             "--out", str(tmp_path / "v.json")]
     if case == "bench-no-p":
         argv = ["bench", "--case", "mult", "--ladder", "4"]
+    elif case == "basis-unclosed":
+        argv = ["plan", "--case", "add", "--p", "3", "--r", "2", "--basis", "[1,0"]
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InputError:"), err
+
+
+def test_cli_plan_basis_list_form(tmp_path):
+    # extension-field elements as digit lists, the same form plan files use
+    for basis in ("[1,0],[0,1]", "1,3"):
+        out = tmp_path / "plan.json"
+        assert cli.main(["plan", "--case", "add", "--p", "3", "--r", "2",
+                         "--basis", basis, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["basis"] == [[1, 0], [0, 1]]
 
 
 def test_cli_bench_ladders():

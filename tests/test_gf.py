@@ -1,6 +1,6 @@
 import pytest
 
-from gfft.errors import MixedFields, NonPrimeP, ReducibleModulus, ZeroInverse
+from gfft.errors import InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ZeroInverse
 from gfft.gf import (
     field_make,
     find_primitive_element,
@@ -157,3 +157,14 @@ def test_serialization_forms(F127, F27):
     assert F127.serialize_raw(42) == 42
     assert F27.serialize_raw(F27.pack((1, 2, 0))) == [1, 2, 0]
     assert F27.parse_raw([1, 2, 0]) == F27.pack((1, 2, 0))
+
+
+def test_parse_raw_checks_instead_of_reducing(F17, F27):
+    assert F17.parse_raw(16) == 16 and F17.parse_raw([5]) == 5
+    assert F27.parse_raw(26) == 26 and F27.parse_raw([2, 2]) == F27.pack((2, 2))
+    for bad in (17, -1, 200, 1.0, [17], [1, 0]):
+        with pytest.raises(InvalidFieldValue):
+            F17.parse_raw(bad)
+    for bad in (27, -1, [1, 2, 0, 0], [3, 0, 0], [0, -1], [1.5]):
+        with pytest.raises(InvalidFieldValue):
+            F27.parse_raw(bad)

@@ -19,6 +19,16 @@ def test_product_cancelling_cross_terms(F127):
     assert prod == Poly(F127, (67, 0, 1))  # x^2 + 67
 
 
+@pytest.mark.parametrize("name", ["F127", "F27"])
+def test_product_op_counts(request, name):
+    # one mul and one add per pair of nonzero coefficients, in both branches
+    field = request.getfixturevalue(name)
+    a, b = Poly(field, (3, 0, 1, 2)), Poly(field, (0, 5, 1))
+    with field.count_ops() as ctr:
+        a * b
+    assert (ctr.muls, ctr.adds) == (6, 6)
+
+
 def test_gcd_with_zero_is_monic(F127):
     f = Poly(F127, (4, 6, 2))
     assert f.gcd(Poly.zero(F127)) == f.monic()
