@@ -10,9 +10,8 @@ expansions.
 import random
 
 from gfft import add_fft, add_ifft, add_plan, field_make, padic_expand, standard_to_lch
-from gfft.cli import poly_str
 from gfft.oracle import mpe_horner
-from gfft.poly import Poly
+from gfft.poly import Poly, poly_str
 
 field = field_make(2, 6)
 plan = add_plan(field, [1, 2, 4, 8, 16, 32])

@@ -9,8 +9,7 @@ mixed-radix digit with reciprocal linear factors of the tower maps.
 import random
 
 from gfft import cyclic_plan, field_make, q1_fft, q1_ifft, tilde_to_std
-from gfft.cli import poly_str
-from gfft.poly import INF, Poly
+from gfft.poly import INF, Poly, poly_str
 
 field = field_make(23)
 plan = cyclic_plan(field, (2, 2, 2, 3))

@@ -8,8 +8,7 @@ plan, prints the derived data, and diffs every pair.
 """
 
 from gfft import cyclic_plan, field_make, q1_fft
-from gfft.cli import poly_str
-from gfft.poly import INF
+from gfft.poly import INF, poly_str
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES, check_reproduction
 
 field = field_make(127)

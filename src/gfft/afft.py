@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .gf import Field
-from .poly import Poly
+from .poly import Poly, poly_str
 from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, field_values
 
 
@@ -33,6 +33,9 @@ def _frobenius(poly: Poly) -> Poly:
 
 
 class AddPlan:
+    case = "add"
+    basis = BASIS_LCH
+
     def __init__(self, field: Field, basis_elems):
         basis = [field(v).raw for v in basis_elems]
         r = len(basis)
@@ -42,7 +45,7 @@ class AddPlan:
             raise DependentBasis("subspace basis is F_p-linearly dependent")
 
         self.field = field
-        self.basis = tuple(basis)
+        self.subspace_basis = tuple(basis)
         self.r = r
         self.n = field.p**r
         self.radices = (field.p,) * r
@@ -84,11 +87,11 @@ class AddPlan:
         f = self.field
         for i in range(1, self.r + 1):
             ell = self.lin_polys[i]
-            span = _span_points(f, list(self.basis[:i]))
+            span = _span_points(f, list(self.subspace_basis[:i]))
             for w in span:
                 if ell.eval(w) != 0:
                     raise ValidationError(f"ell_{i} does not vanish on its subspace")
-            if i < self.r and ell.eval(self.basis[i]) == 0:
+            if i < self.r and ell.eval(self.subspace_basis[i]) == 0:
                 raise DependentBasis(f"ell_{i} kills basis element {i}; dependent input")
             # fiber constancy: ell_i on the full point set matches level list
             block = f.p**i
@@ -96,8 +99,36 @@ class AddPlan:
                 if ell.eval(x) != self.level_points[i][m // block]:
                     raise ValidationError(f"fiber constancy violated at level {i}")
 
+    def fft(self, coeffs):
+        return add_fft(self, coeffs)
+
+    def ifft(self, values) -> CoeffVec:
+        return add_ifft(self, values)
+
+    def to_standard(self, coeffs) -> CoeffVec:
+        return lch_to_standard(self, coeffs)
+
+    def from_standard(self, coeffs) -> CoeffVec:
+        return standard_to_lch(self, coeffs)
+
+    def describe(self) -> list:
+        lines = [f"additive plan: n={self.n} basis={list(self.subspace_basis)}",
+                 f"betas = {list(self.betas)}"]
+        return lines + [f"ell_{i} = {poly_str(ell)}" for i, ell in enumerate(self.lin_polys)]
+
+    def to_json(self) -> dict:
+        out = self.field.serialize_raw
+        return {"basis": [out(v) for v in self.subspace_basis],
+                "tables": {"betas": [out(v) for v in self.betas],
+                           "lin_polys": [[out(c) for c in p.coeffs] for p in self.lin_polys],
+                           "points": [out(v) for v in self.points]}}
+
+    @staticmethod
+    def from_json(field: Field, obj) -> "AddPlan":
+        return add_plan(field, [field.parse_raw(v) for v in obj["basis"]])
+
     def __repr__(self):
-        return f"AddPlan(q={self.field.q}, n={self.n}, basis={self.basis})"
+        return f"AddPlan(q={self.field.q}, n={self.n}, basis={self.subspace_basis})"
 
 
 def _independent_over_fp(field, vecs) -> bool:

@@ -31,7 +31,7 @@ from .gf import Field, find_primitive_quadratic, quadratic_is_irreducible, quadr
 # checks that the tracer rebinds it in this module too
 from .linalg import invert, solve  # noqa: F401
 from .moebius import MoebiusMap, match_moebius
-from .poly import INF, Poly, RatFn, compose_moebius
+from .poly import INF, Poly, RatFn, compose_moebius, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
                       field_values)
 
@@ -77,6 +77,9 @@ class CyclicLevel:
 
 
 class CyclicPlan:
+    case = "cyclic"
+    basis = BASIS_CYCLIC
+
     def __init__(self, field: Field, radices, m_pair=None, fiber_key=None):
         radices = tuple(int(p) for p in radices)
         for p in radices:
@@ -410,6 +413,66 @@ class CyclicPlan:
         if not self.is_full or any(lv.radix != 2 for lv in self.levels):
             return None
         return [lv.pole_consts[(1, 1)] for lv in self.levels]
+
+    # -- the interface MultPlan and AddPlan share ----------------------------
+
+    def describe(self) -> list:
+        lines = [f"cyclic plan: n={self.n} radices={list(self.radices)} "
+                 f"m=(a={self.m_coeffs[0]}, b={self.m_coeffs[1]})",
+                 f"Q = {poly_str(self.quads[0])}"]
+        if self.r:  # a plan without radices has no tower level
+            x1 = self.x_funs[1]
+            lines.append(f"x_1 = ({poly_str(x1.num)})/({poly_str(x1.den)})")
+        lines += [f"poles per level = {self.pole_sequence()}",
+                  f"scale constant = {self.scale_const}"]
+        consts = self.example_constants()
+        if consts is not None:
+            lines.append(f"pole-fiber constants = {consts}")
+        lines.append(f"evaluation fiber = {'inf' if self.is_full else self.bucket_key}")
+        return lines
+
+    def fft(self, coeffs) -> CyclicEvalVec:
+        return q1_fft(self, coeffs)
+
+    def ifft(self, values) -> CoeffVec:
+        return q1_ifft(self, values)
+
+    def to_standard(self, coeffs) -> CoeffVec:
+        return tilde_to_std(self, coeffs)
+
+    def from_standard(self, coeffs) -> CoeffVec:
+        return std_to_tilde(self, coeffs)
+
+    def to_json(self) -> dict:
+        out = self.field.serialize_raw
+
+        def pt_out(pt):
+            return "inf" if pt is INF else out(pt)
+
+        pole_consts = {
+            f"{i},{t},{k}": out(v)
+            for i, lv in enumerate(self.levels, start=1)
+            if lv.pole_consts
+            for (t, k), v in sorted(lv.pole_consts.items())
+        }
+        return {"radices": list(self.radices), "m": [out(c) for c in self.m_coeffs],
+                "fiber": pt_out(self.bucket_key),
+                "tables": {
+                    "points": [pt_out(v) for v in self.points],
+                    "poles": [[out(v) for v in lv.poles] for lv in self.levels],
+                    "quads": [[out(c) for c in q.coeffs] for q in self.quads],
+                    "level_nums": [[out(c) for c in lv.num.coeffs] for lv in self.levels],
+                    "scale_const": out(self.scale_const),
+                    "tower_num": [out(c) for c in self.tower_num.coeffs],
+                    "pole_consts": pole_consts,
+                }}
+
+    @staticmethod
+    def from_json(field: Field, obj) -> "CyclicPlan":
+        fiber = obj.get("fiber")
+        return cyclic_plan(
+            field, obj["radices"], m_pair=tuple(field.parse_raw(v) for v in obj["m"]),
+            fiber_key=None if fiber in (None, "inf") else field.parse_raw(fiber))
 
     def __repr__(self):
         return (

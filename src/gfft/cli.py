@@ -12,28 +12,12 @@ import sys
 import time
 
 from . import fileio
-from .afft import AddPlan, add_fft, add_ifft, add_plan, lch_to_standard, standard_to_lch
-from .cfft import CyclicPlan, cyclic_plan, q1_fft, q1_ifft, std_to_tilde, tilde_to_std
+from .afft import add_plan
+from .cfft import cyclic_plan
 from .errors import InputError, InvalidFieldValue, MismatchError, ValidationError
 from .gf import field_make
-from .mfft import MultPlan, mult_fft, mult_ifft, mult_plan
-from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD, CoeffVec, CyclicEvalVec
-
-
-def poly_str(poly) -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for i in range(len(poly.coeffs) - 1, -1, -1):
-        c = poly.coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            xs = "x" if i == 1 else f"x^{i}"
-            parts.append(xs if c == 1 else f"{c}{xs}")
-    return "+".join(parts)
+from .mfft import mult_plan
+from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
 
 
 def _int(text):
@@ -66,7 +50,7 @@ def _build_plan(args):
         if not args.basis:
             raise ValidationError("additive plans need --basis v1,v2,...")
         try:
-            basis = [fileio._elem_in(field, v) for v in json.loads("[" + args.basis + "]")]
+            basis = [field.parse_raw(v) for v in json.loads("[" + args.basis + "]")]
         except (ValueError, TypeError) as exc:
             raise InputError(f"cannot parse --basis {args.basis!r}: {exc}") from exc
         return add_plan(field, basis)
@@ -77,32 +61,10 @@ def _build_plan(args):
     raise ValidationError(f"unknown case {args.case!r}")
 
 
-def _print_plan_summary(plan, out=sys.stdout):
-    if isinstance(plan, MultPlan):
-        print(f"multiplicative plan: n={plan.n} radices={list(plan.radices)}", file=out)
-        print(f"omega = {plan.omega}  beta = {plan.beta}", file=out)
-    elif isinstance(plan, AddPlan):
-        print(f"additive plan: n={plan.n} basis={list(plan.basis)}", file=out)
-        print(f"betas = {list(plan.betas)}", file=out)
-        for i, ell in enumerate(plan.lin_polys):
-            print(f"ell_{i} = {poly_str(ell)}", file=out)
-    elif isinstance(plan, CyclicPlan):
-        print(f"cyclic plan: n={plan.n} radices={list(plan.radices)} "
-              f"m=(a={plan.m_coeffs[0]}, b={plan.m_coeffs[1]})", file=out)
-        print(f"Q = {poly_str(plan.quads[0])}", file=out)
-        print(f"x_1 = ({poly_str(plan.x_funs[1].num)})/({poly_str(plan.x_funs[1].den)})", file=out)
-        print(f"poles per level = {plan.pole_sequence()}", file=out)
-        print(f"scale constant = {plan.scale_const}", file=out)
-        consts = plan.example_constants()
-        if consts is not None:
-            print(f"pole-fiber constants = {consts}", file=out)
-        key = "inf" if plan.is_full else plan.bucket_key
-        print(f"evaluation fiber = {key}", file=out)
-
-
 def cmd_plan(args) -> int:
     plan = _build_plan(args)
-    _print_plan_summary(plan)
+    for line in plan.describe():
+        print(line)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(fileio.plan_to_json(plan), fh, indent=1)
@@ -114,96 +76,76 @@ def _load_plan(path):
     return _read_input(path, lambda text: fileio.plan_from_json(json.loads(text)))
 
 
+def _is_csv(path, fmt):
+    return fmt == "csv" or (fmt is None and path.endswith(".csv"))
+
+
 def _read_coeffs(field, path, fmt, basis):
-    if fmt == "csv" or (fmt is None and path.endswith(".csv")):
+    """Coefficients from a JSON or CSV file.  A CSV file carries no basis
+    tag; its coefficients are taken to be in basis."""
+    if _is_csv(path, fmt):
         return _read_input(path, lambda text: fileio.coeffs_from_csv(field, text, basis))
     return _read_input(path, lambda text: fileio.coeffs_from_json(field, json.loads(text)))
 
 
-def _default_basis(plan):
-    if isinstance(plan, MultPlan):
-        return BASIS_STANDARD
-    if isinstance(plan, AddPlan):
-        return BASIS_LCH
-    return BASIS_CYCLIC
+def _write_coeffs(field, coeffs, path, fmt):
+    with open(path, "w") as fh:
+        if _is_csv(path, fmt):
+            fh.write(fileio.coeffs_to_csv(field, coeffs))
+        else:
+            json.dump(fileio.coeffs_to_json(field, coeffs), fh, indent=1)
+
+
+def _write_values(field, values, path, fmt):
+    with open(path, "w") as fh:
+        if _is_csv(path, fmt):
+            fh.write(fileio.values_to_csv(field, values))
+        else:
+            json.dump(fileio.values_to_json(field, values), fh, indent=1)
 
 
 def cmd_fft(args) -> int:
     plan = _load_plan(args.plan)
     field = plan.field
-    coeffs = _read_coeffs(field, args.infile, args.format, _default_basis(plan))
-    ctr_report = None
+    coeffs = _read_coeffs(field, args.infile, args.format, plan.basis)
     with field.count_ops() as ctr:
         t0 = time.perf_counter()
-        if isinstance(plan, MultPlan):
-            values = mult_fft(plan, coeffs)
-        elif isinstance(plan, AddPlan):
-            values = add_fft(plan, coeffs)
-        else:
-            values = q1_fft(plan, coeffs)
+        values = plan.fft(coeffs)
         elapsed = time.perf_counter() - t0
-        ctr_report = ctr.snapshot()
     if args.count_ops:
-        print(f"ops: adds={ctr_report.adds} muls={ctr_report.muls} "
-              f"invs={ctr_report.invs} wall={elapsed:.6f}s", file=sys.stderr)
+        print(f"ops: adds={ctr.adds} muls={ctr.muls} "
+              f"invs={ctr.invs} wall={elapsed:.6f}s", file=sys.stderr)
     _write_values(field, values, args.out, args.format)
     print(f"values written to {args.out}")
     return 0
 
 
-def _write_values(field, values, path, fmt):
-    if fmt == "csv" or (fmt is None and path.endswith(".csv")):
-        with open(path, "w") as fh:
-            fh.write(fileio.values_to_csv(field, values))
-    else:
-        with open(path, "w") as fh:
-            json.dump(fileio.values_to_json(field, values), fh, indent=1)
-
-
 def cmd_ifft(args) -> int:
     plan = _load_plan(args.plan)
     field = plan.field
-    values = _read_input(
-        args.infile, lambda text: fileio.values_from_json(field, json.loads(text), plan))
-    if isinstance(plan, MultPlan):
-        coeffs = mult_ifft(plan, values)
-    elif isinstance(plan, AddPlan):
-        coeffs = add_ifft(plan, values)
+    if _is_csv(args.infile, args.format):
+        values = _read_input(args.infile, lambda text: fileio.values_from_csv(field, text, plan))
     else:
-        coeffs = q1_ifft(plan, values)
-    with open(args.out, "w") as fh:
-        if args.format == "csv" or (args.format is None and args.out.endswith(".csv")):
-            fh.write(fileio.coeffs_to_csv(field, coeffs))
-        else:
-            json.dump(fileio.coeffs_to_json(field, coeffs), fh, indent=1)
+        values = _read_input(
+            args.infile, lambda text: fileio.values_from_json(field, json.loads(text), plan))
+    _write_coeffs(field, plan.ifft(values), args.out, args.format)
     print(f"coefficients written to {args.out}")
     return 0
 
 
 def cmd_convert(args) -> int:
+    """Convert between the standard basis and the plan's own basis."""
     plan = _load_plan(args.plan)
     field = plan.field
-    coeffs = _read_coeffs(field, args.infile, args.format, None)
-    src = coeffs.basis
     dst = args.to
-    if isinstance(plan, AddPlan):
-        if (src, dst) == (BASIS_STANDARD, BASIS_LCH):
-            out = standard_to_lch(plan, coeffs)
-        elif (src, dst) == (BASIS_LCH, BASIS_STANDARD):
-            out = lch_to_standard(plan, coeffs)
-        else:
-            raise ValidationError(f"cannot convert {src!r} -> {dst!r} on an additive plan")
-    elif isinstance(plan, CyclicPlan):
-        if (src, dst) == (BASIS_STANDARD, BASIS_CYCLIC):
-            out = std_to_tilde(plan, coeffs)
-        elif (src, dst) == (BASIS_CYCLIC, BASIS_STANDARD):
-            out = tilde_to_std(plan, coeffs)
-        else:
-            raise ValidationError(f"cannot convert {src!r} -> {dst!r} on a cyclic plan")
-    else:
-        raise ValidationError("multiplicative plans already use the standard basis")
-    with open(args.out, "w") as fh:
-        json.dump(fileio.coeffs_to_json(field, out), fh, indent=1)
+    # a CSV file holds the other basis of the pair {standard, plan.basis}
+    coeffs = _read_coeffs(field, args.infile, args.format,
+                          plan.basis if dst == BASIS_STANDARD else BASIS_STANDARD)
+    src = coeffs.basis
+    if src == dst or {src, dst} != {BASIS_STANDARD, plan.basis}:
+        raise ValidationError(f"{plan.case} plans cannot convert {src!r} -> {dst!r}")
+    out = plan.to_standard(coeffs) if dst == BASIS_STANDARD else plan.from_standard(coeffs)
+    _write_coeffs(field, out, args.out, args.format)
     print(f"converted coefficients written to {args.out}")
     return 0
 
@@ -219,7 +161,7 @@ def cmd_bench(args) -> int:
             n = p + 1
             radices = _factor_smooth(n)
             plan = cyclic_plan(field, radices)
-            rows.append(_bench_one(field, plan, rng, label=f"q={p} n={n}"))
+            rows.append(_bench_one(plan, rng, label=f"q={p} n={n}"))
     else:
         if args.p is None:
             raise InputError(f"bench --case {args.case} needs --p (or --fields for cyclic)")
@@ -238,7 +180,7 @@ def cmd_bench(args) -> int:
                 plan = add_plan(field, basis)
             else:
                 plan = cyclic_plan(field, _factor_smooth(n))
-            rows.append(_bench_one(field, plan, rng, label=f"n={plan.n}"))
+            rows.append(_bench_one(plan, rng, label=f"n={plan.n}"))
     print(f"{'config':>14} {'ops':>10} {'wall_s':>9} {'ratio':>7}")
     prev = None
     for label, ops, wall in rows:
@@ -259,16 +201,11 @@ def _factor_smooth(n):
     return radices
 
 
-def _bench_one(field, plan, rng, label):
-    coeffs = [rng.randrange(field.q) for _ in range(plan.n)]
-    with field.count_ops() as ctr:
+def _bench_one(plan, rng, label):
+    coeffs = [rng.randrange(plan.field.q) for _ in range(plan.n)]
+    with plan.field.count_ops() as ctr:
         t0 = time.perf_counter()
-        if isinstance(plan, MultPlan):
-            mult_fft(plan, coeffs)
-        elif isinstance(plan, AddPlan):
-            add_fft(plan, coeffs)
-        else:
-            q1_fft(plan, coeffs)
+        plan.fft(coeffs)
         wall = time.perf_counter() - t0
     return label, ctr.total(), wall
 
@@ -292,7 +229,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="build a transform plan and write it to JSON")
-    p.add_argument("--case", required=True, choices=["mult", "add", "cyclic"])
+    p.add_argument("--case", required=True, choices=list(fileio.PLAN_CASES))
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--radices", default="")
@@ -321,7 +258,7 @@ def build_parser():
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("bench", help="measure op counts over a size ladder")
-    p.add_argument("--case", required=True, choices=["mult", "add", "cyclic"])
+    p.add_argument("--case", required=True, choices=list(fileio.PLAN_CASES))
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--ladder", default="")

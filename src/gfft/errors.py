@@ -38,15 +38,7 @@ class DivisionByZeroPoly(ValidationError):
     pass
 
 
-class ZeroFunction(ValidationError):
-    pass
-
-
 class NoMoebiusRelation(ValidationError):
-    pass
-
-
-class RadixProductNotDividingOrder(ValidationError):
     pass
 
 

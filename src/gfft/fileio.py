@@ -10,25 +10,17 @@ from __future__ import annotations
 
 import json
 
-from .afft import AddPlan, add_plan
-from .cfft import CyclicPlan, cyclic_plan
+from .afft import AddPlan
+from .cfft import CyclicPlan
 from .errors import MismatchError, ValidationError
 from .gf import Field, field_make
-from .mfft import MultPlan, mult_plan
+from .mfft import MultPlan
 from .poly import INF
 from .vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec
 
 
-def _elem_out(field: Field, raw):
-    return field.serialize_raw(raw)
-
-
-def _elem_in(field: Field, obj):
-    return field.parse_raw(obj)
-
-
 def _point_out(field, pt):
-    return "inf" if pt is INF else _elem_out(field, pt)
+    return "inf" if pt is INF else field.serialize_raw(pt)
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +28,12 @@ def _point_out(field, pt):
 
 
 def coeffs_to_json(field: Field, vec: CoeffVec) -> dict:
-    return {"basis": vec.basis, "coeffs": [_elem_out(field, v) for v in vec.values]}
+    return {"basis": vec.basis, "coeffs": [field.serialize_raw(v) for v in vec.values]}
 
 
 def coeffs_from_json(field: Field, obj) -> CoeffVec:
     basis = obj.get("basis", BASIS_STANDARD)
-    return CoeffVec(tuple(_elem_in(field, v) for v in obj["coeffs"]), basis)
+    return CoeffVec(tuple(field.parse_raw(v) for v in obj["coeffs"]), basis)
 
 
 def _cell_out(field, raw):
@@ -53,8 +45,8 @@ def _cell_out(field, raw):
 def _cell_in(field, cell):
     cell = cell.strip()
     if ":" in cell:
-        return _elem_in(field, [int(d) for d in cell.split(":")])
-    return _elem_in(field, int(cell))
+        return field.parse_raw([int(d) for d in cell.split(":")])
+    return field.parse_raw(int(cell))
 
 
 def coeffs_to_csv(field: Field, vec: CoeffVec) -> str:
@@ -73,31 +65,32 @@ def coeffs_from_csv(field: Field, text: str, basis=BASIS_STANDARD) -> CoeffVec:
 def values_to_json(field: Field, values) -> dict:
     if isinstance(values, CyclicEvalVec):
         out = {
-            "values": {str(_point_out(field, p)): _elem_out(field, v)
+            "values": {str(_point_out(field, p)): field.serialize_raw(v)
                        for p, v in zip(values.points, values.values)},
-            "tilde": {str(_point_out(field, p)): _elem_out(field, v)
+            "tilde": {str(_point_out(field, p)): field.serialize_raw(v)
                       for p, v in zip(values.points, values.tilde)},
         }
         if values.a0 is not None:
-            out["a0"] = _elem_out(field, values.a0)
+            out["a0"] = field.serialize_raw(values.a0)
         return out
-    return {"values": [_elem_out(field, v) for v in values]}
+    return {"values": [field.serialize_raw(v) for v in values]}
 
 
 def values_from_json(field: Field, obj, plan=None):
     vals = obj["values"]
     if isinstance(vals, dict):
-        if plan is None or not isinstance(plan, CyclicPlan):
+        if plan is None or plan.basis != BASIS_CYCLIC:
             raise ValidationError("keyed value files need a cyclic plan")
         lookup = {}
         for k, v in vals.items():
-            pt = INF if k == "inf" else _elem_in(field, json.loads(k) if k.startswith("[") else int(k))
-            lookup[pt] = _elem_in(field, v)
+            pt = INF if k == "inf" else field.parse_raw(
+                json.loads(k) if k.startswith("[") else int(k))
+            lookup[pt] = field.parse_raw(v)
         seq = [lookup[pt] for pt in plan.points]
-        a0 = _elem_in(field, obj["a0"]) if "a0" in obj else None
+        a0 = field.parse_raw(obj["a0"]) if "a0" in obj else None
         tilde = [0] * len(seq)
         return CyclicEvalVec(plan.points, seq, tilde, a0)
-    return [_elem_in(field, v) for v in vals]
+    return [field.parse_raw(v) for v in vals]
 
 
 def values_to_csv(field: Field, values) -> str:
@@ -106,15 +99,11 @@ def values_to_csv(field: Field, values) -> str:
     return "\n".join(_cell_out(field, v) for v in values) + "\n"
 
 
-def moebius_to_json(m) -> list:
-    field = m.field
-    return [_elem_out(field, v) for v in m.entries()]
-
-
-def moebius_from_json(field: Field, obj):
-    from .moebius import MoebiusMap
-
-    return MoebiusMap(field, *(_elem_in(field, v) for v in obj))
+def values_from_csv(field: Field, text: str, plan) -> list:
+    """One value per line, in the plan's point order."""
+    if plan.basis == BASIS_CYCLIC:
+        raise ValidationError("keyed cyclic values only serialize to JSON")
+    return [_cell_in(field, line) for line in text.splitlines() if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -132,67 +121,20 @@ def field_from_json(obj) -> Field:
     return field_make(obj["p"], obj.get("r", 1), obj.get("modulus"))
 
 
-def plan_to_json(plan, include_tables=True) -> dict:
-    field = plan.field
-    if isinstance(plan, MultPlan):
-        out = {"case": "mult", "field": field_to_json(field),
-               "radices": list(plan.radices), "beta": _elem_out(field, plan.beta)}
-        tables = {
-            "alpha": _elem_out(field, plan.alpha),
-            "omega": _elem_out(field, plan.omega),
-            "points": [_elem_out(field, v) for v in plan.points],
-        }
-    elif isinstance(plan, AddPlan):
-        out = {"case": "add", "field": field_to_json(field),
-               "basis": [_elem_out(field, v) for v in plan.basis]}
-        tables = {
-            "betas": [_elem_out(field, v) for v in plan.betas],
-            "lin_polys": [[_elem_out(field, c) for c in p.coeffs] for p in plan.lin_polys],
-            "points": [_elem_out(field, v) for v in plan.points],
-        }
-    elif isinstance(plan, CyclicPlan):
-        out = {"case": "cyclic", "field": field_to_json(field),
-               "radices": list(plan.radices),
-               "m": [_elem_out(field, plan.m_coeffs[0]), _elem_out(field, plan.m_coeffs[1])],
-               "fiber": _point_out(field, plan.bucket_key)}
-        tables = {
-            "points": [_point_out(field, v) for v in plan.points],
-            "poles": [[_elem_out(field, v) for v in lv.poles] for lv in plan.levels],
-            "quads": [[_elem_out(field, c) for c in q.coeffs] for q in plan.quads],
-            "level_nums": [[_elem_out(field, c) for c in lv.num.coeffs] for lv in plan.levels],
-            "scale_const": _elem_out(field, plan.scale_const),
-            "tower_num": [_elem_out(field, c) for c in plan.tower_num.coeffs],
-            "pole_consts": {
-                f"{i},{t},{k}": _elem_out(field, v)
-                for i, lv in enumerate(plan.levels, start=1)
-                if lv.pole_consts
-                for (t, k), v in sorted(lv.pole_consts.items())
-            },
-        }
-    else:
-        raise ValidationError(f"unknown plan type {type(plan)!r}")
-    if include_tables:
-        out["tables"] = tables
-    return out
+# the plan file's "case" tag -> plan class
+PLAN_CASES = {cls.case: cls for cls in (MultPlan, AddPlan, CyclicPlan)}
+
+
+def plan_to_json(plan) -> dict:
+    return {"case": plan.case, "field": field_to_json(plan.field), **plan.to_json()}
 
 
 def plan_from_json(obj):
     field = field_from_json(obj["field"])
-    case = obj["case"]
-    if case == "mult":
-        plan = mult_plan(field, obj["radices"], _elem_in(field, obj["beta"]))
-    elif case == "add":
-        plan = add_plan(field, [_elem_in(field, v) for v in obj["basis"]])
-    elif case == "cyclic":
-        fiber = obj.get("fiber")
-        fiber_key = None if fiber in (None, "inf") else _elem_in(field, fiber)
-        plan = cyclic_plan(
-            field, obj["radices"],
-            m_pair=(_elem_in(field, obj["m"][0]), _elem_in(field, obj["m"][1])),
-            fiber_key=fiber_key,
-        )
-    else:
-        raise ValidationError(f"unknown plan case {case!r}")
+    cls = PLAN_CASES.get(obj["case"])
+    if cls is None:
+        raise ValidationError(f"unknown plan case {obj['case']!r}")
+    plan = cls.from_json(field, obj)
     if "tables" in obj:
         fresh = plan_to_json(plan)["tables"]
         stored = obj["tables"]

@@ -62,9 +62,6 @@ class OpCounter:
     def total(self) -> int:
         return self.adds + self.muls + self.invs
 
-    def snapshot(self) -> "OpCounter":
-        return OpCounter(self.adds, self.muls, self.invs)
-
 
 # ---------------------------------------------------------------------------
 # small dense polynomial helpers over F_p (ints mod p), used only for modulus

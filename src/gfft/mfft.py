@@ -14,6 +14,9 @@ from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, field_values
 
 
 class MultPlan:
+    case = "mult"
+    basis = BASIS_STANDARD
+
     def __init__(self, field: Field, radices, beta=1):
         radices = tuple(int(p) for p in radices)
         n = 1
@@ -65,6 +68,26 @@ class MultPlan:
             for p, pts in zip(radices, level_points)
         ]
         engine.build_inverse_locals(field, self.kernel)
+
+    def fft(self, coeffs):
+        return mult_fft(self, coeffs)
+
+    def ifft(self, values) -> CoeffVec:
+        return mult_ifft(self, values)
+
+    def describe(self) -> list:
+        return [f"multiplicative plan: n={self.n} radices={list(self.radices)}",
+                f"omega = {self.omega}  beta = {self.beta}"]
+
+    def to_json(self) -> dict:
+        out = self.field.serialize_raw
+        return {"radices": list(self.radices), "beta": out(self.beta),
+                "tables": {"alpha": out(self.alpha), "omega": out(self.omega),
+                           "points": [out(v) for v in self.points]}}
+
+    @staticmethod
+    def from_json(field: Field, obj) -> "MultPlan":
+        return mult_plan(field, obj["radices"], field.parse_raw(obj["beta"]))
 
     def __repr__(self):
         return f"MultPlan(q={self.field.q}, n={self.n}, radices={self.radices}, beta={self.beta})"

@@ -9,10 +9,8 @@ on the orientation cross-validate it against independent data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .errors import NoMoebiusRelation, RadixProductNotDividingOrder, ValidationError
-from .gf import Field, FieldElement
+from .errors import NoMoebiusRelation, ValidationError
+from .gf import Field
 from .linalg import nullspace_vector
 from .poly import INF, Poly, RatFn, _raw
 
@@ -124,34 +122,6 @@ class MoebiusMap:
 
     def __repr__(self):
         return f"MoebiusMap[[{self.a},{self.b}],[{self.c},{self.d}]]"
-
-
-@dataclass
-class SubgroupChain:
-    """Cyclic ascending chain: level_generators[i-1] generates the subgroup
-    of size radices[0]*...*radices[i-1]."""
-
-    generator: MoebiusMap
-    radices: tuple
-    level_generators: list = dc_field(default_factory=list)
-
-
-def subgroup_chain(generator: MoebiusMap, radices) -> SubgroupChain:
-    radices = tuple(int(p) for p in radices)
-    n = 1
-    for p in radices:
-        n *= p
-    order = generator.order()
-    if n == 0 or order % n != 0:
-        raise RadixProductNotDividingOrder(
-            f"radix product {n} does not divide the generator order {order}"
-        )
-    gens = []
-    size = 1
-    for p in radices:
-        size *= p
-        gens.append(generator ** (order // size))
-    return SubgroupChain(generator, radices, gens)
 
 
 def match_moebius(g: RatFn, h: RatFn) -> MoebiusMap:

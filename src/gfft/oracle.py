@@ -11,6 +11,7 @@ from __future__ import annotations
 from .errors import DuplicatePoint, SingularMatrix, ValidationError
 from .linalg import invert, mat_vec
 from .poly import INF, Poly, RatFn, lagrange_basis_interpolate
+from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
 
 DENSE_LIMIT = 4096
 
@@ -67,18 +68,13 @@ class BasisMatrix:
 
 
 def basis_matrix(plan) -> BasisMatrix:
-    from .afft import AddPlan
-    from .cfft import CyclicPlan
-    from .mfft import MultPlan
+    columns = {BASIS_STANDARD: _standard_columns, BASIS_LCH: _add_columns,
+               BASIS_CYCLIC: _cyclic_columns}[plan.basis]
+    return BasisMatrix(plan.field, columns(plan))
 
-    if isinstance(plan, MultPlan):
-        cols = [[1 if i == j else 0 for i in range(plan.n)] for j in range(plan.n)]
-        return BasisMatrix(plan.field, cols)
-    if isinstance(plan, AddPlan):
-        return BasisMatrix(plan.field, _add_columns(plan))
-    if isinstance(plan, CyclicPlan):
-        return BasisMatrix(plan.field, _cyclic_columns(plan))
-    raise ValidationError(f"unknown plan type {type(plan)!r}")
+
+def _standard_columns(plan):
+    return [[1 if i == j else 0 for i in range(plan.n)] for j in range(plan.n)]
 
 
 def _add_columns(plan):

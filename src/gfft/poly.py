@@ -8,7 +8,7 @@ raw value or INF likewise.
 
 from __future__ import annotations
 
-from .errors import DivisionByZeroPoly, DuplicatePoint, MixedFields, ZeroFunction
+from .errors import DivisionByZeroPoly, DuplicatePoint, MixedFields
 from .gf import Field, FieldElement
 
 NEG_INF = float("-inf")
@@ -203,18 +203,6 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def derivative(self) -> "Poly":
-        f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            k = i % f.p
-            acc = 0
-            for _ in range(k):
-                acc = f.add(acc, c)
-            out.append(acc)
-        return Poly(f, out)
-
     # -- evaluation -------------------------------------------------------------
 
     def eval(self, x) -> int:
@@ -279,6 +267,23 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def poly_str(poly: Poly) -> str:
+    """Compact text form, highest degree first: x^3+2x+1."""
+    if poly.is_zero():
+        return "0"
+    parts = []
+    for i in range(len(poly.coeffs) - 1, -1, -1):
+        c = poly.coeffs[i]
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            xs = "x" if i == 1 else f"x^{i}"
+            parts.append(xs if c == 1 else f"{c}{xs}")
+    return "+".join(parts)
+
+
 class RatFn:
     """Reduced ratio of polynomials; denominator monic, gcd(num, den) = 1."""
 
@@ -311,9 +316,6 @@ class RatFn:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree == 0
 
     def map_degree(self) -> int:
         """max(deg num, deg den): the degree of the covering x-line map."""
@@ -373,24 +375,6 @@ class RatFn:
     def __call__(self, place):
         return self.eval_place(place)
 
-    # -- valuations --------------------------------------------------------------
-
-    def valuation(self, place) -> int:
-        """Order of vanishing (negative at a pole) at a rational place."""
-        if self.is_zero():
-            raise ZeroFunction("valuation of the zero function")
-        if place is INF:
-            return int(self.den.degree - self.num.degree)
-        a = _raw(self.field, place)
-        lin = Poly(self.field, (self.field.neg(a), 1))
-        return _multiplicity(self.num, lin) - _multiplicity(self.den, lin)
-
-    def valuation_at_irreducible(self, prime: Poly) -> int:
-        """Valuation at the finite place of a monic irreducible polynomial."""
-        if self.is_zero():
-            raise ZeroFunction("valuation of the zero function")
-        return _multiplicity(self.num, prime) - _multiplicity(self.den, prime)
-
     def __eq__(self, other):
         return (
             isinstance(other, RatFn)
@@ -404,18 +388,6 @@ class RatFn:
 
     def __repr__(self):
         return f"RatFn({self.num!r} / {self.den!r})"
-
-
-def _multiplicity(f: Poly, prime: Poly) -> int:
-    if f.is_zero():
-        raise ZeroFunction("multiplicity in the zero polynomial")
-    count = 0
-    while True:
-        q, r = divmod(f, prime)
-        if not r.is_zero():
-            return count
-        count += 1
-        f = q
 
 
 def compose_moebius(g: RatFn, mat) -> RatFn:
@@ -439,107 +411,6 @@ def compose_moebius(g: RatFn, mat) -> RatFn:
         return acc
 
     return RatFn(field, homog(g.num), homog(g.den))
-
-
-# ---------------------------------------------------------------------------
-# desk-scale complete factorization (used by divisor-degree tests)
-
-
-def _pth_root(f: Poly) -> Poly:
-    field = f.field
-    p = field.p
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(field.pow(f.coeffs[i], field.q // p))
-    return Poly(field, out)
-
-
-def _x_power_q_d_mod(f: Poly, d: int) -> Poly:
-    field = f.field
-    result = Poly.x(field)
-    for _ in range(d):
-        acc = Poly.one(field)
-        base = result
-        e = field.q
-        while e:
-            if e & 1:
-                acc = (acc * base) % f
-            base = (base * base) % f
-            e >>= 1
-        result = acc
-    return result
-
-
-def _equal_degree_split(f: Poly, d: int, rng) -> list:
-    """Cantor-Zassenhaus for odd q: f squarefree, all factors of degree d."""
-    field = f.field
-    if f.degree == d:
-        return [f.monic()]
-    exponent = (field.q**d - 1) // 2
-    while True:
-        h = Poly(field, [rng.randrange(field.q) for _ in range(int(f.degree))])
-        if h.degree < 1:
-            continue
-        g = f.gcd(h)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
-        acc = Poly.one(field)
-        base = h % f
-        e = exponent
-        while e:
-            if e & 1:
-                acc = (acc * base) % f
-            base = (base * base) % f
-            e >>= 1
-        g = f.gcd(acc - Poly.one(field))
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
-
-
-def factor_monic(f: Poly, rng) -> dict:
-    """Complete factorization {monic irreducible Poly: multiplicity}; odd q."""
-    field = f.field
-    if field.q % 2 == 0:
-        raise ValueError("factor_monic implemented for odd q only")
-    if f.is_zero():
-        raise ZeroFunction("cannot factor zero")
-    factors = {}
-    work = f.monic()
-
-    def add_factor(prime, mult=1):
-        factors[prime] = factors.get(prime, 0) + mult
-
-    while work.degree > 0:
-        deriv = work.derivative()
-        if deriv.is_zero():
-            work = _pth_root(work)
-            # f = g(x^p) = (pth_root)^p: fold multiplicity p into recursion
-            sub = factor_monic(work, rng)
-            for prime, m in sub.items():
-                add_factor(prime, m * field.p)
-            return factors
-        sqf = work // work.gcd(deriv)
-        rem = sqf
-        d = 1
-        while rem.degree > 0:
-            xq = _x_power_q_d_mod(rem, d)
-            g = rem.gcd(xq - Poly.x(field))
-            if g.degree > 0:
-                for prime in _equal_degree_split(g, d, rng):
-                    mult = _multiplicity(work, prime)
-                    add_factor(prime, mult)
-                    for _ in range(mult):
-                        work = work // prime
-                rem = rem // g
-            d += 1
-            if d > rem.degree:
-                if rem.degree > 0:
-                    mult = _multiplicity(work, rem.monic())
-                    add_factor(rem.monic(), mult)
-                    for _ in range(mult):
-                        work = work // rem.monic()
-                break
-    return factors
 
 
 def mod_inverse(a: Poly, m: Poly) -> Poly:

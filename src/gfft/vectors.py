@@ -81,12 +81,6 @@ class CyclicEvalVec:
     def __len__(self):
         return len(self.points)
 
-    def value_at(self, alpha):
-        return self.values[self.points.index(alpha)]
-
-    def tilde_at(self, alpha):
-        return self.tilde[self.points.index(alpha)]
-
     def as_dict(self):
         return {p: v for p, v in zip(self.points, self.values)}
 

@@ -392,7 +392,7 @@ def test_criterion_7_structural_invariants(configs, oracle_matrices):
             field = plan.field
             for i in range(1, plan.r + 1):
                 span = {0}
-                for b in plan.basis[:i]:
+                for b in plan.subspace_basis[:i]:
                     ev = 0
                     acc = set()
                     for _ in range(field.p):

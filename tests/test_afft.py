@@ -109,7 +109,7 @@ def test_kernel_property_exact(F27):
     for i in range(1, 4):
         span = set()
         pts = [0]
-        for b in plan.basis[:i]:
+        for b in plan.subspace_basis[:i]:
             ev = 0
             new = []
             for _ in range(3):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +11,8 @@ from gfft.cfft import cyclic_plan, q1_fft
 from gfft.errors import MismatchError
 from gfft.gf import field_make
 from gfft.mfft import mult_plan
-from gfft.moebius import MoebiusMap
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
-from gfft.vectors import BASIS_CYCLIC, BASIS_LCH, CoeffVec
+from gfft.vectors import BASIS_LCH, CoeffVec
 
 
 def run_cli(*args, env_extra=None):
@@ -54,13 +54,6 @@ def test_cyclic_values_json_roundtrip():
     back = fileio.values_from_json(F7, obj, plan)
     assert list(back.values) == list(ev.values)
     assert back.a0 == ev.a0
-
-
-def test_moebius_json(F127):
-    m = MoebiusMap(F127, 0, 1, 124, 1)
-    obj = fileio.moebius_to_json(m)
-    assert len(obj) == 4
-    assert fileio.moebius_from_json(F127, obj) == m
 
 
 def test_plan_json_roundtrip_all_cases(F17, F9):
@@ -174,6 +167,9 @@ def test_cli_bench_ladders():
     r = run_cli("bench", "--case", "cyclic", "--fields", "7,31,127")
     assert r.returncode == 0
     assert "q=127" in r.stdout
+    r = run_cli("bench", "--case", "add", "--p", "3", "--r", "4", "--ladder", "9,27")
+    assert r.returncode == 0
+    assert [l.split()[0] for l in r.stdout.splitlines()[1:]] == ["n=9", "n=27"]
 
 
 def test_cli_repro127_reports_and_exit():
@@ -184,3 +180,113 @@ def test_cli_repro127_reports_and_exit():
     r2 = run_cli("repro127")
     assert r.stdout == r2.stdout
     assert r.returncode == r2.returncode == 0
+
+
+CLI_PLANS = {
+    "mult": ["--case", "mult", "--p", "17", "--radices", "2,2,2,2"],
+    "add": ["--case", "add", "--p", "3", "--r", "2", "--basis", "1,3"],
+    "cyclic": ["--case", "cyclic", "--p", "23", "--radices", "2,2,2,3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_PLANS))
+def test_cli_contract_all_cases(tmp_path, capsys, case):
+    plan_path = str(tmp_path / "plan.json")
+    assert cli.main(["plan", *CLI_PLANS[case], "--out", plan_path]) == 0
+    plan = fileio.plan_from_json(json.loads(Path(plan_path).read_text()))
+    native = {"mult": "standard", "add": "lch", "cyclic": "cyclic-z"}[case]
+    coeffs = [(7 * i + 3) % plan.field.q for i in range(plan.n)]
+    src = tmp_path / "c.json"
+    src.write_text(json.dumps(fileio.coeffs_to_json(plan.field, CoeffVec(tuple(coeffs), native))))
+
+    def run(*argv):
+        capsys.readouterr()
+        rc = cli.main(list(argv))
+        return rc, capsys.readouterr().err.splitlines()
+
+    vals, back = str(tmp_path / "v.json"), str(tmp_path / "back.json")
+    assert run("fft", "--plan", plan_path, "--in", str(src), "--out", vals)[0] == 0
+    assert run("ifft", "--plan", plan_path, "--in", vals, "--out", back)[0] == 0
+    assert json.loads(Path(back).read_text()) == json.loads(src.read_text())
+
+    std, again = str(tmp_path / "std.json"), str(tmp_path / "again.json")
+    if case == "mult":
+        rc, err = run("convert", "--plan", plan_path, "--to", "standard",
+                      "--in", str(src), "--out", std)
+        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ValidationError:"), err
+        return
+    assert run("convert", "--plan", plan_path, "--to", "standard",
+               "--in", str(src), "--out", std)[0] == 0
+    assert json.loads(Path(std).read_text())["basis"] == "standard"
+    assert run("convert", "--plan", plan_path, "--to", native, "--in", std, "--out", again)[0] == 0
+    assert json.loads(Path(again).read_text()) == json.loads(src.read_text())
+    if case == "cyclic":
+        rc, err = run("convert", "--plan", plan_path, "--to", "lch",
+                      "--in", str(src), "--out", std)
+        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ValidationError:"), err
+
+
+def test_cli_plan_summary_in_process(capsys):
+    # the summary goes to the sys.stdout of the call, not of the import
+    assert cli.main(["plan", *CLI_PLANS["add"]]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "additive plan: n=9 basis=[1, 3]", "betas = [1, 2]",
+        "ell_0 = x", "ell_1 = x^3+2x", "ell_2 = x^9+2x"]
+    # a cyclic plan without radices has no x_1 line, and no traceback
+    assert cli.main(["plan", "--case", "cyclic", "--p", "7", "--radices", ""]) == 0
+    assert "x_1" not in capsys.readouterr().out
+
+
+def _add_plan_and_csv(tmp_path):
+    """A GF(9) additive plan file and an lch coefficient CSV file under it."""
+    plan_path = str(tmp_path / "plan.json")
+    assert cli.main(["plan", *CLI_PLANS["add"], "--out", plan_path]) == 0
+    lch = tmp_path / "lch.csv"
+    lch.write_text("".join(f"{i % 3}:{i // 3 % 3}\n" for i in range(9)))
+    return plan_path, lch
+
+
+def test_cli_ifft_reads_fft_csv(tmp_path):
+    plan_path, lch = _add_plan_and_csv(tmp_path)
+    vals, back = str(tmp_path / "v.txt"), str(tmp_path / "back.txt")
+    assert cli.main(["fft", "--plan", plan_path, "--in", str(lch), "--out", vals,
+                     "--format", "csv"]) == 0
+    assert cli.main(["ifft", "--plan", plan_path, "--in", vals, "--out", back,
+                     "--format", "csv"]) == 0
+    assert Path(back).read_text() == lch.read_text()
+
+
+def test_cli_ifft_csv_refuses_cyclic_plan(tmp_path, capsys):
+    # keyed cyclic values stay JSON-only
+    plan_path = str(tmp_path / "plan.json")
+    assert cli.main(["plan", *CLI_PLANS["cyclic"], "--out", plan_path]) == 0
+    vals = tmp_path / "v.csv"
+    vals.write_text("1\n" * 24)
+    capsys.readouterr()
+    assert cli.main(["ifft", "--plan", plan_path, "--in", str(vals),
+                     "--out", str(tmp_path / "back.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValidationError:"), err
+
+
+def test_cli_convert_writes_csv_by_suffix(tmp_path):
+    plan_path, lch = _add_plan_and_csv(tmp_path)
+    std_csv, std_json = str(tmp_path / "std.csv"), str(tmp_path / "std.json")
+    for out in (std_csv, std_json):
+        assert cli.main(["convert", "--plan", plan_path, "--to", "standard",
+                         "--in", str(lch), "--out", out]) == 0
+    F9 = field_make(3, 2)
+    std = fileio.coeffs_from_json(F9, json.loads(Path(std_json).read_text()))
+    assert std.basis == "standard"
+    assert Path(std_csv).read_text() == fileio.coeffs_to_csv(F9, std)
+
+
+def test_cli_convert_csv_input_takes_the_other_basis(tmp_path):
+    plan_path, lch = _add_plan_and_csv(tmp_path)
+    std, back = str(tmp_path / "std.txt"), str(tmp_path / "back.txt")
+    assert cli.main(["convert", "--plan", plan_path, "--to", "standard",
+                     "--in", str(lch), "--out", std, "--format", "csv"]) == 0
+    assert cli.main(["convert", "--plan", plan_path, "--to", "lch",
+                     "--in", std, "--out", back, "--format", "csv"]) == 0
+    assert Path(back).read_text() == lch.read_text()
+    assert Path(std).read_text() != lch.read_text()

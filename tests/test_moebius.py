@@ -1,8 +1,8 @@
 import pytest
 
-from gfft.errors import NoMoebiusRelation, RadixProductNotDividingOrder
+from gfft.errors import NoMoebiusRelation
 from gfft.gf import find_primitive_element
-from gfft.moebius import MoebiusMap, match_moebius, subgroup_chain
+from gfft.moebius import MoebiusMap, match_moebius
 from gfft.poly import INF, Poly, RatFn, compose_moebius
 
 
@@ -48,31 +48,6 @@ def test_action_is_group_action(F127, rng):
     m2 = MoebiusMap(F127, 0, 1, 124, 1)
     for pt in [INF] + [rng.randrange(127) for _ in range(20)]:
         assert (m1 * m2).apply(pt) == m1.apply(m2.apply(pt))
-
-
-def test_subgroup_chain_radix2(F127):
-    sigma = MoebiusMap(F127, 0, 1, 124, 1)
-    chain = subgroup_chain(sigma, (2,) * 7)
-    for i, tau in enumerate(chain.level_generators, start=1):
-        assert tau == sigma ** (2 ** (7 - i))
-    # consecutive generators relate by the radix power
-    for i in range(1, 7):
-        assert chain.level_generators[i] ** 2 == chain.level_generators[i - 1]
-    assert chain.level_generators[-1] == sigma
-
-
-def test_subgroup_chain_trivial_and_orderings(F127):
-    sigma = MoebiusMap(F127, 0, 1, 124, 1)
-    assert subgroup_chain(sigma, ()).level_generators == []
-    m6 = MoebiusMap(F127, find_primitive_element(F127).raw ** 21 % 127, 0, 0, 1)
-    assert m6.order() == 6
-    c23 = subgroup_chain(m6, (2, 3))
-    c32 = subgroup_chain(m6, (3, 2))
-    assert c23.level_generators[0].order() == 2
-    assert c32.level_generators[0].order() == 3
-    assert c23.level_generators[1].order() == c32.level_generators[1].order() == 6
-    with pytest.raises(RadixProductNotDividingOrder):
-        subgroup_chain(m6, (4,))
 
 
 def test_match_moebius_identity(F127):

@@ -1,6 +1,7 @@
 import pytest
 
-from gfft.errors import DivisionByZeroPoly, ZeroFunction
+from divisors import ZeroFunction, factor_monic, valuation, valuation_at_irreducible
+from gfft.errors import DivisionByZeroPoly
 from gfft.moebius import MoebiusMap
 from gfft.poly import (
     INF,
@@ -8,7 +9,6 @@ from gfft.poly import (
     Poly,
     RatFn,
     compose_moebius,
-    factor_monic,
     lagrange_basis_interpolate,
     mod_inverse,
 )
@@ -69,15 +69,15 @@ def test_ratfn_eval_matches_poly_eval(F127, rng):
 
 def test_valuations(F127):
     x1 = RatFn(F127, Poly(F127, (42, 0, 1)), Poly(F127, (21, 1)))
-    assert x1.valuation(INF) == -1
+    assert valuation(x1, INF) == -1
     x = RatFn.x(F127)
-    assert x.valuation(0) == 1
+    assert valuation(x, 0) == 1
     quad = Poly(F127, (85, 42, 1))
     num = Poly(F127, [0, 0, 1] + [0] * 125 + [125] + [0] * 125 + [1])
     y7 = RatFn(F127, num, quad**128 * Poly.constant(F127, 100))
-    assert y7.valuation_at_irreducible(quad) == -128
+    assert valuation_at_irreducible(y7, quad) == -128
     with pytest.raises(ZeroFunction):
-        RatFn(F127, Poly.zero(F127), Poly.one(F127)).valuation(0)
+        valuation(RatFn(F127, Poly.zero(F127), Poly.one(F127)), 0)
 
 
 def test_compose_moebius_examples(F127):
@@ -128,12 +128,12 @@ def test_principal_divisor_degree_zero(F127, F9, rng):
             if num.is_zero():
                 continue
             g = RatFn(field, num, den)
-            total = g.valuation(INF)
+            total = valuation(g, INF)
             for part, sign in ((g.num, 1), (g.den, -1)):
                 if part.degree <= 0:
                     continue
                 for prime, mult in factor_monic(part, rng).items():
-                    assert g.valuation_at_irreducible(prime) == sign * mult
+                    assert valuation_at_irreducible(g, prime) == sign * mult
                     total += sign * mult * int(prime.degree)
             assert total == 0
 
