@@ -4,7 +4,12 @@ The tower is the chain of subspace-vanishing linearized polynomials
 ell_0 = x, ell_i = ell_{i-1}^p - b_i ell_{i-1} with b_i = ell_{i-1}(a_i)^(p-1);
 coefficients live in the basis of products ell_0^{e_0} ... ell_{r-1}^{e_{r-1}}
 ("lch" tag).  Conversion from the standard basis runs through a cascade of
-(x^p - b x)-adic expansions.
+(x^p - b x)-adic expansions.  The way back reassembles each level's
+expansion by Horner in powers of T = x^p - b x: in characteristic p,
+T^(p^k) is the binomial x^(p^(k+1)) - b^(p^k) x^(p^k), so both directions
+cost O(p n log^2 n) field ops and neither forms a dense product.
+Plan validation reads ell_i only at degrees p^j and evaluates it from the
+Frobenius chain x, x^p, ..., x^(p^r) of each point, about n r^2 field ops.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .errors import (
 )
 from .gf import Field
 from .poly import Poly, poly_str
-from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, field_values
+from .vectors import (BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, field_values,
+                      plan_list)
 
 
 def _frobenius(poly: Poly) -> Poly:
@@ -84,19 +90,46 @@ class AddPlan:
         engine.build_inverse_locals(field, self.kernel)
 
     def _validate(self):
-        f = self.field
-        for i in range(1, self.r + 1):
+        """ell_i must be monic linearized of degree p^i (nonzero only at degrees
+        p^j); its values then come from each point's Frobenius chain x, x^p,
+        ..., x^(p^r), about n r^2 field ops in all, and one dense Horner value
+        per level cross-checks that route."""
+        f, p, r = self.field, self.field.p, self.r
+
+        def chain(x):
+            out = [x]
+            for _ in range(r):
+                out.append(f.pow(out[-1], p))
+            return out
+
+        def lin_eval(lin, ch):
+            acc = 0
+            for c, y in zip(lin, ch):
+                if c:
+                    acc = f.add(acc, f.mul(c, y))
+            return acc
+
+        span = _span_points(f, list(self.subspace_basis))  # span(basis[:i]) is its first p^i
+        span_chains = [chain(w) for w in span]
+        point_chains = [chain(x) for x in self.points]
+        for i in range(1, r + 1):
             ell = self.lin_polys[i]
-            span = _span_points(f, list(self.subspace_basis[:i]))
-            for w in span:
-                if ell.eval(w) != 0:
-                    raise ValidationError(f"ell_{i} does not vanish on its subspace")
-            if i < self.r and ell.eval(self.subspace_basis[i]) == 0:
+            block = p**i
+            degrees = [p**j for j in range(i + 1)]
+            lin = [ell[d] for d in degrees]
+            others = [d for d, c in enumerate(ell.coeffs) if c and d not in degrees]
+            if ell.degree != block or lin[-1] != 1 or others:
+                raise ValidationError(
+                    f"ell_{i} is not monic linearized of degree p^{i} (other degrees {others})")
+            if ell.eval(self.points[-1]) != lin_eval(lin, point_chains[-1]):
+                raise ValidationError(f"ell_{i}: dense and Frobenius-chain values differ")
+            if any(lin_eval(lin, ch) for ch in span_chains[:block]):
+                raise ValidationError(f"ell_{i} does not vanish on its subspace")
+            if i < r and lin_eval(lin, chain(self.subspace_basis[i])) == 0:
                 raise DependentBasis(f"ell_{i} kills basis element {i}; dependent input")
             # fiber constancy: ell_i on the full point set matches level list
-            block = f.p**i
-            for m, x in enumerate(self.points):
-                if ell.eval(x) != self.level_points[i][m // block]:
+            for m, ch in enumerate(point_chains):
+                if lin_eval(lin, ch) != self.level_points[i][m // block]:
                     raise ValidationError(f"fiber constancy violated at level {i}")
 
     def fft(self, coeffs):
@@ -125,7 +158,7 @@ class AddPlan:
 
     @staticmethod
     def from_json(field: Field, obj) -> "AddPlan":
-        return add_plan(field, [field.parse_raw(v) for v in obj["basis"]])
+        return add_plan(field, [field.parse_raw(v) for v in plan_list(obj, "basis")])
 
     def __repr__(self):
         return f"AddPlan(q={self.field.q}, n={self.n}, basis={self.subspace_basis})"
@@ -317,23 +350,42 @@ def _to_lch(field, coeffs, betas):
 
 def lch_to_standard(plan: AddPlan, coeffs) -> CoeffVec:
     vals = coeff_values(plan.field, coeffs, BASIS_LCH, plan.n)
-    poly = _from_lch(plan.field, vals, plan.betas)
-    out = list(poly.coeffs) + [0] * (plan.n - len(poly.coeffs))
-    return CoeffVec(tuple(out), BASIS_STANDARD)
+    return CoeffVec(tuple(_from_lch(plan.field, vals, plan.betas)), BASIS_STANDARD)
 
 
-def _from_lch(field, coeffs, betas) -> Poly:
+def _from_lch(field, coeffs, betas) -> list:
+    """Inverse of _to_lch.  With g_e the standard form of coeffs[e::p] one
+    level up, f = sum_e x^e g_e(T) = sum_m a_m(x) T^m for T = x^p - betas[0] x
+    and a_m = sum_e g_e[m] x^e."""
     if not betas:
-        return Poly(field, coeffs[:1])
+        return coeffs[:1]
     p = field.p
-    T = Poly(field, [0, field.neg(betas[0])] + [0] * (p - 2) + [1])
-    total = Poly.zero(field)
-    for e0 in range(p - 1, -1, -1):
-        g = _from_lch(field, coeffs[e0::p], betas[1:])
-        # g(T(x)) by Horner, then shift by x^e0
-        acc = Poly.zero(field)
-        for c in reversed(g.coeffs):
-            acc = acc * T + Poly.constant(field, c)
-        shifted = Poly(field, [0] * e0 + list(acc.coeffs))
-        total = total + shifted
-    return total
+    subs = [_from_lch(field, coeffs[e::p], betas[1:]) for e in range(p)]
+    # term-major layout: entry m*p + e is the x^e coefficient of a_m
+    return _compose_adic(field, [g[m] for m in range(len(subs[0])) for g in subs], betas[0])
+
+
+def _compose_adic(field, terms, beta) -> list:
+    """sum_m a_m(x) T^m for T = x^p - beta x, where terms[m*p + e] is the x^e
+    coefficient of a_m and the number of terms N is a power of p.
+
+    The p blocks of s = N/p terms are reassembled recursively and joined by
+    Horner in T^s, which in characteristic p is the binomial
+    x^(ps) - beta^s x^s: one multiply-subtract per coefficient per step, so
+    O(p n log n) ops for n = len(terms) and no dense product.
+    """
+    p = field.p
+    if len(terms) == p:
+        return terms
+    s = len(terms) // (p * p)
+    width = p * s  # coefficients per block, and the length of its result
+    bs = field.pow(beta, s)
+    acc = _compose_adic(field, terms[(p - 1) * width:], beta)
+    for j in range(p - 2, -1, -1):
+        # acc * x^(ps) + block_j lands without arithmetic; then subtract bs * acc * x^s
+        new = _compose_adic(field, terms[j * width:(j + 1) * width], beta) + acc
+        for i, a in enumerate(acc):
+            if a:
+                new[i + s] = field.sub(new[i + s], field.mul(bs, a))
+        acc = new
+    return acc

@@ -33,7 +33,7 @@ from .linalg import invert, solve  # noqa: F401
 from .moebius import MoebiusMap, match_moebius
 from .poly import INF, Poly, RatFn, compose_moebius, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
-                      field_values)
+                      field_values, plan_list)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -471,7 +471,8 @@ class CyclicPlan:
     def from_json(field: Field, obj) -> "CyclicPlan":
         fiber = obj.get("fiber")
         return cyclic_plan(
-            field, obj["radices"], m_pair=tuple(field.parse_raw(v) for v in obj["m"]),
+            field, plan_list(obj, "radices", ints=True),
+            m_pair=tuple(field.parse_raw(v) for v in plan_list(obj, "m", length=2)),
             fiber_key=None if fiber in (None, "inf") else field.parse_raw(fiber))
 
     def __repr__(self):

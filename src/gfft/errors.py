@@ -96,3 +96,7 @@ class InvalidFieldValue(ValidationError):
 
 class InputError(ValidationError):
     """Command-line input that cannot be read or parsed."""
+
+
+class PlanFileError(ValidationError):
+    """A plan file entry that does not have the shape its plan case needs."""

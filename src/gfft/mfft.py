@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import engine
 from .errors import LengthMismatch, RadixNotDividingGroupOrder, ValidationError
 from .gf import Field, find_primitive_element
-from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, field_values
+from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, field_values, plan_list
 
 
 class MultPlan:
@@ -87,7 +87,7 @@ class MultPlan:
 
     @staticmethod
     def from_json(field: Field, obj) -> "MultPlan":
-        return mult_plan(field, obj["radices"], field.parse_raw(obj["beta"]))
+        return mult_plan(field, plan_list(obj, "radices", ints=True), field.parse_raw(obj["beta"]))
 
     def __repr__(self):
         return f"MultPlan(q={self.field.q}, n={self.n}, radices={self.radices}, beta={self.beta})"

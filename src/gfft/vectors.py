@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BasisMismatch, InvalidFieldValue, LengthMismatch
+from .errors import BasisMismatch, InvalidFieldValue, LengthMismatch, PlanFileError
 from .gf import FieldElement
 from .poly import INF
 
@@ -40,6 +40,18 @@ def field_values(field, values):
             raise InvalidFieldValue(f"{v!r} is not a raw value of F_{q}")
         vals[i] = field(v).raw
     return vals
+
+
+def plan_list(obj, key, length=None, ints=False):
+    """obj[key] of a plan file, checked to be a list (of length entries, of
+    ints if asked) before a plan's from_json indexes or converts it."""
+    val = obj[key]
+    if (not isinstance(val, list) or (length is not None and len(val) != length)
+            or (ints and not all(type(v) is int for v in val))):
+        count = "" if length is None else f" {length}"
+        shape = f"a list of{count} integers" if ints else f"a list of{count} entries"
+        raise PlanFileError(f"plan entry {key!r} must be {shape}, got {val!r}")
+    return val
 
 
 def coeff_values(field, coeffs, expected_basis, n=None):

@@ -11,7 +11,15 @@ import time
 
 import pytest
 
-from gfft.afft import add_fft, add_ifft, add_plan, padic_expand, padic_reassemble, standard_to_lch
+from gfft.afft import (
+    add_fft,
+    add_ifft,
+    add_plan,
+    lch_to_standard,
+    padic_expand,
+    padic_reassemble,
+    standard_to_lch,
+)
 from gfft.cfft import cyclic_plan, q1_fft, q1_ifft, std_to_tilde, tilde_to_std
 from gfft.gf import field_make
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
@@ -277,6 +285,30 @@ def test_criterion_5_cyclic_std_to_tilde_ladder():
         assert ratio <= 4.5, (n, ratio, counts)
         notes.append(f"n{n}->{2*n} {ratio:.2f}<=4.50")
     _report("criterion-5 cyclic std->tilde", True, "; ".join(notes))
+
+
+def test_criterion_5_additive_lch_to_standard_ladder():
+    """lch -> standard, gated against its inverse: the binomial composition
+    grows like n log^2 n, as standard_to_lch does (2.5 to 2.8 per doubling at
+    these sizes), where a dense Horner composition grows by more than 4."""
+    rng = random.Random(SEED + 8)
+    field = field_make(2, 10)
+    counts = {}
+    for k in (6, 7, 8, 9):
+        plan = add_plan(field, [1 << i for i in range(k)])
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        with field.count_ops() as to_std:
+            lch_to_standard(plan, c)
+        with field.count_ops() as from_std:
+            standard_to_lch(plan, c)
+        counts[plan.n] = to_std.total()
+        assert to_std.total() <= 2 * from_std.total(), (plan.n, to_std.total(), from_std.total())
+    notes = []
+    for n in (64, 128, 256):
+        ratio = counts[2 * n] / counts[n]
+        assert ratio <= 3.0, (n, ratio, counts)
+        notes.append(f"n{n}->{2*n} {ratio:.2f}<=3.00")
+    _report("criterion-5 additive lch->standard", True, "; ".join(notes))
 
 
 # -- criterion 6 ---------------------------------------------------------------

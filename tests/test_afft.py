@@ -9,9 +9,15 @@ from gfft.afft import (
     padic_reassemble,
     standard_to_lch,
 )
-from gfft.errors import DegreeTooLarge, DependentBasis, LengthMismatch, SubspaceTooLarge
+from gfft.errors import (
+    DegreeTooLarge,
+    DependentBasis,
+    LengthMismatch,
+    SubspaceTooLarge,
+    ValidationError,
+)
 from gfft.gf import field_make
-from gfft.oracle import mpe_horner
+from gfft.oracle import basis_matrix, mpe_horner
 from gfft.poly import Poly
 from gfft.vectors import BASIS_LCH, CoeffVec
 
@@ -180,3 +186,53 @@ def test_length_error(F9):
     plan = add_plan(F9, [1, 3])
     with pytest.raises(LengthMismatch):
         add_fft(plan, [1, 2, 3])
+
+
+@pytest.mark.parametrize("p,r", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_lch_to_standard_matches_basis_matrix(p, r, rng):
+    # second route: columns are products of lin_polys powers, no binomial composition
+    field = field_make(p, r)
+    plan = add_plan(field, [p**i for i in range(r)])
+    bm = basis_matrix(plan)
+    for _ in range(5):
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        assert list(lch_to_standard(plan, CoeffVec(tuple(c), BASIS_LCH)).values) == bm.apply(c)
+
+
+# -- plan validation: each check of AddPlan._validate rejects its own fault
+
+
+def test_validate_rejects_corrupt_level_point(F27):
+    plan = add_plan(F27, [1, 3, 9])
+    plan.level_points[2][1] = F27.add(plan.level_points[2][1], 1)
+    with pytest.raises(ValidationError, match="fiber constancy violated at level 2"):
+        plan._validate()
+
+
+def test_validate_rejects_non_linearized_coefficient(F64):
+    plan = add_plan(F64, [1, 2, 4, 8])
+    # degree 3 is no power of 2: the Frobenius-chain values read only the
+    # degrees 1, 2, 4 and would not see it, so the structural check must
+    coeffs = list(plan.lin_polys[2].coeffs)
+    coeffs[3] = F64.add(coeffs[3], 1)
+    plan.lin_polys[2] = Poly(F64, coeffs)
+    with pytest.raises(ValidationError, match="ell_2 is not monic linearized"):
+        plan._validate()
+
+
+def test_validate_rejects_vanishing_violation(F27):
+    plan = add_plan(F27, [1, 3, 9])
+    # changing the x coefficient keeps ell_1 linearized but moves its kernel
+    coeffs = list(plan.lin_polys[1].coeffs)
+    coeffs[1] = F27.add(coeffs[1], 1)
+    plan.lin_polys[1] = Poly(F27, coeffs)
+    with pytest.raises(ValidationError, match="ell_1 does not vanish on its subspace"):
+        plan._validate()
+
+
+def test_validate_rejects_killed_basis_element(F27):
+    plan = add_plan(F27, [1, 3, 9])
+    # b_2 := b_1 + 2 b_0 lies in span(b_0, b_1), so ell_2 kills it
+    plan.subspace_basis = (1, 3, F27.add(3, 2))
+    with pytest.raises(DependentBasis, match="ell_2 kills basis element 2"):
+        plan._validate()

@@ -121,11 +121,22 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p",
-                                  "basis-unclosed", "out-of-range"])
+                                  "basis-unclosed", "out-of-range", "m-short",
+                                  "radices-not-list"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
                      "--out", str(plan_path)]) == 0
+    error = "InputError"
+    if case == "m-short":
+        assert cli.main(["plan", "--case", "cyclic", "--p", "23", "--radices", "2,2,2,3",
+                         "--out", str(plan_path)]) == 0
+    if case in ("m-short", "radices-not-list"):
+        # a short "m" used to end in an IndexError traceback; "22" used to load as (2, 2)
+        plan = json.loads(plan_path.read_text())
+        plan.update({"m": [1]} if case == "m-short" else {"radices": "22"})
+        plan_path.write_text(json.dumps(plan))
+        error = "PlanFileError"
     coeffs_path = tmp_path / "c.json"
     if case == "non-integer":
         coeffs_path.write_text(json.dumps({"coeffs": [1, "x", 3, 4]}))
@@ -143,7 +154,7 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: InputError:"), err
+    assert len(err) == 1 and err[0].startswith(f"error: {error}:"), err
 
 
 def test_cli_plan_basis_list_form(tmp_path):
