@@ -16,7 +16,7 @@ plan = cyclic_plan(field, (2, 2, 2, 3))
 print(f"plan: {plan}")
 print(f"order-24 map: {plan.sigma}")
 print(f"ramified quadratic Q = {poly_str(plan.quads[0])}")
-print(f"x_1 = ({poly_str(plan.x_funs[1].num)}) / ({poly_str(plan.x_funs[1].den)})")
+print(f"x_1 = ({poly_str(plan.levels[0].num)}) / ({poly_str(plan.levels[0].den)})")
 print(f"poles per level: {plan.pole_sequence()}")
 print(f"evaluation points (orbit order): {plan.points}")
 

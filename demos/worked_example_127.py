@@ -16,7 +16,7 @@ plan = cyclic_plan(field, (2,) * 7, m_pair=(126, 3))
 
 print(f"plan: {plan}")
 print(f"Q = {poly_str(plan.quads[0])}")
-print(f"x_1 = ({poly_str(plan.x_funs[1].num)}) / ({poly_str(plan.x_funs[1].den)})")
+print(f"x_1 = ({poly_str(plan.levels[0].num)}) / ({poly_str(plan.levels[0].den)})")
 print(f"poles: {[lv.poles[0] for lv in plan.levels]}")
 print(f"scale constant: {plan.scale_const}")
 print(f"pole-fiber constants: {plan.example_constants()}")

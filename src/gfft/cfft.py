@@ -1,12 +1,18 @@
 """Cyclic-case transform: evaluation sets carved from the order-(q+1) cycle
 of fractional-linear maps, for smooth n | q+1.
 
-A plan builds the subfield tower x_0, x_1, ..., x_r symbolically (each x_i a
-degree-|G_i| rational function of x), recovers each level's induced map on
-the line below, and extracts the finite poles ("lams") of each level map by
-two independent routes, failing loudly on disagreement.  Coefficients live
-in the "cyclic-z" basis: products of reciprocal linear factors of the tower
-coordinates, scaled so the basis spans the polynomials of degree < n.
+A plan builds the subfield tower x_0, x_1, ..., x_r level by level, never
+whole: each level map m_i (x_i in x_{i-1}-coordinates) is a degree-p_i
+rational function formed from the level's induced Moebius map, and the
+induced maps are pushed up the tower through degree-p identities.  Values of
+x_r come from composing the level maps projectively, point by point, so no
+rational function of degree above 2p is formed and the tower costs
+O(q * sum(p_i)) field operations.  The degree-n tower lives in
+oracle.cyclic_tower, for the tests.  The finite poles ("lams") of each level
+map are extracted by two independent routes, failing loudly on disagreement.
+Coefficients live in the "cyclic-z" basis: products of reciprocal linear
+factors of the tower coordinates, scaled so the basis spans the polynomials
+of degree < n.
 
 The transforms run on the shared kernel in engine.py, with Horner weights
 1/(x - pole) per level.  When n = q+1 the evaluation set is every rational
@@ -37,7 +43,11 @@ from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coe
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
-    """outer(inner(x)) as a reduced rational function."""
+    """outer(inner(x)) as a reduced rational function.
+
+    The plan build never calls this (it would form the degree-n tower); the
+    tests use it to check the level maps against oracle.cyclic_tower.
+    """
     field = outer.field
     m = outer.map_degree()
     num_p = [RatFn.constant(field, 1)]
@@ -127,9 +137,9 @@ class CyclicPlan:
 
         self._build_tower()
         self._build_quads()
-        self._build_points(fiber_key)
+        top = self._build_points(fiber_key)
         self._extract_poles()
-        self._build_scaling()
+        self._build_scaling(top)
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
@@ -141,21 +151,23 @@ class CyclicPlan:
             raise ValidationError("quadratic is not invariant under the cyclic group")
 
     def _build_tower(self):
+        """Each level map m_i = x_i in x_{i-1}-coordinates, at degree p_i.
+
+        x_i is the sum of the translates of x_{i-1} under tau_i, a generator
+        of G_i.  Its induced map M (x_{i-1} o tau_i = M o x_{i-1}) is found by
+        pushing tau_i up the levels below: if x_{j-1} o tau_i = M o x_{j-1},
+        then x_j o tau_i = M' o x_j for the M' with m_j o M = M' o m_j, a
+        degree-p_j identity that match_moebius verifies exactly.  With
+        m_i = sum_t M^t(T) these identities prove x_i = m_i(x_{i-1}), so the
+        degree-|G_i| tower itself is never formed.
+        """
         f, q = self.field, self.field.q
-        x_funs = [RatFn.x(f)]
-        levels = []
+        levels, maps = [], []
         for i in range(1, self.r + 1):
-            tau = self.sigma ** ((q + 1) // self.subgroup_sizes[i])
             p = self.radices[i - 1]
-            shifted = compose_moebius(x_funs[i - 1], tau)
-            induced = match_moebius(shifted, x_funs[i - 1])
-            # x_i in x-coordinates: sum of the coset translates of x_{i-1}
-            acc, cur = x_funs[i - 1], x_funs[i - 1]
-            for _ in range(1, p):
-                cur = compose_moebius(cur, tau)
-                acc = acc + cur
-            x_funs.append(acc)
-            # x_i in x_{i-1}-coordinates: sum of induced-map translates of T
+            induced = self.sigma ** ((q + 1) // self.subgroup_sizes[i])
+            for mj in maps:
+                induced = match_moebius(compose_moebius(mj, induced), mj)
             mi = RatFn.x(f)
             for t in range(1, p):
                 mi = mi + (induced**t).as_ratfn()
@@ -164,14 +176,28 @@ class CyclicPlan:
                 raise ValidationError(f"level {i} map numerator malformed: {num!r}")
             if den.degree != p - 1:
                 raise ValidationError(f"level {i} map denominator degree {den.degree}")
-            if ratfn_substitute(mi, x_funs[i - 1]) != x_funs[i]:
-                raise ValidationError(f"tower inconsistency at level {i}")
             poles = sorted(den.roots())
             if len(poles) != p - 1 or len(set(poles)) != p - 1:
                 raise SplitValidationFailure(f"level {i} denominator does not split simply")
             levels.append(CyclicLevel(p, induced, num, den, poles))
-        self.x_funs = x_funs
+            maps.append(mi)
         self.levels = levels
+
+    def tower_values(self, places):
+        """Projective values of x_0, ..., x_r at each place: entry i lists
+        the pairs (N_i, D_i) in the order of `places`.
+
+        Starts from (alpha, 1), or (1, 0) at INF, and applies each level map
+        as (N, D) -> (D^p u(N/D), D^p v(N/D)).  For finite alpha, N_i and D_i
+        are the values at alpha of the numerator and denominator of x_i in
+        lowest terms, N_i monic of degree |G_i|.
+        """
+        pairs = [(1, 0) if pl is INF else (pl, 1) for pl in places]
+        out = [pairs]
+        for lv in self.levels:
+            pairs = _apply_level(self.field, lv, pairs)
+            out.append(pairs)
+        return out
 
     def _build_quads(self):
         """Per-level quadratics 1/y_i = Q_i(x_i) and the norm constants
@@ -217,12 +243,16 @@ class CyclicPlan:
             self.quads.append(quad)
 
     def _build_points(self, fiber_key):
+        """Bucket every place by its value under x_r, take the chosen fiber
+        as the orbit of the order-n map, and check fiber constancy at every
+        level.  Returns the projective values of x_r at each alpha in F_q."""
         f, q, n = self.field, self.field.q, self.n
-        xr = self.x_funs[self.r]
+        chains = self.tower_values(range(q))
+        top = chains[-1]
         buckets = {}
-        for alpha in range(q):
-            buckets.setdefault(xr.eval_place(alpha), []).append(alpha)
-        buckets.setdefault(xr.eval_place(INF), []).append(INF)
+        for alpha, (num, den) in enumerate(top):
+            buckets.setdefault(INF if den == 0 else f.div(num, den), []).append(alpha)
+        buckets.setdefault(INF, []).append(INF)  # x_r(INF) = INF: every level map has a pole there
         if len(buckets) != (q + 1) // n or any(len(v) != n for v in buckets.values()):
             raise ValidationError("evaluation fibers do not split evenly")
         self.is_full = n == q + 1
@@ -256,12 +286,13 @@ class CyclicPlan:
             level_points.append([mi.eval_place(prev[s]) for s in range(self.sizes[i])])
         self.level_points = level_points
 
-        # full fiber-constancy validation against the symbolic tower
+        # fiber constancy at every level: x_i(points[s]) depends on s mod n_i only
         for i in range(1, self.r + 1):
-            nq = self.sizes[i]
-            xi = self.x_funs[i]
+            nq, values = self.sizes[i], chains[i]
             for s, pt in enumerate(points):
-                if xi.eval_place(pt) != level_points[i][s % nq]:
+                num, den = (1, 0) if pt is INF else values[pt]
+                expected = level_points[i][s % nq]
+                if (den != 0 if expected is INF else den == 0 or num != f.mul(expected, den)):
                     raise ValidationError(f"fiber constancy violated at level {i}")
 
         # the infinity fiber (poles of the full tower map), per level
@@ -275,6 +306,7 @@ class CyclicPlan:
                 mi = RatFn(f, lv.num, lv.den)
                 inf_levels.append([mi.eval_place(v) for v in inf_levels[-1][: self.sizes[i]]])
             self.inf_levels = inf_levels
+        return top
 
     def _extract_poles(self):
         """Cross-validate each level's poles: cycle order read off the point
@@ -299,32 +331,20 @@ class CyclicPlan:
             lv.poles = tuple(seq)  # cycle order, used by the z-basis
             lv.wtails = _wtails(self.field, seq)
 
-    def _build_scaling(self):
+    def _build_scaling(self, top):
+        """Scale constant and per-point scales from the values `top` of x_r
+        at each alpha in F_q (numerator N monic, as in lowest terms)."""
         f, n = self.field, self.n
-        xr = self.x_funs[self.r]
-        self.tower_num = xr.num
-        self.tower_den = xr.den
-        if not self.tower_num.is_monic() or self.tower_num.degree != n:
-            raise ValidationError("tower numerator malformed")
-        if self.tower_den.degree != n - 1:
-            raise ValidationError("tower denominator malformed")
         for v in self.inf_levels[0]:
-            if v is not INF and self.tower_den.eval(v) != 0:
+            if v is not INF and top[v][1] != 0:
                 raise ValidationError("infinity fiber misidentified")
 
         self.scale_const = self.quads[self.r].lc()
-        # exact identity pinning the scale constant against the whole tower
-        lhs = (self.quads[0] ** n).scale(self.scale_const)
-        rhs = _quad_substitute_num(self.quads[self.r], self.tower_num, self.tower_den)
-        if lhs != rhs:
-            raise ValidationError("scale constant fails the tower identity")
         if not self.is_full:
             # independent single-point route: product of the quadratic over one orbit
-            probe = next(
-                alpha
-                for alpha in range(f.q)
-                if alpha not in set(self.inf_levels[0]) and self.tower_den.eval(alpha) != 0
-            )
+            inf_fiber = set(self.inf_levels[0])
+            probe = next(alpha for alpha in range(f.q)
+                         if alpha not in inf_fiber and top[alpha][1] != 0)
             gen = self.sigma ** ((f.q + 1) // n)
             prod = 1
             cur = probe
@@ -333,21 +353,27 @@ class CyclicPlan:
                 cur = gen.apply(cur)
             # 1/prod = den(probe)^2 / (c * quad0(probe)^n), so
             # c = den(probe)^2 * prod / quad0(probe)^n
-            dval = self.tower_den.eval(probe)
+            dval = top[probe][1]
             expected = f.div(f.mul(f.mul(dval, dval), prod), f.pow(self.quads[0].eval(probe), n))
             if expected != self.scale_const:
                 raise ValidationError("scale constant disagrees with the orbit product")
 
+        # c Q_0^n = D^2 Q_r(N/D) follows from the per-level norm identities
+        # checked in _build_quads; guard it at each point the scales use
+        qr = self.quads[self.r]
         scales = []
         for pt in self.points:
             if pt is INF:
                 scales.append(None)
                 continue
-            uval = self.tower_num.eval(pt)
-            if uval == 0:
+            num, den = top[pt]
+            if num == 0:
                 raise ValidationError("tower numerator vanishes on an evaluation point")
-            qn = self.field.pow(self.quads[0].eval(pt), n)
-            scales.append(f.div(f.mul(self.scale_const, qn), uval))
+            cqn = f.mul(self.scale_const, f.pow(self.quads[0].eval(pt), n))
+            if cqn != f.add(f.mul(f.add(f.mul(qr[2], num), f.mul(qr[1], den)), num),
+                            f.mul(f.mul(qr[0], den), den)):
+                raise ValidationError("scale constant fails the tower identity")
+            scales.append(f.div(cqn, num))
         self.scales = scales
 
         if self.is_full:
@@ -421,7 +447,7 @@ class CyclicPlan:
                  f"m=(a={self.m_coeffs[0]}, b={self.m_coeffs[1]})",
                  f"Q = {poly_str(self.quads[0])}"]
         if self.r:  # a plan without radices has no tower level
-            x1 = self.x_funs[1]
+            x1 = self.levels[0]
             lines.append(f"x_1 = ({poly_str(x1.num)})/({poly_str(x1.den)})")
         lines += [f"poles per level = {self.pole_sequence()}",
                   f"scale constant = {self.scale_const}"]
@@ -463,7 +489,6 @@ class CyclicPlan:
                     "quads": [[out(c) for c in q.coeffs] for q in self.quads],
                     "level_nums": [[out(c) for c in lv.num.coeffs] for lv in self.levels],
                     "scale_const": out(self.scale_const),
-                    "tower_num": [out(c) for c in self.tower_num.coeffs],
                     "pole_consts": pole_consts,
                 }}
 
@@ -484,6 +509,39 @@ class CyclicPlan:
 
 def cyclic_plan(field: Field, radices, m_pair=None, fiber_key=None) -> CyclicPlan:
     return CyclicPlan(field, radices, m_pair, fiber_key)
+
+
+def _apply_level(field, lv, pairs):
+    """The level map u/v on projective pairs: (N, D) -> (D^p u(N/D), D^p v(N/D)),
+    by homogeneous Horner; u is monic of degree p, v monic of degree p - 1."""
+    p = lv.radix
+    ucs, vcs = lv.num.coeffs, lv.den.coeffs
+    out = []
+    if field.r == 1:
+        mod = field.p
+        for num, den in pairs:
+            u, v, dk = 1, 1, 1
+            for k in range(p - 1, -1, -1):
+                dk = dk * den % mod
+                u = (u * num + ucs[k] * dk) % mod
+                if k:
+                    v = (v * num + vcs[k - 1] * dk) % mod
+            out.append((u, v * den % mod))
+        ctr = field._counter
+        if ctr is not None:  # as the extension branch counts
+            ctr.muls += (5 * p - 1) * len(pairs)
+            ctr.adds += (2 * p - 1) * len(pairs)
+        return out
+    mul, add = field.mul, field.add
+    for num, den in pairs:
+        u, v, dk = 1, 1, 1
+        for k in range(p - 1, -1, -1):
+            dk = mul(dk, den)
+            u = add(mul(u, num), mul(ucs[k], dk))
+            if k:
+                v = add(mul(v, num), mul(vcs[k - 1], dk))
+        out.append((u, mul(v, den)))
+    return out
 
 
 def _wtails(field, poles):

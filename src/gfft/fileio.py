@@ -3,7 +3,11 @@
 Field elements serialize as decimal residues for prime fields and as
 little-endian coefficient lists for extensions (":"-joined in CSV cells).
 Plan files carry the construction parameters plus derived tables for audit;
-loading rebuilds the plan deterministically and diffs any embedded tables.
+loading rebuilds the plan deterministically and diffs any embedded tables
+the writer still produces.  A stored table it no longer writes is ignored:
+cyclic plan files from earlier versions carry `tower_num`, the degree-n
+tower numerator, which is a function of the `level_nums` table that is
+still written and diffed.
 """
 
 from __future__ import annotations

@@ -142,10 +142,11 @@ def is_irreducible_modp(coeffs, p: int) -> bool:
 
 
 def _int_entry(v) -> int:
-    """int(v) for one entry of a value file; a float is refused, not truncated."""
-    if isinstance(v, float):
+    """One entry of a value file, which must be an int: a float is refused,
+    not truncated, and a string or a bool is refused, not converted."""
+    if isinstance(v, bool) or not isinstance(v, int):
         raise InvalidFieldValue(f"{v!r} is not an integer")
-    return int(v)
+    return v
 
 
 class Field:

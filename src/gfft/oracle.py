@@ -2,15 +2,17 @@
 
 Nothing here shares code with the transform recursions beyond the gf/poly
 primitives: multipoint evaluation is plain Horner, interpolation is textbook
-Lagrange, and basis conversion goes through a dense basis matrix whose
-columns are expanded directly from point-set data.
+Lagrange, basis conversion goes through a dense basis matrix whose
+columns are expanded directly from point-set data, and the cyclic subfield
+tower is built symbolically from the order-(q+1) map, not from the plan's
+level maps.
 """
 
 from __future__ import annotations
 
 from .errors import DuplicatePoint, SingularMatrix, ValidationError
 from .linalg import invert, mat_vec
-from .poly import INF, Poly, RatFn, lagrange_basis_interpolate
+from .poly import INF, Poly, RatFn, compose_moebius, lagrange_basis_interpolate
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
 
 DENSE_LIMIT = 4096
@@ -94,11 +96,30 @@ def _add_columns(plan):
     return cols
 
 
+def cyclic_tower(plan, top=None) -> list:
+    """x_0 = x, x_1, ..., x_top (default x_r) as rational functions of x:
+    x_i is the sum of the translates of x_{i-1} under tau_i, a generator of
+    G_i.  x_i has degree |G_i|, so this costs dense products of degree up
+    to n."""
+    field, q = plan.field, plan.field.q
+    top = plan.r if top is None else top
+    tower = [RatFn.x(field)]
+    for size, p in zip(plan.subgroup_sizes[1:top + 1], plan.radices):
+        tau = plan.sigma ** ((q + 1) // size)
+        acc = cur = tower[-1]
+        for _ in range(1, p):
+            cur = compose_moebius(cur, tau)
+            acc = acc + cur
+        tower.append(acc)
+    return tower
+
+
 def _cyclic_columns(plan):
     """Columns from point-set data: the product over the infinity fiber,
     divided by each selected pole fiber and multiplied by each level's own
     pole set.  Independent of the plan's level-map composition route."""
     field = plan.field
+    tower = cyclic_tower(plan, plan.r - 1)
     inf_finite = [v for v in plan.inf_levels[0] if v is not INF]
     d_inf = Poly.from_roots(field, inf_finite)
     # per level i (0-based): points of the infinity fiber sorted by their
@@ -106,7 +127,7 @@ def _cyclic_columns(plan):
     fiber_polys = []
     pole_fiber_at_inf = []
     for i in range(plan.r):
-        xi = plan.x_funs[i]
+        xi = tower[i]
         by_value = {}
         for alpha in inf_finite:
             by_value.setdefault(xi.eval_place(alpha), []).append(alpha)

@@ -18,8 +18,8 @@ from gfft.errors import (
     ValidationError,
 )
 from gfft.gf import field_make
-from gfft.oracle import basis_matrix, mpe_horner
-from gfft.poly import INF, Poly
+from gfft.oracle import basis_matrix, cyclic_tower, mpe_horner
+from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
 from gfft.vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec
 
@@ -56,10 +56,12 @@ def test_plan_errors():
 def test_published_structure(plan127):
     assert plan127.quads[0] == Poly(plan127.field, (85, 42, 1))
     assert [lv.poles[0] for lv in plan127.levels] == [106, 85, 43, 86, 45, 90, 53]
-    x1 = plan127.x_funs[1]
+    x1 = plan127.levels[0]  # x_1 in x_0 = x coordinates
     assert x1.num == Poly(plan127.field, (42, 0, 1))
     assert x1.den == Poly(plan127.field, (21, 1))
-    assert plan127.tower_num == Poly(plan127.field, [85, 42] + [0] * 126 + [1])
+    tower = cyclic_tower(plan127)
+    assert tower[1] == RatFn(plan127.field, x1.num, x1.den)
+    assert tower[-1].num == Poly(plan127.field, [85, 42] + [0] * 126 + [1])
     assert plan127.scale_const == 100
 
 
@@ -218,7 +220,7 @@ def test_fiber_choice_override():
     F11 = field_make(11)
     default = cyclic_plan(F11, (2, 2))
     keys = set()
-    xr = default.x_funs[2]
+    xr = cyclic_tower(default)[2]
     for alpha in range(11):
         v = xr.eval_place(alpha)
         if v is not INF:
@@ -246,12 +248,27 @@ def test_basis_and_length_errors(plan7):
 
 
 def test_tower_identities_outside_build(plan23):
-    # recheck what the build asserts, from the stored plan data
+    # recheck, against the oracle's symbolic tower, what the build proves
+    # from degree-p identities and projective point values
+    field = plan23.field
+    tower = cyclic_tower(plan23)
     for i in range(1, plan23.r + 1):
         lv = plan23.levels[i - 1]
-        mi_num, mi_den = lv.num, lv.den
-        from gfft.poly import RatFn
+        mi = RatFn(field, lv.num, lv.den)
+        assert ratfn_substitute(mi, tower[i - 1]) == tower[i]
+        assert sorted(lv.poles) == sorted(lv.den.roots())
+    xr = tower[-1]
+    assert xr.num.degree == plan23.n and xr.num.is_monic() and xr.den.degree == plan23.n - 1
+    top = plan23.tower_values([*range(field.q), INF])[-1]
+    assert top == [(xr.num.eval(alpha), xr.den.eval(alpha)) for alpha in range(field.q)] + [(1, 0)]
 
-        mi = RatFn(plan23.field, mi_num, mi_den)
-        assert ratfn_substitute(mi, plan23.x_funs[i - 1]) == plan23.x_funs[i]
-        assert sorted(lv.poles) == sorted(mi_den.roots())
+
+def test_scaling_guards_the_scale_identity():
+    # c Q_0^n = D^2 Q_r(N/D) at the evaluation points; a wrong Q_r breaks it
+    # (on a partial fiber, where D does not vanish)
+    plan = cyclic_plan(field_make(11), (2, 2))
+    top = plan.tower_values(range(11))[-1]
+    qr = plan.quads[-1]
+    plan.quads[-1] = Poly(plan.field, (plan.field.add(qr[0], 1), qr[1], qr[2]))
+    with pytest.raises(ValidationError, match="tower identity"):
+        plan._build_scaling(top)

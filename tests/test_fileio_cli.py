@@ -11,6 +11,7 @@ from gfft.cfft import cyclic_plan, q1_fft
 from gfft.errors import MismatchError
 from gfft.gf import field_make
 from gfft.mfft import mult_plan
+from gfft.oracle import cyclic_tower
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
 from gfft.vectors import BASIS_LCH, CoeffVec
 
@@ -77,6 +78,35 @@ def test_plan_tamper_detected(F17):
         fileio.plan_from_json(obj)
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["cyclic-23-full", "cyclic-383-n32"])
+def test_plan_file_with_stored_tower_num_loads(tmp_path, name):
+    """Plan, coefficient and value files written by the previous writer,
+    whose cyclic tables still held tower_num (the degree-n tower numerator):
+    the file loads, the key is ignored, and the transform is bit-identical."""
+    plan_path = DATA / f"{name}.plan.json"
+    obj = json.loads(plan_path.read_text())
+    stored = obj["tables"]
+    plan = fileio.plan_from_json(obj)
+    fresh = fileio.plan_to_json(plan)["tables"]
+    assert "tower_num" not in fresh
+    assert fresh == {k: v for k, v in stored.items() if k != "tower_num"}
+    tower_num = cyclic_tower(plan)[-1].num
+    assert stored["tower_num"] == [plan.field.serialize_raw(c) for c in tower_num.coeffs]
+    # the stored key is not diffed; level_nums still is
+    obj["tables"]["tower_num"] = [0]
+    fileio.plan_from_json(obj)
+    obj["tables"]["level_nums"][0][0] += 1
+    with pytest.raises(MismatchError):
+        fileio.plan_from_json(obj)
+    out = tmp_path / "v.json"
+    assert cli.main(["fft", "--plan", str(plan_path), "--in", str(DATA / f"{name}.coeffs.json"),
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == json.loads((DATA / f"{name}.fft.json").read_text())
+
+
 def test_cli_plan_summary_and_error(tmp_path):
     out = tmp_path / "plan.json"
     r = run_cli("plan", "--case", "cyclic", "--p", "127",
@@ -122,7 +152,7 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p",
                                   "basis-unclosed", "out-of-range", "m-short",
-                                  "radices-not-list"])
+                                  "radices-not-list", "string-entry"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -145,6 +175,9 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     elif case == "out-of-range":
         # entries are checked, not reduced mod 17 to [13, 16, 3, 4]
         coeffs_path.write_text(json.dumps({"coeffs": [200, -1, 3, 4]}))
+    elif case == "string-entry":
+        # used to transform like [3, 1, 0, 2] and exit 0
+        coeffs_path.write_text(json.dumps({"coeffs": ["3", " 1", "0", "2"]}))
     argv = ["fft", "--plan", str(plan_path), "--in", str(coeffs_path),
             "--out", str(tmp_path / "v.json")]
     if case == "bench-no-p":

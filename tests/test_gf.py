@@ -168,3 +168,13 @@ def test_parse_raw_checks_instead_of_reducing(F17, F27):
     for bad in (27, -1, [1, 2, 0, 0], [3, 0, 0], [0, -1], [1.5]):
         with pytest.raises(InvalidFieldValue):
             F27.parse_raw(bad)
+
+
+def test_parse_raw_refuses_strings_and_bools(F17, F27):
+    # int("3") and int(True) would accept these; a value file holds ints only
+    for bad in ("3", " 1", "0", True, False, None):
+        with pytest.raises(InvalidFieldValue):
+            F17.parse_raw(bad)
+    for bad in ("26", ["1", 2], [True, 0]):
+        with pytest.raises(InvalidFieldValue):
+            F27.parse_raw(bad)
