@@ -3,11 +3,12 @@
 The tower is the chain of subspace-vanishing linearized polynomials
 ell_0 = x, ell_i = ell_{i-1}^p - b_i ell_{i-1} with b_i = ell_{i-1}(a_i)^(p-1);
 coefficients live in the basis of products ell_0^{e_0} ... ell_{r-1}^{e_{r-1}}
-("lch" tag).  Conversion from the standard basis runs through a cascade of
-(x^p - b x)-adic expansions.  The way back reassembles each level's
-expansion by Horner in powers of T = x^p - b x: in characteristic p,
-T^(p^k) is the binomial x^(p^(k+1)) - b^(p^k) x^(p^k), so both directions
-cost O(p n log^2 n) field ops and neither forms a dense product.
+("lch" tag).  Both conversions run a cascade of (x^p - b x)-adic
+expansions, one level at a time.  In characteristic p, T^(p^k) for
+T = x^p - b x is the binomial x^(p^(k+1)) - b^(p^k) x^(p^k): the way from
+the standard basis divides by these binomials (_split_adic) and the way
+back joins each level's expansion by Horner in them (_compose_adic), so
+both cost O(p n log^2 n) field ops and neither forms a dense product.
 Plan validation reads ell_i only at degrees p^j and evaluates it from the
 Frobenius chain x, x^p, ..., x^(p^r) of each point, about n r^2 field ops.
 """
@@ -56,29 +57,24 @@ class AddPlan:
         self.n = field.p**r
         self.radices = (field.p,) * r
 
-        # per-level images of the remaining basis vectors, betas, ell polys
+        # per-level images of the remaining basis vectors: their span is the
+        # level's point set; the lead vector gives beta and the next ell poly
         f = field
         vs = list(basis)
         betas = []
         ells = [Poly.x(field)]
+        level_points = []
         for _ in range(r):
-            lead = vs[0]
-            beta = f.pow(lead, f.p - 1)
+            level_points.append(_span_points(f, vs))
+            beta = f.pow(vs[0], f.p - 1)
             if beta == 0:
                 raise DependentBasis("zero basis image; elements dependent")
             betas.append(beta)
             ells.append(_frobenius(ells[-1]) - ells[-1].scale(beta))
             vs = [f.sub(f.pow(v, f.p), f.mul(beta, v)) for v in vs[1:]]
+        level_points.append([0])
         self.betas = tuple(betas)
         self.lin_polys = ells  # ells[i] vanishes exactly on span(basis[:i])
-
-        level_points = []
-        vs = list(basis)
-        for _ in range(r + 1):
-            level_points.append(_span_points(f, vs))
-            if vs:
-                beta = f.pow(vs[0], f.p - 1)
-                vs = [f.sub(f.pow(v, f.p), f.mul(beta, v)) for v in vs[1:]]
         self.level_points = level_points
         self.points = level_points[0]
 
@@ -220,94 +216,20 @@ def add_ifft(plan: AddPlan, values) -> CoeffVec:
 def padic_expand(f: Poly, alpha) -> list:
     """Expansion f = sum_m a_m(x) (x^p - alpha x)^m with deg a_m < p.
 
-    Runs the halving recursion on base-p^2 chunk regroupings, so the op
-    count stays quasi-linear in deg f.
+    Pads f to a power-of-p length and runs _split_adic, the binomial
+    division that standard_to_lch uses, so the op count stays quasi-linear
+    in deg f.  Trailing zero terms are dropped.
     """
     field = f.field
-    alpha = field(alpha).raw
     p = field.p
-    if f.is_zero():
-        return [Poly.zero(field)]
-    terms = _padic_rec(field, list(f.coeffs), alpha, p)
+    size = p
+    while size < len(f.coeffs):
+        size *= p
+    terms = _split_adic(field, list(f.coeffs) + [0] * (size - len(f.coeffs)), field(alpha).raw)
+    terms = [terms[i:i + p] for i in range(0, size, p)]
     while len(terms) > 1 and not any(terms[-1]):
         terms.pop()
     return [Poly(field, t) for t in terms]
-
-
-def _padic_rec(field, coeffs, alpha, p):
-    """Returns list of coefficient chunks (each a length<=p list)."""
-    deg = len(coeffs) - 1
-    if deg < p:
-        return [coeffs]
-    if deg == p:
-        cp = coeffs[p]
-        a0 = list(coeffs[:p])
-        a0[1] = field.add(a0[1], field.mul(cp, alpha))
-        return [a0, [cp]]
-    rho = 2
-    while p**rho <= deg:
-        rho += 1
-    chunk = p ** (rho - 2)
-    alpha_m = field.pow(alpha, p ** (rho - 2))
-    # chunks f_{k,l}, chunk index l + p*k
-    chunks = {}
-    for idx in range(0, len(coeffs), chunk):
-        c = idx // chunk
-        k, l = divmod(c, p)  # chunk index c = l + p*k
-        piece = coeffs[idx : idx + chunk]
-        if any(piece):
-            chunks[(k, l)] = piece
-    binom = _pascal_mod_p(field.p)
-    # accumulators G[j][s]: coefficient chunks of x^(s*chunk) inside g_j
-    G = [[None] * p for _ in range(p)]
-
-    def acc_into(j, s, scalar, piece):
-        if scalar == 0:
-            return
-        tgt = G[j][s]
-        if tgt is None:
-            tgt = G[j][s] = [0] * chunk
-        if scalar == 1:
-            for i, v in enumerate(piece):
-                if v:
-                    tgt[i] = field.add(tgt[i], v)
-        else:
-            for i, v in enumerate(piece):
-                if v:
-                    tgt[i] = field.add(tgt[i], field.mul(scalar, v))
-
-    for (k, l), piece in chunks.items():
-        for j in range(k + 1):
-            scal = binom[k][j]
-            if scal == 0:
-                continue
-            coef = field.mul(scal, field.pow(alpha_m, k - j))
-            sigma = l + k - j
-            if sigma < p:
-                acc_into(j, sigma, coef, piece)
-            else:
-                acc_into(j, sigma - p + 1, field.mul(coef, alpha_m), piece)
-                if j + 1 < p:
-                    acc_into(j + 1, sigma - p, coef, piece)
-    out = []
-    for j in range(p):
-        gj = []
-        for s in range(p):
-            gj.extend(G[j][s] if G[j][s] is not None else [0] * chunk)
-        while gj and gj[-1] == 0:
-            gj.pop()
-        sub = _padic_rec(field, gj, alpha, p) if gj else [[0]]
-        sub = sub + [[0]] * (chunk - len(sub))
-        out.extend(sub[:chunk])
-    return out
-
-
-def _pascal_mod_p(p):
-    rows = [[1]]
-    for k in range(1, p):
-        prev = rows[-1]
-        rows.append([1] + [(prev[j - 1] + prev[j]) % p for j in range(1, k)] + [1])
-    return rows
 
 
 def padic_reassemble(field, terms, alpha) -> Poly:
@@ -333,18 +255,17 @@ def standard_to_lch(plan: AddPlan, coeffs) -> CoeffVec:
     return CoeffVec(tuple(out), BASIS_LCH)
 
 
-def _to_lch(field, coeffs, betas):
+def _to_lch(field, coeffs, betas) -> list:
+    """Inverse of _from_lch: split f = sum_m a_m(x) T^m for
+    T = x^p - betas[0] x, then expand the x^e coefficients of the a_m one
+    level up."""
     if not betas:
-        return [coeffs[0] if coeffs else 0]
+        return coeffs[:1]
     p = field.p
-    n = p ** len(betas)
-    terms = padic_expand(Poly(field, coeffs), betas[0])
-    sub_n = n // p
-    out = [0] * n
-    for e0 in range(p):
-        seq = [terms[m][e0] if m < len(terms) else 0 for m in range(sub_n)]
-        rec = _to_lch(field, seq, betas[1:])
-        out[e0::p] = rec
+    terms = _split_adic(field, coeffs, betas[0])
+    out = [0] * len(coeffs)
+    for e in range(p):
+        out[e::p] = _to_lch(field, terms[e::p], betas[1:])
     return out
 
 
@@ -389,3 +310,33 @@ def _compose_adic(field, terms, beta) -> list:
                 new[i + s] = field.sub(new[i + s], field.mul(bs, a))
         acc = new
     return acc
+
+
+def _split_adic(field, coeffs, beta) -> list:
+    """Inverse of _compose_adic: the terms of coeffs = sum_m a_m(x) T^m for
+    T = x^p - beta x, with entry m*p + e the x^e coefficient of a_m, where
+    len(coeffs) is a power of p.
+
+    Dividing p - 1 times by the binomial T^s = x^(ps) - beta^s x^s, for
+    s = len(coeffs)/p^2, leaves the p blocks of s terms as remainders, which
+    are expanded recursively: one multiply-add per coefficient per division,
+    so O(p n log n) ops for n = len(coeffs) and no dense product.
+    """
+    p = field.p
+    if len(coeffs) == p:
+        return coeffs
+    s = len(coeffs) // (p * p)
+    width = p * s  # coefficients per block
+    bs = field.pow(beta, s)
+    acc = list(coeffs)
+    out = []
+    for _ in range(p - 1):
+        # from the top down, x^i = x^(i - ps) (T^s + bs x^s): the quotient stays
+        # in acc[width:] and the remainder, the next block, in acc[:width]
+        for i in range(len(acc) - 1, width - 1, -1):
+            a = acc[i]
+            if a:
+                acc[i - width + s] = field.add(acc[i - width + s], field.mul(bs, a))
+        out += _split_adic(field, acc[:width], beta)
+        acc = acc[width:]
+    return out + _split_adic(field, acc, beta)

@@ -494,7 +494,9 @@ def field_make(p: int, r: int = 1, modulus=None) -> Field:
             raise ValidationError("prime field takes no modulus")
         return Field(p, 1, ())
     if modulus is not None:
-        mod = [int(c) % p for c in modulus]
+        mod = [_int_entry(c) for c in modulus]
+        if any(not 0 <= c < p for c in mod):
+            raise InvalidFieldValue(f"modulus {list(modulus)!r} has an entry outside [0, {p})")
         if len(mod) != r + 1 or mod[-1] != 1:
             raise ReducibleModulus("modulus must be monic of degree r")
         if not is_irreducible_modp(mod, p):
@@ -572,7 +574,9 @@ def find_primitive_quadratic(field: Field):
     """Least (a, b) with x^2 + a x + b irreducible and a root generating
     F_{q^2}^*.  Returns a pair of FieldElements."""
     target = field.q * field.q - 1
-    for a in range(field.q):
+    # a = 0 never qualifies: a root of an irreducible x^2 + b has alpha^2 = -b
+    # in F_q^*, so its order divides 2(q - 1) < q^2 - 1
+    for a in range(1, field.q):
         for b in range(field.q):
             if quadratic_is_irreducible(field, a, b) and quadratic_root_order(field, a, b) == target:
                 return FieldElement(field, a), FieldElement(field, b)

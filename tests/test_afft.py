@@ -190,13 +190,16 @@ def test_length_error(F9):
 
 @pytest.mark.parametrize("p,r", [(2, 6), (3, 4), (5, 3), (7, 2)])
 def test_lch_to_standard_matches_basis_matrix(p, r, rng):
-    # second route: columns are products of lin_polys powers, no binomial composition
+    # second route: columns are products of lin_polys powers, no binomial
+    # composition or division; the dense matrix checks both directions
     field = field_make(p, r)
     plan = add_plan(field, [p**i for i in range(r)])
     bm = basis_matrix(plan)
     for _ in range(5):
         c = [rng.randrange(field.q) for _ in range(plan.n)]
-        assert list(lch_to_standard(plan, CoeffVec(tuple(c), BASIS_LCH)).values) == bm.apply(c)
+        std = bm.apply(c)
+        assert list(lch_to_standard(plan, CoeffVec(tuple(c), BASIS_LCH)).values) == std
+        assert list(standard_to_lch(plan, std).values) == c
 
 
 # -- plan validation: each check of AddPlan._validate rejects its own fault

@@ -152,7 +152,7 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p",
                                   "basis-unclosed", "out-of-range", "m-short",
-                                  "radices-not-list", "string-entry"])
+                                  "radices-not-list", "string-entry", "modulus-out-of-range"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -161,6 +161,13 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     if case == "m-short":
         assert cli.main(["plan", "--case", "cyclic", "--p", "23", "--radices", "2,2,2,3",
                          "--out", str(plan_path)]) == 0
+    if case == "modulus-out-of-range":
+        # [3, 3, 0, 0, 1] used to reduce to x^4 + x + 1 over F_2, load and exit 0
+        assert cli.main(["plan", "--case", "add", "--p", "2", "--r", "4", "--basis", "1,2",
+                         "--out", str(plan_path)]) == 0
+        plan = json.loads(plan_path.read_text())
+        plan["field"]["modulus"] = [3, 3, 0, 0, 1]
+        plan_path.write_text(json.dumps(plan))
     if case in ("m-short", "radices-not-list"):
         # a short "m" used to end in an IndexError traceback; "22" used to load as (2, 2)
         plan = json.loads(plan_path.read_text())
@@ -178,6 +185,8 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     elif case == "string-entry":
         # used to transform like [3, 1, 0, 2] and exit 0
         coeffs_path.write_text(json.dumps({"coeffs": ["3", " 1", "0", "2"]}))
+    elif case == "modulus-out-of-range":
+        coeffs_path.write_text(json.dumps({"coeffs": [1, 2, 3, 4]}))
     argv = ["fft", "--plan", str(plan_path), "--in", str(coeffs_path),
             "--out", str(tmp_path / "v.json")]
     if case == "bench-no-p":

@@ -37,6 +37,14 @@ def test_field_make_rejects_reducible_modulus():
         field_make(2, 3, (1, 0, 1))  # wrong degree
 
 
+def test_field_make_checks_modulus_entries():
+    # entries are checked, not reduced: [3, 1, 1] used to become x^2 + x + 1 over F_2
+    for bad in ([3, 1, 1], [1, -1, 1], ["1", 1, 1], [1, 1, 1.9], [True, 1, 1]):
+        with pytest.raises(InvalidFieldValue):
+            field_make(2, 2, bad)
+    assert field_make(2, 2, [1, 1, 1]).modulus == (1, 1, 1)
+
+
 def test_irreducibility_degree6():
     assert is_irreducible_modp([1, 1, 0, 0, 0, 0, 1], 2)  # x^6+x+1
     assert not is_irreducible_modp([1, 0, 1, 0, 1, 0, 1], 2)  # (x^2+x+1)^... reducible
@@ -123,6 +131,18 @@ def test_primitive_quadratic_f3_order8():
     a, b = find_primitive_quadratic(F3)
     assert quadratic_is_irreducible(F3, a.raw, b.raw)
     assert quadratic_root_order(F3, a.raw, b.raw) == 8
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (127, 1), (2, 2), (3, 2)])
+def test_primitive_quadratic_is_least_from_a_zero(p, r):
+    # the search starts at a = 1; an exhaustive scan from a = 0 finds the same pair
+    field = field_make(p, r)
+    target = field.q * field.q - 1
+    least = next((a, b) for a in range(field.q) for b in range(field.q)
+                 if quadratic_is_irreducible(field, a, b)
+                 and quadratic_root_order(field, a, b) == target)
+    a, b = find_primitive_quadratic(field)
+    assert (a.raw, b.raw) == least
 
 
 def test_primitive_quadratic_accepts_published_f127_pair(F127):
