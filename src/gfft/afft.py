@@ -23,7 +23,8 @@ from .errors import (
     SubspaceTooLarge,
     ValidationError,
 )
-from .gf import Field
+from .gf import Field, field_make
+from .linalg import nullspace_vector
 from .poly import Poly, poly_str
 from .vectors import (BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, field_values,
                       plan_list)
@@ -44,11 +45,13 @@ class AddPlan:
     basis = BASIS_LCH
 
     def __init__(self, field: Field, basis_elems):
-        basis = [field(v).raw for v in basis_elems]
+        basis = field_values(field, basis_elems)
         r = len(basis)
         if field.p**r > field.q:
             raise SubspaceTooLarge(f"p^{r} exceeds the field size {field.q}")
-        if not _independent_over_fp(field, basis):
+        # F_p-rank: the digit matrix has one column per basis vector
+        digits = list(zip(*map(field.unpack, basis)))
+        if basis and nullspace_vector(field_make(field.p), digits) is not None:
             raise DependentBasis("subspace basis is F_p-linearly dependent")
 
         self.field = field
@@ -105,8 +108,7 @@ class AddPlan:
                     acc = f.add(acc, f.mul(c, y))
             return acc
 
-        span = _span_points(f, list(self.subspace_basis))  # span(basis[:i]) is its first p^i
-        span_chains = [chain(w) for w in span]
+        # the points are span(basis), of which span(basis[:i]) is the first p^i
         point_chains = [chain(x) for x in self.points]
         for i in range(1, r + 1):
             ell = self.lin_polys[i]
@@ -119,7 +121,7 @@ class AddPlan:
                     f"ell_{i} is not monic linearized of degree p^{i} (other degrees {others})")
             if ell.eval(self.points[-1]) != lin_eval(lin, point_chains[-1]):
                 raise ValidationError(f"ell_{i}: dense and Frobenius-chain values differ")
-            if any(lin_eval(lin, ch) for ch in span_chains[:block]):
+            if any(lin_eval(lin, ch) for ch in point_chains[:block]):
                 raise ValidationError(f"ell_{i} does not vanish on its subspace")
             if i < r and lin_eval(lin, chain(self.subspace_basis[i])) == 0:
                 raise DependentBasis(f"ell_{i} kills basis element {i}; dependent input")
@@ -158,26 +160,6 @@ class AddPlan:
 
     def __repr__(self):
         return f"AddPlan(q={self.field.q}, n={self.n}, basis={self.subspace_basis})"
-
-
-def _independent_over_fp(field, vecs) -> bool:
-    p = field.p
-    rows = [list(field.unpack(v)) for v in vecs]
-    rank = 0
-    cols = field.r
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == len(vecs)
 
 
 def _span_points(field, vecs):

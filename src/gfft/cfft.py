@@ -111,7 +111,9 @@ class CyclicPlan:
             a_el, b_el = find_primitive_quadratic(field)
             a, b = a_el.raw, b_el.raw
         else:
-            a, b = f(m_pair[0]).raw, f(m_pair[1]).raw
+            if len(m_pair) != 2:
+                raise ValidationError(f"m_pair must hold two entries (a, b), got {m_pair!r}")
+            a, b = field_values(f, m_pair)
             if not quadratic_is_irreducible(field, a, b):
                 raise PrimitivityFailure("x^2 + a x + b is reducible")
             if quadratic_root_order(field, a, b) != field.q**2 - 1:
@@ -259,7 +261,7 @@ class CyclicPlan:
         if self.is_full:
             key = INF
         elif fiber_key is not None:
-            key = f(fiber_key).raw
+            (key,) = field_values(f, [fiber_key])
             if key not in buckets:
                 raise ValidationError(f"{fiber_key} is not an evaluation fiber value")
             if key == 0:

@@ -15,7 +15,7 @@ from . import fileio
 from .afft import add_plan
 from .cfft import cyclic_plan
 from .errors import InputError, InvalidFieldValue, MismatchError, ValidationError
-from .gf import field_make
+from .gf import factorize, field_make
 from .mfft import mult_plan
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
 
@@ -191,14 +191,7 @@ def cmd_bench(args) -> int:
 
 
 def _factor_smooth(n):
-    radices = []
-    d = 2
-    while n > 1:
-        while n % d == 0:
-            radices.append(d)
-            n //= d
-        d += 1
-    return radices
+    return [d for d, k in factorize(n).items() for _ in range(k)]
 
 
 def _bench_one(plan, rng, label):

@@ -6,9 +6,12 @@ the coefficient vector (c_0, ..., c_{r-1}) base p, i.e. raw = sum c_i p^i.
 Hot code paths (polynomial cores, transforms) work on raw values through the
 Field methods; FieldElement is a thin wrapper for user-facing code.
 
-All searches (modulus, primitive element, primitive quadratic) take the
-least candidate in packed-integer order, so results are reproducible.
-Exhaustive checks are fine at the documented desk scale q <= 2**20.
+All searches (modulus, table generator, primitive element, primitive
+quadratic) take the least candidate in packed-integer order, so results are
+reproducible.  The three order tests among them share one routine,
+multiplicative_order, which is exact, so the least candidate is still the one
+found.  Moduli are tested by Rabin's test on Poly over F_p.  Exhaustive checks
+are fine at the documented desk scale q <= 2**20.
 """
 
 from __future__ import annotations
@@ -63,79 +66,53 @@ class OpCounter:
         return self.adds + self.muls + self.invs
 
 
-# ---------------------------------------------------------------------------
-# small dense polynomial helpers over F_p (ints mod p), used only for modulus
-# handling and extension-field construction
+def multiplicative_order(x, multiple, power, one) -> int:
+    """Order of x in a group where power(x, multiple) == one: strip each
+    prime factor of multiple while the power stays one.  The one order
+    routine behind F_q^*, F_{q^2}^* and PGL_2(F_q)."""
+    if power(x, multiple) != one:
+        raise ValidationError(f"{x!r} has no order dividing {multiple}")
+    order = multiple
+    for ell in factorize(multiple):
+        while order % ell == 0 and power(x, order // ell) == one:
+            order //= ell
+    return order
 
 
-def _pp_trim(c):
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pp_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        a.pop()
-    return _pp_trim(a if a else [0])
-
-
-def _pp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while any(b):
-        a, b = b, _pp_mod(a, b, p)
-    return _pp_trim(a)
-
-
-def _pp_powmod_x(e: int, m, p):
-    """x^e mod m over F_p by square and multiply."""
-    result = [1]
-    base = _pp_mod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _pp_mod(_pp_mul(result, base, p), m, p)
-        base = _pp_mod(_pp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
+def _digits(n: int, p: int, width: int):
+    """The width lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(width):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
 
 
 def is_irreducible_modp(coeffs, p: int) -> bool:
     """Rabin's test for a monic polynomial over F_p (dense int list)."""
+    from .poly import Poly  # function level: poly imports gf
+
     r = len(coeffs) - 1
     if r < 1 or coeffs[-1] != 1:
         return False
     if r == 1:
         return True
+    fp = Field(p, 1, ())
+    m, x = Poly(fp, coeffs), Poly.x(fp)
+
+    def x_pow(e):  # x^e mod m by square and multiply
+        acc, base = Poly.one(fp), x
+        while e:
+            if e & 1:
+                acc = acc * base % m
+            base = base * base % m
+            e >>= 1
+        return acc
+
     # x^(p^r) == x mod m, and gcd(x^(p^(r/l)) - x, m) == 1 for prime l | r
-    xq = _pp_powmod_x(p**r, coeffs, p)
-    if _pp_trim(list(xq)) != [0, 1]:
+    if x_pow(p**r) != x:
         return False
-    for ell in factorize(r):
-        g = _pp_powmod_x(p ** (r // ell), coeffs, p)
-        g = list(g) + [0] * (2 - len(g))
-        g[1] = (g[1] - 1) % p
-        if len(_pp_gcd(coeffs, _pp_trim(g), p)) > 1:
-            return False
-    return True
+    return all((x_pow(p ** (r // ell)) - x).gcd(m).degree == 0 for ell in factorize(r))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +145,20 @@ class Field:
         p, r, q = self.p, self.r, self.q
         if q > DESK_Q_BOUND:
             raise ValidationError(f"extension field of size {q} beyond desk bound")
-        # discrete log tables over a multiplicative generator
-        gen = None
-        for cand in range(2, q):
-            if self._raw_order_slow(cand) == q - 1:
-                gen = cand
-                break
-        if gen is None:  # pragma: no cover - impossible for a true field
-            raise ValidationError("no multiplicative generator found; modulus not irreducible?")
+        # discrete log tables over the least multiplicative generator; the
+        # order test runs square and multiply on the table-free product, and a
+        # reducible modulus fails its check at a zero divisor (ValidationError)
+
+        def power(x, e):
+            acc = 1
+            while e:
+                if e & 1:
+                    acc = self._mul_poly(acc, x)
+                x = self._mul_poly(x, x)
+                e >>= 1
+            return acc
+
+        gen = next(c for c in range(2, q) if multiplicative_order(c, q - 1, power, 1) == q - 1)
         exp = [1] * (2 * (q - 1))
         log = [0] * q
         acc = 1
@@ -186,28 +169,10 @@ class Field:
             acc = self._mul_poly(acc, gen)
         self._exp = exp
         self._log = log
-        self._gen = gen
-
-    def _raw_order_slow(self, x: int) -> int:
-        if x == 0:
-            return 0
-        acc = x
-        k = 1
-        while acc != 1:
-            acc = self._mul_poly(acc, x)
-            k += 1
-            if k > self.q:
-                raise ValidationError("multiplicative order overflow; modulus not irreducible?")
-        return k
 
     def unpack(self, raw: int):
         """Raw value -> coefficient tuple (c_0, ..., c_{r-1}) over F_p."""
-        p = self.p
-        out = []
-        for _ in range(self.r):
-            raw, c = divmod(raw, p)
-            out.append(c)
-        return tuple(out)
+        return _digits(raw, self.p, self.r)
 
     def pack(self, coeffs) -> int:
         p = self.p
@@ -333,11 +298,7 @@ class Field:
         """Multiplicative order of nonzero x."""
         if x == 0:
             raise ZeroInverse("order of zero undefined")
-        order = self.q - 1
-        for ell in factorize(self.q - 1):
-            while order % ell == 0 and self.pow(x, order // ell) == 1:
-                order //= ell
-        return order
+        return multiplicative_order(x, self.q - 1, self.pow, 1)
 
     # -- element API ---------------------------------------------------------
 
@@ -503,18 +464,10 @@ def field_make(p: int, r: int = 1, modulus=None) -> Field:
             raise ReducibleModulus(f"{mod} is reducible over F_{p}")
         return Field(p, r, mod)
     for tail in range(p**r):
-        mod = list(divmod_digits(tail, p, r)) + [1]
+        mod = list(_digits(tail, p, r)) + [1]
         if is_irreducible_modp(mod, p):
             return Field(p, r, mod)
     raise ReducibleModulus("no irreducible modulus found")  # pragma: no cover
-
-
-def divmod_digits(n: int, p: int, width: int):
-    out = []
-    for _ in range(width):
-        n, d = divmod(n, p)
-        out.append(d)
-    return tuple(out)
 
 
 def find_primitive_element(field: Field) -> FieldElement:
@@ -563,11 +516,7 @@ def quadratic_root_order(field: Field, a: int, b: int) -> int:
             e >>= 1
         return result
 
-    order = f.q * f.q - 1
-    for ell in factorize(order):
-        while order % ell == 0 and pow2((0, 1), order // ell) == (1, 0):
-            order //= ell
-    return order
+    return multiplicative_order((0, 1), f.q * f.q - 1, pow2, (1, 0))
 
 
 def find_primitive_quadratic(field: Field):

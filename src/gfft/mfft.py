@@ -26,7 +26,7 @@ class MultPlan:
             n *= p
         if (field.q - 1) % n != 0:
             raise RadixNotDividingGroupOrder(f"{n} does not divide q-1 = {field.q - 1}")
-        beta = field(beta).raw
+        (beta,) = field_values(field, [beta])
         if beta == 0:
             raise ValidationError("coset shift must be nonzero")
 

@@ -10,7 +10,7 @@ on the orientation cross-validate it against independent data.
 from __future__ import annotations
 
 from .errors import NoMoebiusRelation, ValidationError
-from .gf import Field
+from .gf import Field, multiplicative_order
 from .linalg import nullspace_vector
 from .poly import INF, Poly, RatFn, _raw
 
@@ -67,16 +67,10 @@ class MoebiusMap:
         return result
 
     def order(self) -> int:
-        """Least k >= 1 with self^k projectively the identity."""
-        acc = self
-        k = 1
-        bound = self.field.q + 2
-        while not acc.is_identity():
-            acc = acc * self
-            k += 1
-            if k > bound:  # element orders in PGL_2(q) are at most q+1
-                raise ValidationError("order exceeds q+1; map corrupted")
-        return k
+        """Least k >= 1 with self^k projectively the identity.  Every element
+        order in PGL_2(q) divides p, q - 1 or q + 1, hence p (q^2 - 1)."""
+        f = self.field
+        return multiplicative_order(self, f.p * (f.q * f.q - 1), pow, MoebiusMap.identity(f))
 
     def apply(self, point):
         """Direct point action on F_q u {INF}."""

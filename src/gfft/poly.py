@@ -8,7 +8,7 @@ raw value or INF likewise.
 
 from __future__ import annotations
 
-from .errors import DivisionByZeroPoly, DuplicatePoint, MixedFields
+from .errors import DivisionByZeroPoly, DuplicatePoint, InvalidFieldValue, MixedFields
 from .gf import Field, FieldElement
 
 NEG_INF = float("-inf")
@@ -32,11 +32,15 @@ INF = _InfType()
 
 
 def _raw(field, v):
+    """Raw value of v in field, checked, not reduced: an int in [0, q) that is
+    not a bool, or a FieldElement of an equal field."""
+    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < field.q:
+        return v
     if isinstance(v, FieldElement):
         if v.field != field:
             raise MixedFields("coefficient from a different field")
         return v.raw
-    return int(v) % field.q if field.r == 1 else int(v)
+    raise InvalidFieldValue(f"{v!r} is not a raw value of F_{field.q}")
 
 
 class Poly:

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BasisMismatch, InvalidFieldValue, LengthMismatch, PlanFileError
-from .gf import FieldElement
-from .poly import INF
+from .errors import BasisMismatch, LengthMismatch, PlanFileError
+from .poly import INF, _raw
 
 BASIS_STANDARD = "standard"
 BASIS_LCH = "lch"
@@ -29,17 +28,11 @@ class CoeffVec:
 
 
 def field_values(field, values):
-    """Raw values of field: FieldElements are unwrapped, anything else must
-    already be an int in [0, q)."""
-    vals = list(values)
+    """Raw values of field, each checked by poly._raw: FieldElements are
+    unwrapped, anything else must already be an int in [0, q).  An in-range
+    int (not a bool) passes without the call, which transforms pay per value."""
     q = field.q
-    for i, v in enumerate(vals):
-        if isinstance(v, int) and 0 <= v < q:
-            continue
-        if not isinstance(v, FieldElement):
-            raise InvalidFieldValue(f"{v!r} is not a raw value of F_{q}")
-        vals[i] = field(v).raw
-    return vals
+    return [v if type(v) is int and 0 <= v < q else _raw(field, v) for v in values]
 
 
 def plan_list(obj, key, length=None, ints=False):

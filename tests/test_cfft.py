@@ -172,6 +172,18 @@ def test_std_to_tilde_checks_basis_and_values(plan11):
         std_to_tilde(plan11, CoeffVec((1, 2, 3, 4), BASIS_CYCLIC))
     with pytest.raises(InvalidFieldValue):
         std_to_tilde(plan11, [1, 11, 3])
+    # checked, not reduced: [13] used to raise while Poly(F11, [13]) became 2
+    for bad in (13, -1, True):
+        with pytest.raises(InvalidFieldValue):
+            std_to_tilde(plan11, [bad])
+        with pytest.raises(InvalidFieldValue):
+            std_to_tilde(plan11, Poly(plan11.field, [bad]))
+    # a GF(49) coefficient 100 used to reach the plan as truncated digits
+    plan49 = cyclic_plan(field_make(7, 2), (2, 5, 5))
+    with pytest.raises(InvalidFieldValue):
+        std_to_tilde(plan49, Poly(plan49.field, [100, 3]))
+    with pytest.raises(InvalidFieldValue):
+        std_to_tilde(plan49, [100, 3])
 
 
 @pytest.mark.parametrize("config", ["plan7", "plan11", "plan23", "F49-255", "F27-227"])

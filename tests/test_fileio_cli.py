@@ -152,7 +152,8 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p",
                                   "basis-unclosed", "out-of-range", "m-short",
-                                  "radices-not-list", "string-entry", "modulus-out-of-range"])
+                                  "radices-not-list", "string-entry", "modulus-out-of-range",
+                                  "beta-out-of-range", "m-one-entry", "m-out-of-range"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -193,6 +194,15 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         argv = ["bench", "--case", "mult", "--ladder", "4"]
     elif case == "basis-unclosed":
         argv = ["plan", "--case", "add", "--p", "3", "--r", "2", "--basis", "[1,0"]
+    elif case == "beta-out-of-range":
+        # used to build with beta 35 mod 17 = 1 and exit 0
+        argv = ["plan", "--case", "mult", "--p", "17", "--radices", "2,2", "--beta", "35"]
+        error = "InvalidFieldValue"
+    elif case in ("m-one-entry", "m-out-of-range"):
+        # "5" used to end in an IndexError traceback; "24,30" was reduced to (1, 7)
+        argv = ["plan", "--case", "cyclic", "--p", "23", "--radices", "2,2,2,3",
+                "--m", "5" if case == "m-one-entry" else "24,30"]
+        error = "ValidationError" if case == "m-one-entry" else "InvalidFieldValue"
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -1,14 +1,36 @@
+import itertools
+
 import pytest
 
-from gfft.errors import InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ZeroInverse
+from gfft.errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus,
+                         ValidationError, ZeroInverse)
 from gfft.gf import (
     field_make,
     find_primitive_element,
     find_primitive_quadratic,
     is_irreducible_modp,
+    multiplicative_order,
     quadratic_is_irreducible,
     quadratic_root_order,
 )
+
+
+def _walk_order(mul, x, one):
+    """Least k >= 1 with x^k == one, by repeated multiplication."""
+    acc, k = x, 1
+    while acc != one:
+        acc, k = mul(acc, x), k + 1
+    return k
+
+
+def _divides(d, f, p):
+    """Monic d divides f over F_p (ascending int lists), by long division."""
+    rem = list(f)
+    for k in range(len(f) - len(d), -1, -1):
+        c = rem[k + len(d) - 1]
+        for i, di in enumerate(d):
+            rem[k + i] = (rem[k + i] - c * di) % p
+    return not any(rem)
 
 
 def test_field_make_prime_fields():
@@ -48,6 +70,43 @@ def test_field_make_checks_modulus_entries():
 def test_irreducibility_degree6():
     assert is_irreducible_modp([1, 1, 0, 0, 0, 0, 1], 2)  # x^6+x+1
     assert not is_irreducible_modp([1, 0, 1, 0, 1, 0, 1], 2)  # (x^2+x+1)^... reducible
+
+
+@pytest.mark.parametrize("p,max_r", [(2, 6), (3, 4), (5, 3)])
+def test_irreducibility_matches_trial_division(p, max_r):
+    # every monic polynomial of degree r, against division by every monic
+    # polynomial of degree 1 ... r/2
+    for r in range(1, max_r + 1):
+        divisors = [list(tail) + [1] for k in range(1, r // 2 + 1)
+                    for tail in itertools.product(range(p), repeat=k)]
+        for tail in itertools.product(range(p), repeat=r):
+            f = list(tail) + [1]
+            assert is_irreducible_modp(f, p) == (not any(_divides(d, f, p) for d in divisors)), f
+
+
+@pytest.mark.parametrize("p,r", [(17, 1), (3, 2), (2, 4), (3, 3)])
+def test_multiplicative_order_matches_power_walk(p, r):
+    field = field_make(p, r)
+    for x in range(1, field.q):
+        walk = _walk_order(field.mul, x, 1)
+        assert multiplicative_order(x, field.q - 1, field.pow, 1) == walk
+        assert field.element_order(x) == walk
+
+
+def test_multiplicative_order_checks_its_multiple(F17):
+    # 2 has order 8 in F_17^*; 12 is not a multiple of it
+    assert multiplicative_order(2, 16, F17.pow, 1) == 8
+    with pytest.raises(ValidationError):
+        multiplicative_order(2, 12, F17.pow, 1)
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6), (3, 4)])
+def test_table_generator_is_least_by_walk(p, r):
+    # the exp/log tables run over the least raw value of order q - 1
+    field = field_make(p, r)
+    least = next(c for c in range(2, field.q)
+                 if _walk_order(field._mul_poly, c, 1) == field.q - 1)
+    assert field._exp[1] == least
 
 
 def test_arithmetic_f127(F127):

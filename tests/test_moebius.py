@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from gfft.errors import NoMoebiusRelation
-from gfft.gf import find_primitive_element
+from gfft.gf import field_make, find_primitive_element
 from gfft.moebius import MoebiusMap, match_moebius
 from gfft.poly import INF, Poly, RatFn, compose_moebius
 
@@ -20,6 +22,20 @@ def test_order_examples(F127):
     assert MoebiusMap.identity(F127).order() == 1
     g = find_primitive_element(F127).raw
     assert MoebiusMap(F127, g, 0, 0, 1).order() == 126
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_order_matches_composition_walk(q):
+    # every element of PGL_2(q), against the least k with m^k the identity
+    field = field_make(q)
+    maps = {MoebiusMap(field, a, b, c, d)
+            for a, b, c, d in itertools.product(range(q), repeat=4) if (a * d - b * c) % q}
+    assert len(maps) == q * (q * q - 1)
+    for m in maps:
+        acc, k = m, 1
+        while not acc.is_identity():
+            acc, k = acc * m, k + 1
+        assert m.order() == k
 
 
 def test_order_power_relation(F127):

@@ -1,7 +1,8 @@
 import pytest
 
 from divisors import ZeroFunction, factor_monic, valuation, valuation_at_irreducible
-from gfft.errors import DivisionByZeroPoly
+from gfft.errors import DivisionByZeroPoly, InvalidFieldValue, MixedFields
+from gfft.gf import field_make
 from gfft.moebius import MoebiusMap
 from gfft.poly import (
     INF,
@@ -27,6 +28,20 @@ def test_product_op_counts(request, name):
     with field.count_ops() as ctr:
         a * b
     assert (ctr.muls, ctr.adds) == (6, 6)
+
+
+def test_coefficients_checked_not_reduced(F17):
+    # Poly(F49, [100, 3]) used to keep the raw value 100, Poly(F11, [13]) became 2
+    F49, F11 = field_make(7, 2), field_make(11)
+    for field, bad in ((F49, 100), (F49, -1), (F11, 13), (F11, -1), (F11, True),
+                       (F11, 1.0), (F11, "2"), (F11, None)):
+        with pytest.raises(InvalidFieldValue):
+            Poly(field, [bad, 3])
+    with pytest.raises(MixedFields):
+        Poly(F11, [F17(1)])
+    # in-range ints and elements of an equal field are accepted
+    assert Poly(F11, [field_make(11)(4), 10]).coeffs == (4, 10)
+    assert Poly(F49, [48, 0]).coeffs == (48,)
 
 
 def test_gcd_with_zero_is_monic(F127):

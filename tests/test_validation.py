@@ -4,7 +4,7 @@ import pytest
 
 from gfft.afft import add_fft, add_ifft, add_plan
 from gfft.cfft import cyclic_plan, q1_fft, q1_ifft
-from gfft.errors import InvalidFieldValue
+from gfft.errors import InvalidFieldValue, ValidationError
 from gfft.gf import field_make
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 
@@ -34,3 +34,25 @@ def test_raw_values_checked_at_entry_points(case):
         assert list(ifft(plan, values).values) == good
         with pytest.raises(InvalidFieldValue):
             ifft(plan, values, a0=50)
+
+
+def test_plan_parameters_checked():
+    # each used to be reduced (beta 18 -> 1, m (24, 30) -> (1, 7), fiber 30 -> 7)
+    # or to end in an IndexError
+    F17, F23, F16 = field_make(17), field_make(23), field_make(2, 4)
+    for build in (lambda: mult_plan(F17, (2, 2), beta=18),
+                  lambda: mult_plan(F17, (2, 2), beta=-1),
+                  lambda: mult_plan(F17, (2, 2), beta=True),
+                  lambda: cyclic_plan(F23, (2, 2, 2, 3), m_pair=(24, 30)),
+                  lambda: cyclic_plan(F23, (2, 2), fiber_key=30),
+                  lambda: add_plan(F16, [1, 2, 100])):
+        with pytest.raises(InvalidFieldValue):
+            build()
+    for m_pair in ((), (1,), (1, 7, 9)):
+        with pytest.raises(ValidationError):
+            cyclic_plan(F23, (2, 2, 2, 3), m_pair=m_pair)
+    # in-range ints and FieldElements still build
+    assert mult_plan(F17, (2, 2), beta=F17(3)).beta == 3
+    assert cyclic_plan(F23, (2, 2, 2, 3), m_pair=(1, 7)).m_coeffs == (1, 7)
+    assert cyclic_plan(F23, (2, 2), fiber_key=7).bucket_key == 7
+    assert add_plan(F16, [1, 2, F16(4)]).subspace_basis == (1, 2, 4)
