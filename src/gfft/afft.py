@@ -26,8 +26,7 @@ from .errors import (
 from .gf import Field, field_make
 from .linalg import nullspace_vector
 from .poly import Poly, poly_str
-from .vectors import (BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, field_values,
-                      plan_list)
+from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, plan_list
 
 
 def _frobenius(poly: Poly) -> Poly:
@@ -45,7 +44,7 @@ class AddPlan:
     basis = BASIS_LCH
 
     def __init__(self, field: Field, basis_elems):
-        basis = field_values(field, basis_elems)
+        basis = field.raws(basis_elems)
         r = len(basis)
         if field.p**r > field.q:
             raise SubspaceTooLarge(f"p^{r} exceeds the field size {field.q}")
@@ -187,7 +186,7 @@ def add_fft(plan: AddPlan, coeffs):
 def add_ifft(plan: AddPlan, values) -> CoeffVec:
     if len(values) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(values)}")
-    out = engine.inverse(plan.field, plan.kernel, field_values(plan.field, values))
+    out = engine.inverse(plan.field, plan.kernel, plan.field.raws(values))
     return CoeffVec(tuple(out), BASIS_LCH)
 
 
@@ -207,7 +206,7 @@ def padic_expand(f: Poly, alpha) -> list:
     size = p
     while size < len(f.coeffs):
         size *= p
-    terms = _split_adic(field, list(f.coeffs) + [0] * (size - len(f.coeffs)), field(alpha).raw)
+    terms = _split_adic(field, list(f.coeffs) + [0] * (size - len(f.coeffs)), field.raw(alpha))
     terms = [terms[i:i + p] for i in range(0, size, p)]
     while len(terms) > 1 and not any(terms[-1]):
         terms.pop()
@@ -216,7 +215,7 @@ def padic_expand(f: Poly, alpha) -> list:
 
 def padic_reassemble(field, terms, alpha) -> Poly:
     """Oracle inverse of padic_expand: sum a_m * (x^p - alpha x)^m."""
-    alpha = field(alpha).raw
+    alpha = field.raw(alpha)
     T = Poly(field, [0, field.neg(alpha)] + [0] * (field.p - 2) + [1])
     acc = Poly.zero(field)
     for a_m in reversed(terms):

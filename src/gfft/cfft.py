@@ -39,7 +39,7 @@ from .linalg import invert, solve  # noqa: F401
 from .moebius import MoebiusMap, match_moebius
 from .poly import INF, Poly, RatFn, compose_moebius, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
-                      field_values, plan_list)
+                      plan_list, point_out)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -91,13 +91,7 @@ class CyclicPlan:
     basis = BASIS_CYCLIC
 
     def __init__(self, field: Field, radices, m_pair=None, fiber_key=None):
-        radices = tuple(int(p) for p in radices)
-        for p in radices:
-            if p < 2:
-                raise ValidationError("radices must be >= 2")
-        n = 1
-        for p in radices:
-            n *= p
+        radices, n = engine.check_radices(radices)
         if (field.q + 1) % n != 0:
             raise RadixNotDividing(f"{n} does not divide q+1 = {field.q + 1}")
 
@@ -113,7 +107,7 @@ class CyclicPlan:
         else:
             if len(m_pair) != 2:
                 raise ValidationError(f"m_pair must hold two entries (a, b), got {m_pair!r}")
-            a, b = field_values(f, m_pair)
+            a, b = f.raws(m_pair)
             if not quadratic_is_irreducible(field, a, b):
                 raise PrimitivityFailure("x^2 + a x + b is reducible")
             if quadratic_root_order(field, a, b) != field.q**2 - 1:
@@ -194,7 +188,7 @@ class CyclicPlan:
         are the values at alpha of the numerator and denominator of x_i in
         lowest terms, N_i monic of degree |G_i|.
         """
-        pairs = [(1, 0) if pl is INF else (pl, 1) for pl in places]
+        pairs = [(1, 0) if pl is INF else (self.field.raw(pl), 1) for pl in places]
         out = [pairs]
         for lv in self.levels:
             pairs = _apply_level(self.field, lv, pairs)
@@ -261,7 +255,7 @@ class CyclicPlan:
         if self.is_full:
             key = INF
         elif fiber_key is not None:
-            (key,) = field_values(f, [fiber_key])
+            key = f.raw(fiber_key)
             if key not in buckets:
                 raise ValidationError(f"{fiber_key} is not an evaluation fiber value")
             if key == 0:
@@ -473,10 +467,6 @@ class CyclicPlan:
 
     def to_json(self) -> dict:
         out = self.field.serialize_raw
-
-        def pt_out(pt):
-            return "inf" if pt is INF else out(pt)
-
         pole_consts = {
             f"{i},{t},{k}": out(v)
             for i, lv in enumerate(self.levels, start=1)
@@ -484,9 +474,9 @@ class CyclicPlan:
             for (t, k), v in sorted(lv.pole_consts.items())
         }
         return {"radices": list(self.radices), "m": [out(c) for c in self.m_coeffs],
-                "fiber": pt_out(self.bucket_key),
+                "fiber": point_out(self.field, self.bucket_key),
                 "tables": {
-                    "points": [pt_out(v) for v in self.points],
+                    "points": [point_out(self.field, v) for v in self.points],
                     "poles": [[out(v) for v in lv.poles] for lv in self.levels],
                     "quads": [[out(c) for c in q.coeffs] for q in self.quads],
                     "level_nums": [[out(c) for c in lv.num.coeffs] for lv in self.levels],
@@ -588,7 +578,7 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
     if len(seq) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(seq)}")
     f = plan.field
-    seq = field_values(f, seq)
+    seq = f.raws(seq)
     tilde = []
     for idx, pt in enumerate(plan.points):
         if pt is INF:
@@ -601,7 +591,7 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
             raise ValidationError(
                 "full-length inversion needs the carried top coefficient a0"
             )
-        out[0] = field_values(f, [a0])[0]
+        out[0] = f.raw(a0)
     return CoeffVec(tuple(out), BASIS_CYCLIC)
 
 

@@ -11,8 +11,20 @@ constants that route the fiber over the level's point at infinity.
 
 from __future__ import annotations
 
-from .errors import LengthMismatch, SingularLocalSystem
+from .errors import LengthMismatch, SingularLocalSystem, ValidationError
 from .linalg import invert, mat_vec
+
+
+def check_radices(radices):
+    """(radices as a tuple, their product n).  Each radix must be an int, not
+    a bool, and >= 2: a float is refused, not truncated."""
+    radices = tuple(radices)
+    n = 1
+    for p in radices:
+        if isinstance(p, bool) or not isinstance(p, int) or p < 2:
+            raise ValidationError(f"radices must be integers >= 2, got {p!r}")
+        n *= p
+    return radices, n
 
 
 class Level:

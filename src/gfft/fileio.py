@@ -20,11 +20,7 @@ from .errors import MismatchError, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
 from .poly import INF
-from .vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec
-
-
-def _point_out(field, pt):
-    return "inf" if pt is INF else field.serialize_raw(pt)
+from .vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_out
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +65,9 @@ def coeffs_from_csv(field: Field, text: str, basis=BASIS_STANDARD) -> CoeffVec:
 def values_to_json(field: Field, values) -> dict:
     if isinstance(values, CyclicEvalVec):
         out = {
-            "values": {str(_point_out(field, p)): field.serialize_raw(v)
+            "values": {str(point_out(field, p)): field.serialize_raw(v)
                        for p, v in zip(values.points, values.values)},
-            "tilde": {str(_point_out(field, p)): field.serialize_raw(v)
+            "tilde": {str(point_out(field, p)): field.serialize_raw(v)
                       for p, v in zip(values.points, values.tilde)},
         }
         if values.a0 is not None:

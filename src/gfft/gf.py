@@ -6,6 +6,12 @@ the coefficient vector (c_0, ..., c_{r-1}) base p, i.e. raw = sum c_i p^i.
 Hot code paths (polynomial cores, transforms) work on raw values through the
 Field methods; FieldElement is a thin wrapper for user-facing code.
 
+Field.raw is the one rule for what a value of F_q is: an int in [0, q) that
+is not a bool, or a FieldElement of an equal field.  Values are checked,
+never reduced.  Field.raws is its list form, and every public entry point
+(Field(), FieldElement operands, Poly, MoebiusMap, the transforms) reads
+values through one of the two.
+
 All searches (modulus, table generator, primitive element, primitive
 quadratic) take the least candidate in packed-integer order, so results are
 reproducible.  The three order tests among them share one routine,
@@ -178,7 +184,7 @@ class Field:
         p = self.p
         raw = 0
         for c in reversed(list(coeffs)):
-            raw = raw * p + c % p
+            raw = raw * p + c
         return raw
 
     def _mul_poly(self, x: int, y: int) -> int:
@@ -302,14 +308,29 @@ class Field:
 
     # -- element API ---------------------------------------------------------
 
+    def raw(self, v) -> int:
+        """Raw value of v, checked, not reduced: an int in [0, q) that is not
+        a bool, or a FieldElement of an equal field."""
+        if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < self.q:
+            return v
+        if isinstance(v, FieldElement):
+            if v.field != self:
+                raise MixedFields(f"{v!r} is from a different field than F_{self.q}")
+            return v.raw
+        raise InvalidFieldValue(f"{v!r} is not a raw value of F_{self.q}")
+
+    def raws(self, values) -> list:
+        """raw of each value.  An in-range int (not a bool) passes without the
+        call, which transforms pay per value."""
+        q = self.q
+        return [v if type(v) is int and 0 <= v < q else self.raw(v) for v in values]
+
     def __call__(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise MixedFields("element from a different field")
-            return value
+        """Element from an int or element (checked by raw) or from a digit
+        tuple or list (checked by parse_raw)."""
         if isinstance(value, (tuple, list)):
-            return FieldElement(self, self.pack(value))
-        return FieldElement(self, int(value) % self.q if self.r == 1 else int(value))
+            return FieldElement(self, self.parse_raw(list(value)))
+        return FieldElement(self, self.raw(value))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -349,10 +370,7 @@ class Field:
             if len(digits) > self.r or any(not 0 <= d < self.p for d in digits):
                 raise InvalidFieldValue(f"{obj!r} is not a digit list of GF({self.q})")
             return self.pack(digits)
-        raw = _int_entry(obj)
-        if not 0 <= raw < self.q:
-            raise InvalidFieldValue(f"{obj!r} is not a raw value of GF({self.q})")
-        return raw
+        return self.raw(_int_entry(obj))
 
     def __repr__(self):
         if self.r == 1:
@@ -380,34 +398,27 @@ class FieldElement:
         self.field = field
         self.raw = raw
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFields("operands from different fields")
-            return other.raw
-        return self.field(other).raw
-
     def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.raw, self._coerce(other)))
+        return FieldElement(self.field, self.field.add(self.raw, self.field.raw(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.raw, self._coerce(other)))
+        return FieldElement(self.field, self.field.sub(self.raw, self.field.raw(other)))
 
     def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.raw))
+        return FieldElement(self.field, self.field.sub(self.field.raw(other), self.raw))
 
     def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.raw, self._coerce(other)))
+        return FieldElement(self.field, self.field.mul(self.raw, self.field.raw(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.raw, self._coerce(other)))
+        return FieldElement(self.field, self.field.div(self.raw, self.field.raw(other)))
 
     def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._coerce(other), self.raw))
+        return FieldElement(self.field, self.field.div(self.field.raw(other), self.raw))
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.raw))
@@ -422,7 +433,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.raw == other.raw
         if isinstance(other, int):
-            return self.raw == (other % self.field.q if self.field.r == 1 else other)
+            return self.raw == other
         return NotImplemented
 
     def __hash__(self):

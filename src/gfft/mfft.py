@@ -10,7 +10,7 @@ from __future__ import annotations
 from . import engine
 from .errors import LengthMismatch, RadixNotDividingGroupOrder, ValidationError
 from .gf import Field, find_primitive_element
-from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, field_values, plan_list
+from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, plan_list
 
 
 class MultPlan:
@@ -18,15 +18,10 @@ class MultPlan:
     basis = BASIS_STANDARD
 
     def __init__(self, field: Field, radices, beta=1):
-        radices = tuple(int(p) for p in radices)
-        n = 1
-        for p in radices:
-            if p < 2:
-                raise ValidationError("radices must be >= 2")
-            n *= p
+        radices, n = engine.check_radices(radices)
         if (field.q - 1) % n != 0:
             raise RadixNotDividingGroupOrder(f"{n} does not divide q-1 = {field.q - 1}")
-        (beta,) = field_values(field, [beta])
+        beta = field.raw(beta)
         if beta == 0:
             raise ValidationError("coset shift must be nonzero")
 
@@ -105,5 +100,5 @@ def mult_fft(plan: MultPlan, coeffs):
 def mult_ifft(plan: MultPlan, values) -> CoeffVec:
     if len(values) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(values)}")
-    out = engine.inverse(plan.field, plan.kernel, field_values(plan.field, values))
+    out = engine.inverse(plan.field, plan.kernel, plan.field.raws(values))
     return CoeffVec(tuple(out), BASIS_STANDARD)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import NoMoebiusRelation, ValidationError
 from .gf import Field, multiplicative_order
 from .linalg import nullspace_vector
-from .poly import INF, Poly, RatFn, _raw
+from .poly import INF, Poly, RatFn
 
 
 class MoebiusMap:
@@ -20,7 +20,7 @@ class MoebiusMap:
 
     def __init__(self, field: Field, a, b, c, d):
         f = field
-        a, b, c, d = (_raw(f, v) for v in (a, b, c, d))
+        a, b, c, d = f.raws((a, b, c, d))
         det = f.sub(f.mul(a, d), f.mul(b, c))
         if det == 0:
             raise ValidationError("degenerate map: ad - bc = 0")
@@ -77,7 +77,7 @@ class MoebiusMap:
         f = self.field
         if point is INF:
             return INF if self.c == 0 else f.div(self.a, self.c)
-        x = _raw(f, point)
+        x = f.raw(point)
         den = f.add(f.mul(self.c, x), self.d)
         if den == 0:
             return INF

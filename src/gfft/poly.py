@@ -1,15 +1,16 @@
 """Dense univariate polynomials and reduced rational functions over F_q.
 
-Coefficients are stored as raw field values (see gf.Field), ascending degree,
-trailing zeros trimmed.  Rational places are represented by a raw value
-alpha in F_q or the INF sentinel; evaluation of a rational function returns a
-raw value or INF likewise.
+Coefficients are stored as raw field values, ascending degree, trailing
+zeros trimmed.  Every coefficient, point and scalar passed in is read through
+Field.raw or Field.raws, so it is checked, not reduced.  Rational places are
+represented by a raw value alpha in F_q or the INF sentinel; evaluation of a
+rational function returns a raw value or INF likewise.
 """
 
 from __future__ import annotations
 
-from .errors import DivisionByZeroPoly, DuplicatePoint, InvalidFieldValue, MixedFields
-from .gf import Field, FieldElement
+from .errors import DivisionByZeroPoly, DuplicatePoint, MixedFields
+from .gf import Field
 
 NEG_INF = float("-inf")
 
@@ -31,24 +32,12 @@ class _InfType:
 INF = _InfType()
 
 
-def _raw(field, v):
-    """Raw value of v in field, checked, not reduced: an int in [0, q) that is
-    not a bool, or a FieldElement of an equal field."""
-    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < field.q:
-        return v
-    if isinstance(v, FieldElement):
-        if v.field != field:
-            raise MixedFields("coefficient from a different field")
-        return v.raw
-    raise InvalidFieldValue(f"{v!r} is not a raw value of F_{field.q}")
-
-
 class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs=()):
         self.field = field
-        c = [_raw(field, v) for v in coeffs]
+        c = field.raws(coeffs)
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
@@ -75,7 +64,7 @@ class Poly:
     def from_roots(cls, field, roots):
         out = cls.one(field)
         for rt in roots:
-            out = out * cls(field, (field.neg(_raw(field, rt)), 1))
+            out = out * cls(field, (field.neg(field.raw(rt)), 1))
         return out
 
     # -- basic queries ---------------------------------------------------------
@@ -155,7 +144,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         f = self.field
-        c = _raw(f, c)
+        c = f.raw(c)
         return Poly(f, [f.mul(c, v) for v in self.coeffs])
 
     def __pow__(self, e: int):
@@ -211,7 +200,7 @@ class Poly:
 
     def eval(self, x) -> int:
         f = self.field
-        x = _raw(f, x)
+        x = f.raw(x)
         if not self.coeffs:
             return 0
         if f.r == 1:
@@ -370,7 +359,7 @@ class RatFn:
             if dn < dd:
                 return 0
             return self.field.div(self.num.lc(), self.den.lc())
-        a = _raw(self.field, place)
+        a = self.field.raw(place)
         dv = self.den.eval(a)
         if dv == 0:
             return INF  # num(a) != 0 by reducedness
@@ -433,11 +422,11 @@ def mod_inverse(a: Poly, m: Poly) -> Poly:
 
 def lagrange_basis_interpolate(field, xs, ys) -> Poly:
     """Unique interpolant of degree < len(xs); points must be distinct."""
+    xs, ys = field.raws(xs), field.raws(ys)
     if len(set(xs)) != len(xs):
         raise DuplicatePoint("interpolation points must be distinct")
     total = Poly.zero(field)
     for i, (xi, yi) in enumerate(zip(xs, ys)):
-        yi = _raw(field, yi)
         if yi == 0:
             continue
         num = Poly.one(field)
@@ -445,7 +434,7 @@ def lagrange_basis_interpolate(field, xs, ys) -> Poly:
         for j, xj in enumerate(xs):
             if j == i:
                 continue
-            num = num * Poly(field, (field.neg(_raw(field, xj)), 1))
-            denom = field.mul(denom, field.sub(_raw(field, xi), _raw(field, xj)))
+            num = num * Poly(field, (field.neg(xj), 1))
+            denom = field.mul(denom, field.sub(xi, xj))
         total = total + num.scale(field.div(yi, denom))
     return total

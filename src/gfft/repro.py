@@ -76,13 +76,8 @@ def tower_numerator_expected(field):
 def image_below_level(plan, level, value):
     """Push x-coordinate `value` through the maps of the levels below `level`
     (1-based); None if it meets a pole on the way."""
-    f = plan.field
-    for lv in plan.levels[:level - 1]:
-        d = lv.den.eval(value)
-        if d == 0:
-            return None
-        value = f.div(lv.num.eval(value), d)
-    return value
+    ((num, den),) = plan.tower_values([value])[level - 1]
+    return None if den == 0 else plan.field.div(num, den)
 
 
 def check_reproduction(report_lines=None):

@@ -1,12 +1,13 @@
-"""Basis-tagged coefficient vectors and the keyed evaluation vector used by
-the cyclic transform."""
+"""Basis-tagged coefficient vectors, the keyed evaluation vector used by the
+cyclic transform, and the plan-file helpers the plan classes share.  Entries
+are checked by Field.raws, the list form of the one field-value rule."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import BasisMismatch, LengthMismatch, PlanFileError
-from .poly import INF, _raw
+from .poly import INF
 
 BASIS_STANDARD = "standard"
 BASIS_LCH = "lch"
@@ -27,12 +28,9 @@ class CoeffVec:
         return self.values[i]
 
 
-def field_values(field, values):
-    """Raw values of field, each checked by poly._raw: FieldElements are
-    unwrapped, anything else must already be an int in [0, q).  An in-range
-    int (not a bool) passes without the call, which transforms pay per value."""
-    q = field.q
-    return [v if type(v) is int and 0 <= v < q else _raw(field, v) for v in values]
+def point_out(field, pt):
+    """JSON form of an evaluation point: "inf" or the field's serialize_raw."""
+    return "inf" if pt is INF else field.serialize_raw(pt)
 
 
 def plan_list(obj, key, length=None, ints=False):
@@ -54,7 +52,7 @@ def coeff_values(field, coeffs, expected_basis, n=None):
         if coeffs.basis != expected_basis:
             raise BasisMismatch(f"expected {expected_basis!r} basis, got {coeffs.basis!r}")
         coeffs = coeffs.values
-    vals = field_values(field, coeffs)
+    vals = field.raws(coeffs)
     if n is not None and len(vals) != n:
         raise LengthMismatch(f"expected length {n}, got {len(vals)}")
     return vals

@@ -3,7 +3,7 @@ check the divisor structure of the rational function field.  The library
 itself never factors or takes valuations."""
 
 from gfft.errors import ValidationError
-from gfft.poly import INF, Poly, _raw
+from gfft.poly import INF, Poly
 
 
 class ZeroFunction(ValidationError):
@@ -29,7 +29,7 @@ def valuation(g, place) -> int:
         raise ZeroFunction("valuation of the zero function")
     if place is INF:
         return int(g.den.degree - g.num.degree)
-    a = _raw(g.field, place)
+    a = g.field.raw(place)
     lin = Poly(g.field, (g.field.neg(a), 1))
     return multiplicity(g.num, lin) - multiplicity(g.den, lin)
 

@@ -268,24 +268,27 @@ def test_criterion_5_standard_pipeline():
 
 
 def test_criterion_5_cyclic_std_to_tilde_ladder():
-    """The cyclic standard -> cyclic-z conversion, gated like criterion 5:
-    n^2 Horner steps plus one kernel pass keep count(2n) / count(n) near 4,
-    where an n^3 route grows by 6 to 7 per doubling."""
+    """The cyclic conversions, gated like criterion 5: standard -> cyclic-z
+    (n^2 Horner steps plus one kernel pass) and cyclic-z -> standard keep
+    count(2n) / count(n) near 4, where an n^3 route grows by 6 to 7 per
+    doubling."""
     rng = random.Random(SEED + 7)
     field = field_make(383)
-    counts = {}
+    counts = {std_to_tilde: {}, tilde_to_std: {}}
     for k in (5, 6, 7):
         plan = cyclic_plan(field, (2,) * k)
         c = [rng.randrange(field.q) for _ in range(plan.n)]
-        with field.count_ops() as ctr:
-            std_to_tilde(plan, c)
-        counts[plan.n] = ctr.total()
+        for convert, by_n in counts.items():
+            with field.count_ops() as ctr:
+                convert(plan, c)
+            by_n[plan.n] = ctr.total()
     notes = []
-    for n in (32, 64):
-        ratio = counts[2 * n] / counts[n]
-        assert ratio <= 4.5, (n, ratio, counts)
-        notes.append(f"n{n}->{2*n} {ratio:.2f}<=4.50")
-    _report("criterion-5 cyclic std->tilde", True, "; ".join(notes))
+    for convert, by_n in counts.items():
+        for n in (32, 64):
+            ratio = by_n[2 * n] / by_n[n]
+            assert ratio <= 4.5, (convert.__name__, n, ratio, by_n)
+            notes.append(f"{convert.__name__} n{n}->{2*n} {ratio:.2f}<=4.50")
+    _report("criterion-5 cyclic conversions", True, "; ".join(notes))
 
 
 def test_criterion_5_additive_lch_to_standard_ladder():
