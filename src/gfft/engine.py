@@ -7,12 +7,21 @@ layout (strided for multiplicative and cyclic, contiguous blocks for
 additive), the Horner weights (the point itself in the affine cases,
 1/(x - pole_j) at step j in the cyclic case), and, on full cyclic plans, the
 constants that route the fiber over the level's point at infinity.
+
+The inverse solves each level's local systems in Newton form (local_solve),
+with no matrix inverse, at the forward's op count on affine and radix-2
+levels and p more ops per fiber on cyclic levels of radix p > 2.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate
+
 from .errors import LengthMismatch, SingularLocalSystem, ValidationError
-from .linalg import invert, mat_vec
+# invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
+# checks that the tracer rebinds it in this module too
+from .linalg import invert  # noqa: F401
 
 
 def check_radices(radices):
@@ -34,32 +43,46 @@ class Level:
     fibers, (1, p) for blocks.  weights[j][s] is the Horner weight of step j
     at point s and fiber_of[s] the fiber of point s, both None on the pole
     fiber (fiber 0) of a full cyclic level, which alone has pole_consts.
-    build_inverse_locals sets inv_locals, one matrix per fiber of fibers().
+
+    The forward step's local system has rows [1, w_0[s], w_0[s] w_1[s], ...].
+    With poles None the level is affine: every weight column holds the
+    level's points.  Otherwise w_j[s] = 1/(points[s] - poles[j]).
+    build_inverse_locals sets newton, the data of local_solve.
     """
 
     __slots__ = ("radix", "size", "t_step", "q_step", "weights", "pole_consts",
-                 "fiber_of", "inv_locals")
+                 "points", "poles", "first", "fiber_of", "newton")
 
-    def __init__(self, radix, t_step, q_step, weights, pole_consts=None):
+    def __init__(self, radix, t_step, q_step, weights, pole_consts=None, points=None,
+                 poles=None):
         self.radix = radix
         self.size = len(weights[0])
         self.t_step = t_step
         self.q_step = q_step
         self.weights = weights
         self.pole_consts = pole_consts
+        self.points = points
+        self.poles = poles
+        self.first = 0 if pole_consts is None else 1
         self.fiber_of = [None] * self.size
-        for sq, points in self.fibers():
-            self.fiber_of[points] = [sq] * radix
-        self.inv_locals = None
+        for sq, fiber in self.fibers():
+            self.fiber_of[fiber] = [sq] * radix
+        self.newton = None
 
     def fibers(self):
         """(sq, slice of the points of fiber sq) for every fiber the Horner
         steps evaluate: all but the pole fiber of a full cyclic level."""
         span = self.radix * self.t_step
-        first = 0 if self.pole_consts is None else 1
-        for sq in range(first, self.size // self.radix):
+        for sq in range(self.first, self.size // self.radix):
             base = sq * self.q_step
             yield sq, slice(base, base + span, self.t_step)
+
+    def column(self, t):
+        """Slice of point t of every fiber the Horner steps evaluate, in
+        fiber order: contiguous on strided levels, stride p on blocks."""
+        start = t * self.t_step + self.first * self.q_step
+        count = self.size // self.radix - self.first
+        return slice(start, start + count * self.q_step, self.q_step)
 
 
 def forward(field, levels, coeffs, leaf=None, depth=0):
@@ -113,23 +136,14 @@ def inverse(field, levels, values, leaf=None, depth=0):
     lv = levels[depth]
     if len(values) != lv.size:
         raise LengthMismatch(f"{len(values)} values for {lv.size} points")
-    p, t_step, q_step = lv.radix, lv.t_step, lv.q_step
-    span = p * t_step
-    # the pole fiber of a full cyclic level is skipped: its sub-values, at the
-    # level point at infinity, stay 0
-    first = 0 if lv.pole_consts is None else 1
-    subvals = [[0] * (lv.size // p) for _ in range(p)]
-    for sq, local in enumerate(lv.inv_locals, first):
-        base = sq * q_step
-        sol = mat_vec(field, local, values[base:base + span:t_step])
-        for k in range(p):
-            subvals[k][sq] = sol[k]
+    p = lv.radix
+    subvals = local_solve(field, lv, values)
     subc = [inverse(field, levels, subvals[k], leaf, depth=depth + 1) for k in range(p)]
     if lv.pole_consts is not None:
         consts = lv.pole_consts
         recovered = {}
         for k in range(p - 1, 0, -1):
-            acc = values[k * t_step]
+            acc = values[k * lv.t_step]
             for k2 in range(k + 1, p):
                 acc = field.sub(acc, field.mul(recovered[k2], consts[(k, k2)]))
             recovered[k] = field.div(acc, consts[(k, k)])
@@ -143,19 +157,109 @@ def inverse(field, levels, values, leaf=None, depth=0):
     return out
 
 
+def local_solve(field, lv, values):
+    """The p sub-value vectors whose forward image on level lv is values; the
+    pole fiber's sub-values, at the level's point at infinity, are 0.
+
+    Divided differences give each fiber's interpolant in Newton form on its
+    nodes, and a change of Newton centres rewrites it in the Horner-product
+    basis: p(p-1)/2 subs and muls per fiber each, the forward step's count,
+    plus p muls on a scaled level.  The steps run on columns, all fibers at
+    once (column t holds point t of every fiber), or on scalars when the
+    level has one fiber, which spares p(p-1) one-entry lists.
+    """
+    p = lv.radix
+    if lv.size == p * (lv.first + 1):
+        _, points = next(lv.fibers())
+        e = [[x] for x in _solve_fiber(field, lv.newton, values[points])]
+    else:
+        e = _solve_columns(field, lv.newton, [values[lv.column(t)] for t in range(p)])
+    return [[0] + col for col in e] if lv.first else e
+
+
+def _solve_columns(field, newton, d):
+    sub, mul = field.sub, field.mul
+    scales, inv_diffs, shifts = newton
+    p = len(d)
+    if scales is not None:
+        d = [list(map(mul, col, s)) for col, s in zip(d, scales)]
+    inv_diffs = iter(inv_diffs)
+    for j in range(1, p):
+        for i in range(p - 1, j - 1, -1):
+            d[i] = list(map(mul, map(sub, d[i], d[i - 1]), next(inv_diffs)))
+    # Horner in the Newton form, e <- d_k + (x - a_k) e, with e kept in the
+    # basis N_i of the centres b_i: (x - a_k) N_i = N_(i+1) - (a_k - b_i) N_i
+    e = [d[p - 1]]
+    for k in range(p - 2, -1, -1):
+        e.append(e[-1])
+        shift = shifts[k]
+        for i in range(len(e) - 2, 0, -1):
+            e[i] = list(map(sub, e[i - 1], map(mul, shift[i], e[i])))
+        e[0] = list(map(sub, d[k], map(mul, shift[0], e[0])))
+    return e[::-1] if scales is not None else e
+
+
+def _solve_fiber(field, newton, d):
+    """_solve_columns on the scalars of a level's one fiber."""
+    sub, mul = field.sub, field.mul
+    scales, inv_diffs, shifts = newton
+    p = len(d)
+    if scales is not None:
+        d = [mul(x, s[0]) for x, s in zip(d, scales)]
+    inv_diffs = iter(inv_diffs)
+    for j in range(1, p):
+        for i in range(p - 1, j - 1, -1):
+            d[i] = mul(sub(d[i], d[i - 1]), next(inv_diffs)[0])
+    e = [d[p - 1]]
+    for k in range(p - 2, -1, -1):
+        e.append(e[-1])
+        shift = shifts[k]
+        for i in range(len(e) - 2, 0, -1):
+            e[i] = sub(e[i - 1], mul(shift[i][0], e[i]))
+        e[0] = sub(d[k], mul(shift[0][0], e[0]))
+    return e[::-1] if scales is not None else e
+
+
 def build_inverse_locals(field, levels):
-    """Per level, per evaluated fiber (in Level.fibers order): the inverse of
-    the local system whose row for point s is [1, w_0[s], w_0[s] w_1[s], ...],
-    the Horner products of the forward step."""
+    """Set each level's newton data, as columns over its fibers: the scales
+    (or None), the inverses of each fiber's p(p-1)/2 node differences, from
+    one batched inversion, and shifts[k][i] = a_k - b_i for node a_k and
+    centre b_i.
+
+    On an affine or a radix-2 level the rows are monomials in w_0 (the
+    radix-2 row is [1, w_0]): the nodes are w_0 and the centres 0.  On a
+    cyclic level of radix p > 2 the row at x, scaled by prod_j (x - pole_j),
+    is [prod_(j>=k) (x - pole_j)]_k: the Newton basis in x with centres
+    pole_(p-2), ..., pole_0, in reverse order.
+    """
+    sub, mul = field.sub, field.mul
     for lv in levels:
-        inv_locals = []
-        for _, points in lv.fibers():
-            rows = []
-            for s in range(lv.size)[points]:
-                row, acc = [1], 1
-                for w in lv.weights:
-                    acc = field.mul(acc, w[s])
-                    row.append(acc)
-                rows.append(row)
-            inv_locals.append(invert(field, rows))
-        lv.inv_locals = inv_locals
+        p = lv.radix
+        scaled = lv.poles is not None and p > 2
+        nodes, centres = (lv.points, lv.poles[::-1]) if scaled else (lv.weights[0], (0,) * (p - 1))
+        a = [nodes[lv.column(t)] for t in range(p)]
+        shifts = [[col if not b else [sub(x, b) for x in col] for b in centres] for col in a]
+        diffs = [list(map(sub, a[i], a[i - j])) for j in range(1, p) for i in range(p - 1, j - 1, -1)]
+        scales = [reduce(lambda u, v: list(map(mul, u, v)), row) for row in shifts] if scaled else None
+        lv.newton = (scales, _batch_inverse(field, diffs),
+                     [row[:p - 1 - k] for k, row in enumerate(shifts[:-1])])
+
+
+def _batch_inverse(field, cols):
+    """Entrywise inverses of equal-length columns by Montgomery's trick: one
+    field inversion and 3(N-1) muls for N entries."""
+    flat = [x for col in cols for x in col]
+    if not flat:
+        return cols
+    if 0 in flat:
+        raise SingularLocalSystem("repeated node in a local system")
+    mul = field.mul
+    prefix = list(accumulate(flat, mul))
+    inv = field.inv(prefix[-1])
+    out = [0] * len(flat)
+    for i in range(len(flat) - 1, 0, -1):
+        out[i] = mul(inv, prefix[i - 1])
+        inv = mul(inv, flat[i])
+    out[0] = inv
+    m = len(cols[0])
+    return [out[i:i + m] for i in range(0, len(out), m)]

@@ -21,7 +21,10 @@ from gfft.afft import (
     standard_to_lch,
 )
 from gfft.cfft import cyclic_plan, q1_fft, q1_ifft, std_to_tilde, tilde_to_std
+from gfft.engine import Level, build_inverse_locals, local_solve
+from gfft.errors import SingularLocalSystem
 from gfft.gf import field_make
+from gfft.linalg import solve
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.oracle import basis_matrix, cyclic_tower, mpe_horner
 from gfft.poly import INF, Poly
@@ -419,7 +422,7 @@ def _cyclic_level_identity(plan, rng, trials=50):
 
 def test_criterion_7_structural_invariants(configs, oracle_matrices):
     rng = random.Random(SEED + 5)
-    from gfft.cfft import ratfn_substitute
+    from divisors import ratfn_substitute
     from gfft.poly import RatFn
 
     for name, (case, plan) in configs.items():
@@ -515,8 +518,12 @@ def _cost_plans():
 
 def test_criterion_8_cost_theorem():
     """O(B n log n) for a B-smooth n, as an absolute bound on mixed-radix
-    plans of all three cases: fft ops <= 2 n sum(p_i - 1) and ifft ops
-    <= 2 n sum(p_i), plus the O(n) term of a partial cyclic fiber."""
+    plans of all three cases: fft ops <= 2 n sum(p_i - 1), plus the O(n)
+    term of a partial cyclic fiber.  The inverse solves each fiber in Newton
+    form at the forward's count, so on mult and add plans ifft ops equal fft
+    ops exactly.  On cyclic plans ifft ops <= 2 n sum(p_i - 1)
+    + n #{i : p_i > 2} + 4 scalings: a level of radix p > 2 first scales
+    each point by prod_j (x - pole_j), n muls per level."""
     rng = random.Random(SEED + 9)
     notes = []
     for name, case, plan in _cost_plans():
@@ -529,15 +536,70 @@ def test_criterion_8_cost_theorem():
         # a partial cyclic fiber scales every point twice, the leaves by the
         # base value and the outputs by their scales (2n muls); the inverse
         # divides instead (an inv and a mul each).  Here the fft sits exactly
-        # 2n and the ifft up to 3.8n above the level terms.
+        # 2n and the ifft exactly 4n above the level terms.
         scalings = n if case == "cyclic" and not plan.is_full else 0
         fft_bound = 2 * n * sum(p - 1 for p in radices) + 2 * scalings
-        ifft_bound = 2 * n * sum(radices) + 4 * scalings
         assert fwd.total() <= fft_bound, (name, "fft", fwd.total(), fft_bound)
-        assert inv.total() <= ifft_bound, (name, "ifft", inv.total(), ifft_bound)
-        notes.append(f"{name} {fwd.total() / fft_bound:.2f}/{inv.total() / ifft_bound:.2f}")
+        if case == "cyclic":
+            ifft_bound = (2 * n * sum(p - 1 for p in radices)
+                          + n * sum(p > 2 for p in radices) + 4 * scalings)
+            assert inv.total() <= ifft_bound, (name, "ifft", inv.total(), ifft_bound)
+        else:
+            assert inv.total() == fwd.total(), (name, "ifft", inv.total(), fwd.total())
+        notes.append(f"{name} {fwd.total() / fft_bound:.2f}, ifft/fft "
+                     f"{inv.total() / fwd.total():.2f}")
     _report("criterion-8 cost theorem", True,
-            "fft and ifft ops as fractions of their bounds: " + "; ".join(notes))
+            "fft ops as fractions of their bound, and ifft/fft op ratios: " + "; ".join(notes))
+
+
+def test_criterion_8_local_solve_oracle():
+    """engine.local_solve against linalg.solve on the Horner-product rows
+    [1, w_0, w_0 w_1, ...] of random fibers, on every level of full and
+    partial cyclic, mult and add plans with radices 2, 3, 5, 11 and 13; a
+    fiber with a repeated node raises SingularLocalSystem at build."""
+    rng = random.Random(SEED + 11)
+    plans = [(name, plan) for name, _, plan in _cost_plans()]
+    plans += [(f"mult-F8581-{r}", mult_plan(field_make(8581), r))
+              for r in ((2, 3, 5, 11, 13), (13, 11, 5, 3, 2))]
+    plans += [(f"add-GF({p}^{r})", add_plan(field_make(p, r), [p**i for i in range(k)]))
+              for p, r, k in ((2, 4, 4), (11, 2, 2), (13, 2, 2))]
+    radices, checked = set(), 0
+    for name, plan in plans:
+        field = plan.field
+        for depth, lv in enumerate(plan.kernel):
+            values = [rng.randrange(field.q) for _ in range(lv.size)]
+            subvals = local_solve(field, lv, values)
+            fibers = list(lv.fibers())
+            for sq, points in rng.sample(fibers, min(len(fibers), 6)):
+                rows = []
+                for s in range(lv.size)[points]:
+                    row = [1]
+                    for w in lv.weights:
+                        row.append(field.mul(row[-1], w[s]))
+                    rows.append(row)
+                assert [sub[sq] for sub in subvals] == solve(field, rows, values[points]), \
+                    (name, depth, sq)
+                checked += 1
+            if lv.pole_consts is not None:  # the pole fiber's sub-values
+                assert all(sub[0] == 0 for sub in subvals), (name, depth)
+            radices.add(lv.radix)
+    assert {2, 3, 5, 11, 13} <= radices
+
+    F7 = field_make(7)
+
+    def cyclic_level(pts, poles):  # strided fibers
+        weights = [[F7.inv(F7.sub(x, lam)) for x in pts] for lam in poles]
+        return Level(len(poles) + 1, len(pts) // (len(poles) + 1), 1, weights, None, pts, poles)
+
+    repeated = [Level(3, 1, 3, [[1, 2, 3, 4, 5, 4]] * 2),  # blocks (1, 2, 3), (4, 5, 4)
+                cyclic_level([1, 2, 3, 2, 5, 6], (0, 4)),  # fibers (1, 3, 5), (2, 2, 6)
+                cyclic_level([1, 2, 3, 2], (4,))]  # fibers (1, 3), (2, 2)
+    for lv in repeated:
+        with pytest.raises(SingularLocalSystem):
+            build_inverse_locals(F7, [lv])
+    _report("criterion-8 local solve", True,
+            f"{checked} fibers over radices {sorted(radices)} equal the dense solve; "
+            "repeated nodes raise")
 
 
 def test_criterion_8_cyclic_plan_build_ops():

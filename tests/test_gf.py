@@ -156,6 +156,15 @@ def test_mixed_fields_raises(F127, F17):
         F127(1) + F17(1)
 
 
+def test_field_element_hash_agrees_with_equality(F9):
+    F11 = field_make(11)
+    assert 4 in {F11(4)}
+    assert F11(4) in {4}
+    assert len({F11(4), field_make(11)(4), 4}) == 1
+    assert {F11(v) for v in (1, 2, 1, 3, 2)} == {1, 2, 3}
+    assert {F9((1, 2)): "x"}[7] == "x"
+
+
 def test_find_primitive_element_values(F127, F17):
     g = find_primitive_element(F127)
     assert g.raw == 3
