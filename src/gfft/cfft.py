@@ -42,6 +42,28 @@ from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coe
                       plan_list, point_out)
 
 
+def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
+    """outer(inner(x)) as a reduced rational function.
+
+    The plan build never calls this (it would form the degree-n tower); the
+    tests use it to check the level maps against oracle.cyclic_tower.
+    """
+    field = outer.field
+    m = outer.map_degree()
+    num_p = [RatFn.constant(field, 1)]
+    for _ in range(m):
+        num_p.append(num_p[-1] * inner)
+
+    def ev(poly):
+        acc = RatFn.constant(field, 0)
+        for k in range(m + 1):
+            if poly[k]:
+                acc = acc + num_p[k] * RatFn.constant(field, poly[k])
+        return acc
+
+    return ev(outer.num) / ev(outer.den)
+
+
 def _quad_substitute_num(quad: Poly, num: Poly, den: Poly) -> Poly:
     """Numerator of quad(num/den) over den^2 for a quadratic quad."""
     return (num * num).scale(quad[2]) + (num * den).scale(quad[1]) + (den * den).scale(quad[0])

@@ -164,23 +164,13 @@ def local_solve(field, lv, values):
     Divided differences give each fiber's interpolant in Newton form on its
     nodes, and a change of Newton centres rewrites it in the Horner-product
     basis: p(p-1)/2 subs and muls per fiber each, the forward step's count,
-    plus p muls on a scaled level.  The steps run on columns, all fibers at
-    once (column t holds point t of every fiber), or on scalars when the
-    level has one fiber, which spares p(p-1) one-entry lists.
+    plus p muls on a scaled level.  Each step runs on columns, all fibers at
+    once: column t holds point t of every fiber.
     """
-    p = lv.radix
-    if lv.size == p * (lv.first + 1):
-        _, points = next(lv.fibers())
-        e = [[x] for x in _solve_fiber(field, lv.newton, values[points])]
-    else:
-        e = _solve_columns(field, lv.newton, [values[lv.column(t)] for t in range(p)])
-    return [[0] + col for col in e] if lv.first else e
-
-
-def _solve_columns(field, newton, d):
     sub, mul = field.sub, field.mul
-    scales, inv_diffs, shifts = newton
-    p = len(d)
+    scales, inv_diffs, shifts = lv.newton
+    p = lv.radix
+    d = [values[lv.column(t)] for t in range(p)]
     if scales is not None:
         d = [list(map(mul, col, s)) for col, s in zip(d, scales)]
     inv_diffs = iter(inv_diffs)
@@ -196,28 +186,9 @@ def _solve_columns(field, newton, d):
         for i in range(len(e) - 2, 0, -1):
             e[i] = list(map(sub, e[i - 1], map(mul, shift[i], e[i])))
         e[0] = list(map(sub, d[k], map(mul, shift[0], e[0])))
-    return e[::-1] if scales is not None else e
-
-
-def _solve_fiber(field, newton, d):
-    """_solve_columns on the scalars of a level's one fiber."""
-    sub, mul = field.sub, field.mul
-    scales, inv_diffs, shifts = newton
-    p = len(d)
     if scales is not None:
-        d = [mul(x, s[0]) for x, s in zip(d, scales)]
-    inv_diffs = iter(inv_diffs)
-    for j in range(1, p):
-        for i in range(p - 1, j - 1, -1):
-            d[i] = mul(sub(d[i], d[i - 1]), next(inv_diffs)[0])
-    e = [d[p - 1]]
-    for k in range(p - 2, -1, -1):
-        e.append(e[-1])
-        shift = shifts[k]
-        for i in range(len(e) - 2, 0, -1):
-            e[i] = sub(e[i - 1], mul(shift[i][0], e[i]))
-        e[0] = sub(d[k], mul(shift[0][0], e[0]))
-    return e[::-1] if scales is not None else e
+        e.reverse()
+    return [[0] + col for col in e] if lv.first else e
 
 
 def build_inverse_locals(field, levels):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import DuplicatePoint, SingularMatrix, ValidationError
 from .linalg import invert, mat_vec
-from .poly import INF, Poly, RatFn, compose_moebius
+from .poly import INF, Poly, RatFn, compose_moebius, lagrange_basis_interpolate
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
 
 DENSE_LIMIT = 4096
@@ -39,15 +39,9 @@ def lagrange_interpolate(field, points, values) -> Poly:
     """Unique interpolant of degree < len(points) through finite points."""
     if any(pt is INF for pt in points):
         raise DuplicatePoint("interpolation needs finite points")
-    xs, ys = field.raws(points), field.raws(values)
-    if len(set(xs)) != len(xs):
+    if len(set(points)) != len(points):
         raise DuplicatePoint("interpolation points must be distinct")
-    total = Poly.zero(field)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi:
-            basis = Poly.from_roots(field, xs[:i] + xs[i + 1:])
-            total = total + basis.scale(field.div(yi, basis.eval(xi)))
-    return total
+    return lagrange_basis_interpolate(field, points, values)
 
 
 class BasisMatrix:

@@ -9,7 +9,7 @@ rational function returns a raw value or INF likewise.
 
 from __future__ import annotations
 
-from .errors import DivisionByZeroPoly, MixedFields
+from .errors import DivisionByZeroPoly, DuplicatePoint, MixedFields
 from .gf import Field
 
 NEG_INF = float("-inf")
@@ -222,6 +222,12 @@ class Poly:
     def __call__(self, x):
         return self.eval(x)
 
+    def compose(self, inner: "Poly") -> "Poly":
+        acc = Poly.zero(self.field)
+        for c in reversed(self.coeffs):
+            acc = acc * inner + Poly.constant(self.field, c)
+        return acc
+
     def roots(self):
         """All roots in F_q with multiplicity, by desk-scale scan + division."""
         out = []
@@ -398,3 +404,37 @@ def compose_moebius(g: RatFn, mat) -> RatFn:
         return acc
 
     return RatFn(field, homog(g.num), homog(g.den))
+
+
+def mod_inverse(a: Poly, m: Poly) -> Poly:
+    """Inverse of a modulo m via extended Euclid; requires gcd(a, m) = 1."""
+    field = a.field
+    r0, r1 = m, a % m
+    t0, t1 = Poly.zero(field), Poly.one(field)
+    while not r1.is_zero():
+        q, r2 = divmod(r0, r1)
+        r0, r1 = r1, r2
+        t0, t1 = t1, t0 - q * t1
+    if r0.degree != 0:
+        raise DivisionByZeroPoly("element not invertible modulo m")
+    return (t0.scale(field.inv(r0.lc()))) % m
+
+
+def lagrange_basis_interpolate(field, xs, ys) -> Poly:
+    """Unique interpolant of degree < len(xs); points must be distinct."""
+    xs, ys = field.raws(xs), field.raws(ys)
+    if len(set(xs)) != len(xs):
+        raise DuplicatePoint("interpolation points must be distinct")
+    total = Poly.zero(field)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        num = Poly.one(field)
+        denom = 1
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            num = num * Poly(field, (field.neg(xj), 1))
+            denom = field.mul(denom, field.sub(xi, xj))
+        total = total + num.scale(field.div(yi, denom))
+    return total

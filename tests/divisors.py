@@ -1,10 +1,9 @@
 """Valuations and complete factorization over F_q (odd q), for the tests that
-check the divisor structure of the rational function field, and rational
-function substitution.  The library itself never factors, takes valuations
-or substitutes."""
+check the divisor structure of the rational function field.  The library
+itself never factors or takes valuations."""
 
 from gfft.errors import ValidationError
-from gfft.poly import INF, Poly, RatFn
+from gfft.poly import INF, Poly
 
 
 class ZeroFunction(ValidationError):
@@ -149,25 +148,3 @@ def factor_monic(f: Poly, rng) -> dict:
                         work = work // rem.monic()
                 break
     return factors
-
-
-def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
-    """outer(inner(x)) as a reduced rational function.
-
-    The plan build never substitutes (it would form the degree-n tower); the
-    tests use this to check the level maps against oracle.cyclic_tower.
-    """
-    field = outer.field
-    m = outer.map_degree()
-    num_p = [RatFn.constant(field, 1)]
-    for _ in range(m):
-        num_p.append(num_p[-1] * inner)
-
-    def ev(poly):
-        acc = RatFn.constant(field, 0)
-        for k in range(m + 1):
-            if poly[k]:
-                acc = acc + num_p[k] * RatFn.constant(field, poly[k])
-        return acc
-
-    return ev(outer.num) / ev(outer.den)

@@ -422,7 +422,7 @@ def _cyclic_level_identity(plan, rng, trials=50):
 
 def test_criterion_7_structural_invariants(configs, oracle_matrices):
     rng = random.Random(SEED + 5)
-    from divisors import ratfn_substitute
+    from gfft.cfft import ratfn_substitute
     from gfft.poly import RatFn
 
     for name, (case, plan) in configs.items():

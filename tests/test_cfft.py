@@ -1,10 +1,10 @@
 import pytest
 
-from divisors import ratfn_substitute
 from gfft.cfft import (
     cyclic_plan,
     q1_fft,
     q1_ifft,
+    ratfn_substitute,
     std_to_tilde,
     tilde_to_std,
 )

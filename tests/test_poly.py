@@ -4,13 +4,14 @@ from divisors import ZeroFunction, factor_monic, valuation, valuation_at_irreduc
 from gfft.errors import DivisionByZeroPoly, InvalidFieldValue, MixedFields
 from gfft.gf import field_make
 from gfft.moebius import MoebiusMap
-from gfft.oracle import lagrange_interpolate
 from gfft.poly import (
     INF,
     NEG_INF,
     Poly,
     RatFn,
     compose_moebius,
+    lagrange_basis_interpolate,
+    mod_inverse,
 )
 
 
@@ -162,8 +163,18 @@ def test_factor_monic_reassembles(F127, rng):
         assert prod == f.monic()
 
 
+def test_mod_inverse(F127, rng):
+    m = Poly(F127, (85, 42, 1))  # irreducible
+    for _ in range(10):
+        a = Poly(F127, [rng.randrange(127) for _ in range(2)])
+        if a.is_zero():
+            continue
+        inv = mod_inverse(a, m)
+        assert (a * inv) % m == Poly.one(F127)
+
+
 def test_interpolation_roundtrip(F127, rng):
     xs = rng.sample(range(127), 9)
     f = Poly(F127, [rng.randrange(127) for _ in range(9)])
-    g = lagrange_interpolate(F127, xs, [f.eval(x) for x in xs])
+    g = lagrange_basis_interpolate(F127, xs, [f.eval(x) for x in xs])
     assert g == f
