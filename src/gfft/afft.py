@@ -82,9 +82,7 @@ class AddPlan:
 
         self._validate()
         # fibers are contiguous blocks: point t of fiber sq sits at t + sq*p
-        self.kernel = [
-            engine.Level(p, 1, p, [pts] * (p - 1)) for p, pts in zip(self.radices, level_points)
-        ]
+        self.kernel = [engine.Level(p, 1, p, pts) for p, pts in zip(self.radices, level_points)]
         engine.build_inverse_locals(field, self.kernel)
 
     def _validate(self):

@@ -8,16 +8,21 @@ induced maps are pushed up the tower through degree-p identities.  Values of
 x_r come from composing the level maps projectively, point by point, so no
 rational function of degree above 2p is formed and the tower costs
 O(q * sum(p_i)) field operations.  The degree-n tower lives in
-oracle.cyclic_tower, for the tests.  The finite poles ("lams") of each level
-map are extracted by two independent routes, failing loudly on disagreement.
-Coefficients live in the "cyclic-z" basis: products of reciprocal linear
-factors of the tower coordinates, scaled so the basis spans the polynomials
-of degree < n.
+oracle.cyclic_tower, for the tests.  The finite poles of each level map are
+the orbit of infinity under the level's induced map, checked to be p-1
+distinct roots of the degree-(p-1) denominator.  Coefficients live in the
+"cyclic-z" basis: products of reciprocal linear factors of the tower
+coordinates, scaled so the basis spans the polynomials of degree < n.
 
-The transforms run on the shared kernel in engine.py, with Horner weights
-1/(x - pole) per level.  When n = q+1 the evaluation set is every rational
-point including infinity; the kernel then routes the fiber over each level's
-point at infinity through precomputed constants instead of direct evaluation.
+The transforms run on the shared kernel in engine.py, given each level's
+points and poles.  When n = q+1 the evaluation set is every rational point
+including infinity; the kernel then routes the fiber over each level's point
+at infinity through precomputed constants instead of direct evaluation.
+
+The basis conversions mirror each other around the transform: standard ->
+cyclic-z evaluates the polynomial at the plan's points (Horner) and inverts
+the values with q1_ifft; cyclic-z -> standard evaluates with q1_fft and
+interpolates at the finite points (Newton).  Both cost O(n^2).
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from . import engine
 from .errors import (
     DegreeTooLarge,
     LengthMismatch,
+    PointMismatch,
     PrimitivityFailure,
     RadixNotDividing,
-    SingularLocalSystem,
     SplitValidationFailure,
     ValidationError,
 )
@@ -72,8 +77,7 @@ def _quad_substitute_num(quad: Poly, num: Poly, den: Poly) -> Poly:
 class CyclicLevel:
     """Connects the line in x_{i-1} to the line in x_i (radix p_i)."""
 
-    __slots__ = ("radix", "induced", "num", "den", "poles", "wtails", "norm_const",
-                 "pole_consts")
+    __slots__ = ("radix", "induced", "num", "den", "poles", "norm_const", "pole_consts")
 
     def __init__(self, radix, induced, num, den, poles):
         self.radix = radix
@@ -81,7 +85,6 @@ class CyclicLevel:
         self.num = num  # u(T), monic of degree radix
         self.den = den  # prod (T - pole), monic of degree radix-1
         self.poles = tuple(poles)
-        self.wtails = None  # [prod_{u>k}(T - pole_u)]_k, set at build
         self.norm_const = None
         self.pole_consts = None  # {(t, k): value}, full plans only
 
@@ -134,7 +137,7 @@ class CyclicPlan:
         self._build_tower()
         self._build_quads()
         top = self._build_points(fiber_key)
-        self._extract_poles()
+        self._check_pole_order()
         self._build_scaling(top)
         self._build_kernel()
 
@@ -155,7 +158,9 @@ class CyclicPlan:
         then x_j o tau_i = M' o x_j for the M' with m_j o M = M' o m_j, a
         degree-p_j identity that match_moebius verifies exactly.  With
         m_i = sum_t M^t(T) these identities prove x_i = m_i(x_{i-1}), so the
-        degree-|G_i| tower itself is never formed.
+        degree-|G_i| tower itself is never formed.  The poles of m_i are the
+        M^t(INF), t = 1..p-1, in cycle order: p-1 distinct finite roots of
+        the degree-(p-1) denominator show that it splits simply.
         """
         f, q = self.field, self.field.q
         levels, maps = [], []
@@ -172,8 +177,8 @@ class CyclicPlan:
                 raise ValidationError(f"level {i} map numerator malformed: {num!r}")
             if den.degree != p - 1:
                 raise ValidationError(f"level {i} map denominator degree {den.degree}")
-            poles = sorted(den.roots())
-            if len(poles) != p - 1 or len(set(poles)) != p - 1:
+            poles = induced.orbit(INF, length=p)[1:]
+            if INF in poles or len(set(poles)) != p - 1 or any(map(den.eval, poles)):
                 raise SplitValidationFailure(f"level {i} denominator does not split simply")
             levels.append(CyclicLevel(p, induced, num, den, poles))
             maps.append(mi)
@@ -304,28 +309,18 @@ class CyclicPlan:
             self.inf_levels = inf_levels
         return top
 
-    def _extract_poles(self):
-        """Cross-validate each level's poles: cycle order read off the point
-        sequence vs roots of the level denominator vs induced-map orbit."""
+    def _check_pole_order(self):
+        """Each level's poles, in induced-map orbit order, must be points
+        1..p-1 of the infinity fiber's pole fiber, in point order: the z-basis
+        and the pole-fiber constants rely on it."""
         for i in range(1, self.r + 1):
             lv = self.levels[i - 1]
             nq = self.sizes[i]
             seq = [self.inf_levels[i - 1][t * nq] for t in range(1, lv.radix)]
-            if sorted(seq) != list(lv.poles):
+            if list(lv.poles) != seq:
                 raise SplitValidationFailure(
-                    f"level {i} pole sets disagree: orbit {seq} vs denominator {lv.poles}"
+                    f"level {i} induced-map orbit {list(lv.poles)} disagrees with point order {seq}"
                 )
-            orbit = []
-            cur = INF
-            for _ in range(lv.radix - 1):
-                cur = lv.induced.apply(cur)
-                orbit.append(cur)
-            if orbit != seq:
-                raise SplitValidationFailure(
-                    f"level {i} induced-map orbit {orbit} disagrees with point order {seq}"
-                )
-            lv.poles = tuple(seq)  # cycle order, used by the z-basis
-            lv.wtails = _wtails(self.field, seq)
 
     def _build_scaling(self, top):
         """Scale constant and per-point scales from the values `top` of x_r
@@ -379,8 +374,14 @@ class CyclicPlan:
             self.base_value = f.div(key, self.quads[self.r].eval(key)) if key else 0
             if self.base_value == 0:
                 raise ValidationError("base level value vanishes; fiber unusable")
+        # q1_ifft's per-point factors: 1/(scale * base_value), where a full
+        # plan's kernel zeroes the leaves and applies no base value
+        base = self.base_value or 1
+        self.inv_scales = [None if s is None else f.inv(f.mul(s, base)) for s in scales]
 
     def _build_kernel(self):
+        """engine Levels from each level's points and poles, plus the
+        pole-fiber constants on a full plan."""
         f = self.field
         # W chain: value of (tower map * reciprocal quadratic * level coordinate)
         # at each level's point at infinity
@@ -405,20 +406,8 @@ class CyclicPlan:
                         for u_ in range(k + 1, p):
                             val = f.mul(val, f.sub(lam_t, lv.poles[u_ - 1]))
                         consts[(t, k)] = f.div(val, u_at)
-                    if consts[(t, t)] == 0:
-                        raise SingularLocalSystem("zero diagonal in the pole-fiber system")
                 lv.pole_consts = consts
-            # Horner weight of step j at point s: 1/(x_s - pole_j); the pole
-            # fiber of a full plan (s % nq == 0) goes through pole_consts
-            weights = [[None] * len(pts) for _ in lv.poles]
-            for s, xi in enumerate(pts):
-                if self.is_full and s % nq == 0:
-                    continue
-                if xi is INF or xi in lv.poles:
-                    raise ValidationError("evaluation point collides with a level pole")
-                for col, lam in zip(weights, lv.poles):
-                    col[s] = f.inv(f.sub(xi, lam))
-            kernel.append(engine.Level(p, nq, 1, weights, lv.pole_consts, pts, lv.poles))
+            kernel.append(engine.Level(p, nq, 1, pts, lv.poles, lv.pole_consts))
         engine.build_inverse_locals(f, kernel)
         self.kernel = kernel
 
@@ -536,31 +525,19 @@ def _apply_level(field, lv, pairs):
     return out
 
 
-def _wtails(field, poles):
-    """wtails[k] = prod_{u > k} (T - pole_u), k = 0..len(poles)."""
-    tails = [Poly.one(field)]
-    for lam in reversed(poles):
-        tails.append(tails[-1] * Poly(field, (field.neg(lam), 1)))
-    tails.reverse()
-    return tails
-
-
 # ---------------------------------------------------------------------------
 # forward / inverse transforms
 
 
 def q1_fft(plan: CyclicPlan, coeffs) -> CyclicEvalVec:
-    vals = coeff_values(plan.field, coeffs, BASIS_CYCLIC, plan.n)
-    tilde = engine.forward(plan.field, plan.kernel, vals, plan.base_value)
     f = plan.field
-    out = []
-    for idx, pt in enumerate(plan.points):
-        if pt is INF:
-            out.append(tilde[idx])  # structurally zero; printed convention
-        else:
-            out.append(f.mul(plan.scales[idx], tilde[idx]))
-    a0 = vals[0] if plan.is_full else None
-    return CyclicEvalVec(plan.points, out, tilde, a0)
+    vals = coeff_values(f, coeffs, BASIS_CYCLIC, plan.n)
+    tilde = engine.forward(f, plan.kernel, vals)
+    if not plan.is_full:
+        tilde = [f.mul(plan.base_value, v) for v in tilde]
+    # the slot at INF is structurally zero; printed convention
+    out = [v if s is None else f.mul(s, v) for s, v in zip(plan.scales, tilde)]
+    return CyclicEvalVec(plan.points, out, tilde, vals[0] if plan.is_full else None)
 
 
 def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
@@ -572,6 +549,10 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
         seq = list(values.values)
         if list(values.points) != list(plan.points):
             lookup = values.as_dict()
+            missing = [pt for pt in plan.points if pt not in lookup]
+            if missing:
+                raise PointMismatch(f"no value at evaluation point {missing[0]!r}: the values "
+                                    "belong to another plan's points")
             seq = [lookup[pt] for pt in plan.points]
     else:
         seq = list(values)
@@ -579,13 +560,8 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
         raise LengthMismatch(f"expected {plan.n} values, got {len(seq)}")
     f = plan.field
     seq = f.raws(seq)
-    tilde = []
-    for idx, pt in enumerate(plan.points):
-        if pt is INF:
-            tilde.append(0)
-        else:
-            tilde.append(f.div(seq[idx], plan.scales[idx]))
-    out = engine.inverse(f, plan.kernel, tilde, plan.base_value)
+    tilde = [0 if u is None else f.mul(v, u) for u, v in zip(plan.inv_scales, seq)]
+    out = engine.inverse(f, plan.kernel, tilde)
     if plan.is_full:
         if a0 is None:
             raise ValidationError(
@@ -600,34 +576,35 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
 
 
 def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
-    """Expand cyclic-z coefficients to standard polynomial coefficients."""
-    vals = coeff_values(plan.field, coeffs, BASIS_CYCLIC, plan.n)
-    poly = _expand(plan, 0, vals)
-    if poly.degree >= plan.n:
-        raise ValidationError("basis expansion exceeded the degree bound")
-    out = list(poly.coeffs) + [0] * (plan.n - len(poly.coeffs))
+    """Express cyclic-z coefficients in the standard basis, the mirror of
+    std_to_tilde: q1_fft gives the polynomial's values, and Newton
+    interpolation at the finite points gives its coefficients.  On a full
+    plan those are all of F_q, which leaves the multiple of x^q - x open: it
+    is the index-0 basis element, whose coefficient q1_fft carries as a0."""
+    f = plan.field
+    ev = q1_fft(plan, coeffs)
+    xs, ys = zip(*[(pt, v) for pt, v in zip(ev.points, ev.values) if pt is not INF])
+    out = _interpolate(f, xs, ys) + [0] * (plan.n - len(xs))
+    if plan.is_full:
+        out[plan.n - 1] = ev.a0
+        out[1] = f.sub(out[1], ev.a0)
     return CoeffVec(tuple(out), BASIS_STANDARD)
 
 
-def _expand(plan, depth, vals):
-    f = plan.field
-    if depth == plan.r:
-        return Poly.constant(f, vals[0])
-    lv = plan.levels[depth]
-    p = lv.radix
-    nsub = plan.sizes[depth + 1]
-    U, V = lv.num, lv.den
-    vpow = [Poly.one(f)]
-    for _ in range(nsub - 1):
-        vpow.append(vpow[-1] * V)
-    total = Poly.zero(f)
-    for k in range(p):
-        g = _expand(plan, depth + 1, vals[k::p])
-        acc = Poly.constant(f, g[nsub - 1])
-        for t in range(nsub - 2, -1, -1):
-            acc = acc * U + vpow[nsub - 1 - t].scale(g[t])
-        total = total + lv.wtails[k] * acc
-    return total
+def _interpolate(field, xs, ys):
+    """Coefficients of the polynomial of degree < m with values ys at the m
+    distinct points xs: divided differences, then Horner in the Newton form,
+    c <- c (x - x_k) + d_k.  About 3 m^2 field ops, m^2 / 2 of them inverses."""
+    sub, mul, inv = field.sub, field.mul, field.inv
+    m = len(xs)
+    d = list(ys)
+    for j in range(1, m):
+        d[j:] = map(mul, map(sub, d[j:], d[j - 1:m - 1]), map(inv, map(sub, xs[j:], xs[:m - j])))
+    c = [d[m - 1]]
+    for k in range(m - 2, -1, -1):
+        xk = xs[k]
+        c = [sub(d[k], mul(xk, c[0]))] + [sub(a, mul(xk, b)) for a, b in zip(c, c[1:])] + [c[-1]]
+    return c
 
 
 def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:

@@ -1,16 +1,18 @@
 """The one mixed-radix divide-and-conquer kernel behind all three cases.
 
-A plan describes its tower as a list of Levels.  A length-n evaluation splits
-into radix-many subproblems one level up, then recombines them with radix-1
-Horner steps per point.  The cases differ only in level data: the fiber
-layout (strided for multiplicative and cyclic, contiguous blocks for
-additive), the Horner weights (the point itself in the affine cases,
-1/(x - pole_j) at step j in the cyclic case), and, on full cyclic plans, the
-constants that route the fiber over the level's point at infinity.
+A plan describes its tower as a list of Levels: radix, fiber layout, points
+and, in the cyclic case, poles and (on full plans) pole-fiber constants.  A
+length-n evaluation splits into radix-many subproblems one level up, then
+recombines them with radix-1 Horner steps per point, whose weights
+build_inverse_locals derives: the point itself in the affine cases,
+1/(x - pole_j) at step j in the cyclic case.  On full cyclic plans the fiber
+over each level's point at infinity goes through the pole-fiber constants,
+and the leaves, at the top level's point at infinity, are 0.
 
-The inverse solves each level's local systems in Newton form (local_solve),
-with no matrix inverse, at the forward's op count on affine and radix-2
-levels and p more ops per fiber on cyclic levels of radix p > 2.
+forward and inverse take the same arguments in all three cases and invert no
+field element.  The inverse solves each level's local systems in Newton form
+(local_solve), at the forward's op count on affine and radix-2 levels and p
+more ops per fiber on cyclic levels of radix p > 2.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import LengthMismatch, SingularLocalSystem, ValidationError
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
 from .linalg import invert  # noqa: F401
+from .poly import INF
 
 
 def check_radices(radices):
@@ -40,34 +43,33 @@ class Level:
     """One tower level as the kernel sees it.
 
     Point t of fiber sq sits at t*t_step + sq*q_step: (nq, 1) for strided
-    fibers, (1, p) for blocks.  weights[j][s] is the Horner weight of step j
-    at point s and fiber_of[s] the fiber of point s, both None on the pole
-    fiber (fiber 0) of a full cyclic level, which alone has pole_consts.
+    fibers, (1, p) for blocks.  With poles None the level is affine.  On a
+    full cyclic level, which alone has pole_consts {(t, k): c}, fiber 0 lies
+    over the level's point at infinity: fiber_of[s] is None on it, and
+    fiber_of[s] is the fiber of point s elsewhere.
 
-    The forward step's local system has rows [1, w_0[s], w_0[s] w_1[s], ...].
-    With poles None the level is affine: every weight column holds the
-    level's points.  Otherwise w_j[s] = 1/(points[s] - poles[j]).
-    build_inverse_locals sets newton, the data of local_solve.
+    The forward step's local system at point s has rows [1, w_0[s],
+    w_0[s] w_1[s], ...], from the Horner weights w_j = weights[j].
+    build_inverse_locals sets weights, newton (the data of local_solve) and
+    inv_diag (the inverse diagonal of the pole-fiber system).
     """
 
-    __slots__ = ("radix", "size", "t_step", "q_step", "weights", "pole_consts",
-                 "points", "poles", "first", "fiber_of", "newton")
+    __slots__ = ("radix", "size", "t_step", "q_step", "points", "poles", "pole_consts",
+                 "first", "fiber_of", "weights", "newton", "inv_diag")
 
-    def __init__(self, radix, t_step, q_step, weights, pole_consts=None, points=None,
-                 poles=None):
+    def __init__(self, radix, t_step, q_step, points, poles=None, pole_consts=None):
         self.radix = radix
-        self.size = len(weights[0])
+        self.size = len(points)
         self.t_step = t_step
         self.q_step = q_step
-        self.weights = weights
-        self.pole_consts = pole_consts
         self.points = points
         self.poles = poles
+        self.pole_consts = pole_consts
         self.first = 0 if pole_consts is None else 1
         self.fiber_of = [None] * self.size
         for sq, fiber in self.fibers():
             self.fiber_of[fiber] = [sq] * radix
-        self.newton = None
+        self.weights = self.newton = self.inv_diag = None
 
     def fibers(self):
         """(sq, slice of the points of fiber sq) for every fiber the Horner
@@ -85,22 +87,17 @@ class Level:
         return slice(start, start + count * self.q_step, self.q_step)
 
 
-def forward(field, levels, coeffs, leaf=None, depth=0):
-    """Evaluate the coefficient vector at every point of levels[depth]; exact.
-
-    leaf scales the leaves: None passes them through, 0 (full cyclic plans)
-    zeroes them, and any other value multiplies them."""
+def forward(field, levels, coeffs, depth=0):
+    """Evaluate the coefficient vector at every point of levels[depth]; exact."""
     if depth == len(levels):
         if len(coeffs) != 1:
             raise LengthMismatch(f"{len(coeffs)} coefficients for 1 point")
-        if leaf is None:
-            return [coeffs[0]]
-        return [field.mul(coeffs[0], leaf) if leaf else 0]
+        return [0 if depth and levels[-1].pole_consts is not None else coeffs[0]]
     lv = levels[depth]
     if len(coeffs) != lv.size:
         raise LengthMismatch(f"{len(coeffs)} coefficients for {lv.size} points")
     p = lv.radix
-    subs = [forward(field, levels, coeffs[k::p], leaf, depth=depth + 1) for k in range(p)]
+    subs = [forward(field, levels, coeffs[k::p], depth=depth + 1) for k in range(p)]
     add, mul = field.add, field.mul
     out = [0] * lv.size
     if lv.pole_consts is not None:
@@ -122,7 +119,7 @@ def forward(field, levels, coeffs, leaf=None, depth=0):
     return out
 
 
-def inverse(field, levels, values, leaf=None, depth=0):
+def inverse(field, levels, values, depth=0):
     """Interpolate: the coefficient vector whose forward image is values.
 
     On full cyclic plans the slot of the top coefficient comes back as None.
@@ -130,15 +127,13 @@ def inverse(field, levels, values, leaf=None, depth=0):
     if depth == len(levels):
         if len(values) != 1:
             raise LengthMismatch(f"{len(values)} values for 1 point")
-        if leaf is None:
-            return [values[0]]
-        return [field.div(values[0], leaf) if leaf else None]
+        return [None if depth and levels[-1].pole_consts is not None else values[0]]
     lv = levels[depth]
     if len(values) != lv.size:
         raise LengthMismatch(f"{len(values)} values for {lv.size} points")
     p = lv.radix
     subvals = local_solve(field, lv, values)
-    subc = [inverse(field, levels, subvals[k], leaf, depth=depth + 1) for k in range(p)]
+    subc = [inverse(field, levels, subvals[k], depth=depth + 1) for k in range(p)]
     if lv.pole_consts is not None:
         consts = lv.pole_consts
         recovered = {}
@@ -146,7 +141,7 @@ def inverse(field, levels, values, leaf=None, depth=0):
             acc = values[k * lv.t_step]
             for k2 in range(k + 1, p):
                 acc = field.sub(acc, field.mul(recovered[k2], consts[(k, k2)]))
-            recovered[k] = field.div(acc, consts[(k, k)])
+            recovered[k] = field.mul(acc, lv.inv_diag[k - 1])
         for k in range(1, p):
             if subc[k][0] is not None:
                 raise SingularLocalSystem("pole-fiber slot doubly determined")
@@ -192,10 +187,14 @@ def local_solve(field, lv, values):
 
 
 def build_inverse_locals(field, levels):
-    """Set each level's newton data, as columns over its fibers: the scales
-    (or None), the inverses of each fiber's p(p-1)/2 node differences, from
-    one batched inversion, and shifts[k][i] = a_k - b_i for node a_k and
-    centre b_i.
+    """Set each level's weights, newton data and inv_diag.
+
+    The Horner weights are the points on an affine level and w_j[s] =
+    1/(points[s] - poles[j]) on a cyclic one, None on the pole fiber; a
+    point on another fiber that is a pole or infinity is refused.  The newton
+    data, as columns over the fibers, are the scales (or None), the inverses
+    of each fiber's p(p-1)/2 node differences, from one batched inversion,
+    and shifts[k][i] = a_k - b_i for node a_k and centre b_i.
 
     On an affine or a radix-2 level the rows are monomials in w_0 (the
     radix-2 row is [1, w_0]): the nodes are w_0 and the centres 0.  On a
@@ -206,6 +205,23 @@ def build_inverse_locals(field, levels):
     sub, mul = field.sub, field.mul
     for lv in levels:
         p = lv.radix
+        if lv.poles is None:
+            lv.weights = [lv.points] * (p - 1)
+        else:
+            live = [s for s, sq in enumerate(lv.fiber_of) if sq is not None]
+            xs = [lv.points[s] for s in live]
+            if any(x is INF or x in lv.poles for x in xs):
+                raise ValidationError("evaluation point collides with a level pole")
+            lv.weights = [[None] * lv.size for _ in lv.poles]
+            inv = _batch_inverse(field, [[sub(x, lam) for x in xs] for lam in lv.poles])
+            for col, inv_col in zip(lv.weights, inv):
+                for s, w in zip(live, inv_col):
+                    col[s] = w
+        if lv.pole_consts is not None:
+            diag = [lv.pole_consts[(k, k)] for k in range(1, p)]
+            if 0 in diag:
+                raise SingularLocalSystem("zero diagonal in the pole-fiber system")
+            lv.inv_diag = [field.inv(c) for c in diag]
         scaled = lv.poles is not None and p > 2
         nodes, centres = (lv.points, lv.poles[::-1]) if scaled else (lv.weights[0], (0,) * (p - 1))
         a = [nodes[lv.column(t)] for t in range(p)]

@@ -90,6 +90,10 @@ class SingularLocalSystem(ValidationError):
     pass
 
 
+class PointMismatch(ValidationError):
+    """Values keyed by points that are not the plan's evaluation points."""
+
+
 class InvalidFieldValue(ValidationError):
     """A raw value that is not an int in [0, q)."""
 

@@ -58,10 +58,7 @@ class MultPlan:
                     raise ValidationError(f"fiber constancy violated at level {i}")
 
         # fibers are strided: point t of fiber sq sits at t*nq + sq
-        self.kernel = [
-            engine.Level(p, len(pts) // p, 1, [pts] * (p - 1))
-            for p, pts in zip(radices, level_points)
-        ]
+        self.kernel = [engine.Level(p, len(pts) // p, 1, pts) for p, pts in zip(radices, level_points)]
         engine.build_inverse_locals(field, self.kernel)
 
     def fft(self, coeffs):

@@ -188,8 +188,8 @@ def test_std_to_tilde_checks_basis_and_values(plan11):
 
 @pytest.mark.parametrize("config", ["plan7", "plan11", "plan23", "F49-255", "F27-227"])
 def test_std_to_tilde_matches_basis_matrix(request, config, rng):
-    """std_to_tilde against the dense oracle, whose columns are built from
-    point-set data and share no code with the transform."""
+    """Both conversions against the dense oracle, whose columns are built
+    from point-set data and share no code with the transform."""
     if config.startswith("plan"):
         plan = request.getfixturevalue(config)
     elif config == "F49-255":
@@ -202,6 +202,7 @@ def test_std_to_tilde_matches_basis_matrix(request, config, rng):
         std = [rng.randrange(q) for _ in range(rng.randrange(n + 1))]
         expected = bm.solve(std + [0] * (n - len(std)))
         assert list(std_to_tilde(plan, std).values) == expected
+        assert list(tilde_to_std(plan, expected).values) == std + [0] * (n - len(std))
         if trial == 0:
             assert list(std_to_tilde(plan, Poly(plan.field, std)).values) == expected
 

@@ -4,11 +4,12 @@ import pytest
 
 from gfft.afft import add_fft, add_ifft, add_plan, padic_expand, padic_reassemble
 from gfft.cfft import cyclic_plan, q1_fft, q1_ifft
-from gfft.errors import InvalidFieldValue, MixedFields, ValidationError
+from gfft.errors import InvalidFieldValue, MixedFields, PointMismatch, ValidationError
 from gfft.gf import field_make
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.moebius import MoebiusMap
 from gfft.poly import Poly, RatFn
+from gfft.vectors import CyclicEvalVec
 
 CASES = {
     "mult": (lambda: mult_plan(field_make(17), (2, 2, 2, 2)), mult_fft, mult_ifft),
@@ -112,3 +113,16 @@ def test_field_element_equality_does_not_reduce():
     assert F11(4) == 4 and F11(4) != 15
     assert F11(4) == field_make(11)(4)
     assert field_make(3, 2)((1, 2)).raw == 7
+
+
+def test_cyclic_ifft_refuses_values_of_another_fiber():
+    # used to end in a bare KeyError from the point lookup
+    F23 = field_make(23)
+    plan, other = cyclic_plan(F23, (2, 3)), cyclic_plan(F23, (2, 3), fiber_key=7)
+    ev = q1_fft(other, [1, 2, 3, 4, 5, 6])
+    missing = next(pt for pt in plan.points if pt not in ev.points)
+    with pytest.raises(PointMismatch, match=f"evaluation point {missing!r}"):
+        q1_ifft(plan, ev)
+    # the same values reordered still invert on their own plan
+    shuffled = CyclicEvalVec(ev.points[::-1], ev.values[::-1], ev.tilde[::-1])
+    assert list(q1_ifft(other, shuffled).values) == [1, 2, 3, 4, 5, 6]
