@@ -48,6 +48,7 @@ class AddPlan:
         r = len(basis)
         if field.p**r > field.q:
             raise SubspaceTooLarge(f"p^{r} exceeds the field size {field.q}")
+        radices, n = engine.check_radices((field.p,) * r)
         # F_p-rank: the digit matrix has one column per basis vector
         digits = list(zip(*map(field.unpack, basis)))
         if basis and nullspace_vector(field_make(field.p), digits) is not None:
@@ -56,8 +57,8 @@ class AddPlan:
         self.field = field
         self.subspace_basis = tuple(basis)
         self.r = r
-        self.n = field.p**r
-        self.radices = (field.p,) * r
+        self.n = n
+        self.radices = radices
 
         # per-level images of the remaining basis vectors: their span is the
         # level's point set; the lead vector gives beta and the next ell poly

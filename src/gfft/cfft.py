@@ -6,8 +6,10 @@ whole: each level map m_i (x_i in x_{i-1}-coordinates) is a degree-p_i
 rational function formed from the level's induced Moebius map, and the
 induced maps are pushed up the tower through degree-p identities.  Values of
 x_r come from composing the level maps projectively, point by point, so no
-rational function of degree above 2p is formed and the tower costs
-O(q * sum(p_i)) field operations.  The degree-n tower lives in
+rational function of degree above 2p is formed.  The evaluation fiber is the
+orbit of the order-n map, proved a whole fiber of x_r without scanning F_q,
+and the tower is evaluated on it and on the fiber over infinity only:
+O(n * sum(p_i)) field operations, whatever q.  The degree-n tower lives in
 oracle.cyclic_tower, for the tests.  The finite poles of each level map are
 the orbit of infinity under the level's induced map, checked to be p-1
 distinct roots of the degree-(p-1) denominator.  Coefficients live in the
@@ -244,70 +246,60 @@ class CyclicPlan:
             self.quads.append(quad)
 
     def _build_points(self, fiber_key):
-        """Bucket every place by its value under x_r, take the chosen fiber
-        as the orbit of the order-n map, and check fiber constancy at every
-        level.  Returns the projective values of x_r at each alpha in F_q."""
+        """The evaluation fiber as the orbit of the order-n map through its
+        least place, proved a whole fiber of x_r without scanning F_q.
+
+        x_r = N/D with N monic of degree n and deg D < n (tower_values keeps
+        that shape level by level).  So x_r takes a finite value c at most at
+        the n roots of N - cD, and INF at most at INF and the n - 1 roots of
+        D: n distinct places that share one value of x_r are the whole fiber
+        over it, and _fiber_levels checks both.  The orbit starts at INF on a
+        full plan; otherwise at the least alpha where x_r is fiber_key or, by
+        default, finite and nonzero.  Returns x_r's pairs at the points."""
         f, q, n = self.field, self.field.q, self.n
-        chains = self.tower_values(range(q))
-        top = chains[-1]
-        buckets = {}
-        for alpha, (num, den) in enumerate(top):
-            buckets.setdefault(INF if den == 0 else f.div(num, den), []).append(alpha)
-        buckets.setdefault(INF, []).append(INF)  # x_r(INF) = INF: every level map has a pole there
-        if len(buckets) != (q + 1) // n or any(len(v) != n for v in buckets.values()):
-            raise ValidationError("evaluation fibers do not split evenly")
         self.is_full = n == q + 1
         if self.is_full:
-            key = INF
-        elif fiber_key is not None:
+            start = INF
+        elif fiber_key is None:
+            start = self._least_place(lambda num, den: num and den, "no usable evaluation fiber")
+        else:
             key = f.raw(fiber_key)
-            if key not in buckets:
-                raise ValidationError(f"{fiber_key} is not an evaluation fiber value")
             if key == 0:
                 raise ValidationError("the fiber at 0 cannot be rescaled; choose another")
-        else:
-            finite = sorted(k for k in buckets if k is not INF and k != 0)
-            if not finite:
-                raise ValidationError("no usable evaluation fiber")
-            key = finite[0]
-        self.bucket_key = key
-
-        start = INF if self.is_full else min(buckets[key])
+            start = self._least_place(lambda num, den: den and num == f.mul(key, den),
+                                      f"{fiber_key} is not an evaluation fiber value")
         gen = self.sigma ** ((q + 1) // n)
-        points = gen.orbit(start, length=n)
-        if sorted(map(repr, points)) != sorted(map(repr, buckets[key])):
-            raise ValidationError("orbit does not reproduce the evaluation fiber")
-        self.points = points
-
-        level_points = [points]
-        for i in range(1, self.r + 1):
-            lv = self.levels[i - 1]
-            mi = RatFn(f, lv.num, lv.den)
-            prev = level_points[-1]
-            level_points.append([mi.eval_place(prev[s]) for s in range(self.sizes[i])])
-        self.level_points = level_points
-
-        # fiber constancy at every level: x_i(points[s]) depends on s mod n_i only
-        for i in range(1, self.r + 1):
-            nq, values = self.sizes[i], chains[i]
-            for s, pt in enumerate(points):
-                num, den = (1, 0) if pt is INF else values[pt]
-                expected = level_points[i][s % nq]
-                if (den != 0 if expected is INF else den == 0 or num != f.mul(expected, den)):
-                    raise ValidationError(f"fiber constancy violated at level {i}")
-
+        self.points = gen.orbit(start, length=n)
+        self.level_points, top = self._fiber_levels(self.points)
+        self.bucket_key = self.level_points[-1][0]
         # the infinity fiber (poles of the full tower map), per level
-        if self.is_full:
-            self.inf_levels = level_points
-        else:
-            inf_pts = gen.orbit(INF, length=n)
-            inf_levels = [inf_pts]
-            for i in range(1, self.r + 1):
-                lv = self.levels[i - 1]
-                mi = RatFn(f, lv.num, lv.den)
-                inf_levels.append([mi.eval_place(v) for v in inf_levels[-1][: self.sizes[i]]])
-            self.inf_levels = inf_levels
+        self.inf_levels = (self.level_points if self.is_full
+                           else self._fiber_levels(gen.orbit(INF, length=n))[0])
         return top
+
+    def _least_place(self, accept, error):
+        """The least alpha in F_q whose pair (N, D) of x_r passes accept."""
+        for alpha in range(self.field.q):
+            if accept(*self.tower_values([alpha])[-1][0]):
+                return alpha
+        raise ValidationError(error)
+
+    def _fiber_levels(self, points):
+        """x_0, ..., x_r on n orbit points: entry i lists x_i at the first n_i
+        points, after checking that the points are distinct and that x_i at
+        point s equals x_i at point s mod n_i (at level r: one value on all).
+        Also returns x_r's projective pairs at the points."""
+        f = self.field
+        if len(set(points)) != self.n:
+            raise ValidationError("orbit of the order-n map repeats a place")
+        chains = self.tower_values(points)
+        levels = []
+        for i, (pairs, nq) in enumerate(zip(chains, self.sizes)):
+            values = [INF if den == 0 else f.div(num, den) for num, den in pairs]
+            if any(v != values[s % nq] for s, v in enumerate(values)):
+                raise ValidationError(f"fiber constancy violated at level {i}")
+            levels.append(values[:nq])
+        return levels, chains[-1]
 
     def _check_pole_order(self):
         """Each level's poles, in induced-map orbit order, must be points
@@ -323,19 +315,14 @@ class CyclicPlan:
                 )
 
     def _build_scaling(self, top):
-        """Scale constant and per-point scales from the values `top` of x_r
-        at each alpha in F_q (numerator N monic, as in lowest terms)."""
+        """Scale constant and per-point scales from x_r's projective pairs
+        `top` at the points (numerator N monic, as in lowest terms)."""
         f, n = self.field, self.n
-        for v in self.inf_levels[0]:
-            if v is not INF and top[v][1] != 0:
-                raise ValidationError("infinity fiber misidentified")
-
         self.scale_const = self.quads[self.r].lc()
         if not self.is_full:
             # independent single-point route: product of the quadratic over one orbit
             inf_fiber = set(self.inf_levels[0])
-            probe = next(alpha for alpha in range(f.q)
-                         if alpha not in inf_fiber and top[alpha][1] != 0)
+            probe = next(alpha for alpha in range(f.q) if alpha not in inf_fiber)
             gen = self.sigma ** ((f.q + 1) // n)
             prod = 1
             cur = probe
@@ -344,7 +331,7 @@ class CyclicPlan:
                 cur = gen.apply(cur)
             # 1/prod = den(probe)^2 / (c * quad0(probe)^n), so
             # c = den(probe)^2 * prod / quad0(probe)^n
-            dval = top[probe][1]
+            ((_, dval),) = self.tower_values([probe])[-1]
             expected = f.div(f.mul(f.mul(dval, dval), prod), f.pow(self.quads[0].eval(probe), n))
             if expected != self.scale_const:
                 raise ValidationError("scale constant disagrees with the orbit product")
@@ -353,11 +340,10 @@ class CyclicPlan:
         # checked in _build_quads; guard it at each point the scales use
         qr = self.quads[self.r]
         scales = []
-        for pt in self.points:
+        for pt, (num, den) in zip(self.points, top):
             if pt is INF:
                 scales.append(None)
                 continue
-            num, den = top[pt]
             if num == 0:
                 raise ValidationError("tower numerator vanishes on an evaluation point")
             cqn = f.mul(self.scale_const, f.pow(self.quads[0].eval(pt), n))

@@ -26,16 +26,20 @@ from .errors import LengthMismatch, SingularLocalSystem, ValidationError
 from .linalg import invert  # noqa: F401
 from .poly import INF
 
+MAX_N = 1 << 20  # the longest transform a plan builds
+
 
 def check_radices(radices):
-    """(radices as a tuple, their product n).  Each radix must be an int, not
-    a bool, and >= 2: a float is refused, not truncated."""
+    """(radices as a tuple, their product n <= MAX_N).  Each radix must be an
+    int, not a bool, and >= 2: a float is refused, not truncated."""
     radices = tuple(radices)
     n = 1
     for p in radices:
         if isinstance(p, bool) or not isinstance(p, int) or p < 2:
             raise ValidationError(f"radices must be integers >= 2, got {p!r}")
         n *= p
+    if n > MAX_N:
+        raise ValidationError(f"transform length {n} beyond the bound 2**20")
     return radices, n
 
 

@@ -16,8 +16,9 @@ All searches (modulus, table generator, primitive element, primitive
 quadratic) take the least candidate in packed-integer order, so results are
 reproducible.  The three order tests among them share one routine,
 multiplicative_order, which is exact, so the least candidate is still the one
-found.  Moduli are tested by Rabin's test on Poly over F_p.  Exhaustive checks
-are fine at the documented desk scale q <= 2**20.
+found.  Moduli are tested by Rabin's test on Poly over F_p.  Extension fields
+build exp/log tables and stay within q <= 2**20; prime fields go up to
+q < 2**31.  field_make checks the bound before the trial-division prime test.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 from .errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ValidationError,
                      ZeroInverse)
 
-DESK_Q_BOUND = 1 << 20
+DESK_Q_BOUND = 1 << 20  # extension fields
+PRIME_Q_BOUND = 1 << 31  # prime fields: q < PRIME_Q_BOUND
 
 
 def is_prime(n: int) -> bool:
@@ -456,12 +458,14 @@ class FieldElement:
 def field_make(p: int, r: int = 1, modulus=None) -> Field:
     """Build F_{p^r}; when r > 1 and no modulus is given, take the least
     monic irreducible of degree r in packed-integer order."""
-    if not is_prime(p):
-        raise NonPrimeP(f"{p} is not prime")
     if r < 1:
         raise ValidationError("extension degree must be >= 1")
-    if p**r > DESK_Q_BOUND:
-        raise ValidationError(f"q = {p**r} beyond desk bound 2**20")
+    if r == 1 and p >= PRIME_Q_BOUND:
+        raise ValidationError(f"q = {p} beyond the prime-field bound 2**31")
+    if r > 1 and (r > 20 or p**r > DESK_Q_BOUND):  # p >= 2, so r > 20 means q > 2**20
+        raise ValidationError(f"q = {p}^{r} beyond the extension-field bound 2**20")
+    if not is_prime(p):
+        raise NonPrimeP(f"{p} is not prime")
     if r == 1:
         if modulus:
             raise ValidationError("prime field takes no modulus")

@@ -614,9 +614,9 @@ def test_criterion_8_local_solve_oracle():
 
 
 def test_criterion_8_cyclic_plan_build_ops():
-    """A cyclic plan build costs O(q sum(p_i)) field ops: it composes the
-    degree-p level maps at each place and never forms the degree-n tower,
-    whose products and gcds grow the ratio below with n."""
+    """A full cyclic plan build costs O(n sum(p_i)) field ops, n = q + 1: it
+    composes the degree-p level maps at each of its n points and never forms
+    the degree-n tower, whose products and gcds grow the ratio below with n."""
     notes = []
     for q, radices in ((127, (2,) * 7), (191, (2,) * 6 + (3,)), (383, (2,) * 7 + (3,)),
                        (1151, (2,) * 7 + (3, 3))):
@@ -627,6 +627,24 @@ def test_criterion_8_cyclic_plan_build_ops():
         assert ratio <= 100, (q, radices, ctr.total(), ratio)
         notes.append(f"q{q} {ratio:.1f}<=100")
     _report("criterion-8 cyclic plan build ops", True, "; ".join(notes))
+
+
+def test_criterion_8_cyclic_partial_build_flat_in_q():
+    """A partial cyclic plan proves its fiber from the orbit of the order-n
+    map and evaluates the tower on that fiber and on the fiber over infinity
+    only, so at fixed n its build ops do not grow with q: n = 64 at
+    q = 8191, 131071 and 2^31 - 1 each costs at most twice the q = 8191
+    count.  A scan of F_q for the fibers cost 9.7M ops at q = 131071."""
+    counts = {}
+    for q in (8191, 131071, 2**31 - 1):
+        field = field_make(q)
+        with field.count_ops() as ctr:
+            cyclic_plan(field, (2,) * 6)
+        counts[q] = ctr.total()
+    for q, count in counts.items():
+        assert count <= 2 * counts[8191], (q, counts)
+    _report("criterion-8 partial cyclic build flat in q", True,
+            "; ".join(f"q{q} {count}" for q, count in counts.items()) + " ops at n = 64")
 
 
 def test_criterion_8_cyclic_1151_roundtrip():

@@ -18,7 +18,7 @@ from gfft.errors import (
     ValidationError,
 )
 from gfft.gf import field_make
-from gfft.oracle import basis_matrix, cyclic_tower, mpe_horner
+from gfft.oracle import basis_matrix, cyclic_tower, lagrange_interpolate, mpe_horner
 from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
 from gfft.vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec
@@ -280,8 +280,92 @@ def test_scaling_guards_the_scale_identity():
     # c Q_0^n = D^2 Q_r(N/D) at the evaluation points; a wrong Q_r breaks it
     # (on a partial fiber, where D does not vanish)
     plan = cyclic_plan(field_make(11), (2, 2))
-    top = plan.tower_values(range(11))[-1]
+    top = plan.tower_values(plan.points)[-1]  # x_r's pairs, in point order
+    plan._build_scaling(top)
     qr = plan.quads[-1]
     plan.quads[-1] = Poly(plan.field, (plan.field.add(qr[0], 1), qr[1], qr[2]))
     with pytest.raises(ValidationError, match="tower identity"):
         plan._build_scaling(top)
+
+
+def _buckets(plan):
+    """Every place of the line keyed by its value of x_r: the scan over F_q
+    that the build replaced by the orbit proof, kept as a test oracle."""
+    f = plan.field
+    places = [*range(f.q), INF]
+    buckets = {}
+    for place, (num, den) in zip(places, plan.tower_values(places)[-1]):
+        buckets.setdefault(INF if den == 0 else f.div(num, den), []).append(place)
+    return buckets
+
+
+@pytest.mark.parametrize("q, radices", [
+    (11, (2, 2, 3)), (11, (2, 2)), (23, (2, 2, 2, 3)), (23, (2, 3)), (23, (2, 2)),
+    (131, (2, 2, 3, 11)), (131, (2, 2, 3)), (383, (2,) * 7 + (3,)), (383, (2,) * 7),
+    (383, (2,) * 5), (1151, (2,) * 7 + (3, 3)), (1151, (2, 2, 2, 2, 3)),
+])
+def test_fibers_match_the_bucket_scan(q, radices):
+    """The fibers split the q+1 places evenly, the plan's points are its
+    key's whole fiber, the default fiber is that of the least alpha with
+    x_r(alpha) finite and nonzero, and every other key builds on its own
+    fiber from that fiber's least place."""
+    field = field_make(q)
+    plan = cyclic_plan(field, radices)
+    n, buckets = plan.n, _buckets(plan)
+    assert len(buckets) == (q + 1) // n and all(len(b) == n for b in buckets.values())
+    assert len(plan.points) == n and set(plan.points) == set(buckets[plan.bucket_key])
+    assert set(plan.inf_levels[0]) == set(buckets[INF])
+    if plan.is_full:
+        assert plan.bucket_key is INF
+        return
+    assert plan.points[0] == min(a for key, b in buckets.items() if key not in (INF, 0) for a in b)
+    for key, places in buckets.items():
+        if key in (INF, 0, plan.bucket_key):
+            continue
+        other = cyclic_plan(field, radices, fiber_key=key)
+        assert other.bucket_key == key and other.points[0] == min(places)
+        assert set(other.points) == set(places)
+    missing = next((v for v in range(1, q) if v not in buckets), None)
+    if missing is not None:
+        with pytest.raises(ValidationError, match="not an evaluation fiber value"):
+            cyclic_plan(field, radices, fiber_key=missing)
+    with pytest.raises(ValidationError):
+        cyclic_plan(field, radices, fiber_key=0)
+
+
+@pytest.mark.parametrize("q, radices", [(23, (2, 3)), (191, (2, 2, 2, 3)), (383, (2,) * 5),
+                                        (1151, (2, 2, 2, 2, 3))])
+def test_cross_fiber_extension(q, radices, rng):
+    """The cyclic-z basis depends only on the tower, not on the fiber, so
+    q1_ifft on one fiber followed by q1_fft on another evaluates the
+    interpolant of degree < n at the second fiber: a low-degree extension
+    with no basis conversion."""
+    field = field_make(q)
+    plan = cyclic_plan(field, radices)
+    others = [key for key in _buckets(plan) if key not in (INF, 0, plan.bucket_key)]
+    assert len(others) >= 2
+    for key in others[:2]:
+        other = cyclic_plan(field, radices, fiber_key=key)
+        values = [rng.randrange(q) for _ in range(plan.n)]
+        f = lagrange_interpolate(field, plan.points, values)
+        ext = q1_fft(other, q1_ifft(plan, values))
+        assert list(ext.values) == mpe_horner(f, other.points), key
+
+
+M31 = 2**31 - 1
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_m31_cyclic_plans(k, rng):
+    """Over the Mersenne prime 2^31 - 1, q + 1 = 2^31 allows every power-of-two
+    n: the build never scans F_q, the round trip is exact and the values are
+    the standard-form polynomial's (Horner spot checks)."""
+    field = field_make(M31)
+    plan = cyclic_plan(field, (2,) * k)
+    assert plan.n == 2**k and not plan.is_full
+    c = [rng.randrange(M31) for _ in range(plan.n)]
+    ev = q1_fft(plan, c)
+    assert list(q1_ifft(plan, ev).values) == c
+    f = Poly(field, list(tilde_to_std(plan, c).values))
+    for idx in rng.sample(range(plan.n), 8):
+        assert ev.values[idx] == f.eval(ev.points[idx])

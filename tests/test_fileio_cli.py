@@ -153,7 +153,8 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
 @pytest.mark.parametrize("case", ["non-integer", "non-json", "missing-file", "bench-no-p",
                                   "basis-unclosed", "out-of-range", "m-short",
                                   "radices-not-list", "string-entry", "modulus-out-of-range",
-                                  "beta-out-of-range", "m-one-entry", "m-out-of-range"])
+                                  "beta-out-of-range", "m-one-entry", "m-out-of-range",
+                                  "p-beyond-bound", "add-n-beyond-bound"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -203,6 +204,14 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         argv = ["plan", "--case", "cyclic", "--p", "23", "--radices", "2,2,2,3",
                 "--m", "5" if case == "m-one-entry" else "24,30"]
         error = "ValidationError" if case == "m-one-entry" else "InvalidFieldValue"
+    elif case == "p-beyond-bound":
+        # used to run trial division on a prime near 10^18 until killed
+        argv = ["plan", "--case", "mult", "--p", "1000000000000000003", "--radices", "2"]
+        error = "ValidationError"
+    elif case == "add-n-beyond-bound":
+        # a single basis element over F_M31 spans 2^31 points
+        argv = ["plan", "--case", "add", "--p", "2147483647", "--basis", "1"]
+        error = "ValidationError"
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gfft import gf
 from gfft.errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus,
                          ValidationError, ZeroInverse)
 from gfft.gf import (
@@ -36,8 +37,21 @@ def _divides(d, f, p):
 def test_field_make_prime_fields():
     assert field_make(127).q == 127
     assert field_make(2).q == 2
+    assert field_make(2**31 - 1).q == 2**31 - 1  # the largest admitted prime field
     with pytest.raises(NonPrimeP):
         field_make(15)
+
+
+def test_field_make_checks_the_bound_before_the_primality_test(monkeypatch):
+    # trial division used to run first: on 10^18 + 3 it does not end in minutes
+    def trial_division(n):
+        raise AssertionError(f"is_prime({n}) ran before the size bound")
+
+    monkeypatch.setattr(gf, "is_prime", trial_division)
+    # primes: 10^18 + 3 and 2147483659 (the least above 2^31); then 2^31, GF(1031^2), GF(2^21)
+    for p, r in ((10**18 + 3, 1), (2147483659, 1), (2**31, 1), (1031, 2), (2, 21)):
+        with pytest.raises(ValidationError, match="beyond the"):
+            field_make(p, r)
 
 
 def test_field_make_f9_least_modulus():

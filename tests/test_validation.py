@@ -126,3 +126,15 @@ def test_cyclic_ifft_refuses_values_of_another_fiber():
     # the same values reordered still invert on their own plan
     shuffled = CyclicEvalVec(ev.points[::-1], ev.values[::-1], ev.tilde[::-1])
     assert list(q1_ifft(other, shuffled).values) == [1, 2, 3, 4, 5, 6]
+
+
+def test_transform_length_bound():
+    # n = 2^21 is refused before any build, on every case
+    field = field_make(2**31 - 1)
+    with pytest.raises(ValidationError, match="transform length"):
+        cyclic_plan(field, (2,) * 21)
+    with pytest.raises(ValidationError, match="transform length"):
+        mult_plan(field, (2,) * 21)
+    # an additive plan over F_M31 with one basis element would list 2^31 points
+    with pytest.raises(ValidationError, match="transform length"):
+        add_plan(field, [1])
