@@ -9,7 +9,8 @@ x_r come from composing the level maps projectively, point by point, so no
 rational function of degree above 2p is formed.  The evaluation fiber is the
 orbit of the order-n map, proved a whole fiber of x_r without scanning F_q,
 and the tower is evaluated on it and on the fiber over infinity only:
-O(n * sum(p_i)) field operations, whatever q.  The degree-n tower lives in
+O(n * sum(p_i)) field operations, whatever q; a fiber named by its value
+is found by walking at most 2**19 fibers (_start).  The degree-n tower lives in
 oracle.cyclic_tower, for the tests.  The finite poles of each level map are
 the orbit of infinity under the level's induced map, checked to be p-1
 distinct roots of the degree-(p-1) denominator.  Coefficients live in the
@@ -47,6 +48,8 @@ from .moebius import MoebiusMap, match_moebius
 from .poly import INF, Poly, RatFn, compose_moebius, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
                       plan_list, point_out)
+
+FIBER_WALK_BOUND = 1 << 19  # the most fibers (q+1)/n of any q <= 2**20: all can be named
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -254,22 +257,12 @@ class CyclicPlan:
         the n roots of N - cD, and INF at most at INF and the n - 1 roots of
         D: n distinct places that share one value of x_r are the whole fiber
         over it, and _fiber_levels checks both.  The orbit starts at INF on a
-        full plan; otherwise at the least alpha where x_r is fiber_key or, by
-        default, finite and nonzero.  Returns x_r's pairs at the points."""
-        f, q, n = self.field, self.field.q, self.n
+        full plan, otherwise as _start says.  Returns x_r's pairs at the
+        points."""
+        q, n = self.field.q, self.n
         self.is_full = n == q + 1
-        if self.is_full:
-            start = INF
-        elif fiber_key is None:
-            start = self._least_place(lambda num, den: num and den, "no usable evaluation fiber")
-        else:
-            key = f.raw(fiber_key)
-            if key == 0:
-                raise ValidationError("the fiber at 0 cannot be rescaled; choose another")
-            start = self._least_place(lambda num, den: den and num == f.mul(key, den),
-                                      f"{fiber_key} is not an evaluation fiber value")
-        gen = self.sigma ** ((q + 1) // n)
-        self.points = gen.orbit(start, length=n)
+        self.gen = gen = self.sigma ** ((q + 1) // n)
+        self.points = gen.orbit(INF if self.is_full else self._start(fiber_key), length=n)
         self.level_points, top = self._fiber_levels(self.points)
         self.bucket_key = self.level_points[-1][0]
         # the infinity fiber (poles of the full tower map), per level
@@ -277,12 +270,32 @@ class CyclicPlan:
                            else self._fiber_levels(gen.orbit(INF, length=n))[0])
         return top
 
-    def _least_place(self, accept, error):
-        """The least alpha in F_q whose pair (N, D) of x_r passes accept."""
-        for alpha in range(self.field.q):
-            if accept(*self.tower_values([alpha])[-1][0]):
-                return alpha
-        raise ValidationError(error)
+    def _start(self, key):
+        """The least alpha where x_r is finite and nonzero (one of the first
+        2n: x_r has n zeros and n - 1 finite poles) or, given key, the least
+        place of key's fiber.  The fibers are walked from alpha's, one sigma
+        step at a time: sigma commutes with gen and is one (q+1)-cycle, so
+        its first (q+1)/n steps visit each fiber once.  With more fibers than
+        FIBER_WALK_BOUND only alpha's is tried: other keys are refused at once."""
+        f = self.field
+        alpha = next((a for a in range(f.q) if all(self.tower_values([a])[-1][0])), None)
+        if alpha is None:
+            raise ValidationError("no usable evaluation fiber")
+        if key is None:
+            return alpha
+        key = f.raw(key)
+        if key == 0:
+            raise ValidationError("the fiber at 0 cannot be rescaled; choose another")
+        fibers = (f.q + 1) // self.n
+        for _ in range(fibers if fibers <= FIBER_WALK_BOUND else 1):
+            num, den = self.tower_values([alpha])[-1][0]
+            if den and num == f.mul(key, den):
+                return min(self.gen.orbit(alpha, self.n))
+            alpha = self.sigma(alpha)
+        if fibers > FIBER_WALK_BOUND:
+            raise ValidationError(f"{key} is not the default fiber's value, and (q+1)/n = "
+                                  f"{fibers} fibers are too many to search (bound 2**19)")
+        raise ValidationError(f"{key} is not an evaluation fiber value")
 
     def _fiber_levels(self, points):
         """x_0, ..., x_r on n orbit points: entry i lists x_i at the first n_i
@@ -323,12 +336,9 @@ class CyclicPlan:
             # independent single-point route: product of the quadratic over one orbit
             inf_fiber = set(self.inf_levels[0])
             probe = next(alpha for alpha in range(f.q) if alpha not in inf_fiber)
-            gen = self.sigma ** ((f.q + 1) // n)
             prod = 1
-            cur = probe
-            for _ in range(n):
-                prod = f.mul(prod, self.quads[0].eval(cur))
-                cur = gen.apply(cur)
+            for pt in self.gen.orbit(probe, n):
+                prod = f.mul(prod, self.quads[0].eval(pt))
             # 1/prod = den(probe)^2 / (c * quad0(probe)^n), so
             # c = den(probe)^2 * prod / quad0(probe)^n
             ((_, dval),) = self.tower_values([probe])[-1]

@@ -16,14 +16,17 @@ All searches (modulus, table generator, primitive element, primitive
 quadratic) take the least candidate in packed-integer order, so results are
 reproducible.  The three order tests among them share one routine,
 multiplicative_order, which is exact, so the least candidate is still the one
-found.  Moduli are tested by Rabin's test on Poly over F_p.  Extension fields
-build exp/log tables and stay within q <= 2**20; prime fields go up to
-q < 2**31.  field_make checks the bound before the trial-division prime test.
+found; it factors group orders part by part (q - 1, q + 1, p), so trial
+division stays below 2**16.  Moduli are tested by Rabin's test on Poly over
+F_p.  Extension fields build exp/log tables and stay within q <= 2**20; prime
+fields go up to q < 2**31.  field_make checks the bound before the
+trial-division prime test.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 from .errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ValidationError,
@@ -48,18 +51,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int) -> dict:
-    """Prime factorization by trial division, {prime: multiplicity}."""
+def factorize(*parts: int) -> dict:
+    """Prime factorization of the product of parts, {prime: multiplicity} in
+    increasing order, by trial division on each part: the divisor stays below
+    the square root of the largest part, under 2**16 for parts up to 2**31."""
     out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for n in parts:
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+    return dict(sorted(out.items()))
 
 
 @dataclass
@@ -74,14 +80,29 @@ class OpCounter:
         return self.adds + self.muls + self.invs
 
 
+def square_multiply(mul, x, e: int, one):
+    """x^e, e >= 0, for an associative product mul with identity one."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        e >>= 1
+    return acc
+
+
 def multiplicative_order(x, multiple, power, one) -> int:
     """Order of x in a group where power(x, multiple) == one: strip each
     prime factor of multiple while the power stays one.  The one order
-    routine behind F_q^*, F_{q^2}^* and PGL_2(F_q)."""
+    routine behind F_q^*, F_{q^2}^* and PGL_2(F_q).  A tuple multiple is
+    the product of its parts, factored one by one: q**2 - 1 as (q - 1, q + 1),
+    as its largest prime factor can be near q / 2."""
+    parts = multiple if isinstance(multiple, tuple) else (multiple,)
+    multiple = math.prod(parts)
     if power(x, multiple) != one:
         raise ValidationError(f"{x!r} has no order dividing {multiple}")
     order = multiple
-    for ell in factorize(multiple):
+    for ell in factorize(*parts):
         while order % ell == 0 and power(x, order // ell) == one:
             order //= ell
     return order
@@ -108,14 +129,8 @@ def is_irreducible_modp(coeffs, p: int) -> bool:
     fp = Field(p, 1, ())
     m, x = Poly(fp, coeffs), Poly.x(fp)
 
-    def x_pow(e):  # x^e mod m by square and multiply
-        acc, base = Poly.one(fp), x
-        while e:
-            if e & 1:
-                acc = acc * base % m
-            base = base * base % m
-            e >>= 1
-        return acc
+    def x_pow(e):  # x^e mod m
+        return square_multiply(lambda u, v: u * v % m, x, e, Poly.one(fp))
 
     # x^(p^r) == x mod m, and gcd(x^(p^(r/l)) - x, m) == 1 for prime l | r
     if x_pow(p**r) != x:
@@ -158,13 +173,7 @@ class Field:
         # reducible modulus fails its check at a zero divisor (ValidationError)
 
         def power(x, e):
-            acc = 1
-            while e:
-                if e & 1:
-                    acc = self._mul_poly(acc, x)
-                x = self._mul_poly(x, x)
-                e >>= 1
-            return acc
+            return square_multiply(self._mul_poly, x, e, 1)
 
         gen = next(c for c in range(2, q) if multiplicative_order(c, q - 1, power, 1) == q - 1)
         exp = [1] * (2 * (q - 1))
@@ -524,15 +533,9 @@ def quadratic_root_order(field: Field, a: int, b: int) -> int:
         return (c0, c1)
 
     def pow2(x, e):
-        result = (1, 0)
-        while e:
-            if e & 1:
-                result = mul2(result, x)
-            x = mul2(x, x)
-            e >>= 1
-        return result
+        return square_multiply(mul2, x, e, (1, 0))
 
-    return multiplicative_order((0, 1), f.q * f.q - 1, pow2, (1, 0))
+    return multiplicative_order((0, 1), (f.q - 1, f.q + 1), pow2, (1, 0))
 
 
 def find_primitive_quadratic(field: Field):

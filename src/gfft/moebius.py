@@ -9,8 +9,10 @@ on the orientation cross-validate it against independent data.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import NoMoebiusRelation, ValidationError
-from .gf import Field, multiplicative_order
+from .gf import Field, multiplicative_order, square_multiply
 from .linalg import nullspace_vector
 from .poly import INF, Poly, RatFn
 
@@ -57,20 +59,13 @@ class MoebiusMap:
 
     def __pow__(self, e: int) -> "MoebiusMap":
         base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        result = MoebiusMap.identity(self.field)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return square_multiply(operator.mul, base, abs(e), MoebiusMap.identity(self.field))
 
     def order(self) -> int:
         """Least k >= 1 with self^k projectively the identity.  Every element
         order in PGL_2(q) divides p, q - 1 or q + 1, hence p (q^2 - 1)."""
         f = self.field
-        return multiplicative_order(self, f.p * (f.q * f.q - 1), pow, MoebiusMap.identity(f))
+        return multiplicative_order(self, (f.p, f.q - 1, f.q + 1), pow, MoebiusMap.identity(f))
 
     def apply(self, point):
         """Direct point action on F_q u {INF}."""

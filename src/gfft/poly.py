@@ -9,8 +9,10 @@ rational function returns a raw value or INF likewise.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DivisionByZeroPoly, DuplicatePoint, MixedFields
-from .gf import Field
+from .gf import Field, square_multiply
 
 NEG_INF = float("-inf")
 
@@ -148,14 +150,7 @@ class Poly:
         return Poly(f, [f.mul(c, v) for v in self.coeffs])
 
     def __pow__(self, e: int):
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return square_multiply(operator.mul, self, e, Poly.one(self.field))
 
     def __divmod__(self, other):
         other = self._check(other)

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+
+from gfft import gf
 
 from gfft.cfft import (
     cyclic_plan,
@@ -369,3 +373,44 @@ def test_m31_cyclic_plans(k, rng):
     f = Poly(field, list(tilde_to_std(plan, c).values))
     for idx in rng.sample(range(plan.n), 8):
         assert ev.values[idx] == f.eval(ev.points[idx])
+
+
+def test_m31_fibers_by_key():
+    """At n = 64 over M31 there are 2^25 fibers: the default fiber's key (as
+    a plan file reloads it) is found at once and any other key is refused at
+    once, not searched.  At n = 2^12 (2^19 fibers) the sigma walk finds
+    another fiber and starts it at its least place."""
+    field = field_make(M31)
+    plan = cyclic_plan(field, (2,) * 6)
+    assert cyclic_plan(field, (2,) * 6, fiber_key=plan.bucket_key).points == plan.points
+    with pytest.raises(ValidationError, match="too many to search"):
+        cyclic_plan(field, (2,) * 6, fiber_key=field.add(plan.bucket_key, 1))
+    big = cyclic_plan(field, (2,) * 12)
+    num, den = big.tower_values([big.sigma(big.sigma(big.points[0]))])[-1][0]
+    other = cyclic_plan(field, (2,) * 12, fiber_key=field.div(num, den))
+    assert other.points[0] == min(other.points) and other.bucket_key != big.bucket_key
+
+
+SAFE_PRIME = 2147483579  # 2P + 1 with P = 1073741789 prime
+
+
+def test_safe_prime_build_factors_small_parts(monkeypatch, rng):
+    """For a safe prime q = 2P + 1 near 2^31, q^2 - 1 has the prime factor P
+    near q/2, so trial division on q^2 - 1 or p(q^2 - 1) runs about 5*10^8
+    steps (the build took 45 s that way).  The build factors q - 1, q + 1 and
+    p one by one, each at most 2^31, so no divisor passes 2^16."""
+    parts = []
+    factorize = gf.factorize
+
+    def spy(*args):
+        parts.extend(args)
+        return factorize(*args)
+
+    monkeypatch.setattr(gf, "factorize", spy)
+    field = field_make(SAFE_PRIME)
+    t0 = time.perf_counter()
+    plan = cyclic_plan(field, (2, 2))
+    assert time.perf_counter() - t0 < 10
+    assert parts and max(parts) <= 2**31
+    c = [rng.randrange(SAFE_PRIME) for _ in range(plan.n)]
+    assert list(q1_ifft(plan, q1_fft(plan, c)).values) == c

@@ -154,7 +154,8 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
                                   "basis-unclosed", "out-of-range", "m-short",
                                   "radices-not-list", "string-entry", "modulus-out-of-range",
                                   "beta-out-of-range", "m-one-entry", "m-out-of-range",
-                                  "p-beyond-bound", "add-n-beyond-bound"])
+                                  "p-beyond-bound", "add-n-beyond-bound",
+                                  "fiber-beyond-walk"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -211,6 +212,12 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     elif case == "add-n-beyond-bound":
         # a single basis element over F_M31 spans 2^31 points
         argv = ["plan", "--case", "add", "--p", "2147483647", "--basis", "1"]
+        error = "ValidationError"
+    elif case == "fiber-beyond-walk":
+        # 2^25 fibers over M31 at n = 64: a key other than the default fiber's
+        # is refused at once, not searched for through F_q
+        argv = ["plan", "--case", "cyclic", "--p", "2147483647", "--radices", "2,2,2,2,2,2",
+                "--fiber", "5"]
         error = "ValidationError"
     capsys.readouterr()
     assert cli.main(argv) == 2

@@ -110,6 +110,8 @@ def test_multiplicative_order_matches_power_walk(p, r):
 def test_multiplicative_order_checks_its_multiple(F17):
     # 2 has order 8 in F_17^*; 12 is not a multiple of it
     assert multiplicative_order(2, 16, F17.pow, 1) == 8
+    assert multiplicative_order(2, (4, 4), F17.pow, 1) == 8  # 16 factored part by part
+    assert gf.factorize(12, 10, 7) == {2: 3, 3: 1, 5: 1, 7: 1}
     with pytest.raises(ValidationError):
         multiplicative_order(2, 12, F17.pow, 1)
 
