@@ -30,6 +30,8 @@ interpolates at the finite points (Newton).  Both cost O(n^2).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from . import engine
 from .errors import (
     DegreeTooLarge,
@@ -590,16 +592,16 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
 def _interpolate(field, xs, ys):
     """Coefficients of the polynomial of degree < m with values ys at the m
     distinct points xs: divided differences, then Horner in the Newton form,
-    c <- c (x - x_k) + d_k.  About 3 m^2 field ops, m^2 / 2 of them inverses."""
-    sub, mul, inv = field.sub, field.mul, field.inv
+    c <- c (x - x_k) + d_k, on the field's column ops.  About 3 m^2 field
+    ops, m^2 / 2 of them inverses."""
+    sub, inv = field.sub, field.inv
     m = len(xs)
     d = list(ys)
     for j in range(1, m):
-        d[j:] = map(mul, map(sub, d[j:], d[j - 1:m - 1]), map(inv, map(sub, xs[j:], xs[:m - j])))
+        d[j:] = field.diff_products(d[j:], d[j - 1:m - 1], map(inv, map(sub, xs[j:], xs[:m - j])))
     c = [d[m - 1]]
     for k in range(m - 2, -1, -1):
-        xk = xs[k]
-        c = [sub(d[k], mul(xk, c[0]))] + [sub(a, mul(xk, b)) for a, b in zip(c, c[1:])] + [c[-1]]
+        c = field.sub_products([d[k]] + c, c, repeat(xs[k])) + [c[-1]]
     return c
 
 

@@ -1,13 +1,26 @@
 """The one mixed-radix divide-and-conquer kernel behind all three cases.
 
 A plan describes its tower as a list of Levels: radix, fiber layout, points
-and, in the cyclic case, poles and (on full plans) pole-fiber constants.  A
-length-n evaluation splits into radix-many subproblems one level up, then
-recombines them with radix-1 Horner steps per point, whose weights
-build_inverse_locals derives: the point itself in the affine cases,
+and, in the cyclic case, poles and (on full plans) pole-fiber constants.  The
+P_d = p_1...p_d subproblems at depth d all evaluate at levels[d]'s points,
+so forward and inverse recurse once per level, not once per subproblem: each
+call works on all P_d subproblems as one length-n vector, column by column
+(column t: point t of every fiber of every subproblem), through the fused,
+counted column ops of gf.Field.  The coefficients stay where they are
+(subproblem r owns r + P_d*s); values use slices only, in two layouts:
+  - strided levels (mult, cyclic): value s of the subproblem at position j
+    at s*P_d + j, subproblems in digit-reversed order; child k is V[k::p]
+    and column t one contiguous block;
+  - block levels (add): value s at s + (n/P_d)*j, subproblems in natural
+    order; child k is the block [k*n/p, (k+1)*n/p) and column t is V[t::p].
+Only the leaves are permuted, by leaf_order.
+
+Each level recombines the p children with p-1 Horner steps per point, whose
+weights build_inverse_locals derives: the point itself in the affine cases,
 1/(x - pole_j) at step j in the cyclic case.  On full cyclic plans the fiber
 over each level's point at infinity goes through the pole-fiber constants,
-and the leaves, at the top level's point at infinity, are 0.
+on coefficients gathered through leaf_order, and the leaves, at the top
+level's point at infinity, are 0.
 
 forward and inverse take the same arguments in all three cases and invert no
 field element.  The inverse solves each level's local systems in Newton form
@@ -18,7 +31,7 @@ more ops per fiber on cyclic levels of radix p > 2.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain, cycle, repeat
 
 from .errors import LengthMismatch, SingularLocalSystem, ValidationError
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
@@ -48,18 +61,19 @@ class Level:
 
     Point t of fiber sq sits at t*t_step + sq*q_step: (nq, 1) for strided
     fibers, (1, p) for blocks.  With poles None the level is affine.  On a
-    full cyclic level, which alone has pole_consts {(t, k): c}, fiber 0 lies
-    over the level's point at infinity: fiber_of[s] is None on it, and
-    fiber_of[s] is the fiber of point s elsewhere.
+    full cyclic level, which alone has pole_consts {(t, k): c} and is always
+    strided, fiber 0 lies over the level's point at infinity and first is 1:
+    the Horner steps skip it.
 
     The forward step's local system at point s has rows [1, w_0[s],
     w_0[s] w_1[s], ...], from the Horner weights w_j = weights[j].
-    build_inverse_locals sets weights, newton (the data of local_solve) and
-    inv_diag (the inverse diagonal of the pole-fiber system).
+    build_inverse_locals sets weights, newton (the data of local_solve),
+    inv_diag (the inverse diagonal of the pole-fiber system) and, on the last
+    level of a tower, leaf_order.
     """
 
     __slots__ = ("radix", "size", "t_step", "q_step", "points", "poles", "pole_consts",
-                 "first", "fiber_of", "weights", "newton", "inv_diag")
+                 "first", "weights", "newton", "inv_diag", "leaf_order")
 
     def __init__(self, radix, t_step, q_step, points, poles=None, pole_consts=None):
         self.radix = radix
@@ -70,112 +84,143 @@ class Level:
         self.poles = poles
         self.pole_consts = pole_consts
         self.first = 0 if pole_consts is None else 1
-        self.fiber_of = [None] * self.size
-        for sq, fiber in self.fibers():
-            self.fiber_of[fiber] = [sq] * radix
-        self.weights = self.newton = self.inv_diag = None
+        self.weights = self.newton = self.inv_diag = self.leaf_order = None
 
-    def fibers(self):
-        """(sq, slice of the points of fiber sq) for every fiber the Horner
-        steps evaluate: all but the pole fiber of a full cyclic level."""
-        span = self.radix * self.t_step
-        for sq in range(self.first, self.size // self.radix):
-            base = sq * self.q_step
-            yield sq, slice(base, base + span, self.t_step)
+    def column(self, t, P=1):
+        """Slice of point t of every fiber the Horner steps evaluate, over P
+        subproblems: contiguous on strided levels, stride p on blocks."""
+        if self.q_step == 1:
+            m = self.t_step * P
+            return slice(t * m + self.first * P, (t + 1) * m)
+        return slice(t, None, self.radix)
 
-    def column(self, t):
-        """Slice of point t of every fiber the Horner steps evaluate, in
-        fiber order: contiguous on strided levels, stride p on blocks."""
-        start = t * self.t_step + self.first * self.q_step
-        count = self.size // self.radix - self.first
-        return slice(start, start + count * self.q_step, self.q_step)
+    def child(self, k, P):
+        """Slice of child k, the subproblems one level up, over P subproblems
+        of this level: stride p on strided levels, a block on blocks."""
+        if self.q_step == 1:
+            return slice(k, None, self.radix)
+        m = self.size // self.radix * P
+        return slice(k * m, (k + 1) * m)
+
+    def store(self, vec, kids, P):
+        """Write the p child vectors kids into vec, over P subproblems; as a
+        method, so that inverse's frame holds no child while the levels
+        above it run."""
+        for k, kid in enumerate(kids):
+            vec[self.child(k, P)] = kid
+
+    def spread(self, col, P):
+        """A column of per-point data, one entry per point of column(t, P):
+        each entry P times over on strided levels, the column P times over on
+        blocks."""
+        if P == 1:
+            return col
+        if self.q_step == 1:
+            return chain.from_iterable(map(repeat, col, repeat(P)))
+        return cycle(col)
 
 
 def forward(field, levels, coeffs, depth=0):
-    """Evaluate the coefficient vector at every point of levels[depth]; exact."""
+    """Evaluate the coefficient vector at every point of levels[0]; exact.
+
+    The call at depth d returns the values of all P_d subproblems of depth d
+    at the points of levels[d], in that level's layout."""
+    n = levels[0].size if levels else 1
+    if len(coeffs) != n:
+        raise LengthMismatch(f"{len(coeffs)} coefficients for {n} points")
     if depth == len(levels):
-        if len(coeffs) != 1:
-            raise LengthMismatch(f"{len(coeffs)} coefficients for 1 point")
-        return [0 if depth and levels[-1].pole_consts is not None else coeffs[0]]
+        if not levels:
+            return list(coeffs)
+        if levels[-1].pole_consts is not None:
+            return [0] * n
+        return [coeffs[i] for i in levels[-1].leaf_order]
     lv = levels[depth]
-    if len(coeffs) != lv.size:
-        raise LengthMismatch(f"{len(coeffs)} coefficients for {lv.size} points")
-    p = lv.radix
-    subs = [forward(field, levels, coeffs[k::p], depth=depth + 1) for k in range(p)]
-    add, mul = field.add, field.mul
-    out = [0] * lv.size
+    p, P = lv.radix, n // lv.size
+    out = forward(field, levels, coeffs, depth=depth + 1)  # overwritten in place
+    kids = [out[lv.child(k, P)] for k in range(p)]
+    if lv.first:  # the pole fiber goes through the constants below
+        kids = [kid[P:] for kid in kids]
+        out[:P] = [0] * P  # the level's point at infinity
+    for t in range(p):
+        col = lv.column(t)
+        acc = kids[p - 1]
+        for k in range(p - 2, -1, -1):
+            acc = field.add_products(kids[k], acc, lv.spread(lv.weights[k][col], P))
+        out[lv.column(t, P)] = acc
     if lv.pole_consts is not None:
-        consts = lv.pole_consts
+        m, nq, order = n // p, lv.size // p, levels[-1].leaf_order
+        # coefficient k of every subproblem, in layout order, for k = 1..p-1
+        c_k = [None] + [[coeffs[i] for i in order[k * nq::lv.size]] for k in range(1, p)]
         for t in range(1, p):
-            acc = 0
+            acc = [0] * P
             for k in range(t, p):
-                acc = add(acc, mul(coeffs[k], consts[(t, k)]))
-            out[t * lv.t_step] = acc
-    top = subs[p - 1]
-    steps = list(zip(lv.weights[::-1], subs[p - 2::-1]))
-    for s, sq in enumerate(lv.fiber_of):
-        if sq is None:
-            continue
-        acc = top[sq]
-        for w, sub in steps:
-            acc = add(sub[sq], mul(acc, w[s]))
-        out[s] = acc
+                acc = field.add_products(acc, c_k[k], repeat(lv.pole_consts[(t, k)]))
+            out[t * m:t * m + P] = acc
     return out
 
 
 def inverse(field, levels, values, depth=0):
     """Interpolate: the coefficient vector whose forward image is values.
 
-    On full cyclic plans the slot of the top coefficient comes back as None.
+    The call at depth d takes the values of all P_d subproblems of depth d in
+    levels[d]'s layout and, below the top call, which copies them, overwrites
+    them with the values one level up.  On full cyclic plans the slot of the
+    top coefficient comes back as None.
     """
+    n = levels[0].size if levels else 1
+    if len(values) != n:
+        raise LengthMismatch(f"{len(values)} values for {n} points")
     if depth == len(levels):
-        if len(values) != 1:
-            raise LengthMismatch(f"{len(values)} values for 1 point")
-        return [None if depth and levels[-1].pole_consts is not None else values[0]]
+        if not levels:
+            return list(values)
+        out = [None] * n
+        if levels[-1].pole_consts is None:
+            for i, v in zip(levels[-1].leaf_order, values):
+                out[i] = v
+        return out
     lv = levels[depth]
-    if len(values) != lv.size:
-        raise LengthMismatch(f"{len(values)} values for {lv.size} points")
-    p = lv.radix
-    subvals = local_solve(field, lv, values)
-    subc = [inverse(field, levels, subvals[k], depth=depth + 1) for k in range(p)]
+    p, P, m = lv.radix, n // lv.size, n // lv.radix
+    if not depth:  # the levels overwrite one vector in place
+        values = list(values)
+    pole_values = [values[t * m:t * m + P] for t in range(p)] if lv.first else None
+    lv.store(values, local_solve(field, lv, values), P)
+    out = inverse(field, levels, values, depth=depth + 1)
     if lv.pole_consts is not None:
-        consts = lv.pole_consts
+        nq, order, consts = lv.size // p, levels[-1].leaf_order, lv.pole_consts
         recovered = {}
         for k in range(p - 1, 0, -1):
-            acc = values[k * lv.t_step]
+            acc = pole_values[k]
             for k2 in range(k + 1, p):
-                acc = field.sub(acc, field.mul(recovered[k2], consts[(k, k2)]))
-            recovered[k] = field.mul(acc, lv.inv_diag[k - 1])
-        for k in range(1, p):
-            if subc[k][0] is not None:
+                acc = field.sub_products(acc, recovered[k2], repeat(consts[(k, k2)]))
+            recovered[k] = field.products(acc, repeat(lv.inv_diag[k - 1]))
+            slots = order[k * nq::lv.size]
+            if any(out[i] is not None for i in slots):
                 raise SingularLocalSystem("pole-fiber slot doubly determined")
-            subc[k][0] = recovered[k]
-    out = [0] * lv.size
-    for k in range(p):
-        out[k::p] = subc[k]
+            for i, v in zip(slots, recovered[k]):
+                out[i] = v
     return out
 
 
 def local_solve(field, lv, values):
-    """The p sub-value vectors whose forward image on level lv is values; the
-    pole fiber's sub-values, at the level's point at infinity, are 0.
+    """The p child vectors whose forward image on level lv is values, for the
+    len(values) / lv.size subproblems values holds; the pole fiber's
+    sub-values, at the level's point at infinity, are 0.
 
     Divided differences give each fiber's interpolant in Newton form on its
     nodes, and a change of Newton centres rewrites it in the Horner-product
     basis: p(p-1)/2 subs and muls per fiber each, the forward step's count,
-    plus p muls on a scaled level.  Each step runs on columns, all fibers at
-    once: column t holds point t of every fiber.
+    plus p muls on a scaled level.  Each step runs on columns, all fibers of
+    all subproblems at once: column t holds point t of every fiber.
     """
-    sub, mul = field.sub, field.mul
     scales, inv_diffs, shifts = lv.newton
-    p = lv.radix
-    d = [values[lv.column(t)] for t in range(p)]
+    p, P = lv.radix, len(values) // lv.size
+    d = [values[lv.column(t, P)] for t in range(p)]
     if scales is not None:
-        d = [list(map(mul, col, s)) for col, s in zip(d, scales)]
+        d = [field.products(col, lv.spread(s, P)) for col, s in zip(d, scales)]
     inv_diffs = iter(inv_diffs)
     for j in range(1, p):
         for i in range(p - 1, j - 1, -1):
-            d[i] = list(map(mul, map(sub, d[i], d[i - 1]), next(inv_diffs)))
+            d[i] = field.diff_products(d[i], d[i - 1], lv.spread(next(inv_diffs), P))
     # Horner in the Newton form, e <- d_k + (x - a_k) e, with e kept in the
     # basis N_i of the centres b_i: (x - a_k) N_i = N_(i+1) - (a_k - b_i) N_i
     e = [d[p - 1]]
@@ -183,15 +228,16 @@ def local_solve(field, lv, values):
         e.append(e[-1])
         shift = shifts[k]
         for i in range(len(e) - 2, 0, -1):
-            e[i] = list(map(sub, e[i - 1], map(mul, shift[i], e[i])))
-        e[0] = list(map(sub, d[k], map(mul, shift[0], e[0])))
+            e[i] = field.sub_products(e[i - 1], e[i], lv.spread(shift[i], P))
+        e[0] = field.sub_products(d[k], e[0], lv.spread(shift[0], P))
     if scales is not None:
         e.reverse()
-    return [[0] + col for col in e] if lv.first else e
+    return [[0] * P + col for col in e] if lv.first else e
 
 
 def build_inverse_locals(field, levels):
-    """Set each level's weights, newton data and inv_diag.
+    """Set each level's weights, newton data and inv_diag, and the last
+    level's leaf_order.
 
     The Horner weights are the points on an affine level and w_j[s] =
     1/(points[s] - poles[j]) on a cyclic one, None on the pole fiber; a
@@ -205,6 +251,10 @@ def build_inverse_locals(field, levels):
     cyclic level of radix p > 2 the row at x, scaled by prod_j (x - pole_j),
     is [prod_(j>=k) (x - pole_j)]_k: the Newton basis in x with centres
     pole_(p-2), ..., pole_0, in reverse order.
+
+    leaf_order[j] is the natural index of the coefficient at leaf j: each
+    level places child k of the subproblem at position j at k + p*j on a
+    strided level and at j + P*k on a block level.
     """
     sub, mul = field.sub, field.mul
     for lv in levels:
@@ -212,7 +262,7 @@ def build_inverse_locals(field, levels):
         if lv.poles is None:
             lv.weights = [lv.points] * (p - 1)
         else:
-            live = [s for s, sq in enumerate(lv.fiber_of) if sq is not None]
+            live = [s for t in range(p) for s in range(lv.size)[lv.column(t)]]
             xs = [lv.points[s] for s in live]
             if any(x is INF or x in lv.poles for x in xs):
                 raise ValidationError("evaluation point collides with a level pole")
@@ -234,6 +284,15 @@ def build_inverse_locals(field, levels):
         scales = [reduce(lambda u, v: list(map(mul, u, v)), row) for row in shifts] if scaled else None
         lv.newton = (scales, _batch_inverse(field, diffs),
                      [row[:p - 1 - k] for k, row in enumerate(shifts[:-1])])
+    order = [0]
+    for lv in levels:
+        P, ks = len(order), range(lv.radix)
+        if lv.q_step == 1:
+            order = [a + P * k for a in order for k in ks]
+        else:
+            order = [a + P * k for k in ks for a in order]
+    if levels:
+        levels[-1].leaf_order = order
 
 
 def _batch_inverse(field, cols):

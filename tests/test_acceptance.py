@@ -559,6 +559,56 @@ def test_criterion_8_cost_theorem():
             "fft ops as fractions of their bound, and ifft/fft op ratios: " + "; ".join(notes))
 
 
+# fft and ifft (adds, muls, invs) of each _cost_plans() config and of the four
+# benchmark configs.  The kernel counts its column ops in bulk, so a count
+# that drifted below the bounds of the cost theorem would pass it unseen.
+EXACT_OPS = {
+    "cyclic-F131-(2, 2, 3, 11)": ((1173, 1304, 0), (1042, 1424, 0)),
+    "cyclic-F131-(2, 3, 11)": ((858, 990, 0), (858, 1056, 0)),
+    "cyclic-F139-(2, 2, 5, 7)": ((1217, 1356, 0), (1078, 1476, 0)),
+    "cyclic-F139-(2, 5, 7)": ((770, 910, 0), (770, 980, 0)),
+    "cyclic-F181-(2, 7, 13)": ((2323, 2504, 0), (2142, 2672, 0)),
+    "cyclic-F181-(7, 13)": ((1638, 1820, 0), (1638, 1911, 0)),
+    "cyclic-F199-(2, 2, 2, 5, 5)": ((1713, 1912, 0), (1514, 2072, 0)),
+    "cyclic-F199-(2, 2, 5, 5)": ((1000, 1200, 0), (1000, 1300, 0)),
+    "cyclic-F239-(2, 2, 2, 2, 3, 5)": ((1857, 2096, 0), (1618, 2288, 0)),
+    "cyclic-F239-(2, 2, 2, 3, 5)": ((1080, 1320, 0), (1080, 1440, 0)),
+    "cyclic-F337-(2, 13, 13)": ((6265, 6602, 0), (5928, 6914, 0)),
+    "cyclic-F337-(13, 13)": ((4056, 4394, 0), (4056, 4563, 0)),
+    "add-GF(3^4)": ((648, 648, 0), (648, 648, 0)),
+    "add-GF(5^3)": ((1500, 1500, 0), (1500, 1500, 0)),
+    "add-GF(7^2)": ((588, 588, 0), (588, 588, 0)),
+    "mult-F181-(2, 2, 3, 3, 5)": ((1800, 1800, 0), (1800, 1800, 0)),
+    "mult-65537-n4096": ((49152, 49152, 0), (49152, 49152, 0)),
+    "add-2e12-n1024": ((10240, 10240, 0), (10240, 10240, 0)),
+    "cyclic-191-n192": ((1281, 1472, 0), (1090, 1472, 0)),
+    "cli-383-n128": ((896, 1152, 0), (896, 1024, 0)),
+}
+
+
+def test_criterion_8_exact_op_counts():
+    """fft and ifft op counts, exact, on every cost-theorem config and on the
+    four benchmark configs (the cli workload's plan is the default partial
+    fiber of F_383, radices 2^7)."""
+    rng = random.Random(SEED + 12)
+    plans = [(name, case, plan) for name, case, plan in _cost_plans()]
+    plans += [("mult-65537-n4096", "mult", mult_plan(field_make(65537), (2,) * 12)),
+              ("add-2e12-n1024", "add", add_plan(field_make(2, 12), [1 << i for i in range(10)])),
+              ("cyclic-191-n192", "cyclic", cyclic_plan(field_make(191), (2,) * 6 + (3,))),
+              ("cli-383-n128", "cyclic", cyclic_plan(field_make(383), (2,) * 7))]
+    assert sorted(name for name, _, _ in plans) == sorted(EXACT_OPS)
+    for name, case, plan in plans:
+        field = plan.field
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        with field.count_ops() as fwd:
+            values = _forward(case, plan, c)
+        with field.count_ops() as inv:
+            plan.ifft(values)
+        counts = ((fwd.adds, fwd.muls, fwd.invs), (inv.adds, inv.muls, inv.invs))
+        assert counts == EXACT_OPS[name], (name, counts)
+    _report("criterion-8 exact op counts", True, f"{len(plans)} configs, fft and ifft")
+
+
 def test_criterion_8_local_solve_oracle():
     """engine.local_solve against linalg.solve on the Horner-product rows
     [1, w_0, w_0 w_1, ...] of random fibers, on every level of full and
@@ -577,15 +627,18 @@ def test_criterion_8_local_solve_oracle():
         for depth, lv in enumerate(plan.kernel):
             values = [rng.randrange(field.q) for _ in range(lv.size)]
             subvals = local_solve(field, lv, values)
-            fibers = list(lv.fibers())
+            # point t of fiber sq sits at t*t_step + sq*q_step; a full cyclic
+            # level's fiber 0, over its point at infinity, has no local system
+            fibers = [(sq, [t * lv.t_step + sq * lv.q_step for t in range(lv.radix)])
+                      for sq in range(lv.first, lv.size // lv.radix)]
             for sq, points in rng.sample(fibers, min(len(fibers), 6)):
                 rows = []
-                for s in range(lv.size)[points]:
+                for s in points:
                     row = [1]
                     for w in lv.weights:
                         row.append(field.mul(row[-1], w[s]))
                     rows.append(row)
-                assert [sub[sq] for sub in subvals] == solve(field, rows, values[points]), \
+                assert [sub[sq] for sub in subvals] == solve(field, rows, [values[s] for s in points]), \
                     (name, depth, sq)
                 checked += 1
             if lv.pole_consts is not None:  # the pole fiber's sub-values

@@ -1,0 +1,96 @@
+"""The level-batched kernel on seeded random configurations: mixed radices up
+to 13, full and partial cyclic fibers, and additive plans over GF(2^k),
+GF(3^k) and GF(5^k), each checked against oracle Horner evaluation and by an
+ifft-of-fft round trip."""
+
+import math
+import random
+
+from gfft.afft import add_plan
+from gfft.cfft import cyclic_plan
+from gfft.errors import DependentBasis
+from gfft.gf import field_make, is_prime
+from gfft.mfft import mult_plan
+from gfft.oracle import basis_matrix
+from gfft.poly import INF, Poly
+
+RADICES = (2, 3, 5, 7, 11, 13)
+
+
+def _radices(rng, bound, must=None):
+    """A shuffled radix list with product <= bound, holding must if given."""
+    out = [must] if must else []
+    while True:
+        p = rng.choice(RADICES)
+        if math.prod(out) * p > bound:
+            break
+        out.append(p)
+    rng.shuffle(out)
+    return tuple(out)
+
+
+def _mult_plans(rng):
+    for must in (11, 13, 7, None, None):
+        radices = _radices(rng, 300, must)
+        n = math.prod(radices)
+        k = rng.randrange(1, 40)
+        while not is_prime(k * n + 1):
+            k += 1
+        field = field_make(k * n + 1)
+        yield f"mult-F{field.q}-{radices}", mult_plan(field, radices, rng.randrange(1, field.q))
+
+
+def _cyclic_plans(rng):
+    """Full plans (n = q + 1) first, then partial fibers (n | q + 1, n < q + 1)."""
+    for must in (11, 13, 3, None):
+        while True:  # n - 1 must be an odd prime for a full plan
+            radices = _radices(rng, 110, must)
+            n = math.prod(radices)
+            if n > 4 and is_prime(n - 1):
+                break
+        yield f"cyclic-F{n - 1}-{radices}-full", cyclic_plan(field_make(n - 1), radices)
+    for must in (11, 13, 5, None):
+        radices = _radices(rng, 64, must)
+        n = math.prod(radices)
+        k = rng.randrange(2, 30)
+        while not is_prime(k * n - 1):
+            k += 1
+        field = field_make(k * n - 1)
+        yield f"cyclic-F{field.q}-{radices}", cyclic_plan(field, radices)
+
+
+def _add_plans(rng):
+    for p, r in ((2, 6), (2, 10), (3, 4), (3, 6), (5, 3), (5, 4)):
+        field = field_make(p, r)
+        dim = r
+        while p**dim > 64:
+            dim -= 1
+        dim -= rng.randrange(2)
+        while True:  # random F_p-independent basis elements
+            try:
+                plan = add_plan(field, [rng.randrange(1, field.q) for _ in range(dim)])
+            except DependentBasis:
+                continue
+            break
+        yield f"add-GF({p}^{r})-{list(plan.subspace_basis)}", plan
+
+
+def test_random_configurations_match_the_oracle():
+    rng = random.Random(0x1E7E1)
+    radices, cases = set(), set()
+    for name, plan in [*_mult_plans(rng), *_cyclic_plans(rng), *_add_plans(rng)]:
+        field = plan.field
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        std = c if plan.case == "mult" else basis_matrix(plan).apply(c)
+        f = Poly(field, std)
+        out = plan.fft(c)
+        if plan.case == "cyclic":
+            assert list(out.values) == [0 if pt is INF else f.eval(pt) for pt in out.points], name
+            cases.add("cyclic-full" if plan.is_full else "cyclic-partial")
+        else:
+            assert out == [f.eval(pt) for pt in plan.points], name
+            cases.add("mult" if plan.case == "mult" else f"add-p{field.p}")
+        assert list(plan.ifft(out).values) == c, name
+        radices.update(plan.radices)
+    assert {11, 13} <= radices
+    assert cases == {"mult", "add-p2", "add-p3", "add-p5", "cyclic-full", "cyclic-partial"}
