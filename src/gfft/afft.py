@@ -9,8 +9,11 @@ T = x^p - b x is the binomial x^(p^(k+1)) - b^(p^k) x^(p^k): the way from
 the standard basis divides by these binomials (_split_adic) and the way
 back joins each level's expansion by Horner in them (_compose_adic), so
 both cost O(p n log^2 n) field ops and neither forms a dense product.
-Plan validation reads ell_i only at degrees p^j and evaluates it from the
-Frobenius chain x, x^p, ..., x^(p^r) of each point, about n r^2 field ops.
+Each level's points are the previous level's images under its map
+T^p - b_i T, checked constant on every fiber (engine.fiber_levels).  Plan
+validation checks the dense ell_i tables: linearized, so F_p-linear, they
+need evaluating only at the r basis elements, from their Frobenius chains
+x, x^p, ..., x^(p^r): O(r^3) field ops.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from . import engine
 from .errors import (
     DegreeTooLarge,
     DependentBasis,
-    LengthMismatch,
     SubspaceTooLarge,
     ValidationError,
 )
@@ -60,44 +62,38 @@ class AddPlan:
         self.n = n
         self.radices = radices
 
-        # per-level images of the remaining basis vectors: their span is the
-        # level's point set; the lead vector gives beta and the next ell poly
-        f = field
-        vs = list(basis)
+        # level i's points are the images of level i-1's under T^p - b_i T,
+        # b_i = (image of basis[i-1])^(p-1), read from entry 1 of level i-1
+        # (digit order, first vector fastest): constant on blocks of p
         betas = []
-        ells = [Poly.x(field)]
-        level_points = []
-        for _ in range(r):
-            level_points.append(_span_points(f, vs))
-            beta = f.pow(vs[0], f.p - 1)
+
+        def step(i, xs):
+            beta = field.pow(xs[1], field.p - 1)
             if beta == 0:
                 raise DependentBasis("zero basis image; elements dependent")
             betas.append(beta)
-            ells.append(_frobenius(ells[-1]) - ells[-1].scale(beta))
-            vs = [f.sub(f.pow(v, f.p), f.mul(beta, v)) for v in vs[1:]]
-        level_points.append([0])
+            return [field.sub(field.pow(x, field.p), field.mul(beta, x)) for x in xs]
+
+        self.level_points = engine.fiber_levels(_span_points(field, basis), radices, step,
+                                                strided=False)
+        self.points = self.level_points[0]
         self.betas = tuple(betas)
+        ells = [Poly.x(field)]
+        for beta in betas:
+            ells.append(_frobenius(ells[-1]) - ells[-1].scale(beta))
         self.lin_polys = ells  # ells[i] vanishes exactly on span(basis[:i])
-        self.level_points = level_points
-        self.points = level_points[0]
 
         self._validate()
-        # fibers are contiguous blocks: point t of fiber sq sits at t + sq*p
-        self.kernel = [engine.Level(p, 1, p, pts) for p, pts in zip(self.radices, level_points)]
+        self.kernel = [engine.Level(p, False, pts) for p, pts in zip(radices, self.level_points)]
         engine.build_inverse_locals(field, self.kernel)
 
     def _validate(self):
-        """ell_i must be monic linearized of degree p^i (nonzero only at degrees
-        p^j); its values then come from each point's Frobenius chain x, x^p,
-        ..., x^(p^r), about n r^2 field ops in all, and one dense Horner value
-        per level cross-checks that route."""
+        """ell_i must be monic linearized of degree p^i (nonzero only at
+        degrees p^j), so F_p-linear: it vanishes on span(basis[:i]) if it
+        vanishes on basis[:i], read from the Frobenius chains x, x^p, ...,
+        x^(p^r) of the r basis elements, O(r^3) field ops in all.  It must
+        not kill basis[i]."""
         f, p, r = self.field, self.field.p, self.r
-
-        def chain(x):
-            out = [x]
-            for _ in range(r):
-                out.append(f.pow(out[-1], p))
-            return out
 
         def lin_eval(lin, ch):
             acc = 0
@@ -106,27 +102,23 @@ class AddPlan:
                     acc = f.add(acc, f.mul(c, y))
             return acc
 
-        # the points are span(basis), of which span(basis[:i]) is the first p^i
-        point_chains = [chain(x) for x in self.points]
+        chains = []
+        for b in self.subspace_basis:
+            chains.append([b])
+            for _ in range(r):
+                chains[-1].append(f.pow(chains[-1][-1], p))
         for i in range(1, r + 1):
             ell = self.lin_polys[i]
-            block = p**i
             degrees = [p**j for j in range(i + 1)]
             lin = [ell[d] for d in degrees]
             others = [d for d, c in enumerate(ell.coeffs) if c and d not in degrees]
-            if ell.degree != block or lin[-1] != 1 or others:
+            if ell.degree != p**i or lin[-1] != 1 or others:
                 raise ValidationError(
                     f"ell_{i} is not monic linearized of degree p^{i} (other degrees {others})")
-            if ell.eval(self.points[-1]) != lin_eval(lin, point_chains[-1]):
-                raise ValidationError(f"ell_{i}: dense and Frobenius-chain values differ")
-            if any(lin_eval(lin, ch) for ch in point_chains[:block]):
+            if any(lin_eval(lin, ch) for ch in chains[:i]):
                 raise ValidationError(f"ell_{i} does not vanish on its subspace")
-            if i < r and lin_eval(lin, chain(self.subspace_basis[i])) == 0:
+            if i < r and lin_eval(lin, chains[i]) == 0:
                 raise DependentBasis(f"ell_{i} kills basis element {i}; dependent input")
-            # fiber constancy: ell_i on the full point set matches level list
-            for m, ch in enumerate(point_chains):
-                if lin_eval(lin, ch) != self.level_points[i][m // block]:
-                    raise ValidationError(f"fiber constancy violated at level {i}")
 
     def fft(self, coeffs):
         return add_fft(self, coeffs)
@@ -183,8 +175,6 @@ def add_fft(plan: AddPlan, coeffs):
 
 
 def add_ifft(plan: AddPlan, values) -> CoeffVec:
-    if len(values) != plan.n:
-        raise LengthMismatch(f"expected {plan.n} values, got {len(values)}")
     out = engine.inverse(plan.field, plan.kernel, plan.field.raws(values))
     return CoeffVec(tuple(out), BASIS_LCH)
 

@@ -8,14 +8,17 @@ induced maps are pushed up the tower through degree-p identities.  Values of
 x_r come from composing the level maps projectively, point by point, so no
 rational function of degree above 2p is formed.  The evaluation fiber is the
 orbit of the order-n map, proved a whole fiber of x_r without scanning F_q,
-and the tower is evaluated on it and on the fiber over infinity only:
-O(n * sum(p_i)) field operations, whatever q; a fiber named by its value
+and the tower is evaluated on it and on the fiber over infinity only, level
+by level through engine.fiber_levels: O(n * sum(p_i)) field operations,
+whatever q; a fiber named by its value
 is found by walking at most 2**19 fibers (_start).  The degree-n tower lives in
 oracle.cyclic_tower, for the tests.  The finite poles of each level map are
 the orbit of infinity under the level's induced map, checked to be p-1
 distinct roots of the degree-(p-1) denominator.  Coefficients live in the
 "cyclic-z" basis: products of reciprocal linear factors of the tower
-coordinates, scaled so the basis spans the polynomials of degree < n.
+coordinates, scaled so the basis spans the polynomials of degree < n.  The
+level quadratics Q_i, which give the scaling, are read off the level
+identity Q_{i-1}^p = c_i * den^2 * Q_i(num/den) that the build verifies.
 
 The transforms run on the shared kernel in engine.py, given each level's
 points and poles.  When n = q+1 the evaluation set is every rational point
@@ -45,7 +48,7 @@ from .errors import (
 from .gf import Field, find_primitive_quadratic, quadratic_is_irreducible, quadratic_root_order
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
-from .linalg import invert, solve  # noqa: F401
+from .linalg import invert  # noqa: F401
 from .moebius import MoebiusMap, match_moebius
 from .poly import INF, Poly, RatFn, compose_moebius, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
@@ -143,9 +146,9 @@ class CyclicPlan:
 
         self._build_tower()
         self._build_quads()
-        top = self._build_points(fiber_key)
+        self._build_points(fiber_key)
         self._check_pole_order()
-        self._build_scaling(top)
+        self._build_scaling(self.tower_values(self.points)[-1])
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
@@ -208,39 +211,25 @@ class CyclicPlan:
         return out
 
     def _build_quads(self):
-        """Per-level quadratics 1/y_i = Q_i(x_i) and the norm constants
-        relating consecutive levels, verified symbolically."""
+        """Per-level quadratics 1/y_i = Q_i(x_i) and the norm constants c_i,
+        read off the level identity Q_{i-1}^p = c_i * den^2 * Q_i(num/den) and
+        then verified in full.  lc(Q_i) is the norm of Q_{i-1} at infinity,
+        lc(Q_{i-1}) * prod_j Q_{i-1}(pole_j), which fixes c_i; num monic of
+        degree p and den monic of degree p - 1 make the top three
+        coefficients of the identity a triangular system in the other two."""
         f = self.field
-        for i in range(1, self.r + 1):
-            lv = self.levels[i - 1]
-            prev = self.quads[i - 1]
-            p = lv.radix
-            # product of prev over the induced-map translates of T
-            rf = RatFn.constant(f, 1)
-            for t in range(p):
-                mob = (lv.induced**t).as_ratfn()
-                num = _quad_substitute_num(prev, mob.num, mob.den)
-                rf = rf * RatFn(f, num, mob.den * mob.den)
-            mi = RatFn(f, lv.num, lv.den)
-            samples, seen = [], set()
-            tval = 0
-            while len(samples) < 3:
-                if tval >= f.q:
-                    raise ValidationError("cannot sample the level map")
-                mv = mi.eval_place(tval)
-                rv = rf.eval_place(tval)
-                if mv is not INF and rv is not INF and mv not in seen:
-                    samples.append((mv, rv))
-                    seen.add(mv)
-                tval += 1
-            rows = [[f.mul(mv, mv), mv, 1] for mv, _ in samples]
-            c2, c1, c0 = solve(f, rows, [rv for _, rv in samples])
-            quad = Poly(f, (c0, c1, c2))
-            if quad.degree != 2:
-                raise ValidationError(f"level {i} quadratic degenerate")
-            # exact verification of the level identity prev^p = c * den^2 * quad(m)
-            norm_const = f.div(f.pow(prev.lc(), p), quad.lc())
-            lhs = prev**p
+        for i, lv in enumerate(self.levels, start=1):
+            prev, p = self.quads[-1], lv.radix
+            lead = prev.lc()
+            for pole in lv.poles:
+                lead = f.mul(lead, prev.eval(pole))
+            lhs, num2 = prev**p, lv.num * lv.num
+            top = lhs[2 * p]  # c_i * lc(Q_i)
+            norm_const = f.div(top, lead)
+            c1 = f.sub(lhs[2 * p - 1], f.mul(top, num2[2 * p - 1]))  # c_i * Q_i[1]
+            c0 = f.sub(f.sub(lhs[2 * p - 2], f.mul(top, num2[2 * p - 2])),
+                       f.mul(c1, (lv.num * lv.den)[2 * p - 2]))  # c_i * Q_i[0]
+            quad = Poly(f, (f.div(c0, norm_const), f.div(c1, norm_const), lead))
             rhs = _quad_substitute_num(quad, lv.num, lv.den).scale(norm_const)
             if lhs != rhs:
                 raise ValidationError(f"level {i} norm identity failed")
@@ -259,18 +248,16 @@ class CyclicPlan:
         the n roots of N - cD, and INF at most at INF and the n - 1 roots of
         D: n distinct places that share one value of x_r are the whole fiber
         over it, and _fiber_levels checks both.  The orbit starts at INF on a
-        full plan, otherwise as _start says.  Returns x_r's pairs at the
-        points."""
+        full plan, otherwise as _start says."""
         q, n = self.field.q, self.n
         self.is_full = n == q + 1
         self.gen = gen = self.sigma ** ((q + 1) // n)
         self.points = gen.orbit(INF if self.is_full else self._start(fiber_key), length=n)
-        self.level_points, top = self._fiber_levels(self.points)
+        self.level_points = self._fiber_levels(self.points)
         self.bucket_key = self.level_points[-1][0]
         # the infinity fiber (poles of the full tower map), per level
         self.inf_levels = (self.level_points if self.is_full
-                           else self._fiber_levels(gen.orbit(INF, length=n))[0])
-        return top
+                           else self._fiber_levels(gen.orbit(INF, length=n)))
 
     def _start(self, key):
         """The least alpha where x_r is finite and nonzero (one of the first
@@ -301,20 +288,19 @@ class CyclicPlan:
 
     def _fiber_levels(self, points):
         """x_0, ..., x_r on n orbit points: entry i lists x_i at the first n_i
-        points, after checking that the points are distinct and that x_i at
-        point s equals x_i at point s mod n_i (at level r: one value on all).
-        Also returns x_r's projective pairs at the points."""
+        points, after checking that the points are distinct; engine.fiber_levels
+        applies each level map to the previous list and checks that x_i at
+        point s equals x_i at point s mod n_i (at level r: one value on all)."""
         f = self.field
         if len(set(points)) != self.n:
             raise ValidationError("orbit of the order-n map repeats a place")
-        chains = self.tower_values(points)
-        levels = []
-        for i, (pairs, nq) in enumerate(zip(chains, self.sizes)):
-            values = [INF if den == 0 else f.div(num, den) for num, den in pairs]
-            if any(v != values[s % nq] for s, v in enumerate(values)):
-                raise ValidationError(f"fiber constancy violated at level {i}")
-            levels.append(values[:nq])
-        return levels, chains[-1]
+
+        def step(i, xs):
+            pairs = [(1, 0) if x is INF else (x, 1) for x in xs]
+            pairs = _apply_level(f, self.levels[i - 1], pairs)
+            return [INF if den == 0 else f.div(num, den) for num, den in pairs]
+
+        return engine.fiber_levels(points, self.radices, step, strided=True)
 
     def _check_pole_order(self):
         """Each level's poles, in induced-map orbit order, must be points
@@ -392,8 +378,6 @@ class CyclicPlan:
         for i in range(1, self.r + 1):
             lv = self.levels[i - 1]
             p = lv.radix
-            nq = self.sizes[i]
-            pts = self.level_points[i - 1]
             if self.is_full:
                 consts = {}
                 for t in range(1, p):
@@ -405,7 +389,7 @@ class CyclicPlan:
                             val = f.mul(val, f.sub(lam_t, lv.poles[u_ - 1]))
                         consts[(t, k)] = f.div(val, u_at)
                 lv.pole_consts = consts
-            kernel.append(engine.Level(p, nq, 1, pts, lv.poles, lv.pole_consts))
+            kernel.append(engine.Level(p, True, self.level_points[i - 1], lv.poles, lv.pole_consts))
         engine.build_inverse_locals(f, kernel)
         self.kernel = kernel
 

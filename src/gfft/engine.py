@@ -1,7 +1,8 @@
 """The one mixed-radix divide-and-conquer kernel behind all three cases.
 
 A plan describes its tower as a list of Levels: radix, fiber layout, points
-and, in the cyclic case, poles and (on full plans) pole-fiber constants.  The
+and, in the cyclic case, poles and (on full plans) pole-fiber constants, and
+builds the level points with fiber_levels, which also proves them.  The
 P_d = p_1...p_d subproblems at depth d all evaluate at levels[d]'s points,
 so forward and inverse recurse once per level, not once per subproblem: each
 call works on all P_d subproblems as one length-n vector, column by column
@@ -59,11 +60,11 @@ def check_radices(radices):
 class Level:
     """One tower level as the kernel sees it.
 
-    Point t of fiber sq sits at t*t_step + sq*q_step: (nq, 1) for strided
-    fibers, (1, p) for blocks.  With poles None the level is affine.  On a
-    full cyclic level, which alone has pole_consts {(t, k): c} and is always
-    strided, fiber 0 lies over the level's point at infinity and first is 1:
-    the Horner steps skip it.
+    Point t of fiber sq sits at t*nq + sq on a strided level (nq = size/p
+    fibers) and at t + sq*p on a block level.  With poles None the level is
+    affine.  On a full cyclic level, which alone has pole_consts {(t, k): c}
+    and is always strided, fiber 0 lies over the level's point at infinity
+    and first is 1: the Horner steps skip it.
 
     The forward step's local system at point s has rows [1, w_0[s],
     w_0[s] w_1[s], ...], from the Horner weights w_j = weights[j].
@@ -72,14 +73,13 @@ class Level:
     level of a tower, leaf_order.
     """
 
-    __slots__ = ("radix", "size", "t_step", "q_step", "points", "poles", "pole_consts",
+    __slots__ = ("radix", "size", "strided", "points", "poles", "pole_consts",
                  "first", "weights", "newton", "inv_diag", "leaf_order")
 
-    def __init__(self, radix, t_step, q_step, points, poles=None, pole_consts=None):
+    def __init__(self, radix, strided, points, poles=None, pole_consts=None):
         self.radix = radix
         self.size = len(points)
-        self.t_step = t_step
-        self.q_step = q_step
+        self.strided = strided
         self.points = points
         self.poles = poles
         self.pole_consts = pole_consts
@@ -89,15 +89,15 @@ class Level:
     def column(self, t, P=1):
         """Slice of point t of every fiber the Horner steps evaluate, over P
         subproblems: contiguous on strided levels, stride p on blocks."""
-        if self.q_step == 1:
-            m = self.t_step * P
+        if self.strided:
+            m = self.size // self.radix * P
             return slice(t * m + self.first * P, (t + 1) * m)
         return slice(t, None, self.radix)
 
     def child(self, k, P):
         """Slice of child k, the subproblems one level up, over P subproblems
         of this level: stride p on strided levels, a block on blocks."""
-        if self.q_step == 1:
+        if self.strided:
             return slice(k, None, self.radix)
         m = self.size // self.radix * P
         return slice(k * m, (k + 1) * m)
@@ -115,9 +115,26 @@ class Level:
         blocks."""
         if P == 1:
             return col
-        if self.q_step == 1:
+        if self.strided:
             return chain.from_iterable(map(repeat, col, repeat(P)))
         return cycle(col)
+
+
+def fiber_levels(points, radices, step, strided):
+    """The point lists of a tower's levels: entry 0 is points, and level i's
+    list is step(i, level i-1's list), one value per entry, checked constant
+    on each fiber of level i-1 (radix radices[i-1]) and cut to one entry per
+    fiber, in the layout of Level.  So a value at entry s of level i is x_i
+    at every point of level 0 over it, by induction, at sum(n_(i-1)) calls of
+    the level map and not n*r."""
+    out = [points]
+    for i, p in enumerate(radices, start=1):
+        values = step(i, out[-1])
+        cut = values[:len(values) // p] if strided else values[::p]
+        if values != (cut * p if strided else [v for v in cut for _ in range(p)]):
+            raise ValidationError(f"fiber constancy violated at level {i}")
+        out.append(cut)
+    return out
 
 
 def forward(field, levels, coeffs, depth=0):
@@ -287,7 +304,7 @@ def build_inverse_locals(field, levels):
     order = [0]
     for lv in levels:
         P, ks = len(order), range(lv.radix)
-        if lv.q_step == 1:
+        if lv.strided:
             order = [a + P * k for a in order for k in ks]
         else:
             order = [a + P * k for k in ks for a in order]

@@ -2,13 +2,15 @@
 F_q^* for smooth n | q-1, with the power-map tower x -> x^(p_i) per level.
 
 The coefficient basis is the standard monomial basis; fibers at each level
-are strided subsequences of the j-major point order beta * omega^j.
+are strided subsequences of the j-major point order beta * omega^j, and
+engine.fiber_levels builds each level's points by the power map and checks
+them constant on those fibers.
 """
 
 from __future__ import annotations
 
 from . import engine
-from .errors import LengthMismatch, RadixNotDividingGroupOrder, ValidationError
+from .errors import RadixNotDividingGroupOrder, ValidationError
 from .gf import Field, find_primitive_element
 from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, plan_list
 
@@ -40,25 +42,11 @@ class MultPlan:
         if len(set(pts)) != n:
             raise ValidationError("evaluation points not distinct; omega order wrong")
 
-        level_points = [pts]
-        for p in radices:
-            prev = level_points[-1]
-            nq = len(prev) // p
-            level_points.append([field.pow(prev[s], p) for s in range(nq)])
-        self.level_points = level_points
+        # x_i = x^(p_1...p_i), checked constant on each strided fiber
+        self.level_points = engine.fiber_levels(
+            pts, radices, lambda i, xs: [field.pow(x, radices[i - 1]) for x in xs], strided=True)
         self.points = pts
-
-        # fiber constancy: x_i = x^(p_1...p_i) is constant per strided fiber
-        P_i = 1
-        for i, p in enumerate(radices, start=1):
-            P_i *= p
-            nq = n // P_i
-            for s, x in enumerate(pts):
-                if field.pow(x, P_i) != level_points[i][s % nq]:
-                    raise ValidationError(f"fiber constancy violated at level {i}")
-
-        # fibers are strided: point t of fiber sq sits at t*nq + sq
-        self.kernel = [engine.Level(p, len(pts) // p, 1, pts) for p, pts in zip(radices, level_points)]
+        self.kernel = [engine.Level(p, True, pts) for p, pts in zip(radices, self.level_points)]
         engine.build_inverse_locals(field, self.kernel)
 
     def fft(self, coeffs):
@@ -95,7 +83,5 @@ def mult_fft(plan: MultPlan, coeffs):
 
 
 def mult_ifft(plan: MultPlan, values) -> CoeffVec:
-    if len(values) != plan.n:
-        raise LengthMismatch(f"expected {plan.n} values, got {len(values)}")
     out = engine.inverse(plan.field, plan.kernel, plan.field.raws(values))
     return CoeffVec(tuple(out), BASIS_STANDARD)

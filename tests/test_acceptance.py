@@ -627,10 +627,13 @@ def test_criterion_8_local_solve_oracle():
         for depth, lv in enumerate(plan.kernel):
             values = [rng.randrange(field.q) for _ in range(lv.size)]
             subvals = local_solve(field, lv, values)
-            # point t of fiber sq sits at t*t_step + sq*q_step; a full cyclic
-            # level's fiber 0, over its point at infinity, has no local system
-            fibers = [(sq, [t * lv.t_step + sq * lv.q_step for t in range(lv.radix)])
-                      for sq in range(lv.first, lv.size // lv.radix)]
+            # point t of fiber sq sits at t*nq + sq (strided) or t + sq*p
+            # (blocks); a full cyclic level's fiber 0, over its point at
+            # infinity, has no local system
+            nq = lv.size // lv.radix
+            t_step, q_step = (nq, 1) if lv.strided else (1, lv.radix)
+            fibers = [(sq, [t * t_step + sq * q_step for t in range(lv.radix)])
+                      for sq in range(lv.first, nq)]
             for sq, points in rng.sample(fibers, min(len(fibers), 6)):
                 rows = []
                 for s in points:
@@ -649,9 +652,9 @@ def test_criterion_8_local_solve_oracle():
     F7 = field_make(7)
 
     def cyclic_level(pts, poles):  # strided fibers
-        return Level(len(poles) + 1, len(pts) // (len(poles) + 1), 1, pts, poles)
+        return Level(len(poles) + 1, True, pts, poles)
 
-    repeated = [Level(3, 1, 3, [1, 2, 3, 4, 5, 4]),  # blocks (1, 2, 3), (4, 5, 4)
+    repeated = [Level(3, False, [1, 2, 3, 4, 5, 4]),  # blocks (1, 2, 3), (4, 5, 4)
                 cyclic_level([1, 2, 3, 2, 5, 6], (0, 4)),  # fibers (1, 3, 5), (2, 2, 6)
                 cyclic_level([1, 2, 3, 2], (4,))]  # fibers (1, 3), (2, 2)
     for lv in repeated:
@@ -680,6 +683,28 @@ def test_criterion_8_cyclic_plan_build_ops():
         assert ratio <= 100, (q, radices, ctr.total(), ratio)
         notes.append(f"q{q} {ratio:.1f}<=100")
     _report("criterion-8 cyclic plan build ops", True, "; ".join(notes))
+
+
+def test_criterion_8_affine_plan_build_ops_linear():
+    """Multiplicative and additive plan builds cost O(n) field ops: each
+    level's points come from one level-map call per point of the level below
+    (engine.fiber_levels), and the additive tables are checked on the r basis
+    elements only.  From n = 2^6 to 2^12 the ops per point stay within 1.5
+    times those at n = 2^6 (a per-point sweep of every level grew them 3.0x
+    on mult and 2.2x on add)."""
+    F, G = field_make(65537), field_make(2, 12)
+    notes = []
+    for case, build in (("mult", lambda k: mult_plan(F, (2,) * k)),
+                        ("add", lambda k: add_plan(G, [1 << i for i in range(k)]))):
+        field = F if case == "mult" else G
+        per_point = {}
+        for k in range(6, 13):
+            with field.count_ops() as ctr:
+                build(k)
+            per_point[k] = ctr.total() / 2**k
+        assert max(per_point.values()) <= 1.5 * per_point[6], (case, per_point)
+        notes.append(f"{case} {per_point[6]:.1f} -> {per_point[12]:.1f} ops/point")
+    _report("criterion-8 affine plan build ops", True, "; ".join(notes))
 
 
 def test_criterion_8_cyclic_partial_build_flat_in_q():

@@ -1,5 +1,6 @@
 import pytest
 
+from gfft import engine
 from gfft.afft import (
     add_fft,
     add_ifft,
@@ -202,14 +203,25 @@ def test_lch_to_standard_matches_basis_matrix(p, r, rng):
         assert list(standard_to_lch(plan, std).values) == c
 
 
-# -- plan validation: each check of AddPlan._validate rejects its own fault
+# -- plan validation: each check of the build and of AddPlan._validate rejects its own fault
 
 
-def test_validate_rejects_corrupt_level_point(F27):
-    plan = add_plan(F27, [1, 3, 9])
-    plan.level_points[2][1] = F27.add(plan.level_points[2][1], 1)
+def test_validate_rejects_corrupt_level_point(F27, monkeypatch):
+    # the build checks each level's points constant on their fibers as it
+    # makes them (engine.fiber_levels): corrupt one image on level 2
+    real = engine.fiber_levels
+
+    def corrupting(points, radices, step, strided):
+        def bad_step(i, xs):
+            out = step(i, xs)
+            if i == 2:
+                out[1] = F27.add(out[1], 1)
+            return out
+        return real(points, radices, bad_step, strided)
+
+    monkeypatch.setattr(engine, "fiber_levels", corrupting)
     with pytest.raises(ValidationError, match="fiber constancy violated at level 2"):
-        plan._validate()
+        add_plan(F27, [1, 3, 9])
 
 
 def test_validate_rejects_non_linearized_coefficient(F64):

@@ -225,6 +225,28 @@ def test_radix_order_variants(rng):
             assert list(q1_ifft(plan, ev).values) == c
 
 
+@pytest.mark.parametrize("field_args, radices", [
+    ((5,), (2, 3)), ((5,), (3, 2)), ((5,), (3,)), ((7,), (4,)), ((11,), (4, 3)),
+    ((11,), (3, 4)), ((11,), (6,)), ((13,), (7,)), ((13,), (2, 7)), ((3, 2), (5,)),
+    ((5, 2), (13,)), ((3, 4), (41,)),
+])
+def test_large_radix_against_small_q(field_args, radices, rng):
+    """Plans with a radix p_i > (q+1)/4, full (n = q+1) and partial: the
+    level quadratics are read off the level identity, which holds whatever
+    the radix, against the oracle, round trips and both conversions."""
+    plan = cyclic_plan(field_make(*field_args), radices)
+    field, bm = plan.field, basis_matrix(plan)
+    for _ in range(5):
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        std = bm.apply(c)
+        f = Poly(field, std)
+        ev = q1_fft(plan, c)
+        assert list(ev.values) == [0 if pt is INF else f.eval(pt) for pt in ev.points]
+        assert list(q1_ifft(plan, ev).values) == c
+        assert list(tilde_to_std(plan, c).values) == std
+        assert list(std_to_tilde(plan, std).values) == c
+
+
 def test_trivial_plan(rng):
     F11 = field_make(11)
     plan = cyclic_plan(F11, ())

@@ -1,14 +1,18 @@
 """The level-batched kernel on seeded random configurations: mixed radices up
 to 13, full and partial cyclic fibers, and additive plans over GF(2^k),
 GF(3^k) and GF(5^k), each checked against oracle Horner evaluation and by an
-ifft-of-fft round trip."""
+ifft-of-fft round trip; and the level builder, engine.fiber_levels, on both
+fiber layouts and against a per-point sweep of every level of those plans."""
 
 import math
 import random
 
+import pytest
+
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan
-from gfft.errors import DependentBasis
+from gfft.engine import fiber_levels
+from gfft.errors import DependentBasis, ValidationError
 from gfft.gf import field_make, is_prime
 from gfft.mfft import mult_plan
 from gfft.oracle import basis_matrix
@@ -75,10 +79,15 @@ def _add_plans(rng):
         yield f"add-GF({p}^{r})-{list(plan.subspace_basis)}", plan
 
 
-def test_random_configurations_match_the_oracle():
+def _random_plans():
     rng = random.Random(0x1E7E1)
+    return rng, [*_mult_plans(rng), *_cyclic_plans(rng), *_add_plans(rng)]
+
+
+def test_random_configurations_match_the_oracle():
+    rng, plans = _random_plans()
     radices, cases = set(), set()
-    for name, plan in [*_mult_plans(rng), *_cyclic_plans(rng), *_add_plans(rng)]:
+    for name, plan in plans:
         field = plan.field
         c = [rng.randrange(field.q) for _ in range(plan.n)]
         std = c if plan.case == "mult" else basis_matrix(plan).apply(c)
@@ -94,3 +103,50 @@ def test_random_configurations_match_the_oracle():
         radices.update(plan.radices)
     assert {11, 13} <= radices
     assert cases == {"mult", "add-p2", "add-p3", "add-p5", "cyclic-full", "cyclic-partial"}
+
+
+def test_fiber_levels_on_both_layouts():
+    # strided: point t of fiber sq at t*nq + sq; blocks: at t + sq*p
+    points = list(range(12))
+    steps = {True: lambda i, xs: [x % (6, 2)[i - 1] for x in xs],
+             False: lambda i, xs: [x // (2, 3)[i - 1] for x in xs]}
+    for strided, good in steps.items():
+        assert fiber_levels(points, (2, 3), good, strided) == [points, [0, 1, 2, 3, 4, 5], [0, 1]]
+
+        def bad(i, xs, good=good):
+            out = good(i, xs)
+            if i == 2:
+                out[-1] += 1  # the last point leaves its fiber's value
+            return out
+
+        with pytest.raises(ValidationError, match="fiber constancy violated at level 2"):
+            fiber_levels(points, (2, 3), bad, strided)
+    assert fiber_levels([7], (), None, strided=True) == [[7]]
+
+
+def test_level_points_match_a_per_point_sweep():
+    """The sweeps fiber_levels replaced, as oracles at every point of every
+    level: x^(p_1...p_i) on mult plans, the dense ell_i on add plans, and the
+    projective tower values on cyclic plans, on the evaluation fiber and on
+    the fiber over infinity."""
+    _, plans = _random_plans()
+    for name, plan in plans:
+        field, n = plan.field, plan.n
+        if plan.case == "cyclic":
+            fibers = [(plan.points, plan.level_points),
+                      (plan.gen.orbit(INF, length=n), plan.inf_levels)]
+            for points, levels in fibers:
+                for i, pairs in enumerate(plan.tower_values(points)):
+                    nq = plan.sizes[i]
+                    for s, (num, den) in enumerate(pairs):
+                        x = INF if den == 0 else field.div(num, den)
+                        assert x == levels[i][s % nq], (name, i, s)
+            continue
+        size = 1
+        for i, p in enumerate((1,) + plan.radices):
+            size *= p
+            for s, x in enumerate(plan.points):
+                if plan.case == "mult":
+                    assert field.pow(x, size) == plan.level_points[i][s % (n // size)], (name, i)
+                else:
+                    assert plan.lin_polys[i].eval(x) == plan.level_points[i][s // size], (name, i)
