@@ -3,22 +3,23 @@ of fractional-linear maps, for smooth n | q+1.
 
 A plan builds the subfield tower x_0, x_1, ..., x_r level by level, never
 whole: each level map m_i (x_i in x_{i-1}-coordinates) is a degree-p_i
-rational function formed from the level's induced Moebius map, and the
-induced maps are pushed up the tower through degree-p identities.  Values of
-x_r come from composing the level maps projectively, point by point, so no
-rational function of degree above 2p is formed.  The evaluation fiber is the
-orbit of the order-n map, proved a whole fiber of x_r without scanning F_q,
-and the tower is evaluated on it and on the fiber over infinity only, level
-by level through engine.fiber_levels: O(n * sum(p_i)) field operations,
-whatever q; a fiber named by its value
-is found by walking at most 2**19 fibers (_start).  The degree-n tower lives in
-oracle.cyclic_tower, for the tests.  The finite poles of each level map are
-the orbit of infinity under the level's induced map, checked to be p-1
-distinct roots of the degree-(p-1) denominator.  Coefficients live in the
-"cyclic-z" basis: products of reciprocal linear factors of the tower
-coordinates, scaled so the basis spans the polynomials of degree < n.  The
-level quadratics Q_i, which give the scaling, are read off the level
-identity Q_{i-1}^p = c_i * den^2 * Q_i(num/den) that the build verifies.
+rational function formed from the level's induced Moebius map, a power of
+sigma's map S_{i-1} on the x_{i-1}-line; sigma is lifted one degree-p_i
+identity per level.  Values of x_r come from composing the level maps
+projectively, point by point, so no rational function of degree above 2p is
+formed.  The evaluation fiber is the orbit of the order-n map, proved a whole
+fiber of x_r without scanning F_q, and the tower is evaluated on it and on the
+fiber over infinity only, level by level through engine.fiber_levels:
+O(n * sum(p_i)) field operations, whatever q.  A fiber named by its value is
+found on the x_r-line, where sigma acts as S_r, by baby-step giant-step
+(_start).  The degree-n tower lives in oracle.cyclic_tower, for the tests.
+The finite poles of each level map are the orbit of infinity under the
+level's induced map, checked to be p-1 distinct roots of the degree-(p-1)
+denominator.  Coefficients live in the "cyclic-z" basis: products of
+reciprocal linear factors of the tower coordinates, scaled so the basis spans
+the polynomials of degree < n.  The level quadratics Q_i, which give the
+scaling, are read off the level identity Q_{i-1}^p = c_i * den^2 *
+Q_i(num/den) that the build verifies.
 
 The transforms run on the shared kernel in engine.py, given each level's
 points and poles.  When n = q+1 the evaluation set is every rational point
@@ -34,6 +35,7 @@ interpolates at the finite points (Newton).  Both cost O(n^2).
 from __future__ import annotations
 
 from itertools import repeat
+from math import isqrt
 
 from . import engine
 from .errors import (
@@ -54,34 +56,20 @@ from .poly import INF, Poly, RatFn, compose_moebius, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
                       plan_list, point_out)
 
-FIBER_WALK_BOUND = 1 << 19  # the most fibers (q+1)/n of any q <= 2**20: all can be named
-
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
-    """outer(inner(x)) as a reduced rational function.
+    """outer(inner(x)) as a reduced rational function, by Horner on RatFn.
 
     The plan build never calls this (it would form the degree-n tower); the
     tests use it to check the level maps against oracle.cyclic_tower.
     """
-    field = outer.field
-    m = outer.map_degree()
-    num_p = [RatFn.constant(field, 1)]
-    for _ in range(m):
-        num_p.append(num_p[-1] * inner)
-
     def ev(poly):
-        acc = RatFn.constant(field, 0)
-        for k in range(m + 1):
-            if poly[k]:
-                acc = acc + num_p[k] * RatFn.constant(field, poly[k])
+        acc = RatFn.constant(inner.field, 0)
+        for c in reversed(poly.coeffs):
+            acc = acc * inner + RatFn.constant(inner.field, c)
         return acc
 
     return ev(outer.num) / ev(outer.den)
-
-
-def _quad_substitute_num(quad: Poly, num: Poly, den: Poly) -> Poly:
-    """Numerator of quad(num/den) over den^2 for a quadratic quad."""
-    return (num * num).scale(quad[2]) + (num * den).scale(quad[1]) + (den * den).scale(quad[0])
 
 
 class CyclicLevel:
@@ -162,23 +150,21 @@ class CyclicPlan:
     def _build_tower(self):
         """Each level map m_i = x_i in x_{i-1}-coordinates, at degree p_i.
 
-        x_i is the sum of the translates of x_{i-1} under tau_i, a generator
-        of G_i.  Its induced map M (x_{i-1} o tau_i = M o x_{i-1}) is found by
-        pushing tau_i up the levels below: if x_{j-1} o tau_i = M o x_{j-1},
-        then x_j o tau_i = M' o x_j for the M' with m_j o M = M' o m_j, a
-        degree-p_j identity that match_moebius verifies exactly.  With
-        m_i = sum_t M^t(T) these identities prove x_i = m_i(x_{i-1}), so the
-        degree-|G_i| tower itself is never formed.  The poles of m_i are the
-        M^t(INF), t = 1..p-1, in cycle order: p-1 distinct finite roots of
-        the degree-(p-1) denominator show that it splits simply.
+        sigma commutes with every G_i, so x_i o sigma = S_i o x_i: S_0 = sigma,
+        and S_i is the Moebius map with m_i o S_{i-1} = S_i o m_i, a degree-p_i
+        identity that match_moebius verifies exactly.  So tau_i = sigma^e,
+        e = (q+1)/|G_i|, a generator of G_i, induces M = S_{i-1}^e on the
+        x_{i-1}-line, and x_i, the sum of the translates of x_{i-1} under
+        tau_i, is m_i(x_{i-1}) with m_i = sum_t M^t(T): the degree-|G_i|
+        tower is never formed.  The poles of m_i are the M^t(INF), t = 1..p-1,
+        in cycle order: p-1 distinct finite roots of the degree-(p-1)
+        denominator show that it splits simply.  self.lifts keeps S_0..S_r.
         """
         f, q = self.field, self.field.q
-        levels, maps = [], []
+        levels, lifts = [], [self.sigma]
         for i in range(1, self.r + 1):
             p = self.radices[i - 1]
-            induced = self.sigma ** ((q + 1) // self.subgroup_sizes[i])
-            for mj in maps:
-                induced = match_moebius(compose_moebius(mj, induced), mj)
+            induced = lifts[-1] ** ((q + 1) // self.subgroup_sizes[i])
             mi = RatFn.x(f)
             for t in range(1, p):
                 mi = mi + (induced**t).as_ratfn()
@@ -191,8 +177,8 @@ class CyclicPlan:
             if INF in poles or len(set(poles)) != p - 1 or any(map(den.eval, poles)):
                 raise SplitValidationFailure(f"level {i} denominator does not split simply")
             levels.append(CyclicLevel(p, induced, num, den, poles))
-            maps.append(mi)
-        self.levels = levels
+            lifts.append(match_moebius(compose_moebius(mi, lifts[-1]), mi))
+        self.levels, self.lifts = levels, lifts
 
     def tower_values(self, places):
         """Projective values of x_0, ..., x_r at each place: entry i lists
@@ -223,14 +209,15 @@ class CyclicPlan:
             lead = prev.lc()
             for pole in lv.poles:
                 lead = f.mul(lead, prev.eval(pole))
-            lhs, num2 = prev**p, lv.num * lv.num
+            lhs, num2, num_den = prev**p, lv.num * lv.num, lv.num * lv.den
             top = lhs[2 * p]  # c_i * lc(Q_i)
             norm_const = f.div(top, lead)
             c1 = f.sub(lhs[2 * p - 1], f.mul(top, num2[2 * p - 1]))  # c_i * Q_i[1]
             c0 = f.sub(f.sub(lhs[2 * p - 2], f.mul(top, num2[2 * p - 2])),
-                       f.mul(c1, (lv.num * lv.den)[2 * p - 2]))  # c_i * Q_i[0]
+                       f.mul(c1, num_den[2 * p - 2]))  # c_i * Q_i[0]
             quad = Poly(f, (f.div(c0, norm_const), f.div(c1, norm_const), lead))
-            rhs = _quad_substitute_num(quad, lv.num, lv.den).scale(norm_const)
+            rhs = (num2.scale(quad[2]) + num_den.scale(quad[1])
+                   + (lv.den * lv.den).scale(quad[0])).scale(norm_const)
             if lhs != rhs:
                 raise ValidationError(f"level {i} norm identity failed")
             monic = quad.monic()
@@ -251,6 +238,8 @@ class CyclicPlan:
         full plan, otherwise as _start says."""
         q, n = self.field.q, self.n
         self.is_full = n == q + 1
+        if self.is_full and fiber_key not in (None, INF):
+            raise ValidationError(f"a full plan's fiber is every place (inf), not {fiber_key!r}")
         self.gen = gen = self.sigma ** ((q + 1) // n)
         self.points = gen.orbit(INF if self.is_full else self._start(fiber_key), length=n)
         self.level_points = self._fiber_levels(self.points)
@@ -262,10 +251,10 @@ class CyclicPlan:
     def _start(self, key):
         """The least alpha where x_r is finite and nonzero (one of the first
         2n: x_r has n zeros and n - 1 finite poles) or, given key, the least
-        place of key's fiber.  The fibers are walked from alpha's, one sigma
-        step at a time: sigma commutes with gen and is one (q+1)-cycle, so
-        its first (q+1)/n steps visit each fiber once.  With more fibers than
-        FIBER_WALK_BOUND only alpha's is tried: other keys are refused at once."""
+        place of key's fiber.  sigma is one (q+1)-cycle that commutes with
+        gen, so sigma^k(alpha), k < (q+1)/n, lie one in each fiber, and
+        x_r(sigma^k(alpha)) = S_r^k(x_r(alpha)): key is a fiber value exactly
+        when S_r^k takes x_r(alpha) to it, and _cycle_log finds that k."""
         f = self.field
         alpha = next((a for a in range(f.q) if all(self.tower_values([a])[-1][0])), None)
         if alpha is None:
@@ -275,16 +264,11 @@ class CyclicPlan:
         key = f.raw(key)
         if key == 0:
             raise ValidationError("the fiber at 0 cannot be rescaled; choose another")
-        fibers = (f.q + 1) // self.n
-        for _ in range(fibers if fibers <= FIBER_WALK_BOUND else 1):
-            num, den = self.tower_values([alpha])[-1][0]
-            if den and num == f.mul(key, den):
-                return min(self.gen.orbit(alpha, self.n))
-            alpha = self.sigma(alpha)
-        if fibers > FIBER_WALK_BOUND:
-            raise ValidationError(f"{key} is not the default fiber's value, and (q+1)/n = "
-                                  f"{fibers} fibers are too many to search (bound 2**19)")
-        raise ValidationError(f"{key} is not an evaluation fiber value")
+        ((num, den),) = self.tower_values([alpha])[-1]
+        k = _cycle_log(self.lifts[-1], f.div(num, den), key, (f.q + 1) // self.n)
+        if k is None:
+            raise ValidationError(f"{key} is not an evaluation fiber value")
+        return min(self.gen.orbit((self.sigma ** k)(alpha), self.n))
 
     def _fiber_levels(self, points):
         """x_0, ..., x_r on n orbit points: entry i lists x_i at the first n_i
@@ -461,7 +445,7 @@ class CyclicPlan:
         return cyclic_plan(
             field, plan_list(obj, "radices", ints=True),
             m_pair=tuple(field.parse_raw(v) for v in plan_list(obj, "m", length=2)),
-            fiber_key=None if fiber in (None, "inf") else field.parse_raw(fiber))
+            fiber_key=INF if fiber == "inf" else None if fiber is None else field.parse_raw(fiber))
 
     def __repr__(self):
         return (
@@ -472,6 +456,19 @@ class CyclicPlan:
 
 def cyclic_plan(field: Field, radices, m_pair=None, fiber_key=None) -> CyclicPlan:
     return CyclicPlan(field, radices, m_pair, fiber_key)
+
+
+def _cycle_log(step, start, target, length):
+    """A k with step^k(start) = target, where step moves start round a cycle
+    of `length` places, or None: baby-step giant-step, O(sqrt(length)) steps."""
+    m = isqrt(length - 1) + 1
+    baby = {v: j for j, v in enumerate(step.orbit(start, m))}
+    back = step ** -m
+    for i in range(m):
+        if target in baby:
+            return i * m + baby[target]
+        target = back(target)
+    return None
 
 
 def _apply_level(field, lv, pairs):

@@ -17,6 +17,7 @@ from .cfft import cyclic_plan
 from .errors import InputError, InvalidFieldValue, MismatchError, ValidationError
 from .gf import factorize, field_make
 from .mfft import mult_plan
+from .poly import INF
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
 
 
@@ -28,7 +29,7 @@ def _int(text):
 
 
 def _parse_ints(text):
-    return [_int(v) for v in text.split(",") if v != ""]
+    return [_int(v) for v in (text or "").split(",") if v != ""]
 
 
 def _read_input(path, parse):
@@ -43,9 +44,15 @@ def _read_input(path, parse):
 
 
 def _build_plan(args):
+    # the options each case reads: another case's option is refused, not dropped
+    reads = {"mult": ("radices", "beta"), "add": ("basis",), "cyclic": ("radices", "m", "fiber")}
+    stray = [opt for opt in ("radices", "beta", "basis", "m", "fiber")
+             if getattr(args, opt) is not None and opt not in reads[args.case]]
+    if stray:
+        raise InputError(f"--{stray[0]} does not apply to {args.case} plans")
     field = field_make(args.p, args.r)
     if args.case == "mult":
-        return mult_plan(field, _parse_ints(args.radices), args.beta)
+        return mult_plan(field, _parse_ints(args.radices), 1 if args.beta is None else args.beta)
     if args.case == "add":
         if not args.basis:
             raise ValidationError("additive plans need --basis v1,v2,...")
@@ -56,7 +63,7 @@ def _build_plan(args):
         return add_plan(field, basis)
     if args.case == "cyclic":
         m_pair = tuple(_parse_ints(args.m)) if args.m else None
-        fiber = None if args.fiber in (None, "", "inf") else _int(args.fiber)
+        fiber = None if args.fiber in (None, "") else INF if args.fiber == "inf" else _int(args.fiber)
         return cyclic_plan(field, _parse_ints(args.radices), m_pair=m_pair, fiber_key=fiber)
     raise ValidationError(f"unknown case {args.case!r}")
 
@@ -225,8 +232,8 @@ def build_parser():
     p.add_argument("--case", required=True, choices=list(fileio.PLAN_CASES))
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--radices", default="")
-    p.add_argument("--beta", type=int, default=1)
+    p.add_argument("--radices", default=None)
+    p.add_argument("--beta", type=int, default=None, help="mult coset shift (default 1)")
     p.add_argument("--basis", default=None, help="additive subspace basis, comma separated")
     p.add_argument("--m", default=None, help="cyclic quadratic coefficients a,b")
     p.add_argument("--fiber", default=None, help="cyclic evaluation fiber value")

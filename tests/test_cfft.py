@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from gfft import gf
+from gfft import cfft, gf
 
 from gfft.cfft import (
     cyclic_plan,
@@ -329,13 +329,16 @@ def _buckets(plan):
     (11, (2, 2, 3)), (11, (2, 2)), (23, (2, 2, 2, 3)), (23, (2, 3)), (23, (2, 2)),
     (131, (2, 2, 3, 11)), (131, (2, 2, 3)), (383, (2,) * 7 + (3,)), (383, (2,) * 7),
     (383, (2,) * 5), (1151, (2,) * 7 + (3, 3)), (1151, (2, 2, 2, 2, 3)),
+    ((5, 2), (13,)), ((2, 6), (5,)),
 ])
 def test_fibers_match_the_bucket_scan(q, radices):
     """The fibers split the q+1 places evenly, the plan's points are its
     key's whole fiber, the default fiber is that of the least alpha with
     x_r(alpha) finite and nonzero, and every other key builds on its own
-    fiber from that fiber's least place."""
-    field = field_make(q)
+    fiber from that fiber's least place.  A full plan takes only inf as its
+    fiber, and a partial plan never takes it."""
+    field = field_make(*q) if isinstance(q, tuple) else field_make(q)
+    q = field.q
     plan = cyclic_plan(field, radices)
     n, buckets = plan.n, _buckets(plan)
     assert len(buckets) == (q + 1) // n and all(len(b) == n for b in buckets.values())
@@ -343,7 +346,12 @@ def test_fibers_match_the_bucket_scan(q, radices):
     assert set(plan.inf_levels[0]) == set(buckets[INF])
     if plan.is_full:
         assert plan.bucket_key is INF
+        assert cyclic_plan(field, radices, fiber_key=INF).points == plan.points
+        with pytest.raises(ValidationError, match="full plan"):
+            cyclic_plan(field, radices, fiber_key=1)
         return
+    with pytest.raises(ValidationError):
+        cyclic_plan(field, radices, fiber_key=INF)
     assert plan.points[0] == min(a for key, b in buckets.items() if key not in (INF, 0) for a in b)
     for key, places in buckets.items():
         if key in (INF, 0, plan.bucket_key):
@@ -397,20 +405,64 @@ def test_m31_cyclic_plans(k, rng):
         assert ev.values[idx] == f.eval(ev.points[idx])
 
 
-def test_m31_fibers_by_key():
-    """At n = 64 over M31 there are 2^25 fibers: the default fiber's key (as
-    a plan file reloads it) is found at once and any other key is refused at
-    once, not searched.  At n = 2^12 (2^19 fibers) the sigma walk finds
-    another fiber and starts it at its least place."""
+def _x_r(plan, place, level=-1):
+    num, den = plan.tower_values([place])[level][0]
+    return INF if den == 0 else plan.field.div(num, den)
+
+
+@pytest.mark.parametrize("q, radices", [(M31, (2,) * 6), (1151, (2,) * 7 + (3, 3)),
+                                        ((3, 4), (41,))])
+def test_sigma_lifts_to_the_top_line(q, radices, rng):
+    """x_i o sigma = S_i o x_i at every level, S_i the lifts the build keeps,
+    at random places (and at INF).  On the full F_1151 plan x_r is constant
+    on the rational places, so there the lower levels carry the check."""
+    field = field_make(*q) if isinstance(q, tuple) else field_make(q)
+    plan = cyclic_plan(field, radices)
+    assert len(plan.lifts) == plan.r + 1 and plan.lifts[0] == plan.sigma
+    for place in [INF] + [rng.randrange(field.q) for _ in range(50)]:
+        for i, lift in enumerate(plan.lifts):
+            assert _x_r(plan, plan.sigma(place), i) == lift(_x_r(plan, place, i)), (place, i)
+
+
+@pytest.mark.parametrize("q, radices", [(383, (2,) * 7), (1151, (2,) * 7 + (3, 3))])
+def test_build_lifts_sigma_once_per_level(q, radices, monkeypatch):
+    """One match_moebius identity per level: r calls, not r(r-1)/2."""
+    calls = []
+    match = cfft.match_moebius
+    monkeypatch.setattr(cfft, "match_moebius", lambda *a: calls.append(a) or match(*a))
+    cyclic_plan(field_make(q), radices)
+    assert len(calls) == len(radices)
+
+
+NOT_A_FIBER_VALUE = 5  # over M31, at n = 64 and n = 2^12 (there checked against all 2^19 fibers)
+
+
+def test_m31_fibers_by_key(rng):
+    """Fiber values read off random places over M31 (2^25 fibers at n = 64,
+    2^19 at n = 2^12) build on the fiber through their place, starting at
+    its least place, and a value that is no fiber's is refused at once."""
     field = field_make(M31)
-    plan = cyclic_plan(field, (2,) * 6)
-    assert cyclic_plan(field, (2,) * 6, fiber_key=plan.bucket_key).points == plan.points
-    with pytest.raises(ValidationError, match="too many to search"):
-        cyclic_plan(field, (2,) * 6, fiber_key=field.add(plan.bucket_key, 1))
-    big = cyclic_plan(field, (2,) * 12)
-    num, den = big.tower_values([big.sigma(big.sigma(big.points[0]))])[-1][0]
-    other = cyclic_plan(field, (2,) * 12, fiber_key=field.div(num, den))
-    assert other.points[0] == min(other.points) and other.bucket_key != big.bucket_key
+    for k in (6, 12):
+        plan = cyclic_plan(field, (2,) * k)
+        assert cyclic_plan(field, (2,) * k, fiber_key=plan.bucket_key).points == plan.points
+        for _ in range(2):
+            place = rng.randrange(M31)
+            key = _x_r(plan, place)
+            other = cyclic_plan(field, (2,) * k, fiber_key=key)
+            assert other.bucket_key == key and place in other.points
+            assert other.points[0] == min(other.points)
+            if k == 6:
+                c = [rng.randrange(M31) for _ in range(other.n)]
+                f = Poly(field, list(tilde_to_std(other, c).values))
+                assert list(q1_fft(other, c).values) == mpe_horner(f, other.points)
+            else:  # tilde_to_std is quadratic: check the fiber through std_to_tilde of
+                # a short polynomial, whose cyclic-z coefficients do not depend on the fiber
+                f = [rng.randrange(M31) for _ in range(8)]
+                assert std_to_tilde(other, f).values == std_to_tilde(plan, f).values
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="not an evaluation fiber value"):
+            cyclic_plan(field, (2,) * k, fiber_key=NOT_A_FIBER_VALUE)
+        assert time.perf_counter() - start < 1.0, k
 
 
 SAFE_PRIME = 2147483579  # 2P + 1 with P = 1073741789 prime

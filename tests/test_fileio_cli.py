@@ -155,7 +155,10 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
                                   "radices-not-list", "string-entry", "modulus-out-of-range",
                                   "beta-out-of-range", "m-one-entry", "m-out-of-range",
                                   "p-beyond-bound", "add-n-beyond-bound",
-                                  "fiber-beyond-walk"])
+                                  "fiber-not-a-value", "fiber-on-full-plan",
+                                  "inf-fiber-on-partial-plan", "radices-on-add", "fiber-on-mult",
+                                  "beta-on-cyclic", "m-on-mult", "basis-on-mult",
+                                  "basis-on-cyclic"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -213,12 +216,25 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         # a single basis element over F_M31 spans 2^31 points
         argv = ["plan", "--case", "add", "--p", "2147483647", "--basis", "1"]
         error = "ValidationError"
-    elif case == "fiber-beyond-walk":
-        # 2^25 fibers over M31 at n = 64: a key other than the default fiber's
-        # is refused at once, not searched for through F_q
+    elif case == "fiber-not-a-value":
+        # 2^25 fibers over M31 at n = 64, and 5 is none of their values
         argv = ["plan", "--case", "cyclic", "--p", "2147483647", "--radices", "2,2,2,2,2,2",
                 "--fiber", "5"]
         error = "ValidationError"
+    elif case in ("fiber-on-full-plan", "inf-fiber-on-partial-plan"):
+        # n = q+1 used to build the inf fiber for --fiber 5, and n = 8 the
+        # default fiber for --fiber inf
+        argv = ["plan", "--case", "cyclic", "--p", "23", "--radices",
+                "2,2,2,3" if case == "fiber-on-full-plan" else "2,2,2",
+                "--fiber", "5" if case == "fiber-on-full-plan" else "inf"]
+        error = "ValidationError" if case == "fiber-on-full-plan" else "InvalidFieldValue"
+    elif case.split("-on-")[0] in ("radices", "fiber", "beta", "m", "basis"):
+        # an option of another case used to be dropped, with exit 0
+        option, plan_case = case.split("-on-")
+        argv = ["plan", "--case", plan_case, "--p", "2", "--r", "4",
+                {"add": "--basis", "mult": "--radices", "cyclic": "--radices"}[plan_case],
+                {"add": "1,2", "mult": "3,5", "cyclic": "17"}[plan_case],
+                f"--{option}", {"radices": "2,2,2", "basis": "1,2"}.get(option, "1")]
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
