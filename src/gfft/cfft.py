@@ -5,21 +5,19 @@ A plan builds the subfield tower x_0, x_1, ..., x_r level by level, never
 whole: each level map m_i (x_i in x_{i-1}-coordinates) is a degree-p_i
 rational function formed from the level's induced Moebius map, a power of
 sigma's map S_{i-1} on the x_{i-1}-line; sigma is lifted one degree-p_i
-identity per level.  Values of x_r come from composing the level maps
-projectively, point by point, so no rational function of degree above 2p is
-formed.  The evaluation fiber is the orbit of the order-n map, proved a whole
-fiber of x_r without scanning F_q, and the tower is evaluated on it and on the
-fiber over infinity only, level by level through engine.fiber_levels:
-O(n * sum(p_i)) field operations, whatever q.  A fiber named by its value is
-found on the x_r-line, where sigma acts as S_r, by baby-step giant-step
-(_start).  The degree-n tower lives in oracle.cyclic_tower, for the tests.
-The finite poles of each level map are the orbit of infinity under the
-level's induced map, checked to be p-1 distinct roots of the degree-(p-1)
-denominator.  Coefficients live in the "cyclic-z" basis: products of
-reciprocal linear factors of the tower coordinates, scaled so the basis spans
-the polynomials of degree < n.  The level quadratics Q_i, which give the
-scaling, are read off the level identity Q_{i-1}^p = c_i * den^2 *
-Q_i(num/den) that the build verifies.
+identity per level.  The evaluation fiber is the orbit of the order-n map,
+proved a whole fiber of x_r without scanning F_q, and the tower is evaluated
+on it only, level by level through engine.fiber_levels: O(n * sum(p_i))
+field operations, whatever q.  A fiber named by its value is found on the
+x_r-line, where sigma acts as S_r, by baby-step giant-step (_start).  The
+degree-n tower lives in oracle.cyclic_tower, for the tests.  The finite
+poles of each level map are the orbit of infinity under the level's induced
+map, checked to be p-1 distinct roots of the degree-(p-1) denominator.
+Coefficients live in the "cyclic-z" basis: products of reciprocal linear
+factors of the tower coordinates, scaled so the basis spans the polynomials
+of degree < n.  The level quadratics Q_i, which give the scaling, are read
+off the level identity Q_{i-1}^p = c_i * den^2 * Q_i(num/den) that the build
+verifies; the per-point scales come in closed form from the level points.
 
 The transforms run on the shared kernel in engine.py, given each level's
 points and poles.  When n = q+1 the evaluation set is every rational point
@@ -34,7 +32,8 @@ interpolates at the finite points (Newton).  Both cost O(n^2).
 
 from __future__ import annotations
 
-from itertools import repeat
+from functools import reduce
+from itertools import cycle, repeat
 from math import isqrt
 
 from . import engine
@@ -136,7 +135,7 @@ class CyclicPlan:
         self._build_quads()
         self._build_points(fiber_key)
         self._check_pole_order()
-        self._build_scaling(self.tower_values(self.points)[-1])
+        self._build_scaling()
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
@@ -244,9 +243,6 @@ class CyclicPlan:
         self.points = gen.orbit(INF if self.is_full else self._start(fiber_key), length=n)
         self.level_points = self._fiber_levels(self.points)
         self.bucket_key = self.level_points[-1][0]
-        # the infinity fiber (poles of the full tower map), per level
-        self.inf_levels = (self.level_points if self.is_full
-                           else self._fiber_levels(gen.orbit(INF, length=n)))
 
     def _start(self, key):
         """The least alpha where x_r is finite and nonzero (one of the first
@@ -287,77 +283,62 @@ class CyclicPlan:
         return engine.fiber_levels(points, self.radices, step, strided=True)
 
     def _check_pole_order(self):
-        """Each level's poles, in induced-map orbit order, must be points
-        1..p-1 of the infinity fiber's pole fiber, in point order: the z-basis
-        and the pole-fiber constants rely on it."""
-        for i in range(1, self.r + 1):
-            lv = self.levels[i - 1]
-            nq = self.sizes[i]
-            seq = [self.inf_levels[i - 1][t * nq] for t in range(1, lv.radix)]
+        """Each level's poles, in induced-map orbit order, must be x_{i-1} at
+        tau_i^t(INF), t = 1..p-1, tau_i = gen^(n_i) (on a full plan, points
+        1..p-1 of the level's pole fiber): the z-basis and the pole-fiber
+        constants rely on that order."""
+        f = self.field
+        for i, lv in enumerate(self.levels, start=1):
+            tau = self.gen ** self.sizes[i]
+            pairs = self.tower_values(tau.orbit(INF, length=lv.radix)[1:])[i - 1]
+            seq = [INF if den == 0 else f.div(num, den) for num, den in pairs]
             if list(lv.poles) != seq:
                 raise SplitValidationFailure(
                     f"level {i} induced-map orbit {list(lv.poles)} disagrees with point order {seq}"
                 )
 
-    def _build_scaling(self, top):
-        """Scale constant and per-point scales from x_r's projective pairs
-        `top` at the points (numerator N monic, as in lowest terms)."""
-        f, n = self.field, self.n
-        self.scale_const = self.quads[self.r].lc()
-        if not self.is_full:
-            # independent single-point route: product of the quadratic over one orbit
-            inf_fiber = set(self.inf_levels[0])
-            probe = next(alpha for alpha in range(f.q) if alpha not in inf_fiber)
-            prod = 1
-            for pt in self.gen.orbit(probe, n):
-                prod = f.mul(prod, self.quads[0].eval(pt))
-            # 1/prod = den(probe)^2 / (c * quad0(probe)^n), so
-            # c = den(probe)^2 * prod / quad0(probe)^n
-            ((_, dval),) = self.tower_values([probe])[-1]
-            expected = f.div(f.mul(f.mul(dval, dval), prod), f.pow(self.quads[0].eval(probe), n))
-            if expected != self.scale_const:
-                raise ValidationError("scale constant disagrees with the orbit product")
-
-        # c Q_0^n = D^2 Q_r(N/D) follows from the per-level norm identities
-        # checked in _build_quads; guard it at each point the scales use
-        qr = self.quads[self.r]
-        scales = []
-        for pt, (num, den) in zip(self.points, top):
-            if pt is INF:
-                scales.append(None)
-                continue
-            if num == 0:
-                raise ValidationError("tower numerator vanishes on an evaluation point")
-            cqn = f.mul(self.scale_const, f.pow(self.quads[0].eval(pt), n))
-            if cqn != f.add(f.mul(f.add(f.mul(qr[2], num), f.mul(qr[1], den)), num),
-                            f.mul(f.mul(qr[0], den), den)):
-                raise ValidationError("scale constant fails the tower identity")
-            scales.append(f.div(cqn, num))
-        self.scales = scales
-
+    def _build_scaling(self):
+        """Scale constant c = lc(Q_r) and the per-point scales c Q_0^n / N for
+        x_r = N/D (N monic, in lowest terms), in closed form.  Full plan: x_r
+        is the trace of x over the cycle, (x^(q+1) - x^2 + Q_0) / (x^q - x),
+        so N = Q_0 on F_q and the scale is c Q_0 (checked at one point).
+        Partial plan: N = key D, D_i = D_{i-1}^p_i v_i(x_{i-1}) on the level
+        points, and c Q_0^n = D^2 Q_r(key) makes scale * base_value = D; that
+        identity is guarded at each point, and Q_r by the fiber's norm
+        prod Q_0(points) = Q_r(key)."""
+        f, n, quad0 = self.field, self.n, self.quads[0]
+        self.scale_const = c = self.quads[self.r].lc()
         if self.is_full:
-            self.base_value = 0
-        else:
-            key = self.bucket_key
-            self.base_value = f.div(key, self.quads[self.r].eval(key)) if key else 0
-            if self.base_value == 0:
-                raise ValidationError("base level value vanishes; fiber unusable")
-        # q1_ifft's per-point factors: 1/(scale * base_value), where a full
-        # plan's kernel zeroes the leaves and applies no base value
-        base = self.base_value or 1
-        self.inv_scales = [None if s is None else f.inv(f.mul(s, base)) for s in scales]
+            alpha = self.points[1]
+            if self.tower_values([alpha])[-1] != [(quad0.eval(alpha), 0)]:
+                raise ValidationError("x_r is not the trace of x over the cycle")
+            self.base_value = 0  # the kernel zeroes a full plan's leaves
+            self.scales = [None] + [f.mul(c, quad0.eval(pt)) for pt in self.points[1:]]
+            self.inv_scales = [None] + engine._batch_inverse(f, [self.scales[1:]])[0]
+            return
+        dens = [1] * n
+        for lv, xs in zip(self.levels, self.level_points):
+            dens = f.products([f.pow(d, lv.radix) for d in dens], cycle(map(lv.den.eval, xs)))
+        key = self.bucket_key
+        q_key = self.quads[self.r].eval(key)
+        q0s = [quad0.eval(pt) for pt in self.points]
+        if reduce(f.mul, q0s) != q_key:
+            raise ValidationError("Q_r disagrees with the norm of Q_0 over the fiber")
+        for q0, d in zip(q0s, dens):
+            if f.mul(c, f.pow(q0, n)) != f.mul(f.mul(d, d), q_key):
+                raise ValidationError("scale constant fails the tower identity")
+        self.base_value = f.div(key, q_key)
+        self.scales = f.products(dens, repeat(f.div(q_key, key)))
+        self.inv_scales = engine._batch_inverse(f, [dens])[0]  # 1 / (scale * base_value)
 
     def _build_kernel(self):
         """engine Levels from each level's points and poles, plus the
-        pole-fiber constants on a full plan."""
+        pole-fiber constants on a full plan: w / u(lambda_t) times the
+        pole differences, with w = 1 / lc(Q_r), the value of (tower map *
+        reciprocal quadratic * level coordinate) at each level's point at
+        infinity (every level numerator is monic)."""
         f = self.field
-        # W chain: value of (tower map * reciprocal quadratic * level coordinate)
-        # at each level's point at infinity
-        w_chain = [None] * (self.r + 1)
-        w_chain[self.r] = f.inv(self.quads[self.r].lc())
-        for j in range(self.r - 1, 0, -1):
-            w_chain[j] = f.div(w_chain[j + 1], self.levels[j].num.lc())
-
+        w = f.inv(self.scale_const) if self.is_full else None
         kernel = []
         for i in range(1, self.r + 1):
             lv = self.levels[i - 1]
@@ -368,7 +349,7 @@ class CyclicPlan:
                     lam_t = lv.poles[t - 1]
                     u_at = lv.num.eval(lam_t)
                     for k in range(t, p):
-                        val = w_chain[i]
+                        val = w
                         for u_ in range(k + 1, p):
                             val = f.mul(val, f.sub(lam_t, lv.poles[u_ - 1]))
                         consts[(t, k)] = f.div(val, u_at)

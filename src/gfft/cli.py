@@ -14,7 +14,8 @@ import time
 from . import fileio
 from .afft import add_plan
 from .cfft import cyclic_plan
-from .errors import InputError, InvalidFieldValue, MismatchError, ValidationError
+from .errors import (InputError, InvalidFieldValue, MismatchError, SubspaceTooLarge,
+                     ValidationError)
 from .gf import factorize, field_make
 from .mfft import mult_plan
 from .poly import INF
@@ -183,6 +184,8 @@ def cmd_bench(args) -> int:
                     dim += 1
                 if m != 1:
                     raise ValidationError(f"additive ladder sizes must be powers of {field.p}")
+                if n > field.q:
+                    raise SubspaceTooLarge(f"additive ladder size {n} exceeds q = {field.q}")
                 basis = [field.p**i for i in range(dim)]  # unit coefficient vectors
                 plan = add_plan(field, basis)
             else:

@@ -16,7 +16,7 @@ import json
 
 from .afft import AddPlan
 from .cfft import CyclicPlan
-from .errors import MismatchError, ValidationError
+from .errors import MismatchError, PointMismatch, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
 from .poly import INF
@@ -81,16 +81,24 @@ def values_from_json(field: Field, obj, plan=None):
     if isinstance(vals, dict):
         if plan is None or plan.basis != BASIS_CYCLIC:
             raise ValidationError("keyed value files need a cyclic plan")
-        lookup = {}
-        for k, v in vals.items():
-            pt = INF if k == "inf" else field.parse_raw(
-                json.loads(k) if k.startswith("[") else int(k))
-            lookup[pt] = field.parse_raw(v)
-        seq = [lookup[pt] for pt in plan.points]
+        seq = _keyed(field, obj, "values", plan.points)
+        tilde = _keyed(field, obj, "tilde", plan.points) if "tilde" in obj else [0] * len(seq)
         a0 = field.parse_raw(obj["a0"]) if "a0" in obj else None
-        tilde = [0] * len(seq)
         return CyclicEvalVec(plan.points, seq, tilde, a0)
     return [field.parse_raw(v) for v in vals]
+
+
+def _keyed(field, obj, name, points):
+    """The entries of the point-keyed map obj[name], in the order of points."""
+    lookup = {}
+    for k, v in obj[name].items():
+        pt = INF if k == "inf" else field.parse_raw(json.loads(k) if k.startswith("[") else int(k))
+        lookup[pt] = field.parse_raw(v)
+    missing = next((pt for pt in points if pt not in lookup), None)
+    if missing is not None:
+        raise PointMismatch(f"{name!r} holds no entry at evaluation point "
+                            f"{point_out(field, missing)}: the file is another plan's")
+    return [lookup[pt] for pt in points]
 
 
 def values_to_csv(field: Field, values) -> str:

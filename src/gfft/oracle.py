@@ -120,7 +120,7 @@ def _cyclic_columns(plan):
     pole set.  Independent of the plan's level-map composition route."""
     field = plan.field
     tower = cyclic_tower(plan, plan.r - 1)
-    inf_finite = [v for v in plan.inf_levels[0] if v is not INF]
+    inf_finite = [v for v in plan.gen.orbit(INF, plan.n) if v is not INF]
     d_inf = Poly.from_roots(field, inf_finite)
     # per level i (0-based): points of the infinity fiber sorted by their
     # value under x_{i}: the fiber polynomials of each pole, and of infinity

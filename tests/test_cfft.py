@@ -303,15 +303,55 @@ def test_tower_identities_outside_build(plan23):
 
 
 def test_scaling_guards_the_scale_identity():
-    # c Q_0^n = D^2 Q_r(N/D) at the evaluation points; a wrong Q_r breaks it
-    # (on a partial fiber, where D does not vanish)
+    # on a partial fiber, a wrong Q_r fails the fiber's norm prod Q_0 = Q_r(key),
+    # and a wrong level denominator the per-point c Q_0^n = D^2 Q_r(key)
     plan = cyclic_plan(field_make(11), (2, 2))
-    top = plan.tower_values(plan.points)[-1]  # x_r's pairs, in point order
-    plan._build_scaling(top)
-    qr = plan.quads[-1]
-    plan.quads[-1] = Poly(plan.field, (plan.field.add(qr[0], 1), qr[1], qr[2]))
+    plan._build_scaling()
+    f, qr, lv = plan.field, plan.quads[-1], plan.levels[-1]
+    plan.quads[-1] = Poly(f, (f.add(qr[0], 1), qr[1], qr[2]))
+    with pytest.raises(ValidationError, match="norm of Q_0"):
+        plan._build_scaling()
+    plan.quads[-1] = qr
+    lv.den = Poly(f, (f.add(lv.den[0], 1),) + lv.den.coeffs[1:])
     with pytest.raises(ValidationError, match="tower identity"):
-        plan._build_scaling(top)
+        plan._build_scaling()
+
+
+@pytest.mark.parametrize("field_args, radices", [
+    ((7,), (2, 2, 2)), ((13,), (2, 7)), ((23,), (2, 2, 2, 3)), ((127,), (2,) * 7),
+    ((191,), (2,) * 6 + (3,)), ((2, 2), (5,)), ((2, 3), (3, 3)), ((2, 4), (17,)),
+    ((3, 2), (2, 5)), ((3, 3), (2, 2, 7)), ((5, 2), (2, 13)), ((7, 2), (2, 5, 5)),
+])
+def test_full_plan_top_map_is_the_cycle_trace(field_args, radices):
+    """On a full plan x_r, the trace of x over the whole cycle, is
+    (x^(q+1) - x^2 + Q_0) / (x^q - x) as the oracle's symbolic tower builds
+    it, so the scales are c Q_0 at the finite points."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices)
+    assert plan.is_full
+    x, quad0 = Poly.x(field), plan.quads[0]
+    assert cyclic_tower(plan)[-1] == RatFn(field, x ** (field.q + 1) - x * x + quad0,
+                                           x ** field.q - x)
+    assert plan.scales == [None] + [field.mul(plan.scale_const, quad0.eval(pt))
+                                    for pt in plan.points[1:]]
+
+
+@pytest.mark.parametrize("field_args, radices, key", [
+    ((11,), (2, 2), None), ((23,), (2, 3), 7), ((131,), (2, 3, 11), None),
+    ((383,), (2,) * 5, None), ((3, 4), (41,), None), ((2, 6), (5,), None),
+    ((5, 2), (13,), None),
+])
+def test_partial_plan_scales_are_the_top_denominator(field_args, radices, key):
+    """On a partial plan scale * base_value is the denominator of x_r in
+    lowest terms (numerator monic) at each point, from the oracle's tower."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices, fiber_key=key)
+    assert not plan.is_full
+    den = cyclic_tower(plan)[-1].den
+    assert [field.mul(s, plan.base_value) for s in plan.scales] == \
+        [den.eval(pt) for pt in plan.points]
+    assert [field.mul(s, d) for s, d in zip(plan.inv_scales, map(den.eval, plan.points))] == \
+        [1] * plan.n
 
 
 def _buckets(plan):
@@ -343,7 +383,7 @@ def test_fibers_match_the_bucket_scan(q, radices):
     n, buckets = plan.n, _buckets(plan)
     assert len(buckets) == (q + 1) // n and all(len(b) == n for b in buckets.values())
     assert len(plan.points) == n and set(plan.points) == set(buckets[plan.bucket_key])
-    assert set(plan.inf_levels[0]) == set(buckets[INF])
+    assert set(plan.gen.orbit(INF, n)) == set(buckets[INF])
     if plan.is_full:
         assert plan.bucket_key is INF
         assert cyclic_plan(field, radices, fiber_key=INF).points == plan.points

@@ -133,8 +133,9 @@ def test_level_points_match_a_per_point_sweep():
     for name, plan in plans:
         field, n = plan.field, plan.n
         if plan.case == "cyclic":
+            inf_fiber = plan.gen.orbit(INF, length=n)
             fibers = [(plan.points, plan.level_points),
-                      (plan.gen.orbit(INF, length=n), plan.inf_levels)]
+                      (inf_fiber, plan._fiber_levels(inf_fiber))]
             for points, levels in fibers:
                 for i, pairs in enumerate(plan.tower_values(points)):
                     nq = plan.sizes[i]

@@ -8,7 +8,7 @@ import pytest
 from gfft import cli, fileio
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan, q1_fft
-from gfft.errors import MismatchError
+from gfft.errors import MismatchError, PointMismatch
 from gfft.gf import field_make
 from gfft.mfft import mult_plan
 from gfft.oracle import cyclic_tower
@@ -55,6 +55,27 @@ def test_cyclic_values_json_roundtrip():
     back = fileio.values_from_json(F7, obj, plan)
     assert list(back.values) == list(ev.values)
     assert back.a0 == ev.a0
+
+
+@pytest.mark.parametrize("q, radices", [(23, (2, 2, 2, 3)), (23, (2, 3)), (383, (2,) * 7)])
+def test_cyclic_value_file_reads_back_unchanged(q, radices, rng):
+    """A value file read back and written again is the same file, tilde map
+    included (it used to read back as zeros); a point missing from either
+    map is refused by name."""
+    field = field_make(q)
+    plan = cyclic_plan(field, radices)
+    ev = q1_fft(plan, [rng.randrange(q) for _ in range(plan.n)])
+    obj = json.loads(json.dumps(fileio.values_to_json(field, ev)))
+    back = fileio.values_from_json(field, obj, plan)
+    assert list(back.tilde) == list(ev.tilde)
+    assert fileio.values_to_json(field, back) == obj
+    first = "inf" if plan.is_full else str(plan.points[0])
+    for name in ("values", "tilde"):
+        bad = json.loads(json.dumps(obj))
+        del bad[name][first]
+        with pytest.raises(PointMismatch, match=f"'{name}' holds no entry at evaluation point "
+                                                f"{first}:"):
+            fileio.values_from_json(field, bad, plan)
 
 
 def test_plan_json_roundtrip_all_cases(F17, F9):
@@ -158,7 +179,7 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
                                   "fiber-not-a-value", "fiber-on-full-plan",
                                   "inf-fiber-on-partial-plan", "radices-on-add", "fiber-on-mult",
                                   "beta-on-cyclic", "m-on-mult", "basis-on-mult",
-                                  "basis-on-cyclic"])
+                                  "basis-on-cyclic", "add-ladder-beyond-q"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -228,6 +249,11 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
                 "2,2,2,3" if case == "fiber-on-full-plan" else "2,2,2",
                 "--fiber", "5" if case == "fiber-on-full-plan" else "inf"]
         error = "ValidationError" if case == "fiber-on-full-plan" else "InvalidFieldValue"
+    elif case == "add-ladder-beyond-q":
+        # 32 points need a 5-dimensional subspace of GF(16); the basis element
+        # 16 used to be refused as "not a raw value of F_16"
+        argv = ["bench", "--case", "add", "--p", "2", "--r", "4", "--ladder", "32"]
+        error = "SubspaceTooLarge"
     elif case.split("-on-")[0] in ("radices", "fiber", "beta", "m", "basis"):
         # an option of another case used to be dropped, with exit 0
         option, plan_case = case.split("-on-")
