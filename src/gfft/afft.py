@@ -3,12 +3,13 @@
 The tower is the chain of subspace-vanishing linearized polynomials
 ell_0 = x, ell_i = ell_{i-1}^p - b_i ell_{i-1} with b_i = ell_{i-1}(a_i)^(p-1);
 coefficients live in the basis of products ell_0^{e_0} ... ell_{r-1}^{e_{r-1}}
-("lch" tag).  Both conversions run a cascade of (x^p - b x)-adic
-expansions, one level at a time.  In characteristic p, T^(p^k) for
-T = x^p - b x is the binomial x^(p^(k+1)) - b^(p^k) x^(p^k): the way from
-the standard basis divides by these binomials (_split_adic) and the way
-back joins each level's expansion by Horner in them (_compose_adic), so
-both cost O(p n log^2 n) field ops and neither forms a dense product.
+("lch" tag).  Both conversions run one (x^p - b_l x)-adic expansion per
+level l, in place on all p^l interleaved digit sequences at once.  In
+characteristic p, T^s for T = x^p - b x and s a power of p is the binomial
+x^(ps) - b^s x^s: the way from the standard basis divides by these
+binomials (_split) and the way back joins by Horner in them (_compose), one
+pass per division depth and a few fused column ops per pass, so both cost
+O(p n log^2 n) field ops with no recursion and no dense product.
 Each level's points are the previous level's images under its map
 T^p - b_i T, checked constant on every fiber (engine.fiber_levels).  Plan
 validation checks the dense ell_i tables: linearized, so F_p-linear, they
@@ -17,6 +18,8 @@ x, x^p, ..., x^(p^r): O(r^3) field ops.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from . import engine
 from .errors import (
@@ -186,16 +189,17 @@ def add_ifft(plan: AddPlan, values) -> CoeffVec:
 def padic_expand(f: Poly, alpha) -> list:
     """Expansion f = sum_m a_m(x) (x^p - alpha x)^m with deg a_m < p.
 
-    Pads f to a power-of-p length and runs _split_adic, the binomial
-    division that standard_to_lch uses, so the op count stays quasi-linear
-    in deg f.  Trailing zero terms are dropped.
+    Pads f to a power-of-p length and runs _split, the binomial division
+    that standard_to_lch uses, so the op count stays quasi-linear in deg f.
+    Trailing zero terms are dropped.
     """
     field = f.field
     p = field.p
     size = p
     while size < len(f.coeffs):
         size *= p
-    terms = _split_adic(field, list(f.coeffs) + [0] * (size - len(f.coeffs)), field.raw(alpha))
+    terms = list(f.coeffs) + [0] * (size - len(f.coeffs))
+    _split(field, terms, field.raw(alpha), 1)
     terms = [terms[i:i + p] for i in range(0, size, p)]
     while len(terms) > 1 and not any(terms[-1]):
         terms.pop()
@@ -221,92 +225,88 @@ def standard_to_lch(plan: AddPlan, coeffs) -> CoeffVec:
     if len(vals) > plan.n:
         raise DegreeTooLarge(f"degree must be < {plan.n}")
     vals = vals + [0] * (plan.n - len(vals))
-    out = _to_lch(plan.field, vals, plan.betas)
-    return CoeffVec(tuple(out), BASIS_LCH)
-
-
-def _to_lch(field, coeffs, betas) -> list:
-    """Inverse of _from_lch: split f = sum_m a_m(x) T^m for
-    T = x^p - betas[0] x, then expand the x^e coefficients of the a_m one
-    level up."""
-    if not betas:
-        return coeffs[:1]
-    p = field.p
-    terms = _split_adic(field, coeffs, betas[0])
-    out = [0] * len(coeffs)
-    for e in range(p):
-        out[e::p] = _to_lch(field, terms[e::p], betas[1:])
-    return out
+    for level, beta in enumerate(plan.betas):
+        _split(plan.field, vals, beta, plan.field.p**level)
+    return CoeffVec(tuple(vals), BASIS_LCH)
 
 
 def lch_to_standard(plan: AddPlan, coeffs) -> CoeffVec:
     vals = coeff_values(plan.field, coeffs, BASIS_LCH, plan.n)
-    return CoeffVec(tuple(_from_lch(plan.field, vals, plan.betas)), BASIS_STANDARD)
+    for level in range(plan.r - 1, -1, -1):
+        _compose(plan.field, vals, plan.betas[level], plan.field.p**level)
+    return CoeffVec(tuple(vals), BASIS_STANDARD)
 
 
-def _from_lch(field, coeffs, betas) -> list:
-    """Inverse of _to_lch.  With g_e the standard form of coeffs[e::p] one
-    level up, f = sum_e x^e g_e(T) = sum_m a_m(x) T^m for T = x^p - betas[0] x
-    and a_m = sum_e g_e[m] x^e."""
-    if not betas:
-        return coeffs[:1]
-    p = field.p
-    subs = [_from_lch(field, coeffs[e::p], betas[1:]) for e in range(p)]
-    # term-major layout: entry m*p + e is the x^e coefficient of a_m
-    return _compose_adic(field, [g[m] for m in range(len(subs[0])) for g in subs], betas[0])
+def _split(field, vec, beta, stride):
+    """In place on each of the stride interleaved subvectors vec[e::stride],
+    of power-of-p length L: the terms of sum_m a_m(x) T^m for
+    T = x^p - beta x, entry m*p + e the x^e coefficient of a_m.
 
-
-def _compose_adic(field, terms, beta) -> list:
-    """sum_m a_m(x) T^m for T = x^p - beta x, where terms[m*p + e] is the x^e
-    coefficient of a_m and the number of terms N is a power of p.
-
-    The p blocks of s = N/p terms are reassembled recursively and joined by
-    Horner in T^s, which in characteristic p is the binomial
-    x^(ps) - beta^s x^s: one multiply-subtract per coefficient per step, so
-    O(p n log n) ops for n = len(terms) and no dense product.
+    One pass per division depth B = L, L/p, ..., p^2: every length-B block
+    is divided p - 1 times by the binomial T^s = x^(ps) - beta^s x^s,
+    s = B/p^2, which leaves the p blocks of length ps below it as
+    remainders; x^i = x^(i - ps) (T^s + beta^s x^s) moves each coefficient
+    (p - 1)s places down.  A division runs from the top of the block in
+    chunks of at most (p - 1)s places, as the next chunk down reads what
+    this one writes: one multiply-add per coefficient per division, so
+    O(p n log n) ops for n = len(vec) and no dense product.
     """
     p = field.p
-    if len(terms) == p:
-        return terms
-    s = len(terms) // (p * p)
-    width = p * s  # coefficients per block, and the length of its result
-    bs = field.pow(beta, s)
-    acc = _compose_adic(field, terms[(p - 1) * width:], beta)
-    for j in range(p - 2, -1, -1):
-        # acc * x^(ps) + block_j lands without arithmetic; then subtract bs * acc * x^s
-        new = _compose_adic(field, terms[j * width:(j + 1) * width], beta) + acc
-        for i, a in enumerate(acc):
-            if a:
-                new[i + s] = field.sub(new[i + s], field.mul(bs, a))
-        acc = new
-    return acc
+    B = len(vec) // stride
+    while B >= p * p:
+        s = B // (p * p)
+        w, d = p * s, (p - 1) * s
+        bs = field.pow(beta, s)
+        for j in range(1, p):
+            # division j moves [j w, B) down; [(j - 1) w, j w) is then a remainder
+            top = B
+            while top > j * w:
+                a = max(top - d, j * w)
+                _columns(field.add_products, vec, a, a - d, top - a, B, stride, bs)
+                top = a
+        B //= p
 
 
-def _split_adic(field, coeffs, beta) -> list:
-    """Inverse of _compose_adic: the terms of coeffs = sum_m a_m(x) T^m for
-    T = x^p - beta x, with entry m*p + e the x^e coefficient of a_m, where
-    len(coeffs) is a power of p.
+def _compose(field, vec, beta, stride):
+    """Inverse of _split: sum_m a_m(x) T^m for T = x^p - beta x, in place on
+    each of the stride interleaved subvectors, with entry m*p + e the x^e
+    coefficient of a_m.
 
-    Dividing p - 1 times by the binomial T^s = x^(ps) - beta^s x^s, for
-    s = len(coeffs)/p^2, leaves the p blocks of s terms as remainders, which
-    are expanded recursively: one multiply-add per coefficient per division,
-    so O(p n log n) ops for n = len(coeffs) and no dense product.
+    One pass per depth B = p^2, p^3, ..., L joins each length-B block's p
+    blocks of length w = ps, s = B/p^2, by Horner in the binomial
+    T^s = x^(ps) - beta^s x^s: block j followed by the join of the blocks
+    above it is already their sum times x^(ps), and one multiply-subtract
+    per coefficient takes beta^s x^s times that join away.
     """
     p = field.p
-    if len(coeffs) == p:
-        return coeffs
-    s = len(coeffs) // (p * p)
-    width = p * s  # coefficients per block
-    bs = field.pow(beta, s)
-    acc = list(coeffs)
-    out = []
-    for _ in range(p - 1):
-        # from the top down, x^i = x^(i - ps) (T^s + bs x^s): the quotient stays
-        # in acc[width:] and the remainder, the next block, in acc[:width]
-        for i in range(len(acc) - 1, width - 1, -1):
-            a = acc[i]
-            if a:
-                acc[i - width + s] = field.add(acc[i - width + s], field.mul(bs, a))
-        out += _split_adic(field, acc[:width], beta)
-        acc = acc[width:]
-    return out + _split_adic(field, acc, beta)
+    L = len(vec) // stride
+    B = p * p
+    while B <= L:
+        s = B // (p * p)
+        w = p * s
+        bs = field.pow(beta, s)
+        for j in range(p - 2, -1, -1):
+            src = (j + 1) * w
+            _columns(field.sub_products, vec, src, j * w + s, B - src, B, stride, bs)
+        B *= p
+
+
+def _columns(op, vec, src, dst, length, B, stride, c):
+    """vec[dst + i] = op(vec[dst + i], vec[src + i], c) for i < length in
+    every length-B block of the stride interleaved subvectors, every source
+    read before it is written (dst < src).  A block's places
+    [a, a + length) are one slice across the subvectors, and one place is
+    one slice across the blocks: min(#blocks, length * stride) column ops."""
+    step = B * stride
+    n = length * stride
+    cs = repeat(c)
+    if len(vec) // step <= n:
+        for b in range(0, len(vec), step):
+            t, f = b + dst * stride, b + src * stride
+            vec[t:t + n] = op(vec[t:t + n], vec[f:f + n], cs)
+    else:
+        # place by place, ascending: a source place read here lies below
+        # any place it is written to
+        for o in range(n):
+            t, f = dst * stride + o, src * stride + o
+            vec[t::step] = op(vec[t::step], vec[f::step], cs)

@@ -175,6 +175,8 @@ def cmd_bench(args) -> int:
             raise InputError(f"bench --case {args.case} needs --p (or --fields for cyclic)")
         field = field_make(args.p, args.r)
         for n in _parse_ints(args.ladder):
+            if n < 2:
+                raise ValidationError(f"ladder size {n} is below 2")
             if args.case == "mult":
                 plan = mult_plan(field, _factor_smooth(n))
             elif args.case == "add":

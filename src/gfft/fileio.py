@@ -89,7 +89,8 @@ def values_from_json(field: Field, obj, plan=None):
 
 
 def _keyed(field, obj, name, points):
-    """The entries of the point-keyed map obj[name], in the order of points."""
+    """The entries of the point-keyed map obj[name], in the order of points;
+    its keys must be exactly the points."""
     lookup = {}
     for k, v in obj[name].items():
         pt = INF if k == "inf" else field.parse_raw(json.loads(k) if k.startswith("[") else int(k))
@@ -98,6 +99,11 @@ def _keyed(field, obj, name, points):
     if missing is not None:
         raise PointMismatch(f"{name!r} holds no entry at evaluation point "
                             f"{point_out(field, missing)}: the file is another plan's")
+    own = set(points)
+    extra = next((pt for pt in lookup if pt not in own), None)
+    if extra is not None:
+        raise PointMismatch(f"{name!r} holds an entry at {point_out(field, extra)}, which is "
+                            "no evaluation point of the plan: the file is another plan's")
     return [lookup[pt] for pt in points]
 
 

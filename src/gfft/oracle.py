@@ -46,7 +46,8 @@ def lagrange_interpolate(field, points, values) -> Poly:
 
 class BasisMatrix:
     """Dense n x n change of basis: column e holds the standard coefficients
-    of the plan's e-th basis polynomial."""
+    of the plan's e-th basis polynomial.  The O(n^3) inverse is made on the
+    first solve, so a check through apply alone stays O(n^2)."""
 
     def __init__(self, field, columns):
         n = len(columns)
@@ -55,10 +56,7 @@ class BasisMatrix:
         self.field = field
         self.n = n
         self.matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-        try:
-            self._inverse = invert(field, self.matrix)
-        except SingularMatrix:
-            raise SingularMatrix("basis matrix singular; plan corrupted")
+        self._inverse = None
 
     def apply(self, vec):
         """Basis coefficients -> standard coefficients."""
@@ -66,6 +64,11 @@ class BasisMatrix:
 
     def solve(self, vec):
         """Standard coefficients -> basis coefficients."""
+        if self._inverse is None:
+            try:
+                self._inverse = invert(self.field, self.matrix)
+            except SingularMatrix:
+                raise SingularMatrix("basis matrix singular; plan corrupted")
         return mat_vec(self.field, self._inverse, list(vec))
 
 

@@ -189,18 +189,54 @@ def test_length_error(F9):
         add_fft(plan, [1, 2, 3])
 
 
-@pytest.mark.parametrize("p,r", [(2, 6), (3, 4), (5, 3), (7, 2)])
-def test_lch_to_standard_matches_basis_matrix(p, r, rng):
+def _conversion_inputs(field, n, rng):
+    one = [0] * n
+    one[rng.randrange(n)] = rng.randrange(1, field.q)
+    yield [0] * n
+    yield one
+    yield [rng.randrange(field.q) for _ in range(n // 2)] + [0] * (n - n // 2)
+    for _ in range(3):
+        yield [rng.randrange(field.q) for _ in range(n)]
+
+
+# full-dimension configs keep their "p-r" ids; then dim 9 of 10 and dims 0-2
+CONVERSION_CONFIGS = [pytest.param(p, r, r, id=f"{p}-{r}")
+                      for p, r in ((2, 6), (3, 4), (5, 3), (7, 2))]
+CONVERSION_CONFIGS += [(2, 10, 9), (3, 4, 0), (2, 5, 1), (3, 3, 1), (3, 4, 2), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("p,r,dim", CONVERSION_CONFIGS)
+def test_lch_to_standard_matches_basis_matrix(p, r, dim, rng):
     # second route: columns are products of lin_polys powers, no binomial
-    # composition or division; the dense matrix checks both directions
+    # composition or division; the dense matrix checks both directions, on
+    # zero-heavy inputs too, each taken as lch and as standard coefficients
     field = field_make(p, r)
-    plan = add_plan(field, [p**i for i in range(r)])
+    plan = add_plan(field, [p**i for i in range(dim)])
     bm = basis_matrix(plan)
-    for _ in range(5):
-        c = [rng.randrange(field.q) for _ in range(plan.n)]
+    for c in _conversion_inputs(field, plan.n, rng):
         std = bm.apply(c)
         assert list(lch_to_standard(plan, CoeffVec(tuple(c), BASIS_LCH)).values) == std
         assert list(standard_to_lch(plan, std).values) == c
+        assert bm.apply(list(standard_to_lch(plan, c).values)) == c
+
+
+@pytest.mark.parametrize("p,r,dim", CONVERSION_CONFIGS)
+def test_conversion_op_counts_are_dense_and_symmetric(p, r, dim, rng):
+    # the column ops count every entry, zero or not, and the two directions
+    # run mirror passes: one count for both directions and every input, with
+    # n (p - 1)/2 adds per division depth, dim - 1 - l depths at level l
+    field = field_make(p, r)
+    plan = add_plan(field, [p**i for i in range(dim)])
+    counts = set()
+    for c in _conversion_inputs(field, plan.n, rng):
+        for convert, coeffs in ((standard_to_lch, c),
+                                (lch_to_standard, CoeffVec(tuple(c), BASIS_LCH))):
+            with field.count_ops() as ctr:
+                convert(plan, coeffs)
+            counts.add((ctr.adds, ctr.muls, ctr.invs))
+    assert len(counts) == 1, counts
+    adds, muls, invs = counts.pop()
+    assert adds == plan.n * (p - 1) * dim * (dim - 1) // 4 and invs == 0
 
 
 # -- plan validation: each check of the build and of AddPlan._validate rejects its own fault

@@ -179,7 +179,8 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
                                   "fiber-not-a-value", "fiber-on-full-plan",
                                   "inf-fiber-on-partial-plan", "radices-on-add", "fiber-on-mult",
                                   "beta-on-cyclic", "m-on-mult", "basis-on-mult",
-                                  "basis-on-cyclic", "add-ladder-beyond-q"])
+                                  "basis-on-cyclic", "add-ladder-beyond-q", "ladder-zero",
+                                  "ladder-negative"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -254,6 +255,11 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         # 16 used to be refused as "not a raw value of F_16"
         argv = ["bench", "--case", "add", "--p", "2", "--r", "4", "--ladder", "32"]
         error = "SubspaceTooLarge"
+    elif case in ("ladder-zero", "ladder-negative"):
+        # used to benchmark a one-point plan and print it as n=1
+        argv = ["bench", "--case", "mult", "--p", "17", "--ladder",
+                "0" if case == "ladder-zero" else "-4"]
+        error = "ValidationError"
     elif case.split("-on-")[0] in ("radices", "fiber", "beta", "m", "basis"):
         # an option of another case used to be dropped, with exit 0
         option, plan_case = case.split("-on-")
@@ -265,6 +271,29 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {error}:"), err
+
+
+def test_cli_ifft_refuses_values_of_a_larger_plan(tmp_path, capsys):
+    # the full F_23 plan's values hold every point of the partial (2, 3)
+    # plan and more; they used to invert on it to 6 coefficients, exit 0
+    full, part = tmp_path / "full.json", tmp_path / "part.json"
+    cz, fv = tmp_path / "cz.json", tmp_path / "fv.json"
+    assert cli.main(["plan", "--case", "cyclic", "--p", "23", "--radices", "2,2,2,3",
+                     "--out", str(full)]) == 0
+    assert cli.main(["plan", "--case", "cyclic", "--p", "23", "--radices", "2,3",
+                     "--out", str(part)]) == 0
+    cz.write_text(json.dumps({"basis": "cyclic-z", "coeffs": [i % 23 for i in range(1, 25)]}))
+    assert cli.main(["fft", "--plan", str(full), "--in", str(cz), "--out", str(fv)]) == 0
+    capsys.readouterr()
+    assert cli.main(["ifft", "--plan", str(part), "--in", str(fv),
+                     "--out", str(tmp_path / "back.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: PointMismatch: 'values' holds an entry at inf, which is no "
+                   "evaluation point of the plan: the file is another plan's"], err
+    # the inf key is the full plan's own point
+    back = tmp_path / "fullback.json"
+    assert cli.main(["ifft", "--plan", str(full), "--in", str(fv), "--out", str(back)]) == 0
+    assert json.loads(back.read_text()) == json.loads(cz.read_text())
 
 
 def test_cli_plan_basis_list_form(tmp_path):

@@ -126,6 +126,12 @@ def test_cyclic_ifft_refuses_values_of_another_fiber():
     # the same values reordered still invert on their own plan
     shuffled = CyclicEvalVec(ev.points[::-1], ev.values[::-1], ev.tilde[::-1])
     assert list(q1_ifft(other, shuffled).values) == [1, 2, 3, 4, 5, 6]
+    # the full plan's values cover this plan's points and more; the extra
+    # ones used to be dropped
+    ev = q1_fft(cyclic_plan(F23, (2, 2, 2, 3)), [i % 23 for i in range(1, 25)])
+    assert set(plan.points) < set(ev.points)
+    with pytest.raises(PointMismatch, match="a value at INF, which is no evaluation point"):
+        q1_ifft(plan, ev)
 
 
 def test_transform_length_bound():
