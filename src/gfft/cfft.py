@@ -513,10 +513,10 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
             if missing:
                 raise PointMismatch(f"no value at evaluation point {missing[0]!r}: the values "
                                     "belong to another plan's points")
-            own = set(plan.points)
-            extra = [pt for pt in lookup if pt not in own]
-            if extra:
-                raise PointMismatch(f"a value at {extra[0]!r}, which is no evaluation point of "
+            if len(lookup) != plan.n:
+                own = set(plan.points)
+                extra = next(pt for pt in lookup if pt not in own)
+                raise PointMismatch(f"a value at {extra!r}, which is no evaluation point of "
                                     "the plan: the values belong to another plan's points")
             seq = [lookup[pt] for pt in plan.points]
     else:

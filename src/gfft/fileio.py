@@ -99,9 +99,9 @@ def _keyed(field, obj, name, points):
     if missing is not None:
         raise PointMismatch(f"{name!r} holds no entry at evaluation point "
                             f"{point_out(field, missing)}: the file is another plan's")
-    own = set(points)
-    extra = next((pt for pt in lookup if pt not in own), None)
-    if extra is not None:
+    if len(lookup) != len(points):
+        own = set(points)
+        extra = next(pt for pt in lookup if pt not in own)
         raise PointMismatch(f"{name!r} holds an entry at {point_out(field, extra)}, which is "
                             "no evaluation point of the plan: the file is another plan's")
     return [lookup[pt] for pt in points]

@@ -438,7 +438,7 @@ def test_criterion_7_structural_invariants(configs, oracle_matrices):
                 [1 if i == j else 0 for j in range(n)] for i in range(n)
             ], name
         elif case == "add":
-            assert bm is not None, name  # construction already verified invertibility
+            bm.solve([0] * plan.n)  # raises SingularMatrix unless the basis is invertible
             field = plan.field
             for i in range(1, plan.r + 1):
                 span = {0}
@@ -452,7 +452,7 @@ def test_criterion_7_structural_invariants(configs, oracle_matrices):
                 kernel = {u for u in range(field.q) if plan.lin_polys[i].eval(u) == 0}
                 assert kernel == span, (name, i)
         else:
-            assert bm is not None, name
+            bm.solve([0] * plan.n)  # raises SingularMatrix unless the basis is invertible
             field = plan.field
             tower = cyclic_tower(plan)
             # the build proves x_i = m_i(x_{i-1}) through degree-p identities
