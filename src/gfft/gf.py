@@ -25,6 +25,11 @@ division stays below 2**16.  Moduli are tested by Rabin's test on Poly over
 F_p.  Extension fields build exp/log tables and stay within q <= 2**20; prime
 fields go up to q < 2**31.  field_make checks the bound before the
 trial-division prime test.
+
+The tables are one walk over the powers of the generator.  In characteristic 2
+a step is an F_2-linear map on the packed int, read from one XOR table per
+byte: O(q) word operations.  In odd characteristic each step is still one
+schoolbook product of r digits: O(q r^2) steps.
 """
 
 from __future__ import annotations
@@ -180,15 +185,29 @@ class Field:
             return square_multiply(self._mul_poly, x, e, 1)
 
         gen = next(c for c in range(2, q) if multiplicative_order(c, q - 1, power, 1) == q - 1)
-        exp = [1] * (2 * (q - 1))
+        exp = [0] * (q - 1)
         log = [0] * q
         acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            exp[i + q - 1] = acc
-            log[acc] = i
-            acc = self._mul_poly(acc, gen)
-        self._exp = exp
+        if p == 2:
+            # x -> x gen is F_2-linear on the packed int, so it is the XOR of
+            # the images of x's bytes, each read from a table built from the
+            # images of single bits; q <= 2**20 makes three bytes, and a
+            # byte above bit r is 0 and reads the 0 of its [0]
+            tables = [[0], [0], [0]]
+            for k in range(r):
+                image = self._mul_poly(1 << k, gen)
+                tables[k // 8] += [v ^ image for v in tables[k // 8]]
+            t0, t1, t2 = tables
+            for i in range(q - 1):
+                exp[i] = acc
+                log[acc] = i
+                acc = t0[acc & 255] ^ t1[acc >> 8 & 255] ^ t2[acc >> 16]
+        else:
+            for i in range(q - 1):
+                exp[i] = acc
+                log[acc] = i
+                acc = self._mul_poly(acc, gen)
+        self._exp = exp * 2
         self._log = log
 
     def unpack(self, raw: int):
@@ -576,14 +595,24 @@ def find_primitive_element(field: Field) -> FieldElement:
 
 
 def quadratic_is_irreducible(field: Field, a: int, b: int) -> bool:
-    """x^2 + a x + b irreducible over F_q (no roots; degree 2 suffices)."""
-    if field.p != 2 and field.r == 1:
-        disc = (a * a - 4 * b) % field.p
-        return pow(disc, (field.p - 1) // 2, field.p) != 1 if disc else False
-    for t in range(field.q):
-        if field.add(field.mul(t, field.add(t, a)), b) == 0:
+    """x^2 + a x + b irreducible over F_q (no roots; degree 2 suffices).
+    Odd q: the discriminant a^2 - 4b is a nonsquare (Euler's criterion on
+    F_p, an odd log on the tables).  Even q: a != 0 (else it is a square) and Tr(b / a^2)
+    = 1, as x = a y turns it into y^2 + y + b / a^2 (Artin-Schreier)."""
+    p = field.p
+    if p == 2:
+        if not a:
             return False
-    return True
+        c = tr = field.div(b, field.mul(a, a))
+        for _ in range(field.r - 1):
+            c = field.mul(c, c)
+            tr ^= c
+        return tr == 1
+    if field.r == 1:
+        disc = (a * a - 4 * b) % p
+        return pow(disc, (p - 1) // 2, p) != 1 if disc else False
+    disc = field.sub(field.mul(a, a), field.mul(4 % p, b))
+    return disc != 0 and field._log[disc] % 2 == 1
 
 
 def quadratic_root_order(field: Field, a: int, b: int) -> int:

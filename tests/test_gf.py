@@ -125,6 +125,36 @@ def test_table_generator_is_least_by_walk(p, r):
     assert field._exp[1] == least
 
 
+@pytest.mark.parametrize("r", range(2, 15))
+def test_char2_tables_match_the_product_walk(r):
+    # the byte-table fill gives the lists a schoolbook walk from the generator gives
+    field = field_make(2, r)
+    q, gen = field.q, field._exp[1]
+    exp, log, acc = [], [0] * q, 1
+    for i in range(q - 1):
+        exp.append(acc)
+        log[acc] = i
+        acc = field._mul_poly(acc, gen)
+    assert acc == 1
+    assert field._exp == exp + exp
+    assert field._log == log
+
+
+def test_char2_tables_take_no_product_per_entry(monkeypatch):
+    # GF(2^16) has 65,535 table entries; the modulus and generator searches
+    # and the r byte images take a few hundred schoolbook products
+    calls = [0]
+    mul_poly = gf.Field._mul_poly
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return mul_poly(self, x, y)
+
+    monkeypatch.setattr(gf.Field, "_mul_poly", counted)
+    field_make(2, 16)
+    assert calls[0] <= 2000, calls[0]
+
+
 def test_arithmetic_f127(F127):
     three = F127(3)
     assert (three.inverse()).raw == 85
@@ -227,6 +257,17 @@ def test_primitive_quadratic_is_least_from_a_zero(p, r):
                  and quadratic_root_order(field, a, b) == target)
     a, b = find_primitive_quadratic(field)
     assert (a.raw, b.raw) == least
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (5, 2),
+                                 (3, 3), (7, 2)])
+def test_quadratic_irreducibility_matches_a_root_scan(p, r):
+    # the trace and discriminant tests, against a scan of F_q for a root, on every (a, b)
+    field = field_make(p, r)
+    for a in range(field.q):
+        for b in range(field.q):
+            no_root = all(field.add(field.mul(t, field.add(t, a)), b) for t in range(field.q))
+            assert quadratic_is_irreducible(field, a, b) == no_root, (a, b)
 
 
 def test_primitive_quadratic_accepts_published_f127_pair(F127):
