@@ -27,7 +27,11 @@ at infinity through precomputed constants instead of direct evaluation.
 The basis conversions mirror each other around the transform: standard ->
 cyclic-z evaluates the polynomial at the plan's points (Horner) and inverts
 the values with q1_ifft; cyclic-z -> standard evaluates with q1_fft and
-interpolates at the finite points (Newton).  Both cost O(n^2).
+interpolates at the finite points by a transposed Vandermonde solve: power
+sums of the values times the weights 1/M'(x_i), combined through the
+coefficients of the fiber polynomial M = prod (x - x_i).  The plan builds M
+and the weights in closed form, in O(n) field operations, so a conversion
+inverts nothing.  Both conversions cost O(n^2).
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from .errors import (
     SplitValidationFailure,
     ValidationError,
 )
-from .gf import Field, find_primitive_quadratic, quadratic_is_irreducible, quadratic_root_order
+from .gf import (Field, find_primitive_quadratic, multiplicative_order, quadratic_is_irreducible,
+                 quadratic_root_order)
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
 from .linalg import invert  # noqa: F401
@@ -115,7 +120,8 @@ class CyclicPlan:
         self.m_coeffs = (a, b)
 
         self.sigma = MoebiusMap(field, 0, 1, f.neg(b), f.neg(a))
-        if self.sigma.order() != field.q + 1:
+        order = multiplicative_order(self.sigma, field.q + 1, pow, MoebiusMap.identity(f))
+        if order != field.q + 1:
             raise PrimitivityFailure("companion map does not have order q+1")
 
         inv_b = f.inv(b)
@@ -135,7 +141,7 @@ class CyclicPlan:
         self._build_quads()
         self._build_points(fiber_key)
         self._check_pole_order()
-        self._build_scaling()
+        self._build_fiber_tables(self._build_scaling())
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
@@ -305,7 +311,8 @@ class CyclicPlan:
         Partial plan: N = key D, D_i = D_{i-1}^p_i v_i(x_{i-1}) on the level
         points, and c Q_0^n = D^2 Q_r(key) makes scale * base_value = D; that
         identity is guarded at each point, and Q_r by the fiber's norm
-        prod Q_0(points) = Q_r(key)."""
+        prod Q_0(points) = Q_r(key).  Returns Q_0 at the points of a partial
+        plan, for _build_fiber_tables."""
         f, n, quad0 = self.field, self.n, self.quads[0]
         self.scale_const = c = self.quads[self.r].lc()
         if self.is_full:
@@ -315,8 +322,8 @@ class CyclicPlan:
             self.base_value = 0  # the kernel zeroes a full plan's leaves
             self.scales = [None] + [f.mul(c, quad0.eval(pt)) for pt in self.points[1:]]
             self.inv_scales = [None] + engine._batch_inverse(f, [self.scales[1:]])[0]
-            return
-        dens = [1] * n
+            return None
+        dens = [1] * n  # D at each point
         for lv, xs in zip(self.levels, self.level_points):
             dens = f.products([f.pow(d, lv.radix) for d in dens], cycle(map(lv.den.eval, xs)))
         key = self.bucket_key
@@ -330,6 +337,45 @@ class CyclicPlan:
         self.base_value = f.div(key, q_key)
         self.scales = f.products(dens, repeat(f.div(q_key, key)))
         self.inv_scales = engine._batch_inverse(f, [dens])[0]  # 1 / (scale * base_value)
+        return q0s
+
+    def _build_fiber_tables(self, q0s):
+        """The fiber polynomial M = prod (x - x_i) over the finite points and
+        the weights w_i = 1 / M'(x_i), the two tables of tilde_to_std, in
+        closed form.  Full plan: the finite points are F_q, so M = x^q - x
+        and w_i = -1, by Fermat.  Partial plan: sigma fixes the roots theta,
+        theta^q of Q_0, so ((x - theta) / (x - theta^q))^n is a constant c on
+        the fiber and M = ((x - theta)^n - c (x - theta^q)^n) / (1 - c): M_k =
+        (-1)^(n-k) C(n, k) t_(n-k), where t_j = (theta^j - c theta^(qj)) /
+        (1 - c) has t_0 = 1, t_1 = sum x_i / n and the recurrence of Q_0.
+        M = N - key D for x_r = N/D, and x_r' = K / Q_0 on the fiber, so
+        w_i = Q_0(x_i) / (K D(x_i)), with K = x_r'(x_0) Q_0(x_0) from the
+        chain rule through the level maps at x_0.  Guarded at x_0: M(x_0) = 0
+        and w_0 M'(x_0) = 1."""
+        f, n = self.field, self.n
+        if self.is_full:
+            self.fiber_poly = [0, f.neg(1)] + [0] * (f.q - 2) + [1]
+            self.weights = [f.neg(1)] * f.q
+            return
+        p = f.p
+        a1, a0 = f.neg(self.quads[0][1]), f.neg(self.quads[0][0])
+        t = [1, f.div(f.sum(self.points), n % p)]  # p does not divide n | q + 1
+        for _ in range(n - 1):
+            t.append(f.add(f.mul(a1, t[-1]), f.mul(a0, t[-2])))
+        signed = [c if (n - k) % 2 == 0 else (-c) % p
+                  for k, c in enumerate(_binomials_mod_p(n, p))]
+        self.fiber_poly = f.products(signed, reversed(t))
+        slope_num, slope_den = 1, 1  # x_r'(x_0) as a fraction, level by level
+        for lv, xs in zip(self.levels, self.level_points):
+            u, du = _value_and_slope(f, lv.num.coeffs, xs[0])
+            v, dv = _value_and_slope(f, lv.den.coeffs, xs[0])
+            slope_num = f.mul(slope_num, f.sub(f.mul(du, v), f.mul(u, dv)))
+            slope_den = f.mul(slope_den, f.mul(v, v))
+        inv_k = f.div(slope_den, f.mul(slope_num, q0s[0]))  # 1 / K
+        self.weights = f.products(f.products(q0s, self.inv_scales), repeat(inv_k))
+        at_x0, slope = _value_and_slope(f, self.fiber_poly, self.points[0])
+        if at_x0 != 0 or f.mul(self.weights[0], slope) != 1:
+            raise ValidationError("fiber polynomial or weights fail at the fiber's first point")
 
     def _build_kernel(self):
         """engine Levels from each level's points and poles, plus the
@@ -452,6 +498,37 @@ def _cycle_log(step, start, target, length):
     return None
 
 
+def _binomials_mod_p(n, p):
+    """C(n, k) mod p for k = 0..n by Lucas' theorem: the product of C(n_i, k_i)
+    over the base-p digits, each digit's row by the ratio recurrence
+    C(d, j + 1) = C(d, j) (d - j) / (j + 1), exact as j + 1 <= d < p.  For
+    n < p that is the ratio recurrence on n itself."""
+    rows, rest = [], n  # one row per digit of n, least significant first
+    while rest:
+        rest, d = divmod(rest, p)
+        row = [1]
+        for j in range(d):
+            row.append(row[-1] * (d - j) * pow(j + 1, -1, p) % p)
+        rows.append(row)
+    out = []
+    for k in range(n + 1):
+        c = 1
+        for row in rows:
+            k, j = divmod(k, p)
+            c = c * row[j] % p if j < len(row) else 0
+        out.append(c)
+    return out
+
+
+def _value_and_slope(field, coeffs, x):
+    """(g(x), g'(x)) for the polynomial g with ascending coeffs, by Horner."""
+    val = slope = 0
+    for c in reversed(coeffs):
+        slope = field.add(field.mul(slope, x), val)
+        val = field.add(field.mul(val, x), c)
+    return val, slope
+
+
 def _apply_level(field, lv, pairs):
     """The level map u/v on projective pairs: (N, D) -> (D^p u(N/D), D^p v(N/D)),
     by homogeneous Horner; u is monic of degree p, v monic of degree p - 1."""
@@ -542,34 +619,32 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
 
 def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     """Express cyclic-z coefficients in the standard basis, the mirror of
-    std_to_tilde: q1_fft gives the polynomial's values, and Newton
-    interpolation at the finite points gives its coefficients.  On a full
-    plan those are all of F_q, which leaves the multiple of x^q - x open: it
-    is the index-0 basis element, whose coefficient q1_fft carries as a0."""
+    std_to_tilde: q1_fft gives the polynomial's values y_i at the m finite
+    points x_i, and the transposed Vandermonde solve on the plan's fiber
+    polynomial M and weights w_i = 1 / M'(x_i) gives its coefficients
+    (Lagrange: f = sum y_i w_i M(x) / (x - x_i)).  With z = y * w and the
+    power sums P_e = sum z_i x_i^e, e < m, c_k = sum_(j > k) M_j P_(j-1-k):
+    m column products and sums, then one column op per nonzero M_j (2 on a
+    full plan, where M = x^q - x), and no inversion.  On a full plan the
+    finite points are all of F_q, which leaves the multiple of x^q - x open:
+    it is the index-0 basis element, whose coefficient q1_fft carries as a0."""
     f = plan.field
     ev = q1_fft(plan, coeffs)
-    xs, ys = zip(*[(pt, v) for pt, v in zip(ev.points, ev.values) if pt is not INF])
-    out = _interpolate(f, xs, ys) + [0] * (plan.n - len(xs))
+    first = 1 if plan.is_full else 0  # a full plan's points start at INF
+    xs = plan.points[first:]
+    z = f.products(ev.values[first:], plan.weights)
+    sums = [f.sum(z)]
+    for _ in range(len(xs) - 1):
+        z = f.products(z, xs)
+        sums.append(f.sum(z))
+    out = [0] * plan.n
+    for j, mj in enumerate(plan.fiber_poly):
+        if j and mj:
+            out[:j] = f.add_products(out[:j], sums[j - 1::-1], repeat(mj))
     if plan.is_full:
         out[plan.n - 1] = ev.a0
         out[1] = f.sub(out[1], ev.a0)
     return CoeffVec(tuple(out), BASIS_STANDARD)
-
-
-def _interpolate(field, xs, ys):
-    """Coefficients of the polynomial of degree < m with values ys at the m
-    distinct points xs: divided differences, then Horner in the Newton form,
-    c <- c (x - x_k) + d_k, on the field's column ops.  About 3 m^2 field
-    ops, m^2 / 2 of them inverses."""
-    sub, inv = field.sub, field.inv
-    m = len(xs)
-    d = list(ys)
-    for j in range(1, m):
-        d[j:] = field.diff_products(d[j:], d[j - 1:m - 1], map(inv, map(sub, xs[j:], xs[:m - j])))
-    c = [d[m - 1]]
-    for k in range(m - 2, -1, -1):
-        c = field.sub_products([d[k]] + c, c, repeat(xs[k])) + [c[-1]]
-    return c
 
 
 def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
@@ -581,10 +656,7 @@ def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     infinity is unused: the index-0 basis element x^q - x vanishes on F_q, so
     its coefficient is the x^q coefficient, passed as a0.
     """
-    if isinstance(coeffs, Poly):
-        vals = list(coeffs.coeffs)
-    else:
-        vals = coeff_values(plan.field, coeffs, BASIS_STANDARD)
+    vals = coeff_values(plan.field, coeffs, BASIS_STANDARD)
     if len(vals) > plan.n:
         raise DegreeTooLarge(f"degree must be < {plan.n}")
     poly = Poly(plan.field, vals)

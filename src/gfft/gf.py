@@ -8,7 +8,8 @@ Field methods; FieldElement is a thin wrapper for user-facing code.
 
 The column ops (add_products, sub_products, diff_products, products) fuse
 an entrywise multiply with an add or subtract over whole lists, for the
-transform kernels, and count as the element ops they fuse.
+transform kernels, and count as the element ops they fuse; sum adds up a
+column, counted as its adds.
 
 Field.raw is the one rule for what a value of F_q is: an int in [0, q) that
 is not a bool, or a FieldElement of an equal field.  Values are checked,
@@ -36,7 +37,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ValidationError,
                      ZeroInverse)
@@ -381,6 +384,17 @@ class Field:
         else:
             return list(map(self.mul, xs, ws))
         self._tally(0, len(out))
+        return out
+
+    def sum(self, xs) -> int:
+        """x_0 + x_1 + ... over a list, counted as len(xs) - 1 adds."""
+        if self.r == 1:
+            out = sum(xs) % self.p
+        elif self.p == 2:
+            out = reduce(operator.xor, xs, 0)
+        else:
+            return reduce(self.add, xs) if xs else 0
+        self._tally(max(len(xs) - 1, 0), 0)
         return out
 
     def pow(self, x: int, e: int) -> int:

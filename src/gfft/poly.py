@@ -84,6 +84,11 @@ class Poly:
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    def __iter__(self):
+        """The coefficients, ascending; __getitem__ alone would iterate
+        forever, as it reads 0 past the degree."""
+        return iter(self.coeffs)
+
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BasisMismatch, LengthMismatch, PlanFileError
-from .poly import INF
+from .errors import BasisMismatch, DegreeTooLarge, LengthMismatch, MixedFields, PlanFileError
+from .poly import INF, Poly
 
 BASIS_STANDARD = "standard"
 BASIS_LCH = "lch"
@@ -46,8 +46,21 @@ def plan_list(obj, key, length=None, ints=False):
 
 
 def coeff_values(field, coeffs, expected_basis, n=None):
-    """Unwrap a CoeffVec (tag-checked) or accept a sequence; the entries come
+    """Unwrap a CoeffVec (tag-checked) or a Poly (a standard-basis vector of
+    field, zero-padded to length n) or accept a sequence; the entries come
     back as checked raw values of field."""
+    if isinstance(coeffs, Poly):
+        if coeffs.field != field:
+            raise MixedFields(f"a polynomial over F_{coeffs.field.q} for a plan over F_{field.q}")
+        if expected_basis != BASIS_STANDARD:
+            raise BasisMismatch(f"expected {expected_basis!r} basis, got a polynomial "
+                                f"({BASIS_STANDARD!r} basis)")
+        vals = list(coeffs.coeffs)
+        if n is not None:
+            if len(vals) > n:
+                raise DegreeTooLarge(f"degree must be < {n}, got {coeffs.degree}")
+            vals += [0] * (n - len(vals))
+        return vals
     if isinstance(coeffs, CoeffVec):
         if coeffs.basis != expected_basis:
             raise BasisMismatch(f"expected {expected_basis!r} basis, got {coeffs.basis!r}")

@@ -273,9 +273,10 @@ def test_criterion_5_standard_pipeline():
 def test_criterion_5_cyclic_std_to_tilde_ladder():
     """The cyclic conversions, gated like criterion 5: standard -> cyclic-z
     (n^2 Horner steps plus one kernel pass) and cyclic-z -> standard (one
-    kernel pass plus Newton interpolation) keep count(2n) / count(n) near 4,
-    where an n^3 route grows by 6 to 7 per doubling.  The two are mirror
-    images, so cyclic-z -> standard costs at most 1.6 times its partner."""
+    kernel pass plus power sums over the plan's fiber polynomial, about 3n^2
+    ops and no inversion) keep count(2n) / count(n) near 4, where an n^3
+    route grows by 6 to 7 per doubling.  The two are mirror images, so
+    cyclic-z -> standard costs at most 1.6 times its partner."""
     rng = random.Random(SEED + 7)
     field = field_make(383)
     counts = {std_to_tilde: {}, tilde_to_std: {}}

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -12,16 +13,19 @@ from gfft.cfft import (
     std_to_tilde,
     tilde_to_std,
 )
+from gfft.afft import add_fft, add_plan, lch_to_standard, standard_to_lch
 from gfft.errors import (
     BasisMismatch,
     DegreeTooLarge,
     InvalidFieldValue,
     LengthMismatch,
+    MixedFields,
     PrimitivityFailure,
     RadixNotDividing,
     ValidationError,
 )
 from gfft.gf import field_make
+from gfft.mfft import mult_fft, mult_plan
 from gfft.oracle import basis_matrix, cyclic_tower, lagrange_interpolate, mpe_horner
 from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
@@ -528,3 +532,86 @@ def test_safe_prime_build_factors_small_parts(monkeypatch, rng):
     assert parts and max(parts) <= 2**31
     c = [rng.randrange(SAFE_PRIME) for _ in range(plan.n)]
     assert list(q1_ifft(plan, q1_fft(plan, c)).values) == c
+
+
+@pytest.mark.parametrize("field_args, radices", [
+    ((383,), (2,) * 7), ((1151,), (2, 2, 2, 2, 3)), ((131,), (2, 3, 11)), ((23,), (2, 3)),
+    ((3, 4), (41,)), ((5, 2), (13,)), ((2, 6), (5,)), ((M31,), (2,) * 8), ((131071,), (2,) * 10),
+    ((23,), (2, 2, 2, 3)), ((191,), (2,) * 6 + (3,)), ((2, 3), (3, 3)), ((3, 2), (2, 5)),
+    ((5, 2), (2, 13)),
+])
+def test_fiber_tables_closed_forms(field_args, radices):
+    """The closed-form fiber polynomial is prod (x - x_i) over the finite
+    points (x^q - x on a full plan) and w_i M'(x_i) = 1 at every one of them;
+    GF(3^4) with n = 41 > p takes C(n, k) mod p through Lucas' theorem."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices)
+    xs = [pt for pt in plan.points if pt is not INF]
+    fiber = Poly(field, plan.fiber_poly)
+    if plan.is_full:
+        assert fiber == Poly.x(field) ** field.q - Poly.x(field)
+        assert plan.weights == [field.neg(1)] * field.q
+    else:
+        assert fiber == Poly.from_roots(field, xs)
+    slope = Poly(field, [field.mul(k % field.p, c) for k, c in enumerate(fiber.coeffs)][1:])
+    assert len(plan.weights) == len(xs)
+    assert [field.mul(w, slope.eval(x)) for w, x in zip(plan.weights, xs)] == [1] * len(xs)
+
+
+def test_fiber_tables_guard_the_closed_forms():
+    plan = cyclic_plan(field_make(383), (2,) * 5)
+    q0s = plan._build_scaling()
+    plan.points = plan.points[1:] + plan.points[:1]  # weights no longer match the points
+    with pytest.raises(ValidationError, match="fiber polynomial or weights"):
+        plan._build_fiber_tables(q0s)
+
+
+@pytest.mark.parametrize("field_args, radices", [
+    ((7,), (2, 2, 2)), ((191,), (2,) * 6 + (3,)), ((383,), (2,) * 7), ((131,), (2, 3, 11)),
+    ((3, 4), (41,)), ((2, 3), (3, 3)), ((M31,), (2,) * 6),
+])
+def test_tilde_to_std_inverts_nothing(field_args, radices, rng):
+    """tilde_to_std runs on plan tables only: like the fft, it counts no
+    inversion, from the first call of a fresh plan on."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices)
+    for _ in range(2):
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        with field.count_ops() as ctr:
+            tilde_to_std(plan, c)
+        assert ctr.invs == 0 and ctr.muls > 0, (field_args, radices)
+
+
+def test_poly_inputs_are_standard_vectors(rng):
+    """A Poly is a standard-basis vector of its field: finite to iterate,
+    zero-padded to a plan's length, refused where another basis, another
+    field or a smaller length is expected."""
+    f23 = field_make(23)
+    poly = Poly(f23, [5, 0, 7])
+    assert list(itertools.islice(iter(poly), 4)) == [5, 0, 7]
+    cplan = cyclic_plan(f23, (2, 3))
+    for convert in (q1_fft, tilde_to_std):
+        with pytest.raises(BasisMismatch):
+            convert(cplan, poly)
+    assert std_to_tilde(cplan, poly) == std_to_tilde(cplan, [5, 0, 7])
+    with pytest.raises(MixedFields):
+        std_to_tilde(cplan, Poly(field_make(29), [5, 0, 7]))
+    with pytest.raises(DegreeTooLarge):
+        std_to_tilde(cplan, Poly(f23, [1] * 7))
+
+    mplan = mult_plan(field_make(17), (2, 2, 2))
+    c = [rng.randrange(17) for _ in range(5)]
+    assert mult_fft(mplan, Poly(mplan.field, c)) == mult_fft(mplan, c + [0] * 3)
+    with pytest.raises(DegreeTooLarge):
+        mult_fft(mplan, Poly(mplan.field, [1] * 9))
+    with pytest.raises(MixedFields):
+        mult_fft(mplan, Poly(f23, c))
+
+    aplan = add_plan(field_make(2, 4), [1, 2, 4])
+    c = [rng.randrange(16) for _ in range(6)]
+    assert standard_to_lch(aplan, Poly(aplan.field, c)) == standard_to_lch(aplan, c)
+    with pytest.raises(DegreeTooLarge):
+        standard_to_lch(aplan, Poly(aplan.field, [1] * 9))
+    for convert in (add_fft, lch_to_standard):
+        with pytest.raises(BasisMismatch):
+            convert(aplan, Poly(aplan.field, c))
