@@ -31,7 +31,7 @@ from .errors import (
 from .gf import Field, field_make
 from .linalg import nullspace_vector
 from .poly import Poly, poly_str
-from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, plan_list
+from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, plan_list, value_raws
 
 
 def _frobenius(poly: Poly) -> Poly:
@@ -178,7 +178,7 @@ def add_fft(plan: AddPlan, coeffs):
 
 
 def add_ifft(plan: AddPlan, values) -> CoeffVec:
-    out = engine.inverse(plan.field, plan.kernel, plan.field.raws(values))
+    out = engine.inverse(plan.field, plan.kernel, value_raws(plan.field, values))
     return CoeffVec(tuple(out), BASIS_LCH)
 
 

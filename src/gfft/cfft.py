@@ -58,7 +58,7 @@ from .linalg import invert  # noqa: F401
 from .moebius import MoebiusMap, match_moebius
 from .poly import INF, Poly, RatFn, compose_moebius, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
-                      plan_list, point_out)
+                      plan_list, point_out, value_raws)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -141,7 +141,7 @@ class CyclicPlan:
         self._build_quads()
         self._build_points(fiber_key)
         self._check_pole_order()
-        self._build_fiber_tables(self._build_scaling())
+        self._build_fiber_tables(*self._build_scaling())
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
@@ -311,8 +311,8 @@ class CyclicPlan:
         Partial plan: N = key D, D_i = D_{i-1}^p_i v_i(x_{i-1}) on the level
         points, and c Q_0^n = D^2 Q_r(key) makes scale * base_value = D; that
         identity is guarded at each point, and Q_r by the fiber's norm
-        prod Q_0(points) = Q_r(key).  Returns Q_0 at the points of a partial
-        plan, for _build_fiber_tables."""
+        prod Q_0(points) = Q_r(key).  Returns Q_0 and D at the points of a
+        partial plan (None, None on a full one), for _build_fiber_tables."""
         f, n, quad0 = self.field, self.n, self.quads[0]
         self.scale_const = c = self.quads[self.r].lc()
         if self.is_full:
@@ -322,7 +322,7 @@ class CyclicPlan:
             self.base_value = 0  # the kernel zeroes a full plan's leaves
             self.scales = [None] + [f.mul(c, quad0.eval(pt)) for pt in self.points[1:]]
             self.inv_scales = [None] + engine._batch_inverse(f, [self.scales[1:]])[0]
-            return None
+            return None, None
         dens = [1] * n  # D at each point
         for lv, xs in zip(self.levels, self.level_points):
             dens = f.products([f.pow(d, lv.radix) for d in dens], cycle(map(lv.den.eval, xs)))
@@ -337,9 +337,9 @@ class CyclicPlan:
         self.base_value = f.div(key, q_key)
         self.scales = f.products(dens, repeat(f.div(q_key, key)))
         self.inv_scales = engine._batch_inverse(f, [dens])[0]  # 1 / (scale * base_value)
-        return q0s
+        return q0s, dens
 
-    def _build_fiber_tables(self, q0s):
+    def _build_fiber_tables(self, q0s, dens):
         """The fiber polynomial M = prod (x - x_i) over the finite points and
         the weights w_i = 1 / M'(x_i), the two tables of tilde_to_std, in
         closed form.  Full plan: the finite points are F_q, so M = x^q - x
@@ -351,7 +351,10 @@ class CyclicPlan:
         M = N - key D for x_r = N/D, and x_r' = K / Q_0 on the fiber, so
         w_i = Q_0(x_i) / (K D(x_i)), with K = x_r'(x_0) Q_0(x_0) from the
         chain rule through the level maps at x_0.  Guarded at x_0: M(x_0) = 0
-        and w_0 M'(x_0) = 1."""
+        and w_0 M'(x_0) = 1; and at every point through two identities of the
+        weights 1 / M'(x_i): sum w_i = 0 for n >= 2, and sum w_i D(x_i) = 1,
+        which is sum w_i x_i^(n-1) = 1 as D is monic of degree n - 1 (each
+        level denominator is monic of degree one below its numerator's)."""
         f, n = self.field, self.n
         if self.is_full:
             self.fiber_poly = [0, f.neg(1)] + [0] * (f.q - 2) + [1]
@@ -362,8 +365,8 @@ class CyclicPlan:
         t = [1, f.div(f.sum(self.points), n % p)]  # p does not divide n | q + 1
         for _ in range(n - 1):
             t.append(f.add(f.mul(a1, t[-1]), f.mul(a0, t[-2])))
-        signed = [c if (n - k) % 2 == 0 else (-c) % p
-                  for k, c in enumerate(_binomials_mod_p(n, p))]
+        signed = [c if (n - k) % 2 == 0 else f.neg(c)
+                  for k, c in enumerate(_binomials_mod_p(f, n))]
         self.fiber_poly = f.products(signed, reversed(t))
         slope_num, slope_den = 1, 1  # x_r'(x_0) as a fraction, level by level
         for lv, xs in zip(self.levels, self.level_points):
@@ -376,6 +379,8 @@ class CyclicPlan:
         at_x0, slope = _value_and_slope(f, self.fiber_poly, self.points[0])
         if at_x0 != 0 or f.mul(self.weights[0], slope) != 1:
             raise ValidationError("fiber polynomial or weights fail at the fiber's first point")
+        if (n > 1 and f.sum(self.weights) != 0) or f.sum(f.products(self.weights, dens)) != 1:
+            raise ValidationError("weights fail the identities of 1 / M'(x_i) over the fiber")
 
     def _build_kernel(self):
         """engine Levels from each level's points and poles, plus the
@@ -498,25 +503,35 @@ def _cycle_log(step, start, target, length):
     return None
 
 
-def _binomials_mod_p(n, p):
-    """C(n, k) mod p for k = 0..n by Lucas' theorem: the product of C(n_i, k_i)
-    over the base-p digits, each digit's row by the ratio recurrence
-    C(d, j + 1) = C(d, j) (d - j) / (j + 1), exact as j + 1 <= d < p.  For
-    n < p that is the ratio recurrence on n itself."""
+def _binomials_mod_p(field, n):
+    """C(n, k) in field for k = 0..n by Lucas' theorem: the product of
+    C(n_i, k_i) over the base-p digits of n and k, zero where some k_i > n_i.
+    Each digit d < p gives the row C(d, j) = d! / (j! (d - j)!) from the
+    factorials up to d! and one inversion, so all of it is counted field
+    work: about 4 muls a point and one inversion per digit."""
+    p = field.p
     rows, rest = [], n  # one row per digit of n, least significant first
     while rest:
         rest, d = divmod(rest, p)
-        row = [1]
-        for j in range(d):
-            row.append(row[-1] * (d - j) * pow(j + 1, -1, p) % p)
-        rows.append(row)
+        facts = [1]
+        for j in range(1, d + 1):
+            facts.append(field.mul(facts[-1], j))
+        inv_facts = [field.inv(facts[d])]
+        for j in range(d, 0, -1):
+            inv_facts.append(field.mul(inv_facts[-1], j))
+        inv_facts.reverse()  # inv_facts[j] = 1 / j!
+        top = field.products(repeat(facts[d]), inv_facts)
+        rows.append(field.products(top, reversed(inv_facts)))
     out = []
     for k in range(n + 1):
-        c = 1
+        entries = []
         for row in rows:
             k, j = divmod(k, p)
-            c = c * row[j] % p if j < len(row) else 0
-        out.append(c)
+            if j >= len(row):
+                entries = [0]
+                break
+            entries.append(row[j])
+        out.append(reduce(field.mul, entries))
     return out
 
 
@@ -581,6 +596,7 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
     """Invert q1_fft.  Accepts the CyclicEvalVec from the forward transform,
     or a value sequence in plan point order (with a0 supplied separately for
     full plans)."""
+    f = plan.field
     if isinstance(values, CyclicEvalVec):
         a0 = values.a0 if a0 is None else a0
         seq = list(values.values)
@@ -596,12 +612,11 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
                 raise PointMismatch(f"a value at {extra!r}, which is no evaluation point of "
                                     "the plan: the values belong to another plan's points")
             seq = [lookup[pt] for pt in plan.points]
+        seq = f.raws(seq)
     else:
-        seq = list(values)
+        seq = value_raws(f, values)
     if len(seq) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(seq)}")
-    f = plan.field
-    seq = f.raws(seq)
     tilde = [0 if u is None else f.mul(v, u) for u, v in zip(plan.inv_scales, seq)]
     out = engine.inverse(f, plan.kernel, tilde)
     if plan.is_full:

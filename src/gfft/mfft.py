@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import engine
 from .errors import RadixNotDividingGroupOrder, ValidationError
 from .gf import Field, find_primitive_element
-from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, plan_list
+from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, plan_list, value_raws
 
 
 class MultPlan:
@@ -83,5 +83,5 @@ def mult_fft(plan: MultPlan, coeffs):
 
 
 def mult_ifft(plan: MultPlan, values) -> CoeffVec:
-    out = engine.inverse(plan.field, plan.kernel, plan.field.raws(values))
+    out = engine.inverse(plan.field, plan.kernel, value_raws(plan.field, values))
     return CoeffVec(tuple(out), BASIS_STANDARD)

@@ -71,6 +71,14 @@ def coeff_values(field, coeffs, expected_basis, n=None):
     return vals
 
 
+def value_raws(field, values):
+    """The entries of a value vector as checked raw values of field; a Poly
+    is refused, as it is a standard-basis vector, not values."""
+    if isinstance(values, Poly):
+        raise BasisMismatch(f"expected values, got a polynomial ({BASIS_STANDARD!r} basis)")
+    return field.raws(values)
+
+
 class CyclicEvalVec:
     """Values of the cyclic transform, keyed by evaluation point.
 

@@ -13,7 +13,7 @@ from gfft.cfft import (
     std_to_tilde,
     tilde_to_std,
 )
-from gfft.afft import add_fft, add_plan, lch_to_standard, standard_to_lch
+from gfft.afft import add_fft, add_ifft, add_plan, lch_to_standard, standard_to_lch
 from gfft.errors import (
     BasisMismatch,
     DegreeTooLarge,
@@ -25,7 +25,7 @@ from gfft.errors import (
     ValidationError,
 )
 from gfft.gf import field_make
-from gfft.mfft import mult_fft, mult_plan
+from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.oracle import basis_matrix, cyclic_tower, lagrange_interpolate, mpe_horner
 from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
@@ -560,10 +560,22 @@ def test_fiber_tables_closed_forms(field_args, radices):
 
 def test_fiber_tables_guard_the_closed_forms():
     plan = cyclic_plan(field_make(383), (2,) * 5)
-    q0s = plan._build_scaling()
+    q0s, dens = plan._build_scaling()
+    plan._build_fiber_tables(q0s, dens)
     plan.points = plan.points[1:] + plan.points[:1]  # weights no longer match the points
     with pytest.raises(ValidationError, match="fiber polynomial or weights"):
-        plan._build_fiber_tables(q0s)
+        plan._build_fiber_tables(q0s, dens)
+
+
+@pytest.mark.parametrize("at", [1, 17, 31])
+def test_fiber_tables_guard_every_weight(at):
+    """A wrong weight away from the first point fails the weight identities."""
+    field = field_make(383)
+    plan = cyclic_plan(field, (2,) * 5)
+    q0s, dens = plan._build_scaling()
+    q0s[at] = field.add(q0s[at], 1)
+    with pytest.raises(ValidationError, match="identities of 1 / M'"):
+        plan._build_fiber_tables(q0s, dens)
 
 
 @pytest.mark.parametrize("field_args, radices", [
@@ -615,3 +627,11 @@ def test_poly_inputs_are_standard_vectors(rng):
     for convert in (add_fft, lch_to_standard):
         with pytest.raises(BasisMismatch):
             convert(aplan, Poly(aplan.field, c))
+
+    # a Poly is no value vector, whatever its field
+    for ifft, plan in ((q1_ifft, cplan), (mult_ifft, mplan), (add_ifft, aplan)):
+        for field in (plan.field, field_make(29)):
+            with pytest.raises(BasisMismatch, match="got a polynomial"):
+                ifft(plan, Poly(field, [1] * plan.n))
+            with pytest.raises(BasisMismatch, match="got a polynomial"):
+                plan.ifft(Poly(field, [1] * plan.n))
