@@ -3,21 +3,23 @@ of fractional-linear maps, for smooth n | q+1.
 
 A plan builds the subfield tower x_0, x_1, ..., x_r level by level, never
 whole: each level map m_i (x_i in x_{i-1}-coordinates) is a degree-p_i
-rational function formed from the level's induced Moebius map, a power of
-sigma's map S_{i-1} on the x_{i-1}-line; sigma is lifted one degree-p_i
-identity per level.  The evaluation fiber is the orbit of the order-n map,
-proved a whole fiber of x_r without scanning F_q, and the tower is evaluated
-on it only, level by level through engine.fiber_levels: O(n * sum(p_i))
-field operations, whatever q.  A fiber named by its value is found on the
-x_r-line, where sigma acts as S_r, by baby-step giant-step (_start).  The
-degree-n tower lives in oracle.cyclic_tower, for the tests.  The finite
-poles of each level map are the orbit of infinity under the level's induced
-map, checked to be p-1 distinct roots of the degree-(p-1) denominator.
-Coefficients live in the "cyclic-z" basis: products of reciprocal linear
-factors of the tower coordinates, scaled so the basis spans the polynomials
-of degree < n.  The level quadratics Q_i, which give the scaling, are read
-off the level identity Q_{i-1}^p = c_i * den^2 * Q_i(num/den) that the build
-verifies; the per-point scales come in closed form from the level points.
+rational function summed, on coefficient lists, from the 2x2 matrices of the
+powers of the level's induced Moebius map, itself a power of sigma's map
+S_{i-1} on the x_{i-1}-line; sigma is lifted one degree-p_i identity per
+level, solved as a small linear system.  No rational function is formed.
+The evaluation fiber is the orbit of the order-n map, proved a whole fiber
+of x_r without scanning F_q, and the tower is evaluated on it only, level by
+level through engine.fiber_levels: O(n * sum(p_i)) field operations,
+whatever q.  A fiber named by its value is found on the x_r-line, where
+sigma acts as S_r, by baby-step giant-step (_start).  The degree-n tower
+lives in oracle.cyclic_tower, for the tests.  The finite poles of each level
+map are the orbit of infinity under the level's induced map, checked to be
+p-1 distinct roots of the degree-(p-1) denominator.  Coefficients live in
+the "cyclic-z" basis: products of reciprocal linear factors of the tower
+coordinates, scaled so the basis spans the polynomials of degree < n.  The
+level quadratics Q_i, which give the scaling, are read off the level
+identity Q_{i-1}^p = c_i * den^2 * Q_i(num/den) that the build verifies; the
+per-point scales come in closed form from the level points.
 
 The transforms run on the shared kernel in engine.py, given each level's
 points and poles.  When n = q+1 the evaluation set is every rational point
@@ -44,6 +46,7 @@ from . import engine
 from .errors import (
     DegreeTooLarge,
     LengthMismatch,
+    NoMoebiusRelation,
     PointMismatch,
     PrimitivityFailure,
     RadixNotDividing,
@@ -54,9 +57,9 @@ from .gf import (Field, find_primitive_quadratic, multiplicative_order, quadrati
                  quadratic_root_order)
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
-from .linalg import invert  # noqa: F401
-from .moebius import MoebiusMap, match_moebius
-from .poly import INF, Poly, RatFn, compose_moebius, poly_str
+from .linalg import invert, nullspace_vector  # noqa: F401
+from .moebius import MoebiusMap
+from .poly import INF, Poly, RatFn, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
                       plan_list, point_out, value_raws)
 
@@ -147,47 +150,50 @@ class CyclicPlan:
     # -- construction --------------------------------------------------------
 
     def _check_quad_invariance(self, quad):
-        rf = compose_moebius(RatFn.from_poly(quad), self.sigma)
-        den_lin = Poly(self.field, (self.sigma.d, self.sigma.c)).monic()
-        if rf.num.monic() != quad or rf.den != den_lin * den_lin:
+        """Q_0 o sigma = c Q_0 / (gamma x + delta)^2 for sigma = (alpha x +
+        beta) / (gamma x + delta): the homogeneous image of Q_0 under sigma
+        is a nonzero multiple of Q_0."""
+        f = self.field
+        (image,) = _homogeneous(f, [quad.coeffs], self.sigma.entries(), 2)
+        if not image[2] or f.products(image, repeat(f.inv(image[2]))) != list(quad.coeffs):
             raise ValidationError("quadratic is not invariant under the cyclic group")
 
     def _build_tower(self):
-        """Each level map m_i = x_i in x_{i-1}-coordinates, at degree p_i.
+        """Each level map m_i = x_i in x_{i-1}-coordinates, at degree p_i,
+        from 2x2 matrices alone.
 
         sigma commutes with every G_i, so x_i o sigma = S_i o x_i: S_0 = sigma,
-        and S_i is the Moebius map with m_i o S_{i-1} = S_i o m_i, a degree-p_i
-        identity that match_moebius verifies exactly.  So tau_i = sigma^e,
+        and S_i is the Moebius map with m_i o S_{i-1} = S_i o m_i, solved as
+        one linear system per level (_lift_sigma).  So tau_i = sigma^e,
         e = (q+1)/|G_i|, a generator of G_i, induces M = S_{i-1}^e on the
         x_{i-1}-line, and x_i, the sum of the translates of x_{i-1} under
-        tau_i, is m_i(x_{i-1}) with m_i = sum_t M^t(T): the degree-|G_i|
-        tower is never formed.  The poles of m_i are the M^t(INF), t = 1..p-1,
-        in cycle order: p-1 distinct finite roots of the degree-(p-1)
-        denominator show that it splits simply.  self.lifts keeps S_0..S_r.
+        tau_i, is m_i(x_{i-1}) with m_i = sum_t M^t(T) (_level_map): the
+        degree-|G_i| tower is never formed.  The poles of m_i are the
+        M^t(INF), t = 1..p-1, in cycle order: p-1 distinct roots of the
+        degree-(p-1) denominator show that it splits simply, and the monic
+        degree-p numerator vanishes at none of them, so m_i is in lowest
+        terms.  self.lifts keeps S_0..S_r.
         """
         f, q = self.field, self.field.q
         levels, lifts = [], [self.sigma]
         for i in range(1, self.r + 1):
             p = self.radices[i - 1]
             induced = lifts[-1] ** ((q + 1) // self.subgroup_sizes[i])
-            mi = RatFn.x(f)
-            for t in range(1, p):
-                mi = mi + (induced**t).as_ratfn()
-            num, den = mi.num, mi.den
-            if num.degree != p or not num.is_monic():
+            num, den, poles = _level_map(f, induced, p, i)
+            num, den = Poly(f, num), Poly(f, den)
+            if num.degree != p or not num.is_monic() or not all(map(num.eval, poles)):
                 raise ValidationError(f"level {i} map numerator malformed: {num!r}")
             if den.degree != p - 1:
                 raise ValidationError(f"level {i} map denominator degree {den.degree}")
-            poles = induced.orbit(INF, length=p)[1:]
-            if INF in poles or len(set(poles)) != p - 1 or any(map(den.eval, poles)):
+            if len(set(poles)) != p - 1 or any(map(den.eval, poles)):
                 raise SplitValidationFailure(f"level {i} denominator does not split simply")
             levels.append(CyclicLevel(p, induced, num, den, poles))
-            lifts.append(match_moebius(compose_moebius(mi, lifts[-1]), mi))
+            lifts.append(_lift_sigma(f, lifts[-1], num.coeffs, den.coeffs, i))
         self.levels, self.lifts = levels, lifts
 
-    def tower_values(self, places):
-        """Projective values of x_0, ..., x_r at each place: entry i lists
-        the pairs (N_i, D_i) in the order of `places`.
+    def tower_values(self, places, upto=None):
+        """Projective values of x_0, ..., x_upto (x_r by default) at each
+        place: entry i lists the pairs (N_i, D_i) in the order of `places`.
 
         Starts from (alpha, 1), or (1, 0) at INF, and applies each level map
         as (N, D) -> (D^p u(N/D), D^p v(N/D)).  For finite alpha, N_i and D_i
@@ -196,7 +202,7 @@ class CyclicPlan:
         """
         pairs = [(1, 0) if pl is INF else (self.field.raw(pl), 1) for pl in places]
         out = [pairs]
-        for lv in self.levels:
+        for lv in self.levels[:upto]:
             pairs = _apply_level(self.field, lv, pairs)
             out.append(pairs)
         return out
@@ -296,7 +302,7 @@ class CyclicPlan:
         f = self.field
         for i, lv in enumerate(self.levels, start=1):
             tau = self.gen ** self.sizes[i]
-            pairs = self.tower_values(tau.orbit(INF, length=lv.radix)[1:])[i - 1]
+            pairs = self.tower_values(tau.orbit(INF, length=lv.radix)[1:], upto=i - 1)[-1]
             seq = [INF if den == 0 else f.div(num, den) for num, den in pairs]
             if list(lv.poles) != seq:
                 raise SplitValidationFailure(
@@ -488,6 +494,74 @@ class CyclicPlan:
 
 def cyclic_plan(field: Field, radices, m_pair=None, fiber_key=None) -> CyclicPlan:
     return CyclicPlan(field, radices, m_pair, fiber_key)
+
+
+def _level_map(field, induced, p, level):
+    """(num, den, poles) of m = T + sum_(t < p) M^t(T) for the level's induced
+    map M, from the matrices M^t = (a_t, b_t; c_t, d_t), one product a step.
+    c_t != 0 is checked, so the pole M^t(INF) = a_t / c_t is finite, and
+    M^t(T) = (a_t T + b_t) / (c_t T + d_t) joins the running sum over the
+    common denominator den = prod (T - lambda_t), lambda_t = -d_t / c_t: num
+    comes out monic of degree p, den monic of degree p - 1."""
+    f = field
+    num, den, poles = [0, 1], [1], []
+    mt = induced
+    for _ in range(p - 1):
+        a, b, c, d = mt.entries()
+        if c == 0:
+            raise SplitValidationFailure(f"level {level} denominator does not split simply")
+        ic = f.inv(c)
+        poles.append(f.mul(a, ic))
+        lin = [f.mul(d, ic), 1]  # T - lambda_t
+        num = _mul_add(f, num, lin, _mul_add(f, den, [f.mul(b, ic), poles[-1]]))
+        den = _mul_add(f, den, lin)
+        mt = mt * induced
+    return num, den, poles
+
+
+def _lift_sigma(field, prev, num, den, level):
+    """The Moebius map S with m o prev = S o m, for the level map m = num/den
+    (ascending coefficients) and prev, sigma's map one level down.  With
+    num_L / den_L = m o prev by homogeneous composition, S = (A, B; C, D)
+    solves num_L (C num + D den) = den_L (A num + B den): 2p + 1 coefficient
+    equations in (A, B, C, D).  m o prev is no constant, so every solution
+    with AD = BC is zero and the kernel is the line of S.  Verified exactly:
+    AD - BC != 0 and the kernel vector satisfies every equation."""
+    f = field
+    p = len(num) - 1
+    den = list(den) + [0]  # degree p - 1, read at degree p
+    num_l, den_l = _homogeneous(f, (num, den), prev.entries(), p)
+    rows = [[f.neg(a), f.neg(b), c, d] for a, b, c, d in zip(
+        _mul_add(f, den_l, num), _mul_add(f, den_l, den),
+        _mul_add(f, num_l, num), _mul_add(f, num_l, den))]
+    sol = nullspace_vector(f, rows)
+    if (sol is None or f.mul(sol[0], sol[3]) == f.mul(sol[1], sol[2])
+            or any(f.sum(f.products(row, sol)) for row in rows)):
+        raise NoMoebiusRelation(f"level {level}: sigma does not lift through the level map")
+    return MoebiusMap(f, *sol)
+
+
+def _homogeneous(field, polys, mat, deg):
+    """sum g_k (a T + b)^k (c T + d)^(deg - k) for each g in polys (deg + 1
+    ascending coefficients) and mat = (a, b, c, d), by Horner: the numerator
+    of g(mat(T)) over the denominator (c T + d)^deg."""
+    a, b, c, d = mat
+    outs, bottom = [[g[deg]] for g in polys], [1]
+    for k in range(deg - 1, -1, -1):
+        bottom = _mul_add(field, bottom, [d, c])
+        outs = [_mul_add(field, out, [b, a], field.products(bottom, repeat(g[k])))
+                for out, g in zip(outs, polys)]
+    return outs
+
+
+def _mul_add(field, u, v, acc=()):
+    """acc + u v on ascending coefficient lists, untrimmed."""
+    mul, add = field.mul, field.add
+    out = list(acc) + [0] * max(len(u) + len(v) - 1 - len(acc), 0)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] = add(out[i + j], mul(ui, vj))
+    return out
 
 
 def _cycle_log(step, start, target, length):

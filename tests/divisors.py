@@ -1,9 +1,11 @@
 """Valuations and complete factorization over F_q (odd q), for the tests that
-check the divisor structure of the rational function field.  The library
-itself never factors or takes valuations."""
+check the divisor structure of the rational function field, and the cyclic
+plan's level maps and lifts of sigma derived symbolically.  The library
+itself never factors, takes valuations or sums rational functions."""
 
 from gfft.errors import ValidationError
-from gfft.poly import INF, Poly
+from gfft.moebius import match_moebius
+from gfft.poly import INF, Poly, RatFn, compose_moebius
 
 
 class ZeroFunction(ValidationError):
@@ -148,3 +150,24 @@ def factor_monic(f: Poly, rng) -> dict:
                         work = work // rem.monic()
                 break
     return factors
+
+
+def ratfn_levels(plan):
+    """(maps, poles, lifts) of a cyclic plan's tower, from sigma and the
+    radices alone, on reduced rational functions: the level's induced map
+    M = S_(i-1)^((q+1)/|G_i|), m_i = T + sum_t M^t(T) summed as RatFn, its
+    poles M^t(INF) for t = 1..p_i-1, and the lift S_i matched from
+    m_i o S_(i-1) = S_i o m_i."""
+    field, q = plan.field, plan.field.q
+    maps, poles, lifts = [], [], [plan.sigma]
+    size = 1
+    for p in plan.radices:
+        size *= p
+        induced = lifts[-1] ** ((q + 1) // size)
+        mi = RatFn.x(field)
+        for t in range(1, p):
+            mi = mi + (induced**t).as_ratfn()
+        maps.append(mi)
+        poles.append(tuple(induced.orbit(INF, length=p)[1:]))
+        lifts.append(match_moebius(compose_moebius(mi, lifts[-1]), mi))
+    return maps, poles, lifts

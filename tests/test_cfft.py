@@ -1,9 +1,10 @@
 import itertools
+import sys
 import time
 
 import pytest
 
-from gfft import cfft, gf
+from gfft import cfft, gf, poly
 
 from gfft.cfft import (
     cyclic_plan,
@@ -13,6 +14,7 @@ from gfft.cfft import (
     std_to_tilde,
     tilde_to_std,
 )
+from divisors import ratfn_levels
 from gfft.afft import add_fft, add_ifft, add_plan, lch_to_standard, standard_to_lch
 from gfft.errors import (
     BasisMismatch,
@@ -338,6 +340,7 @@ def test_full_plan_top_map_is_the_cycle_trace(field_args, radices):
                                            x ** field.q - x)
     assert plan.scales == [None] + [field.mul(plan.scale_const, quad0.eval(pt))
                                     for pt in plan.points[1:]]
+    _assert_symbolic_tower(plan)
 
 
 @pytest.mark.parametrize("field_args, radices, key", [
@@ -356,6 +359,14 @@ def test_partial_plan_scales_are_the_top_denominator(field_args, radices, key):
         [den.eval(pt) for pt in plan.points]
     assert [field.mul(s, d) for s, d in zip(plan.inv_scales, map(den.eval, plan.points))] == \
         [1] * plan.n
+
+
+def _assert_symbolic_tower(plan):
+    """Level maps, poles and lifts equal the symbolic derivation."""
+    maps, poles, lifts = ratfn_levels(plan)
+    assert [(lv.num, lv.den) for lv in plan.levels] == [(m.num, m.den) for m in maps]
+    assert [lv.poles for lv in plan.levels] == poles
+    assert plan.lifts == lifts
 
 
 def _buckets(plan):
@@ -384,6 +395,7 @@ def test_fibers_match_the_bucket_scan(q, radices):
     field = field_make(*q) if isinstance(q, tuple) else field_make(q)
     q = field.q
     plan = cyclic_plan(field, radices)
+    _assert_symbolic_tower(plan)
     n, buckets = plan.n, _buckets(plan)
     assert len(buckets) == (q + 1) // n and all(len(b) == n for b in buckets.values())
     assert len(plan.points) == n and set(plan.points) == set(buckets[plan.bucket_key])
@@ -470,12 +482,57 @@ def test_sigma_lifts_to_the_top_line(q, radices, rng):
 
 @pytest.mark.parametrize("q, radices", [(383, (2,) * 7), (1151, (2,) * 7 + (3, 3))])
 def test_build_lifts_sigma_once_per_level(q, radices, monkeypatch):
-    """One match_moebius identity per level: r calls, not r(r-1)/2."""
+    """One lift identity per level: r calls, not r(r-1)/2."""
     calls = []
-    match = cfft.match_moebius
-    monkeypatch.setattr(cfft, "match_moebius", lambda *a: calls.append(a) or match(*a))
+    lift = cfft._lift_sigma
+    monkeypatch.setattr(cfft, "_lift_sigma", lambda *a: calls.append(a) or lift(*a))
     cyclic_plan(field_make(q), radices)
     assert len(calls) == len(radices)
+
+
+def test_tower_guards_refuse_foreign_maps():
+    """The coefficient-list checks refuse what the group does not fix: a
+    level map that sigma's lift does not pass through, and a quadratic that
+    sigma does not keep."""
+    plan = cyclic_plan(field_make(191), (2,) * 6 + (3,))
+    f, lv = plan.field, plan.levels[0]
+    assert cfft._lift_sigma(f, plan.sigma, lv.num.coeffs, lv.den.coeffs, 1) == plan.lifts[1]
+    num = list(lv.num.coeffs)
+    num[0] = f.add(num[0], 1)
+    with pytest.raises(ValidationError, match="does not lift"):
+        cfft._lift_sigma(f, plan.sigma, num, lv.den.coeffs, 1)
+    with pytest.raises(ValidationError, match="not invariant"):
+        plan._check_quad_invariance(Poly(f, (1, 0, 1)))
+
+
+def test_build_forms_no_rational_function(monkeypatch):
+    """The build works on 2x2 matrices and coefficient lists: no RatFn is
+    constructed and no compose_moebius, match_moebius or Poly.gcd runs, on
+    full and partial plans over prime and extension fields (characteristic 2
+    too), with an explicit m_pair and with a fiber named by its value."""
+    configs = [(field_make(*args), radices, kw) for args, radices, kw in [
+        ((191,), (2,) * 6 + (3,), {}), ((383,), (2,) * 7, {}), ((M31,), (2,) * 6, {}),
+        ((127,), (2,) * 7, {"m_pair": (126, 3)}), ((23,), (2, 3), {"fiber_key": 7}),
+        ((2, 2), (5,), {}), ((2, 4), (17,), {}), ((2, 6), (5, 13), {}), ((2, 6), (5,), {}),
+        ((2, 10), (5, 5), {}), ((3, 4), (41,), {}), ((5, 2), (2, 13), {}),
+    ]]  # field_make tests its modulus with Poly.gcd, so the fields come first
+    calls = []
+
+    def spy(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("gfft")]:
+        for name in ("compose_moebius", "match_moebius"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    monkeypatch.setattr(RatFn, "__init__", spy("RatFn", RatFn.__init__))
+    monkeypatch.setattr(Poly, "gcd", spy("Poly.gcd", Poly.gcd))
+    for field, radices, kw in configs:
+        cyclic_plan(field, radices, **kw)
+    assert calls == []
+    field = configs[0][0]
+    poly.compose_moebius(RatFn.x(field), cyclic_plan(field, (2,)).sigma)  # the spies do record
+    assert {"compose_moebius", "RatFn", "Poly.gcd"} == set(calls)
 
 
 NOT_A_FIBER_VALUE = 5  # over M31, at n = 64 and n = 2^12 (there checked against all 2^19 fibers)
