@@ -653,12 +653,19 @@ def quadratic_root_order(field: Field, a: int, b: int) -> int:
 
 def find_primitive_quadratic(field: Field):
     """Least (a, b) with x^2 + a x + b irreducible and a root generating
-    F_{q^2}^*.  Returns a pair of FieldElements."""
-    target = field.q * field.q - 1
+    F_{q^2}^*.  Returns a pair of FieldElements.  The roots theta, theta^q
+    multiply to the norm theta^(q+1) = b, and the norm maps a generator of
+    F_{q^2}^* onto one of F_q^*, so a b that generates no F_q^* is refused
+    before the root order is computed (q - 1 is factored once)."""
+    q = field.q
+    target = q * q - 1
+    cofactors = [(q - 1) // ell for ell in factorize(q - 1)]  # none for q = 2
     # a = 0 never qualifies: a root of an irreducible x^2 + b has alpha^2 = -b
     # in F_q^*, so its order divides 2(q - 1) < q^2 - 1
-    for a in range(1, field.q):
-        for b in range(field.q):
-            if quadratic_is_irreducible(field, a, b) and quadratic_root_order(field, a, b) == target:
+    for a in range(1, q):
+        for b in range(1, q):  # b = 0 is the norm of no unit
+            if (all(field.pow(b, e) != 1 for e in cofactors)
+                    and quadratic_is_irreducible(field, a, b)
+                    and quadratic_root_order(field, a, b) == target):
                 return FieldElement(field, a), FieldElement(field, b)
     raise ValidationError("no primitive quadratic found")  # pragma: no cover

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from divisors import ratfn_levels
 from gfft import cfft, gf, poly
 
 from gfft.cfft import (
@@ -14,7 +15,6 @@ from gfft.cfft import (
     std_to_tilde,
     tilde_to_std,
 )
-from divisors import ratfn_levels
 from gfft.afft import add_fft, add_ifft, add_plan, lch_to_standard, standard_to_lch
 from gfft.errors import (
     BasisMismatch,

@@ -247,7 +247,11 @@ def test_primitive_quadratic_f3_order8():
     assert quadratic_root_order(F3, a.raw, b.raw) == 8
 
 
-@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (127, 1), (2, 2), (3, 2)])
+NORM_FIELDS = [(191, 1), (383, 1), (1151, 1), (2, 4), (2, 6), (3, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (127, 1), (2, 2), (3, 2)]
+                         + NORM_FIELDS)
 def test_primitive_quadratic_is_least_from_a_zero(p, r):
     # the search starts at a = 1; an exhaustive scan from a = 0 finds the same pair
     field = field_make(p, r)
@@ -257,6 +261,15 @@ def test_primitive_quadratic_is_least_from_a_zero(p, r):
                  and quadratic_root_order(field, a, b) == target)
     a, b = find_primitive_quadratic(field)
     assert (a.raw, b.raw) == least
+
+
+@pytest.mark.parametrize("p,r", [(2, 1)] + NORM_FIELDS)
+def test_primitive_quadratic_norm_generates(p, r):
+    # b = theta^(q+1) is the norm of a root theta, and the norm of a generator
+    # of F_{q^2}^* generates F_q^* (on F_2, q - 1 = 1 and b = 1 does)
+    field = field_make(p, r)
+    _, b = find_primitive_quadratic(field)
+    assert field.element_order(b.raw) == field.q - 1
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (5, 2),
