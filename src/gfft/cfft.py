@@ -47,7 +47,6 @@ from .errors import (
     DegreeTooLarge,
     LengthMismatch,
     NoMoebiusRelation,
-    PointMismatch,
     PrimitivityFailure,
     RadixNotDividing,
     SplitValidationFailure,
@@ -61,7 +60,7 @@ from .linalg import invert, nullspace_vector  # noqa: F401
 from .moebius import MoebiusMap
 from .poly import INF, Poly, RatFn, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
-                      plan_list, point_out, value_raws)
+                      plan_list, point_ordered, point_out, value_raws)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -402,14 +401,11 @@ class CyclicPlan:
             p = lv.radix
             if self.is_full:
                 consts = {}
-                for t in range(1, p):
+                for t in range(1, p):  # k from p - 1 down to t, one product a step
                     lam_t = lv.poles[t - 1]
-                    u_at = lv.num.eval(lam_t)
-                    for k in range(t, p):
-                        val = w
-                        for u_ in range(k + 1, p):
-                            val = f.mul(val, f.sub(lam_t, lv.poles[u_ - 1]))
-                        consts[(t, k)] = f.div(val, u_at)
+                    consts[(t, p - 1)] = val = f.div(w, lv.num.eval(lam_t))
+                    for k in range(p - 2, t - 1, -1):
+                        consts[(t, k)] = val = f.mul(val, f.sub(lam_t, lv.poles[k]))
                 lv.pole_consts = consts
             kernel.append(engine.Level(p, True, self.level_points[i - 1], lv.poles, lv.pole_consts))
         engine.build_inverse_locals(f, kernel)
@@ -673,19 +669,9 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
     f = plan.field
     if isinstance(values, CyclicEvalVec):
         a0 = values.a0 if a0 is None else a0
-        seq = list(values.values)
-        if list(values.points) != list(plan.points):
-            lookup = values.as_dict()
-            missing = [pt for pt in plan.points if pt not in lookup]
-            if missing:
-                raise PointMismatch(f"no value at evaluation point {missing[0]!r}: the values "
-                                    "belong to another plan's points")
-            if len(lookup) != plan.n:
-                own = set(plan.points)
-                extra = next(pt for pt in lookup if pt not in own)
-                raise PointMismatch(f"a value at {extra!r}, which is no evaluation point of "
-                                    "the plan: the values belong to another plan's points")
-            seq = [lookup[pt] for pt in plan.points]
+        seq = values.values
+        if list(values.points) != plan.points:
+            seq = point_ordered(f, values.as_dict(), plan.points, "'values'", "the vector")
         seq = f.raws(seq)
     else:
         seq = value_raws(f, values)

@@ -16,11 +16,12 @@ import json
 
 from .afft import AddPlan
 from .cfft import CyclicPlan
-from .errors import MismatchError, PointMismatch, ValidationError
+from .errors import MismatchError, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
 from .poly import INF
-from .vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_out
+from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_ordered,
+                      point_out)
 
 
 # ---------------------------------------------------------------------------
@@ -89,22 +90,12 @@ def values_from_json(field: Field, obj, plan=None):
 
 
 def _keyed(field, obj, name, points):
-    """The entries of the point-keyed map obj[name], in the order of points;
-    its keys must be exactly the points."""
+    """The entries of the point-keyed map obj[name], in the order of points."""
     lookup = {}
     for k, v in obj[name].items():
         pt = INF if k == "inf" else field.parse_raw(json.loads(k) if k.startswith("[") else int(k))
         lookup[pt] = field.parse_raw(v)
-    missing = next((pt for pt in points if pt not in lookup), None)
-    if missing is not None:
-        raise PointMismatch(f"{name!r} holds no entry at evaluation point "
-                            f"{point_out(field, missing)}: the file is another plan's")
-    if len(lookup) != len(points):
-        own = set(points)
-        extra = next(pt for pt in lookup if pt not in own)
-        raise PointMismatch(f"{name!r} holds an entry at {point_out(field, extra)}, which is "
-                            "no evaluation point of the plan: the file is another plan's")
-    return [lookup[pt] for pt in points]
+    return point_ordered(field, lookup, points, repr(name), "the file")
 
 
 def values_to_csv(field: Field, values) -> str:

@@ -30,7 +30,9 @@ trial-division prime test.
 The tables are one walk over the powers of the generator.  In characteristic 2
 a step is an F_2-linear map on the packed int, read from one XOR table per
 byte: O(q) word operations.  In odd characteristic each step is still one
-schoolbook product of r digits: O(q r^2) steps.
+schoolbook product of r digits: O(q r^2) steps, and add, sub and neg read
+the tables too: Zech's logarithm Z[k] = log(1 + g^k), filled from exp in
+O(q), gives g^a + g^b = g^(a + Z[b - a]), and -x = x g^((q - 1)/2).
 """
 
 from __future__ import annotations
@@ -210,6 +212,11 @@ class Field:
                 exp[i] = acc
                 log[acc] = i
                 acc = self._mul_poly(acc, gen)
+            # Zech's logarithm Z[k] = log(1 + g^k), None where g^k = -1:
+            # adding 1 raises packed digit 0 by one, mod p
+            ones = [v + 1 if v % p < p - 1 else v + 1 - p for v in exp]
+            self._zech = [log[v] if v else None for v in ones]
+            self._half = (q - 1) // 2  # g^half = -1
         self._exp = exp * 2
         self._log = log
 
@@ -244,6 +251,15 @@ class Field:
 
     # -- raw arithmetic ------------------------------------------------------
 
+    def _zech_add(self, x: int, y: int) -> int:
+        """x + y on the tables, uncounted: g^a + g^b = g^(a + Z[b - a]),
+        where a negative index wraps, as Z has period q - 1."""
+        if x == 0 or y == 0:
+            return x or y
+        a = self._log[x]
+        z = self._zech[self._log[y] - a]
+        return 0 if z is None else self._exp[a + z]
+
     def add(self, x: int, y: int) -> int:
         c = self._counter
         if c is not None:
@@ -252,14 +268,7 @@ class Field:
             return (x + y) % self.p
         if self.p == 2:
             return x ^ y
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.r):
-            x, dx = divmod(x, p)
-            y, dy = divmod(y, p)
-            out += ((dx + dy) % p) * mult
-            mult *= p
-        return out
+        return self._zech_add(x, y)
 
     def sub(self, x: int, y: int) -> int:
         c = self._counter
@@ -269,14 +278,7 @@ class Field:
             return (x - y) % self.p
         if self.p == 2:
             return x ^ y
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.r):
-            x, dx = divmod(x, p)
-            y, dy = divmod(y, p)
-            out += ((dx - dy) % p) * mult
-            mult *= p
-        return out
+        return self._zech_add(x, y and self._exp[self._log[y] + self._half])
 
     def neg(self, x: int) -> int:
         c = self._counter
@@ -286,13 +288,7 @@ class Field:
             return (-x) % self.p
         if self.p == 2:
             return x
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.r):
-            x, dx = divmod(x, p)
-            out += ((-dx) % p) * mult
-            mult *= p
-        return out
+        return x and self._exp[self._log[x] + self._half]
 
     def mul(self, x: int, y: int) -> int:
         c = self._counter

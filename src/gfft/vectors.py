@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BasisMismatch, DegreeTooLarge, LengthMismatch, MixedFields, PlanFileError
+from .errors import (BasisMismatch, DegreeTooLarge, LengthMismatch, MixedFields, PlanFileError,
+                     PointMismatch)
 from .poly import INF, Poly
 
 BASIS_STANDARD = "standard"
@@ -31,6 +32,22 @@ class CoeffVec:
 def point_out(field, pt):
     """JSON form of an evaluation point: "inf" or the field's serialize_raw."""
     return "inf" if pt is INF else field.serialize_raw(pt)
+
+
+def point_ordered(field, keyed, points, name, owner):
+    """The entries of keyed, a map from evaluation points, in the order of
+    points.  Its keys must be exactly the points: a missing or an extra key
+    is refused, as the map is another plan's (owner says what holds it)."""
+    missing = next((pt for pt in points if pt not in keyed), None)
+    if missing is not None:
+        raise PointMismatch(f"{name} holds no entry at evaluation point "
+                            f"{point_out(field, missing)}: {owner} is another plan's")
+    if len(keyed) != len(points):
+        own = set(points)
+        extra = next(pt for pt in keyed if pt not in own)
+        raise PointMismatch(f"{name} holds an entry at {point_out(field, extra)}, which is "
+                            f"no evaluation point of the plan: {owner} is another plan's")
+    return [keyed[pt] for pt in points]
 
 
 def plan_list(obj, key, length=None, ints=False):

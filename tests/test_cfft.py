@@ -5,7 +5,7 @@ import time
 import pytest
 
 from divisors import ratfn_levels
-from gfft import cfft, gf, poly
+from gfft import cfft, engine, gf, poly
 
 from gfft.cfft import (
     cyclic_plan,
@@ -24,10 +24,12 @@ from gfft.errors import (
     MixedFields,
     PrimitivityFailure,
     RadixNotDividing,
+    SplitValidationFailure,
     ValidationError,
 )
 from gfft.gf import field_make
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
+from gfft.moebius import MoebiusMap
 from gfft.oracle import basis_matrix, cyclic_tower, lagrange_interpolate, mpe_horner
 from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
@@ -492,8 +494,10 @@ def test_build_lifts_sigma_once_per_level(q, radices, monkeypatch):
 
 def test_tower_guards_refuse_foreign_maps():
     """The coefficient-list checks refuse what the group does not fix: a
-    level map that sigma's lift does not pass through, and a quadratic that
-    sigma does not keep."""
+    level map that sigma's lift does not pass through, a quadratic that
+    sigma does not keep, an induced map with a pole at infinity, a level
+    numerator that breaks the norm identity, poles out of orbit order, a
+    reducible m_pair and a vector of the wrong length for the kernel."""
     plan = cyclic_plan(field_make(191), (2,) * 6 + (3,))
     f, lv = plan.field, plan.levels[0]
     assert cfft._lift_sigma(f, plan.sigma, lv.num.coeffs, lv.den.coeffs, 1) == plan.lifts[1]
@@ -503,6 +507,23 @@ def test_tower_guards_refuse_foreign_maps():
         cfft._lift_sigma(f, plan.sigma, num, lv.den.coeffs, 1)
     with pytest.raises(ValidationError, match="not invariant"):
         plan._check_quad_invariance(Poly(f, (1, 0, 1)))
+    with pytest.raises(SplitValidationFailure, match="level 1 denominator does not split"):
+        cfft._level_map(f, MoebiusMap(f, 2, 0, 0, 1), 2, 1)  # x -> 2x: c = 0
+    with pytest.raises(LengthMismatch, match="191 coefficients for 192 points"):
+        engine.forward(f, plan.kernel, [0] * (plan.n - 1))
+    lv, num = plan.levels[2], plan.levels[2].num
+    lv.num = Poly(f, (f.add(num[0], 1),) + num.coeffs[1:])
+    plan.quads = plan.quads[:1]
+    with pytest.raises(ValidationError, match="level 3 norm identity failed"):
+        plan._build_quads()
+    lv.num = num  # the pole order check below applies this level
+    top = plan.levels[-1]
+    assert top.radix == 3
+    top.poles = top.poles[::-1]
+    with pytest.raises(SplitValidationFailure, match="level 7 induced-map orbit"):
+        plan._check_pole_order()
+    with pytest.raises(PrimitivityFailure, match="reducible"):
+        cyclic_plan(field_make(127), (2, 2), m_pair=(0, 126))  # x^2 - 1
 
 
 def test_build_forms_no_rational_function(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -189,6 +190,41 @@ def test_extension_subtraction_and_packing(F27):
     y = F27.pack((2, 2, 1))
     assert F27.unpack(F27.sub(x, y)) == (2, 0, 2)
     assert F27.add(x, F27.neg(x)) == 0
+
+
+def _digitwise(p, r, op, x, y=0):
+    """op on the base-p digits of the packed values x and y, one digit at a
+    time, mod p: the schoolbook rule for adding in F_p^r."""
+    return sum(op(x // p**i % p, y // p**i % p) % p * p**i for i in range(r))
+
+
+def _negate(a, _):
+    return -a
+
+
+@pytest.mark.parametrize("p, r, pairs", [
+    (3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (3, 4, None),
+    (3, 7, 20000), (5, 4, 20000), (3, 9, 20000),
+])
+def test_zech_add_sub_neg_match_the_digit_rule(p, r, pairs, rng):
+    # odd-characteristic add, sub and neg read the log tables (Zech's
+    # logarithm); every pair of the small fields, random pairs of the larger
+    # ones with zeros, x - x and x + (-x) among them, and one add per call
+    field = field_make(p, r)
+    q = field.q
+    if pairs is None:
+        xys = list(itertools.product(range(q), repeat=2))
+    else:
+        xys = [(rng.randrange(q), rng.randrange(q)) for _ in range(pairs)]
+        xys += [(x, 0) for x, _ in xys[:50]] + [(0, y) for _, y in xys[:50]]
+        xys += [(x, x) for x, _ in xys[:50]]
+        xys += [(x, _digitwise(p, r, _negate, x)) for x, _ in xys[:50]]
+    with field.count_ops() as ctr:
+        for x, y in xys:
+            assert field.add(x, y) == _digitwise(p, r, operator.add, x, y), (x, y)
+            assert field.sub(x, y) == _digitwise(p, r, operator.sub, x, y), (x, y)
+            assert field.neg(x) == _digitwise(p, r, _negate, x), x
+    assert (ctr.adds, ctr.muls, ctr.invs) == (3 * len(xys), 0, 0)
 
 
 def test_zero_inverse_raises(F127, F64):

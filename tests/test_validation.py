@@ -130,7 +130,7 @@ def test_cyclic_ifft_refuses_values_of_another_fiber():
     # ones used to be dropped
     ev = q1_fft(cyclic_plan(F23, (2, 2, 2, 3)), [i % 23 for i in range(1, 25)])
     assert set(plan.points) < set(ev.points)
-    with pytest.raises(PointMismatch, match="a value at INF, which is no evaluation point"):
+    with pytest.raises(PointMismatch, match="holds an entry at inf, which is no evaluation point"):
         q1_ifft(plan, ev)
 
 
