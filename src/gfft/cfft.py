@@ -112,9 +112,10 @@ class CyclicPlan:
             a_el, b_el = find_primitive_quadratic(field)
             a, b = a_el.raw, b_el.raw
         else:
-            if len(m_pair) != 2:
+            m = f.raws(m_pair)
+            if len(m) != 2:
                 raise ValidationError(f"m_pair must hold two entries (a, b), got {m_pair!r}")
-            a, b = f.raws(m_pair)
+            a, b = m
             if not quadratic_is_irreducible(field, a, b):
                 raise PrimitivityFailure("x^2 + a x + b is reducible")
             if quadratic_root_order(field, a, b) != field.q**2 - 1:

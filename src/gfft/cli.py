@@ -44,6 +44,28 @@ def _read_input(path, parse):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_output(path, text):
+    """Write text, built before the file is opened so that a refused output
+    leaves an existing file as it was; an unwritable path is bad input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _counted(field, fn, arg, report=False):
+    """(fn(arg), its op total, its wall time); report prints one ops: line."""
+    with field.count_ops() as ctr:
+        t0 = time.perf_counter()
+        out = fn(arg)
+        wall = time.perf_counter() - t0
+    if report:
+        print(f"ops: adds={ctr.adds} muls={ctr.muls} "
+              f"invs={ctr.invs} wall={wall:.6f}s", file=sys.stderr)
+    return out, ctr.total(), wall
+
+
 def _build_plan(args):
     # the options each case reads: another case's option is refused, not dropped
     reads = {"mult": ("radices", "beta"), "add": ("basis",), "cyclic": ("radices", "m", "fiber")}
@@ -74,8 +96,7 @@ def cmd_plan(args) -> int:
     for line in plan.describe():
         print(line)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(fileio.plan_to_json(plan), fh, indent=1)
+        _write_output(args.out, json.dumps(fileio.plan_to_json(plan), indent=1))
         print(f"plan written to {args.out}")
     return 0
 
@@ -96,34 +117,18 @@ def _read_coeffs(field, path, fmt, basis):
     return _read_input(path, lambda text: fileio.coeffs_from_json(field, json.loads(text)))
 
 
-def _write_coeffs(field, coeffs, path, fmt):
-    with open(path, "w") as fh:
-        if _is_csv(path, fmt):
-            fh.write(fileio.coeffs_to_csv(field, coeffs))
-        else:
-            json.dump(fileio.coeffs_to_json(field, coeffs), fh, indent=1)
-
-
-def _write_values(field, values, path, fmt):
-    with open(path, "w") as fh:
-        if _is_csv(path, fmt):
-            fh.write(fileio.values_to_csv(field, values))
-        else:
-            json.dump(fileio.values_to_json(field, values), fh, indent=1)
+def _write_vector(args, field, vec, to_csv, to_json):
+    """vec to args.out, as to_csv's text or to_json's object as JSON."""
+    _write_output(args.out, to_csv(field, vec) if _is_csv(args.out, args.format)
+                  else json.dumps(to_json(field, vec), indent=1))
 
 
 def cmd_fft(args) -> int:
     plan = _load_plan(args.plan)
     field = plan.field
     coeffs = _read_coeffs(field, args.infile, args.format, plan.basis)
-    with field.count_ops() as ctr:
-        t0 = time.perf_counter()
-        values = plan.fft(coeffs)
-        elapsed = time.perf_counter() - t0
-    if args.count_ops:
-        print(f"ops: adds={ctr.adds} muls={ctr.muls} "
-              f"invs={ctr.invs} wall={elapsed:.6f}s", file=sys.stderr)
-    _write_values(field, values, args.out, args.format)
+    values = _counted(field, plan.fft, coeffs, args.count_ops)[0]
+    _write_vector(args, field, values, fileio.values_to_csv, fileio.values_to_json)
     print(f"values written to {args.out}")
     return 0
 
@@ -136,7 +141,8 @@ def cmd_ifft(args) -> int:
     else:
         values = _read_input(
             args.infile, lambda text: fileio.values_from_json(field, json.loads(text), plan))
-    _write_coeffs(field, plan.ifft(values), args.out, args.format)
+    coeffs = _counted(field, plan.ifft, values, args.count_ops)[0]
+    _write_vector(args, field, coeffs, fileio.coeffs_to_csv, fileio.coeffs_to_json)
     print(f"coefficients written to {args.out}")
     return 0
 
@@ -153,7 +159,7 @@ def cmd_convert(args) -> int:
     if src == dst or {src, dst} != {BASIS_STANDARD, plan.basis}:
         raise ValidationError(f"{plan.case} plans cannot convert {src!r} -> {dst!r}")
     out = plan.to_standard(coeffs) if dst == BASIS_STANDARD else plan.from_standard(coeffs)
-    _write_coeffs(field, out, args.out, args.format)
+    _write_vector(args, field, out, fileio.coeffs_to_csv, fileio.coeffs_to_json)
     print(f"converted coefficients written to {args.out}")
     return 0
 
@@ -208,11 +214,8 @@ def _factor_smooth(n):
 
 def _bench_one(plan, rng, label):
     coeffs = [rng.randrange(plan.field.q) for _ in range(plan.n)]
-    with plan.field.count_ops() as ctr:
-        t0 = time.perf_counter()
-        plan.fft(coeffs)
-        wall = time.perf_counter() - t0
-    return label, ctr.total(), wall
+    _, ops, wall = _counted(plan.field, plan.fft, coeffs)
+    return label, ops, wall
 
 
 def cmd_repro127(args) -> int:

@@ -46,7 +46,10 @@ MAX_N = 1 << 20  # the longest transform a plan builds
 def check_radices(radices):
     """(radices as a tuple, their product n <= MAX_N).  Each radix must be an
     int, not a bool, and >= 2: a float is refused, not truncated."""
-    radices = tuple(radices)
+    try:
+        radices = tuple(radices)
+    except TypeError:
+        raise ValidationError(f"radices {radices!r} is not a sequence of integers") from None
     n = 1
     for p in radices:
         if isinstance(p, bool) or not isinstance(p, int) or p < 2:

@@ -51,18 +51,7 @@ PRIME_Q_BOUND = 1 << 31  # prime fields: q < PRIME_Q_BOUND
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(*parts: int) -> dict:
@@ -156,7 +145,7 @@ def is_irreducible_modp(coeffs, p: int) -> bool:
 
 
 def _int_entry(v) -> int:
-    """One entry of a value file, which must be an int: a float is refused,
+    """v, an int (p, r, an exponent, a value-file entry): a float is refused,
     not truncated, and a string or a bool is refused, not converted."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise InvalidFieldValue(f"{v!r} is not an integer")
@@ -394,21 +383,21 @@ class Field:
         return out
 
     def pow(self, x: int, e: int) -> int:
-        e = int(e)
+        if type(e) is not int:
+            _int_entry(e)
         if e < 0:
             x = self.inv(x)
             e = -e
         if self.r == 1:
-            c = self._counter
-            if c is not None:
-                c.muls += max(e.bit_length() * 2 - 2, 0) if e else 0
-            return pow(x, e, self.p)
-        if x == 0:
+            out = pow(x, e, self.p)
+        elif x == 0:
             return 0 if e else 1
+        else:
+            out = self._exp[(self._log[x] * e) % (self.q - 1)]
         c = self._counter
         if c is not None:
-            c.muls += max(e.bit_length() * 2 - 2, 0) if e else 0
-        return self._exp[(self._log[x] * e) % (self.q - 1)]
+            c.muls += max(e.bit_length() * 2 - 2, 0)
+        return out
 
     def element_order(self, x: int) -> int:
         """Multiplicative order of nonzero x."""
@@ -431,9 +420,12 @@ class Field:
 
     def raws(self, values) -> list:
         """raw of each value.  An in-range int (not a bool) passes without the
-        call, which transforms pay per value."""
+        call, which transforms pay per value; a non-iterable is refused."""
         q = self.q
-        return [v if type(v) is int and 0 <= v < q else self.raw(v) for v in values]
+        try:
+            return [v if type(v) is int and 0 <= v < q else self.raw(v) for v in values]
+        except TypeError:
+            raise InvalidFieldValue(f"{values!r} is not a sequence of values of F_{q}") from None
 
     def __call__(self, value) -> "FieldElement":
         """Element from an int or element (checked by raw) or from a digit
@@ -566,6 +558,7 @@ class FieldElement:
 def field_make(p: int, r: int = 1, modulus=None) -> Field:
     """Build F_{p^r}; when r > 1 and no modulus is given, take the least
     monic irreducible of degree r in packed-integer order."""
+    p, r = _int_entry(p), _int_entry(r)
     if r < 1:
         raise ValidationError("extension degree must be >= 1")
     if r == 1 and p >= PRIME_Q_BOUND:

@@ -11,6 +11,7 @@ level maps.
 from __future__ import annotations
 
 from .errors import DuplicatePoint, SingularMatrix, ValidationError
+from .gf import _digits
 from .linalg import invert, mat_vec
 from .poly import INF, Poly, RatFn, compose_moebius, lagrange_basis_interpolate
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
@@ -83,16 +84,11 @@ def _standard_columns(plan):
 
 
 def _add_columns(plan):
-    field, p = plan.field, plan.field.p
+    field = plan.field
     cols = []
     for e in range(plan.n):
-        digits = []
-        v = e
-        for _ in range(plan.r):
-            v, d = divmod(v, p)
-            digits.append(d)
         basis_poly = Poly.one(field)
-        for i, d in enumerate(digits):
+        for i, d in enumerate(_digits(e, field.p, plan.r)):
             if d:
                 basis_poly = basis_poly * (plan.lin_polys[i] ** d)
         cols.append([basis_poly[i] for i in range(plan.n)])

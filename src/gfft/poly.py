@@ -247,17 +247,7 @@ class Poly:
         return hash((self.field.p, self.field.r, self.coeffs))
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = str(c) if (c != 1 or i == 0) else ""
-            xs = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            terms.append(cs + ("*" if cs and xs else "") + xs)
-        return "Poly(" + " + ".join(terms) + ")"
+        return f"Poly({poly_str(self)})"
 
 
 def poly_str(poly: Poly) -> str:

@@ -8,7 +8,7 @@ import pytest
 from gfft import cli, fileio
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan, q1_fft
-from gfft.errors import MismatchError, PointMismatch
+from gfft.errors import MismatchError, PointMismatch, ValidationError
 from gfft.gf import field_make
 from gfft.mfft import mult_plan
 from gfft.oracle import cyclic_tower
@@ -96,6 +96,15 @@ def test_plan_tamper_detected(F17):
     obj = fileio.plan_to_json(mult_plan(F17, (2, 2)))
     obj["tables"]["points"][0] = 99
     with pytest.raises(MismatchError):
+        fileio.plan_from_json(obj)
+
+
+def test_keyed_values_and_unknown_case_refused(F17):
+    with pytest.raises(ValidationError, match="keyed value files need a cyclic plan"):
+        fileio.values_from_json(F17, {"values": {"1": 2}}, mult_plan(F17, (2, 2)))
+    obj = fileio.plan_to_json(mult_plan(F17, (2, 2)))
+    obj["case"] = "dyadic"
+    with pytest.raises(ValidationError, match="unknown plan case 'dyadic'"):
         fileio.plan_from_json(obj)
 
 
@@ -440,3 +449,54 @@ def test_cli_convert_csv_input_takes_the_other_basis(tmp_path):
                      "--in", std, "--out", back, "--format", "csv"]) == 0
     assert Path(back).read_text() == lch.read_text()
     assert Path(std).read_text() != lch.read_text()
+
+
+def test_cli_output_refused_exits_2_and_keeps_the_file(tmp_path, capsys):
+    # an unwritable --out used to end in a FileNotFoundError traceback (exit
+    # 1), and a CSV --out for keyed cyclic values used to be emptied before
+    # the refusal
+    plan_path, cz = str(tmp_path / "plan.json"), tmp_path / "cz.json"
+    assert cli.main(["plan", *CLI_PLANS["cyclic"], "--out", plan_path]) == 0
+    cz.write_text(json.dumps({"basis": "cyclic-z", "coeffs": [i % 23 for i in range(1, 25)]}))
+    missing = str(tmp_path / "missing" / "out.json")
+    kept = tmp_path / "v.csv"
+    kept.write_text("1\n2\n3\n")
+    for argv, error in (
+            (["plan", *CLI_PLANS["mult"], "--out", missing], "InputError: cannot write"),
+            (["fft", "--plan", plan_path, "--in", str(cz), "--out", missing],
+             "InputError: cannot write"),
+            (["fft", "--plan", plan_path, "--in", str(cz), "--out", str(kept)],
+             "ValidationError: keyed cyclic values")):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {error}"), err
+    assert kept.read_text() == "1\n2\n3\n"
+
+
+def test_cli_count_ops_on_fft_and_ifft(tmp_path, capsys):
+    # ifft used to accept --count-ops and print nothing
+    plan_path, src = str(tmp_path / "plan.json"), tmp_path / "c.json"
+    vals, back = str(tmp_path / "v.json"), str(tmp_path / "back.json")
+    assert cli.main(["plan", *CLI_PLANS["mult"], "--out", plan_path]) == 0
+    src.write_text(json.dumps({"coeffs": list(range(16))}))
+    capsys.readouterr()
+    for argv in (["fft", "--in", str(src), "--out", vals], ["ifft", "--in", vals, "--out", back]):
+        assert cli.main([*argv, "--plan", plan_path, "--count-ops"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ops: adds=64 muls=64 invs=0 wall="), err
+    assert json.loads(Path(back).read_text())["coeffs"] == list(range(16))
+
+
+def test_cli_tampered_plan_file_exits_3(tmp_path, capsys):
+    plan_path, src = tmp_path / "plan.json", tmp_path / "c.json"
+    assert cli.main(["plan", *CLI_PLANS["mult"], "--out", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    plan["tables"]["points"][0] = (plan["tables"]["points"][0] + 1) % 17
+    plan_path.write_text(json.dumps(plan))
+    src.write_text(json.dumps({"coeffs": list(range(16))}))
+    capsys.readouterr()
+    assert cli.main(["fft", "--plan", str(plan_path), "--in", str(src),
+                     "--out", str(tmp_path / "v.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mismatch: plan table 'points'"), err

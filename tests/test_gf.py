@@ -55,6 +55,13 @@ def test_field_make_checks_the_bound_before_the_primality_test(monkeypatch):
             field_make(p, r)
 
 
+def test_field_make_refuses_degree_zero_and_a_prime_field_modulus():
+    with pytest.raises(ValidationError, match="extension degree"):
+        field_make(5, 0)
+    with pytest.raises(ValidationError, match="prime field takes no modulus"):
+        field_make(5, 1, [1, 2])
+
+
 def test_field_make_f9_least_modulus():
     # exhaustive oracle over the 9 monic quadratics over F_3
     irreducible = []
@@ -176,6 +183,19 @@ def test_arithmetic_identity_random(F127, F9, rng):
 def test_pow_group_order(F9):
     for g in range(1, 9):
         assert F9.pow(g, 8) == 1
+
+
+def test_pow_negative_exponent_inverts(F127, F9):
+    for field in (F127, F9):
+        for x in range(1, 9):
+            assert field.pow(x, -1) == field.inv(x)
+            assert field.pow(x, -3) == field.inv(field.pow(x, 3))
+        with pytest.raises(ZeroInverse):
+            field.pow(0, -1)
+    # one inverse, then square and multiply on the exponent 5
+    with F127.count_ops() as ctr:
+        F127.pow(3, -5)
+    assert (ctr.muls, ctr.invs) == (4, 1)
 
 
 def test_pow_exponent_additivity(F127, rng):

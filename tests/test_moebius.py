@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gfft.errors import NoMoebiusRelation
+from gfft.errors import NoMoebiusRelation, ValidationError
 from gfft.gf import field_make, find_primitive_element
 from gfft.moebius import MoebiusMap, match_moebius
 from gfft.poly import INF, Poly, RatFn, compose_moebius
@@ -14,6 +14,12 @@ def test_projective_canonicalization(F127, rng):
         lam = rng.randrange(1, 127)
         scaled = MoebiusMap(F127, *(F127.mul(lam, v) for v in (2, 5, 1, 9)))
         assert scaled == m
+
+
+def test_degenerate_map_refused(F127):
+    # ad - bc = 4 - 4 = 0: x -> (x + 2)/(2x + 4) is the constant 1/2
+    with pytest.raises(ValidationError, match="degenerate"):
+        MoebiusMap(F127, 1, 2, 2, 4)
 
 
 def test_order_examples(F127):

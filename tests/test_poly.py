@@ -44,6 +44,12 @@ def test_coefficients_checked_not_reduced(F17):
     assert Poly(F49, [48, 0]).coeffs == (48,)
 
 
+def test_repr_prints_through_poly_str(F127):
+    assert repr(Poly(F127, (85, 42, 1))) == "Poly(x^2+42x+85)"
+    assert repr(Poly(F127, (0, 1, 0, 2))) == "Poly(2x^3+x)"
+    assert repr(Poly.zero(F127)) == "Poly(0)"
+
+
 def test_gcd_with_zero_is_monic(F127):
     f = Poly(F127, (4, 6, 2))
     assert f.gcd(Poly.zero(F127)) == f.monic()

@@ -2,8 +2,8 @@
 
 import pytest
 
-from gfft.afft import add_fft, add_ifft, add_plan, padic_expand, padic_reassemble
-from gfft.cfft import cyclic_plan, q1_fft, q1_ifft
+from gfft.afft import add_fft, add_ifft, add_plan, lch_to_standard, padic_expand, padic_reassemble
+from gfft.cfft import cyclic_plan, q1_fft, q1_ifft, std_to_tilde
 from gfft.errors import InvalidFieldValue, MixedFields, PointMismatch, ValidationError
 from gfft.gf import field_make
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
@@ -48,9 +48,21 @@ def test_plan_parameters_checked():
                   lambda: mult_plan(F17, (2, 2), beta=True),
                   lambda: cyclic_plan(F23, (2, 2, 2, 3), m_pair=(24, 30)),
                   lambda: cyclic_plan(F23, (2, 2), fiber_key=30),
-                  lambda: add_plan(F16, [1, 2, 100])):
+                  lambda: add_plan(F16, [1, 2, 100]),
+                  # p, r and exponents are ints, not bools: 17.0 used to build
+                  # a field whose add(3, 16) was 2.0, and 2.7 and True were
+                  # used as the exponents 2 and 1
+                  lambda: field_make(17.0),
+                  lambda: field_make(2, 3.0),
+                  lambda: field_make("17"),
+                  lambda: field_make(17, True),
+                  lambda: F17.pow(3, 2.7),
+                  lambda: F17(3) ** 2.7,
+                  lambda: F17(3) ** True):
         with pytest.raises(InvalidFieldValue):
             build()
+    with pytest.raises(ValidationError, match="coset shift must be nonzero"):
+        mult_plan(F17, (2, 2), beta=0)
     # radices are refused unless they are ints (not bools): these used to be
     # truncated to (2, 2), (2, 3, 2) and (2, 2)
     for build in (lambda: mult_plan(F17, [2.7, 2]),
@@ -66,6 +78,27 @@ def test_plan_parameters_checked():
     assert cyclic_plan(F23, (2, 2, 2, 3), m_pair=(1, 7)).m_coeffs == (1, 7)
     assert cyclic_plan(F23, (2, 2), fiber_key=7).bucket_key == 7
     assert add_plan(F16, [1, 2, F16(4)]).subspace_basis == (1, 2, 4)
+    assert F17.pow(3, 2) == (F17(3) ** 2).raw == 9
+
+
+# A non-iterable where a vector, a basis, radices or an m pair belongs; each
+# call used to end in a TypeError.
+NON_ITERABLE_CALLS = {
+    "mult_fft": lambda: mult_fft(mult_plan(field_make(17), (2, 2)), None),
+    "mult_plan radices": lambda: mult_plan(field_make(17), None),
+    "add_plan basis": lambda: add_plan(field_make(17), 3),
+    "lch_to_standard": lambda: lch_to_standard(add_plan(field_make(2, 3), [1, 2]), None),
+    "Poly": lambda: Poly(field_make(17), None),
+    "std_to_tilde": lambda: std_to_tilde(cyclic_plan(field_make(17), (2, 3)), None),
+    "q1_ifft": lambda: q1_ifft(cyclic_plan(field_make(17), (2, 3)), None),
+    "cyclic_plan m_pair": lambda: cyclic_plan(field_make(17), (2, 3), m_pair=5),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_ITERABLE_CALLS))
+def test_non_iterable_refused(call):
+    with pytest.raises(ValidationError, match="is not a sequence"):
+        NON_ITERABLE_CALLS[call]()
 
 
 # Each entry point reads a value through Field.raw; the table lists how one
