@@ -11,8 +11,11 @@ binomials (_split) and the way back joins by Horner in them (_compose), one
 pass per division depth and a few fused column ops per pass, so both cost
 O(p n log^2 n) field ops with no recursion and no dense product.
 Each level's points are the previous level's images under its map
-T^p - b_i T, checked constant on every fiber (engine.fiber_levels).  Plan
-validation checks the dense ell_i tables: linearized, so F_p-linear, they
+T^p - b_i T, checked constant on every fiber (engine.fiber_levels).  Each
+ell_i is built from its i + 1 linearized coefficients, the x^(p^j) ones:
+ell_{i-1}^p raises each to the p-th power and moves it up one place, so a
+level costs O(i) field ops, and the dense ell_i tables are written from them.
+Plan validation checks the dense tables: linearized, so F_p-linear, they
 need evaluating only at the r basis elements, from their Frobenius chains
 x, x^p, ..., x^(p^r): O(r^3) field ops.
 """
@@ -32,16 +35,6 @@ from .gf import Field, field_make
 from .linalg import nullspace_vector
 from .poly import Poly, poly_str
 from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, plan_list, value_raws
-
-
-def _frobenius(poly: Poly) -> Poly:
-    """f -> f^p in characteristic p: raise coefficients, spread exponents."""
-    f = poly.field
-    out = [0] * (int(poly.degree) * f.p + 1 if not poly.is_zero() else 0)
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            out[i * f.p] = f.pow(c, f.p)
-    return Poly(f, out)
 
 
 class AddPlan:
@@ -81,9 +74,15 @@ class AddPlan:
                                                 strided=False)
         self.points = self.level_points[0]
         self.betas = tuple(betas)
-        ells = [Poly.x(field)]
-        for beta in betas:
-            ells.append(_frobenius(ells[-1]) - ells[-1].scale(beta))
+        # ell_i = sum_j c_j x^(p^j) from ell_(i-1)'s c_j, then its dense table
+        p = field.p
+        lin, ells = [1], [Poly.x(field)]
+        for i, beta in enumerate(betas, start=1):
+            lin = field.sub_products([0] + [field.pow(c, p) for c in lin], lin + [0], repeat(beta))
+            dense = [0] * (p**i + 1)
+            for j, c in enumerate(lin):
+                dense[p**j] = c
+            ells.append(Poly(field, dense))
         self.lin_polys = ells  # ells[i] vanishes exactly on span(basis[:i])
 
         self._validate()
@@ -97,14 +96,6 @@ class AddPlan:
         x^(p^r) of the r basis elements, O(r^3) field ops in all.  It must
         not kill basis[i]."""
         f, p, r = self.field, self.field.p, self.r
-
-        def lin_eval(lin, ch):
-            acc = 0
-            for c, y in zip(lin, ch):
-                if c:
-                    acc = f.add(acc, f.mul(c, y))
-            return acc
-
         chains = []
         for b in self.subspace_basis:
             chains.append([b])
@@ -118,9 +109,9 @@ class AddPlan:
             if ell.degree != p**i or lin[-1] != 1 or others:
                 raise ValidationError(
                     f"ell_{i} is not monic linearized of degree p^{i} (other degrees {others})")
-            if any(lin_eval(lin, ch) for ch in chains[:i]):
+            if any(f.sum(f.products(lin, ch)) for ch in chains[:i]):
                 raise ValidationError(f"ell_{i} does not vanish on its subspace")
-            if i < r and lin_eval(lin, chains[i]) == 0:
+            if i < r and f.sum(f.products(lin, chains[i])) == 0:
                 raise DependentBasis(f"ell_{i} kills basis element {i}; dependent input")
 
     def fft(self, coeffs):

@@ -38,6 +38,7 @@ inverts nothing.  Both conversions cost O(n^2).
 
 from __future__ import annotations
 
+import json
 from functools import reduce
 from itertools import cycle, repeat
 from math import isqrt
@@ -58,9 +59,9 @@ from .gf import (Field, find_primitive_quadratic, multiplicative_order, quadrati
 # checks that the tracer rebinds it in this module too
 from .linalg import invert, nullspace_vector  # noqa: F401
 from .moebius import MoebiusMap
-from .poly import INF, Poly, RatFn, poly_str
+from .poly import INF, Poly, RatFn, mul_add, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
-                      plan_list, point_ordered, point_out, value_raws)
+                      plan_list, point_in, point_ordered, point_out, value_raws)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -251,6 +252,8 @@ class CyclicPlan:
         self.is_full = n == q + 1
         if self.is_full and fiber_key not in (None, INF):
             raise ValidationError(f"a full plan's fiber is every place (inf), not {fiber_key!r}")
+        if not self.is_full and fiber_key is INF:
+            raise ValidationError("a partial plan's fiber is a finite value, not inf")
         self.gen = gen = self.sigma ** ((q + 1) // n)
         self.points = gen.orbit(INF if self.is_full else self._start(fiber_key), length=n)
         self.level_points = self._fiber_levels(self.points)
@@ -480,7 +483,7 @@ class CyclicPlan:
         return cyclic_plan(
             field, plan_list(obj, "radices", ints=True),
             m_pair=tuple(field.parse_raw(v) for v in plan_list(obj, "m", length=2)),
-            fiber_key=INF if fiber == "inf" else None if fiber is None else field.parse_raw(fiber))
+            fiber_key=None if fiber is None else point_in(field, json.dumps(fiber)))
 
     def __repr__(self):
         return (
@@ -510,8 +513,8 @@ def _level_map(field, induced, p, level):
         ic = f.inv(c)
         poles.append(f.mul(a, ic))
         lin = [f.mul(d, ic), 1]  # T - lambda_t
-        num = _mul_add(f, num, lin, _mul_add(f, den, [f.mul(b, ic), poles[-1]]))
-        den = _mul_add(f, den, lin)
+        num = mul_add(f, num, lin, mul_add(f, den, [f.mul(b, ic), poles[-1]]))
+        den = mul_add(f, den, lin)
         mt = mt * induced
     return num, den, poles
 
@@ -529,8 +532,8 @@ def _lift_sigma(field, prev, num, den, level):
     den = list(den) + [0]  # degree p - 1, read at degree p
     num_l, den_l = _homogeneous(f, (num, den), prev.entries(), p)
     rows = [[f.neg(a), f.neg(b), c, d] for a, b, c, d in zip(
-        _mul_add(f, den_l, num), _mul_add(f, den_l, den),
-        _mul_add(f, num_l, num), _mul_add(f, num_l, den))]
+        mul_add(f, den_l, num), mul_add(f, den_l, den),
+        mul_add(f, num_l, num), mul_add(f, num_l, den))]
     sol = nullspace_vector(f, rows)
     if (sol is None or f.mul(sol[0], sol[3]) == f.mul(sol[1], sol[2])
             or any(f.sum(f.products(row, sol)) for row in rows)):
@@ -545,20 +548,10 @@ def _homogeneous(field, polys, mat, deg):
     a, b, c, d = mat
     outs, bottom = [[g[deg]] for g in polys], [1]
     for k in range(deg - 1, -1, -1):
-        bottom = _mul_add(field, bottom, [d, c])
-        outs = [_mul_add(field, out, [b, a], field.products(bottom, repeat(g[k])))
+        bottom = mul_add(field, bottom, [d, c])
+        outs = [mul_add(field, out, [b, a], field.products(bottom, repeat(g[k])))
                 for out, g in zip(outs, polys)]
     return outs
-
-
-def _mul_add(field, u, v, acc=()):
-    """acc + u v on ascending coefficient lists, untrimmed."""
-    mul, add = field.mul, field.add
-    out = list(acc) + [0] * max(len(u) + len(v) - 1 - len(acc), 0)
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            out[i + j] = add(out[i + j], mul(ui, vj))
-    return out
 
 
 def _cycle_log(step, start, target, length):
@@ -631,10 +624,8 @@ def _apply_level(field, lv, pairs):
                 if k:
                     v = (v * num + vcs[k - 1] * dk) % mod
             out.append((u, v * den % mod))
-        ctr = field._counter
-        if ctr is not None:  # as the extension branch counts
-            ctr.muls += (5 * p - 1) * len(pairs)
-            ctr.adds += (2 * p - 1) * len(pairs)
+        # as the extension branch counts
+        field._tally((2 * p - 1) * len(pairs), (5 * p - 1) * len(pairs))
         return out
     mul, add = field.mul, field.add
     for num, den in pairs:
@@ -657,7 +648,7 @@ def q1_fft(plan: CyclicPlan, coeffs) -> CyclicEvalVec:
     vals = coeff_values(f, coeffs, BASIS_CYCLIC, plan.n)
     tilde = engine.forward(f, plan.kernel, vals)
     if not plan.is_full:
-        tilde = [f.mul(plan.base_value, v) for v in tilde]
+        tilde = f.products(tilde, repeat(plan.base_value))
     # the slot at INF is structurally zero; printed convention
     out = [v if s is None else f.mul(s, v) for s, v in zip(plan.scales, tilde)]
     return CyclicEvalVec(plan.points, out, tilde, vals[0] if plan.is_full else None)

@@ -18,8 +18,7 @@ from .errors import (InputError, InvalidFieldValue, MismatchError, SubspaceTooLa
                      ValidationError)
 from .gf import factorize, field_make
 from .mfft import mult_plan
-from .poly import INF
-from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
+from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD, point_in
 
 
 def _int(text):
@@ -31,6 +30,17 @@ def _int(text):
 
 def _parse_ints(text):
     return [_int(v) for v in (text or "").split(",") if v != ""]
+
+
+def _values(field, text, option):
+    """The field values in an option's text, comma separated as the entries
+    of a plan file's list: JSON ints, or digit lists over an extension field,
+    each read by Field.parse_raw."""
+    try:
+        entries = json.loads(f"[{text}]")
+    except ValueError as exc:
+        raise InputError(f"cannot parse {option} {text!r}: {exc}") from exc
+    return [field.parse_raw(v) for v in entries]
 
 
 def _read_input(path, parse):
@@ -75,18 +85,17 @@ def _build_plan(args):
         raise InputError(f"--{stray[0]} does not apply to {args.case} plans")
     field = field_make(args.p, args.r)
     if args.case == "mult":
-        return mult_plan(field, _parse_ints(args.radices), 1 if args.beta is None else args.beta)
+        beta = [1] if args.beta is None else _values(field, args.beta, "--beta")
+        if len(beta) != 1:
+            raise InputError(f"--beta takes one value, got {args.beta!r}")
+        return mult_plan(field, _parse_ints(args.radices), beta[0])
     if args.case == "add":
         if not args.basis:
             raise ValidationError("additive plans need --basis v1,v2,...")
-        try:
-            basis = [field.parse_raw(v) for v in json.loads("[" + args.basis + "]")]
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"cannot parse --basis {args.basis!r}: {exc}") from exc
-        return add_plan(field, basis)
+        return add_plan(field, _values(field, args.basis, "--basis"))
     if args.case == "cyclic":
-        m_pair = tuple(_parse_ints(args.m)) if args.m else None
-        fiber = None if args.fiber in (None, "") else INF if args.fiber == "inf" else _int(args.fiber)
+        m_pair = _values(field, args.m, "--m") if args.m else None
+        fiber = None if args.fiber in (None, "") else point_in(field, args.fiber)
         return cyclic_plan(field, _parse_ints(args.radices), m_pair=m_pair, fiber_key=fiber)
     raise ValidationError(f"unknown case {args.case!r}")
 
@@ -241,10 +250,10 @@ def build_parser():
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--radices", default=None)
-    p.add_argument("--beta", type=int, default=None, help="mult coset shift (default 1)")
+    p.add_argument("--beta", default=None, help="mult coset shift (default 1)")
     p.add_argument("--basis", default=None, help="additive subspace basis, comma separated")
     p.add_argument("--m", default=None, help="cyclic quadratic coefficients a,b")
-    p.add_argument("--fiber", default=None, help="cyclic evaluation fiber value")
+    p.add_argument("--fiber", default=None, help="cyclic evaluation fiber value, or inf")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan)
 

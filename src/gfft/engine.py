@@ -276,7 +276,7 @@ def build_inverse_locals(field, levels):
     level places child k of the subproblem at position j at k + p*j on a
     strided level and at j + P*k on a block level.
     """
-    sub, mul = field.sub, field.mul
+    sub = field.sub
     for lv in levels:
         p = lv.radix
         if lv.poles is None:
@@ -301,7 +301,7 @@ def build_inverse_locals(field, levels):
         a = [nodes[lv.column(t)] for t in range(p)]
         shifts = [[col if not b else [sub(x, b) for x in col] for b in centres] for col in a]
         diffs = [list(map(sub, a[i], a[i - j])) for j in range(1, p) for i in range(p - 1, j - 1, -1)]
-        scales = [reduce(lambda u, v: list(map(mul, u, v)), row) for row in shifts] if scaled else None
+        scales = [reduce(field.products, row) for row in shifts] if scaled else None
         lv.newton = (scales, _batch_inverse(field, diffs),
                      [row[:p - 1 - k] for k, row in enumerate(shifts[:-1])])
     order = [0]

@@ -12,16 +12,13 @@ still written and diffed.
 
 from __future__ import annotations
 
-import json
-
 from .afft import AddPlan
 from .cfft import CyclicPlan
 from .errors import MismatchError, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
-from .poly import INF
-from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_ordered,
-                      point_out)
+from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_in,
+                      point_ordered, point_out)
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +88,7 @@ def values_from_json(field: Field, obj, plan=None):
 
 def _keyed(field, obj, name, points):
     """The entries of the point-keyed map obj[name], in the order of points."""
-    lookup = {}
-    for k, v in obj[name].items():
-        pt = INF if k == "inf" else field.parse_raw(json.loads(k) if k.startswith("[") else int(k))
-        lookup[pt] = field.parse_raw(v)
+    lookup = {point_in(field, k): field.parse_raw(v) for k, v in obj[name].items()}
     return point_ordered(field, lookup, points, repr(name), "the file")
 
 

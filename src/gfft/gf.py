@@ -9,7 +9,9 @@ Field methods; FieldElement is a thin wrapper for user-facing code.
 The column ops (add_products, sub_products, diff_products, products) fuse
 an entrywise multiply with an add or subtract over whole lists, for the
 transform kernels, and count as the element ops they fuse; sum adds up a
-column, counted as its adds.
+column, counted as its adds.  Field._tally is the one way a loop that does
+element ops inline, here or in another module (poly.mul_add, Poly.eval, the
+cyclic level map), reports them: no other module reads the counter.
 
 Field.raw is the one rule for what a value of F_q is: an int in [0, q) that
 is not a bool, or a FieldElement of an equal field.  Values are checked,
@@ -391,11 +393,11 @@ class Field:
         if self.r == 1:
             out = pow(x, e, self.p)
         elif x == 0:
-            return 0 if e else 1
+            out = 0 if e else 1
         else:
             out = self._exp[(self._log[x] * e) % (self.q - 1)]
         c = self._counter
-        if c is not None:
+        if c is not None:  # square and multiply's count, from e alone, for every x
             c.muls += max(e.bit_length() * 2 - 2, 0)
         return out
 

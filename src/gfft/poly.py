@@ -4,7 +4,9 @@ Coefficients are stored as raw field values, ascending degree, trailing
 zeros trimmed.  Every coefficient, point and scalar passed in is read through
 Field.raw or Field.raws, so it is checked, not reduced.  Rational places are
 represented by a raw value alpha in F_q or the INF sentinel; evaluation of a
-rational function returns a raw value or INF likewise.
+rational function returns a raw value or INF likewise.  mul_add is the one
+product of coefficient lists: Poly.__mul__ and the cyclic plan build both run
+on it.
 """
 
 from __future__ import annotations
@@ -124,30 +126,7 @@ class Poly:
 
     def __mul__(self, other):
         other = self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(f)
-        out = [0] * (len(a) + len(b) - 1)
-        if f.r == 1:
-            p = f.p
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % p
-            ctr = f._counter
-            if ctr is not None:
-                # as the extension branch counts: one mul and one add per nonzero pair
-                pairs = (len(a) - a.count(0)) * (len(b) - b.count(0))
-                ctr.muls += pairs
-                ctr.adds += pairs
-        else:
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return Poly(f, out)
+        return Poly(self.field, mul_add(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Poly":
         f = self.field
@@ -205,14 +184,11 @@ class Poly:
             return 0
         if f.r == 1:
             p = f.p
-            ctr = f._counter
             acc = 0
             for c in reversed(self.coeffs):
                 acc = (acc * x + c) % p
-            if ctr is not None:
-                d = len(self.coeffs) - 1
-                ctr.muls += d
-                ctr.adds += d
+            d = len(self.coeffs) - 1
+            f._tally(d, d)
             return acc
         acc = 0
         for c in reversed(self.coeffs):
@@ -248,6 +224,28 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
+
+
+def mul_add(field: Field, u, v, acc=()) -> list:
+    """acc + u v on ascending coefficient lists, untrimmed: the one product of
+    coefficient lists, counted as one mul and one add per pair of nonzero
+    coefficients (on prime fields inline, reported through Field._tally)."""
+    out = list(acc) + [0] * max(len(u) + len(v) - 1 - len(acc), 0)
+    if field.r == 1:
+        p = field.p
+        for i, ui in enumerate(u):
+            if ui:
+                for j, vj in enumerate(v, i):
+                    out[j] = (out[j] + ui * vj) % p
+        pairs = (len(u) - u.count(0)) * (len(v) - v.count(0))
+        field._tally(pairs, pairs)
+    else:
+        for i, ui in enumerate(u):
+            if ui:
+                for j, vj in enumerate(v, i):
+                    if vj:
+                        out[j] = field.add(out[j], field.mul(ui, vj))
+    return out
 
 
 def poly_str(poly: Poly) -> str:

@@ -4,10 +4,11 @@ are checked by Field.raws, the list form of the one field-value rule."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
-from .errors import (BasisMismatch, DegreeTooLarge, LengthMismatch, MixedFields, PlanFileError,
-                     PointMismatch)
+from .errors import (BasisMismatch, DegreeTooLarge, InvalidFieldValue, LengthMismatch, MixedFields,
+                     PlanFileError, PointMismatch)
 from .poly import INF, Poly
 
 BASIS_STANDARD = "standard"
@@ -32,6 +33,19 @@ class CoeffVec:
 def point_out(field, pt):
     """JSON form of an evaluation point: "inf" or the field's serialize_raw."""
     return "inf" if pt is INF else field.serialize_raw(pt)
+
+
+def point_in(field, text):
+    """Inverse of point_out, read from the JSON text of its form (a key of a
+    point-keyed map, a command-line option): "inf" (quoted or not) is INF,
+    and any other value is read by Field.parse_raw, so a string is refused.
+    A residue's text, a key of every prime-field value file, skips the JSON
+    decoder, at a tenth of its cost."""
+    try:
+        obj = "inf" if text == "inf" else int(text) if text.isdigit() else json.loads(text)
+    except ValueError:
+        raise InvalidFieldValue(f"{text!r} is not a point of F_{field.q}") from None
+    return INF if obj == "inf" else field.parse_raw(obj)
 
 
 def point_ordered(field, keyed, points, name, owner):

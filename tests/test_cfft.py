@@ -526,6 +526,34 @@ def test_tower_guards_refuse_foreign_maps():
         cyclic_plan(field_make(127), (2, 2), m_pair=(0, 126))  # x^2 - 1
 
 
+def test_build_guards_refuse_a_corrupted_input(monkeypatch):
+    """The cyclic build guards a tower line trace of the other tests never
+    fails: a repeated orbit place, a full plan's x_r that is not the trace of
+    x, a non-monic level numerator and a level identity whose quadratic
+    splits, each reached by corrupting one input."""
+    full = cyclic_plan(field_make(23), (2, 2, 2, 3))
+    f = full.field
+    with pytest.raises(ValidationError, match="orbit of the order-n map repeats a place"):
+        full._fiber_levels(full.points[:-1] + full.points[:1])
+    full.quads = [Poly(f, (1, 0, 1))] + full.quads[1:]
+    with pytest.raises(ValidationError, match="x_r is not the trace of x over the cycle"):
+        full._build_scaling()
+    level_map = cfft._level_map
+    monkeypatch.setattr(cfft, "_level_map", lambda *a: (lambda num, den, poles: (
+        num[:-1] + [2], den, poles))(*level_map(*a)))
+    with pytest.raises(ValidationError, match="level 1 map numerator malformed"):
+        cyclic_plan(f, (2, 3))
+    monkeypatch.undo()
+    # (T - 1)^2 (T - 3)^2 = num (num - 4 den) for num = (T - 1)^2, den = T - 2:
+    # the level identity holds with Q_1 = lead * y (y - 4), which splits
+    plan = cyclic_plan(f, (2, 3))
+    lv = plan.levels[0]
+    lv.num, lv.den, lv.poles = Poly(f, (1, 21, 1)), Poly(f, (21, 1)), (2,)
+    plan.quads = [Poly(f, (3, 19, 1))]
+    with pytest.raises(ValidationError, match="level 1 quadratic splits"):
+        plan._build_quads()
+
+
 def test_build_forms_no_rational_function(monkeypatch):
     """The build works on 2x2 matrices and coefficient lists: no RatFn is
     constructed and no compose_moebius, match_moebius or Poly.gcd runs, on

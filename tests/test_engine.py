@@ -10,9 +10,10 @@ import random
 import pytest
 
 from gfft.afft import add_plan
+from gfft import engine
 from gfft.cfft import cyclic_plan
 from gfft.engine import fiber_levels
-from gfft.errors import DependentBasis, ValidationError
+from gfft.errors import DependentBasis, SingularLocalSystem, ValidationError
 from gfft.gf import field_make, is_prime
 from gfft.mfft import mult_plan
 from gfft.oracle import basis_matrix
@@ -151,3 +152,18 @@ def test_level_points_match_a_per_point_sweep():
                     assert field.pow(x, size) == plan.level_points[i][s % (n // size)], (name, i)
                 else:
                     assert plan.lin_polys[i].eval(x) == plan.level_points[i][s // size], (name, i)
+
+
+def test_pole_fiber_guards_refuse_a_corrupted_input():
+    """A zero diagonal constant of the pole-fiber system, and a leaf order
+    that sends two pole-fiber coefficients to one slot, are refused."""
+    plan = cyclic_plan(field_make(23), (2, 2, 2, 3))
+    lv = plan.kernel[0]
+    lv.pole_consts = {**lv.pole_consts, (1, 1): 0}
+    with pytest.raises(SingularLocalSystem, match="zero diagonal in the pole-fiber system"):
+        engine.build_inverse_locals(plan.field, plan.kernel)
+    plan = cyclic_plan(field_make(23), (2, 2, 2, 3))
+    values = plan.fft([i % 23 for i in range(1, 25)]).tilde
+    plan.kernel[-1].leaf_order = [0] * plan.n
+    with pytest.raises(SingularLocalSystem, match="pole-fiber slot doubly determined"):
+        engine.inverse(plan.field, plan.kernel, list(values))

@@ -189,7 +189,7 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
                                   "inf-fiber-on-partial-plan", "radices-on-add", "fiber-on-mult",
                                   "beta-on-cyclic", "m-on-mult", "basis-on-mult",
                                   "basis-on-cyclic", "add-ladder-beyond-q", "ladder-zero",
-                                  "ladder-negative"])
+                                  "ladder-negative", "beta-two-values", "fiber-not-json"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -254,11 +254,16 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         error = "ValidationError"
     elif case in ("fiber-on-full-plan", "inf-fiber-on-partial-plan"):
         # n = q+1 used to build the inf fiber for --fiber 5, and n = 8 the
-        # default fiber for --fiber inf
+        # default fiber for --fiber inf; each names its case's rule
         argv = ["plan", "--case", "cyclic", "--p", "23", "--radices",
                 "2,2,2,3" if case == "fiber-on-full-plan" else "2,2,2",
                 "--fiber", "5" if case == "fiber-on-full-plan" else "inf"]
-        error = "ValidationError" if case == "fiber-on-full-plan" else "InvalidFieldValue"
+        error = "ValidationError"
+    elif case in ("beta-two-values", "fiber-not-json"):
+        argv = (["plan", "--case", "mult", "--p", "17", "--radices", "2,2", "--beta", "1,2"]
+                if case == "beta-two-values" else
+                ["plan", "--case", "cyclic", "--p", "23", "--radices", "2,3", "--fiber", "x"])
+        error = "InputError" if case == "beta-two-values" else "InvalidFieldValue"
     elif case == "add-ladder-beyond-q":
         # 32 points need a 5-dimensional subspace of GF(16); the basis element
         # 16 used to be refused as "not a raw value of F_16"
@@ -312,6 +317,40 @@ def test_cli_plan_basis_list_form(tmp_path):
         assert cli.main(["plan", "--case", "add", "--p", "3", "--r", "2",
                          "--basis", basis, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["basis"] == [[1, 0], [0, 1]]
+
+
+def test_cli_plan_options_take_the_plan_file_forms(tmp_path, capsys):
+    """--m, --fiber and --beta read the values a plan file holds, as --basis
+    does: digit lists over an extension field, and inf for a fiber."""
+    def plan(*opts):
+        out = tmp_path / "plan.json"
+        assert cli.main(["plan", *opts, "--out", str(out)]) == 0
+        return out.read_text()
+
+    gf81 = ("--case", "cyclic", "--p", "3", "--r", "4", "--radices", "41")
+    text = plan(*gf81)
+    obj = json.loads(text)
+    assert obj["m"] == [[1, 0, 0, 0], [1, 1, 0, 0]] and obj["fiber"] == [0, 2, 1, 2]
+    m = ",".join(json.dumps(v) for v in obj["m"])
+    # these used to end in "InputError: expected an integer, got '[1'"
+    assert plan(*gf81, "--m", m, "--fiber", json.dumps(obj["fiber"])) == text
+    for radices in ("2,3", "2,2,2,3"):  # a partial plan's fiber value, a full plan's inf
+        f23 = ("--case", "cyclic", "--p", "23", "--radices", radices)
+        text = plan(*f23)
+        assert plan(*f23, "--fiber", str(json.loads(text)["fiber"])) == text
+    gf9 = ("--case", "mult", "--p", "3", "--r", "2", "--radices", "2,2")
+    text = plan(*gf9, "--beta", "3")
+    assert json.loads(text)["beta"] == [0, 1]
+    assert plan(*gf9, "--beta", "[0,1]") == text  # argparse used to refuse it
+    obj = fileio.plan_to_json(cyclic_plan(field_make(23), (2, 3)))
+    obj["fiber"] = str(obj["fiber"])  # a plan file holds the value, not its text
+    with pytest.raises(ValidationError, match="is not an integer"):
+        fileio.plan_from_json(obj)
+    capsys.readouterr()
+    assert cli.main(["plan", "--case", "cyclic", "--p", "7", "--radices", "2,2",
+                     "--fiber", "inf"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ValidationError: a partial plan's fiber is a finite value, not inf\n")
 
 
 def test_cli_bench_ladders():

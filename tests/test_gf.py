@@ -367,6 +367,17 @@ def test_counter_scopes_nest(F127):
     assert outer.muls == 2  # inner scope owns its own counts
 
 
+def test_pow_counts_from_the_exponent_alone(F17, F9):
+    # GF(9).pow(0, 5) used to count no muls where F_17's counted 4
+    for field in (F17, F9):
+        for x in (0, 1, 2):
+            for e, muls in ((5, 4), (0, 0)):
+                with field.count_ops() as ctr:
+                    field.pow(x, e)
+                assert (ctr.adds, ctr.muls, ctr.invs) == (0, muls, 0), (field, x, e)
+        assert field.pow(0, 5) == 0 and field.pow(0, 0) == 1
+
+
 def test_serialization_forms(F127, F27):
     assert F127.serialize_raw(42) == 42
     assert F27.serialize_raw(F27.pack((1, 2, 0))) == [1, 2, 0]

@@ -1,6 +1,7 @@
 import pytest
 
-from gfft.errors import BasisMismatch, LengthMismatch, RadixNotDividingGroupOrder
+from gfft import mfft
+from gfft.errors import BasisMismatch, LengthMismatch, RadixNotDividingGroupOrder, ValidationError
 from gfft.gf import field_make, find_primitive_element
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.oracle import mpe_horner
@@ -101,3 +102,10 @@ def test_opcount_quasilinear_growth():
     for n in (8, 16, 32):
         ratio = counts[2 * n] / counts[n]
         assert 2.0 <= ratio <= 2.0 + 8 / (n.bit_length() - 1)
+
+
+def test_build_refuses_repeated_points(F17, monkeypatch):
+    # a generator of order 1 in place of the primitive element
+    monkeypatch.setattr(mfft, "find_primitive_element", lambda field: field.one())
+    with pytest.raises(ValidationError, match="evaluation points not distinct"):
+        mult_plan(F17, (2, 2))

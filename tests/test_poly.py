@@ -12,6 +12,7 @@ from gfft.poly import (
     compose_moebius,
     lagrange_basis_interpolate,
     mod_inverse,
+    mul_add,
 )
 
 
@@ -28,6 +29,32 @@ def test_product_op_counts(request, name):
     with field.count_ops() as ctr:
         a * b
     assert (ctr.muls, ctr.adds) == (6, 6)
+
+
+@pytest.mark.parametrize("name", ["F127", "F27"])
+def test_mul_add_accumulates_untrimmed(request, name):
+    """acc + u v by element ops, at the length of the longer of acc and the
+    product, trailing zeros kept; one mul and one add per pair of nonzero
+    coefficients in both branches, none for an empty operand."""
+    field = request.getfixturevalue(name)
+    u, v = [3, 0, 1, 0], [0, 5, 0]
+
+    def reference(acc):
+        out = list(acc) + [0] * max(len(u) + len(v) - 1 - len(acc), 0)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                out[i + j] = field.add(out[i + j], field.mul(ui, vj))
+        return out
+
+    for acc in ((), [1, 2], [1, 2, 3, 4, 5, 6, 7, 8]):
+        with field.count_ops() as ctr:
+            out = mul_add(field, u, v, acc)
+        assert out == reference(acc) and len(out) == max(len(acc), 6)
+        assert (ctr.muls, ctr.adds, ctr.invs) == (2, 2, 0)
+    assert out[6:] == [7, 8] and mul_add(field, u, v)[3:] == [5, 0, 0]
+    with field.count_ops() as ctr:
+        assert mul_add(field, [], v, [4]) == [4, 0] and mul_add(field, u, []) == [0, 0, 0]
+    assert ctr.total() == 0
 
 
 def test_coefficients_checked_not_reduced(F17):
