@@ -10,9 +10,14 @@ level, solved as a small linear system.  No rational function is formed.
 The evaluation fiber is the orbit of the order-n map, proved a whole fiber
 of x_r without scanning F_q, and the tower is evaluated on it only, level by
 level through engine.fiber_levels: O(n * sum(p_i)) field operations,
-whatever q.  A fiber named by its value is found on the x_r-line, where
-sigma acts as S_r, by baby-step giant-step (_start).  The degree-n tower
-lives in oracle.cyclic_tower, for the tests.  The finite poles of each level
+whatever q.  The orbit and each level's values are projective pairs made
+points by one batched inversion per list (engine.affine), so the build
+inverts per level, not per point; per-point values and powers are column
+ops.  A fiber named by its value is found on the x_r-line, where sigma acts
+as S_r, by baby-step giant-step (_start); a plan file's reload starts at its
+stored first point instead, checked to be the least place of the stored
+fiber, and searches nothing.  The degree-n tower lives in
+oracle.cyclic_tower, for the tests.  The finite poles of each level
 map are the orbit of infinity under the level's induced map, checked to be
 p-1 distinct roots of the degree-(p-1) denominator.  Coefficients live in
 the "cyclic-z" basis: products of reciprocal linear factors of the tower
@@ -47,14 +52,14 @@ from . import engine
 from .errors import (
     DegreeTooLarge,
     LengthMismatch,
+    MismatchError,
     NoMoebiusRelation,
     PrimitivityFailure,
     RadixNotDividing,
     SplitValidationFailure,
     ValidationError,
 )
-from .gf import (Field, find_primitive_quadratic, multiplicative_order, quadratic_is_irreducible,
-                 quadratic_root_order)
+from .gf import Field, find_primitive_quadratic, multiplicative_order, quadratic_is_irreducible
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
 from .linalg import invert, nullspace_vector  # noqa: F401
@@ -98,7 +103,7 @@ class CyclicPlan:
     case = "cyclic"
     basis = BASIS_CYCLIC
 
-    def __init__(self, field: Field, radices, m_pair=None, fiber_key=None):
+    def __init__(self, field: Field, radices, m_pair=None, fiber_key=None, *, _start=None):
         radices, n = engine.check_radices(radices)
         if (field.q + 1) % n != 0:
             raise RadixNotDividing(f"{n} does not divide q+1 = {field.q + 1}")
@@ -119,7 +124,10 @@ class CyclicPlan:
             a, b = m
             if not quadratic_is_irreducible(field, a, b):
                 raise PrimitivityFailure("x^2 + a x + b is reducible")
-            if quadratic_root_order(field, a, b) != field.q**2 - 1:
+            # b is the norm of a root, so it generates F_q^* if the root
+            # generates F_{q^2}^*; with sigma of order q + 1 (checked below),
+            # that is also enough
+            if field.element_order(b) != field.q - 1:
                 raise PrimitivityFailure("x^2 + a x + b is irreducible but not primitive")
         self.m_coeffs = (a, b)
 
@@ -143,7 +151,7 @@ class CyclicPlan:
 
         self._build_tower()
         self._build_quads()
-        self._build_points(fiber_key)
+        self._build_points(fiber_key, _start)
         self._check_pole_order()
         self._build_fiber_tables(*self._build_scaling())
         self._build_kernel()
@@ -238,7 +246,7 @@ class CyclicPlan:
             lv.norm_const = norm_const
             self.quads.append(quad)
 
-    def _build_points(self, fiber_key):
+    def _build_points(self, fiber_key, start):
         """The evaluation fiber as the orbit of the order-n map through its
         least place, proved a whole fiber of x_r without scanning F_q.
 
@@ -247,17 +255,33 @@ class CyclicPlan:
         the n roots of N - cD, and INF at most at INF and the n - 1 roots of
         D: n distinct places that share one value of x_r are the whole fiber
         over it, and _fiber_levels checks both.  The orbit starts at INF on a
-        full plan, otherwise as _start says."""
-        q, n = self.field.q, self.n
+        full plan.  A partial plan reloaded from its file starts at the stored
+        first point, checked to lie on the stored fiber and to be the least
+        place of its orbit, so the plan is the one a fresh build on that
+        fiber makes; otherwise it starts as _start says."""
+        f, q, n = self.field, self.field.q, self.n
         self.is_full = n == q + 1
         if self.is_full and fiber_key not in (None, INF):
             raise ValidationError(f"a full plan's fiber is every place (inf), not {fiber_key!r}")
         if not self.is_full and fiber_key is INF:
             raise ValidationError("a partial plan's fiber is a finite value, not inf")
+        if not self.is_full and fiber_key is not None:
+            fiber_key = f.raw(fiber_key)
+            if fiber_key == 0:
+                raise ValidationError("the fiber at 0 cannot be rescaled; choose another")
         self.gen = gen = self.sigma ** ((q + 1) // n)
-        self.points = gen.orbit(INF if self.is_full else self._start(fiber_key), length=n)
+        stored = start is not None and not self.is_full
+        if not stored:
+            start = INF if self.is_full else self._start(fiber_key)
+        self.points = gen.orbit(start, length=n)
         self.level_points = self._fiber_levels(self.points)
         self.bucket_key = self.level_points[-1][0]
+        if stored and self.bucket_key != fiber_key:
+            raise MismatchError(f"plan table 'points' starts at {point_out(f, start)}, "
+                                f"off the stored fiber {point_out(f, fiber_key)}")
+        if stored and min(self.points) != start:
+            raise MismatchError(f"plan table 'points' starts at {point_out(f, start)}, "
+                                "not at the least place of its fiber")
 
     def _start(self, key):
         """The least alpha where x_r is finite and nonzero (one of the first
@@ -272,9 +296,6 @@ class CyclicPlan:
             raise ValidationError("no usable evaluation fiber")
         if key is None:
             return alpha
-        key = f.raw(key)
-        if key == 0:
-            raise ValidationError("the fiber at 0 cannot be rescaled; choose another")
         ((num, den),) = self.tower_values([alpha])[-1]
         k = _cycle_log(self.lifts[-1], f.div(num, den), key, (f.q + 1) // self.n)
         if k is None:
@@ -290,10 +311,11 @@ class CyclicPlan:
         if len(set(points)) != self.n:
             raise ValidationError("orbit of the order-n map repeats a place")
 
-        def step(i, xs):
-            pairs = [(1, 0) if x is INF else (x, 1) for x in xs]
-            pairs = _apply_level(f, self.levels[i - 1], pairs)
-            return [INF if den == 0 else f.div(num, den) for num, den in pairs]
+        def step(i, xs):  # u/v at each x, by Horner on the finite ones; INF goes to INF
+            lv, finite = self.levels[i - 1], [x for x in xs if x is not INF]
+            values = iter(engine.affine(f, _horner(f, lv.num.coeffs, finite),
+                                        _horner(f, lv.den.coeffs, finite)))
+            return [INF if x is INF else next(values) for x in xs]
 
         return engine.fiber_levels(points, self.radices, step, strided=True)
 
@@ -305,8 +327,8 @@ class CyclicPlan:
         f = self.field
         for i, lv in enumerate(self.levels, start=1):
             tau = self.gen ** self.sizes[i]
-            pairs = self.tower_values(tau.orbit(INF, length=lv.radix)[1:], upto=i - 1)[-1]
-            seq = [INF if den == 0 else f.div(num, den) for num, den in pairs]
+            seq = engine.affine(
+                f, *zip(*self.tower_values(tau.orbit(INF, length=lv.radix)[1:], upto=i - 1)[-1]))
             if list(lv.poles) != seq:
                 raise SplitValidationFailure(
                     f"level {i} induced-map orbit {list(lv.poles)} disagrees with point order {seq}"
@@ -329,20 +351,20 @@ class CyclicPlan:
             if self.tower_values([alpha])[-1] != [(quad0.eval(alpha), 0)]:
                 raise ValidationError("x_r is not the trace of x over the cycle")
             self.base_value = 0  # the kernel zeroes a full plan's leaves
-            self.scales = [None] + [f.mul(c, quad0.eval(pt)) for pt in self.points[1:]]
+            self.scales = [None] + f.products(_horner(f, quad0.coeffs, self.points[1:]), repeat(c))
             self.inv_scales = [None] + engine._batch_inverse(f, [self.scales[1:]])[0]
             return None, None
         dens = [1] * n  # D at each point
         for lv, xs in zip(self.levels, self.level_points):
-            dens = f.products([f.pow(d, lv.radix) for d in dens], cycle(map(lv.den.eval, xs)))
+            dens = f.products(_powers(f, dens, lv.radix), cycle(_horner(f, lv.den.coeffs, xs)))
         key = self.bucket_key
         q_key = self.quads[self.r].eval(key)
-        q0s = [quad0.eval(pt) for pt in self.points]
+        q0s = _horner(f, quad0.coeffs, self.points)
         if reduce(f.mul, q0s) != q_key:
             raise ValidationError("Q_r disagrees with the norm of Q_0 over the fiber")
-        for q0, d in zip(q0s, dens):
-            if f.mul(c, f.pow(q0, n)) != f.mul(f.mul(d, d), q_key):
-                raise ValidationError("scale constant fails the tower identity")
+        if f.products(_powers(f, q0s, n), repeat(c)) != f.products(f.products(dens, dens),
+                                                                 repeat(q_key)):
+            raise ValidationError("scale constant fails the tower identity")
         self.base_value = f.div(key, q_key)
         self.scales = f.products(dens, repeat(f.div(q_key, key)))
         self.inv_scales = engine._batch_inverse(f, [dens])[0]  # 1 / (scale * base_value)
@@ -479,11 +501,17 @@ class CyclicPlan:
 
     @staticmethod
     def from_json(field: Field, obj) -> "CyclicPlan":
-        fiber = obj.get("fiber")
-        return cyclic_plan(
+        """The plan of a file; one that stores its fiber and tables starts at
+        the stored first point, without searching for the fiber."""
+        fiber, tables = obj.get("fiber"), obj.get("tables")
+        start = None
+        if fiber is not None and isinstance(tables, dict) and "points" in tables:
+            points = plan_list(tables, "points")
+            start = point_in(field, json.dumps(points[0])) if points else None
+        return CyclicPlan(
             field, plan_list(obj, "radices", ints=True),
             m_pair=tuple(field.parse_raw(v) for v in plan_list(obj, "m", length=2)),
-            fiber_key=None if fiber is None else point_in(field, json.dumps(fiber)))
+            fiber_key=None if fiber is None else point_in(field, json.dumps(fiber)), _start=start)
 
     def __repr__(self):
         return (
@@ -567,6 +595,18 @@ def _cycle_log(step, start, target, length):
     return None
 
 
+def _powers(field, xs, e):
+    """[x^e] over a column, e >= 1, by left-to-right square and multiply on
+    Field.products: (bit length - 1) squarings and (popcount - 1) products,
+    at most pow's count, 2 (bit length - 1) muls an entry."""
+    out = xs
+    for bit in bin(e)[3:]:
+        out = field.products(out, out)
+        if bit == "1":
+            out = field.products(out, xs)
+    return out
+
+
 def _binomials_mod_p(field, n):
     """C(n, k) in field for k = 0..n by Lucas' theorem: the product of
     C(n_i, k_i) over the base-p digits of n and k, zero where some k_i > n_i.
@@ -596,6 +636,15 @@ def _binomials_mod_p(field, n):
                 break
             entries.append(row[j])
         out.append(reduce(field.mul, entries))
+    return out
+
+
+def _horner(field, coeffs, xs):
+    """g(x) for each x of a list, g with ascending coeffs (at least one), by
+    Horner on columns: deg g adds and muls an entry."""
+    out = [coeffs[-1]] * len(xs)
+    for c in reversed(coeffs[:-1]):
+        out = field.add_products(repeat(c), out, xs)
     return out
 
 

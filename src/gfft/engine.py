@@ -333,3 +333,11 @@ def _batch_inverse(field, cols):
     out[0] = inv
     m = len(cols[0])
     return [out[i:i + m] for i in range(0, len(out), m)]
+
+
+def affine(field, nums, dens):
+    """The points N/D of the projective pairs (N, D) of two columns, INF
+    where D = 0, through one batched inversion of the nonzero D."""
+    (inv,) = _batch_inverse(field, [[d for d in dens if d]])
+    values = iter(field.products([x for x, d in zip(nums, dens) if d], inv))
+    return [next(values) if d else INF for d in dens]

@@ -4,7 +4,10 @@ Field elements serialize as decimal residues for prime fields and as
 little-endian coefficient lists for extensions (":"-joined in CSV cells).
 Plan files carry the construction parameters plus derived tables for audit;
 loading rebuilds the plan deterministically and diffs any embedded tables
-the writer still produces.  A stored table it no longer writes is ignored:
+the writer still produces.  A cyclic plan rebuilds from its stored start
+place, the first of its stored points, with no search for the fiber; a
+start place that is not the least place of the stored fiber is refused as
+a mismatch.  A stored table the writer no longer produces is ignored:
 cyclic plan files from earlier versions carry `tower_num`, the degree-n
 tower numerator, which is a function of the `level_nums` table that is
 still written and diffed.

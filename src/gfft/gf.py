@@ -163,7 +163,6 @@ class Field:
         self.q = p**r
         self.modulus = tuple(modulus)  # monic, len r+1; () when r == 1
         self._counter = None
-        self._inv_table = None
         if r > 1:
             self._build_tables()
 
@@ -298,10 +297,7 @@ class Field:
         if c is not None:
             c.invs += 1
         if self.r == 1:
-            t = self._inv_table
-            if t is None and self.p <= 4096:
-                t = self._inv_table = [0] + [pow(v, -1, self.p) for v in range(1, self.p)]
-            return t[x] if t is not None else pow(x, -1, self.p)
+            return pow(x, -1, self.p)
         return self._exp[self.q - 1 - self._log[x]]
 
     def div(self, x: int, y: int) -> int:

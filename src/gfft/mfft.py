@@ -55,6 +55,15 @@ class MultPlan:
     def ifft(self, values) -> CoeffVec:
         return mult_ifft(self, values)
 
+    def to_standard(self, coeffs) -> CoeffVec:
+        """The identity, as the plan's basis is the standard one; the entries
+        are read and checked as the transforms read them."""
+        vals = coeff_values(self.field, coeffs, BASIS_STANDARD, self.n)
+        return CoeffVec(tuple(vals), BASIS_STANDARD)
+
+    def from_standard(self, coeffs) -> CoeffVec:
+        return self.to_standard(coeffs)
+
     def describe(self) -> list:
         return [f"multiplicative plan: n={self.n} radices={list(self.radices)}",
                 f"omega = {self.omega}  beta = {self.beta}"]

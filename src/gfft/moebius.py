@@ -9,8 +9,7 @@ on the orientation cross-validate it against independent data.
 
 from __future__ import annotations
 
-import operator
-
+from .engine import affine
 from .errors import NoMoebiusRelation, ValidationError
 from .gf import Field, multiplicative_order, square_multiply
 from .linalg import nullspace_vector
@@ -43,12 +42,7 @@ class MoebiusMap:
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product self * other: acts as self after other."""
-        f = self.field
-        a = f.add(f.mul(self.a, other.a), f.mul(self.b, other.c))
-        b = f.add(f.mul(self.a, other.b), f.mul(self.b, other.d))
-        c = f.add(f.mul(self.c, other.a), f.mul(self.d, other.c))
-        d = f.add(f.mul(self.c, other.b), f.mul(self.d, other.d))
-        return MoebiusMap(f, a, b, c, d)
+        return MoebiusMap(self.field, *_product(self.field, self.entries(), other.entries()))
 
     def __mul__(self, other):
         return self.compose(other)
@@ -58,8 +52,12 @@ class MoebiusMap:
         return MoebiusMap(f, self.d, f.neg(self.b), f.neg(self.c), self.a)
 
     def __pow__(self, e: int) -> "MoebiusMap":
+        """By square and multiply on the raw 4-tuples, each product counted
+        as compose counts it, normalized once, at the end."""
+        f = self.field
         base = self if e >= 0 else self.inverse()
-        return square_multiply(operator.mul, base, abs(e), MoebiusMap.identity(self.field))
+        return MoebiusMap(f, *square_multiply(lambda u, v: _product(f, u, v), base.entries(),
+                                              abs(e), (1, 0, 0, 1)))
 
     def order(self) -> int:
         """Least k >= 1 with self^k projectively the identity.  Every element
@@ -82,13 +80,28 @@ class MoebiusMap:
         return self.apply(point)
 
     def orbit(self, start, length=None):
-        """Orbit of a point under iterated application, in visiting order."""
+        """Orbit of a point under iterated application, in visiting order.
+        Given its length, the orbit runs on projective pairs (N, D), made
+        points by one batched inversion (engine.affine)."""
+        f = self.field
+        if length is not None:
+            if length > f.q + 2:
+                raise ValidationError("orbit does not close")
+            a, b, c, d = self.entries()
+            add, mul = f.add, f.mul
+            x, z = (1, 0) if start is INF else (f.raw(start), 1)
+            nums, dens = [x], [z]
+            for _ in range(length - 1):
+                x, z = add(mul(a, x), mul(b, z)), add(mul(c, x), mul(d, z))
+                nums.append(x)
+                dens.append(z)
+            return affine(f, nums, dens)
         out = [start]
         cur = self.apply(start)
-        while cur != start if length is None else len(out) < length:
+        while cur != start:
             out.append(cur)
             cur = self.apply(cur)
-            if len(out) > self.field.q + 2:
+            if len(out) > f.q + 2:
                 raise ValidationError("orbit does not close")
         return out
 
@@ -111,6 +124,16 @@ class MoebiusMap:
 
     def __repr__(self):
         return f"MoebiusMap[[{self.a},{self.b}],[{self.c},{self.d}]]"
+
+
+def _product(f, m, n):
+    """The matrix product of raw 4-tuples (a, b, c, d), not normalized: 8
+    muls and 4 adds."""
+    a, b, c, d = m
+    a2, b2, c2, d2 = n
+    add, mul = f.add, f.mul
+    return (add(mul(a, a2), mul(b, c2)), add(mul(a, b2), mul(b, d2)),
+            add(mul(c, a2), mul(d, c2)), add(mul(c, b2), mul(d, d2)))
 
 
 def match_moebius(g: RatFn, h: RatFn) -> MoebiusMap:

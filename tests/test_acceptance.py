@@ -708,6 +708,23 @@ def test_criterion_8_m31_partial_build_ladder():
             "; ".join(f"n=2^{k} {a:.1f} ops {i:.2f} invs/point" for k, (a, i) in per_point.items()))
 
 
+def test_criterion_8_m31_partial_build_inversions_grow_with_r():
+    """Partial cyclic builds over M31, n = 2^8 ... 2^12, invert field
+    elements per level, not per point: the orbit, each level's values and
+    each level's kernel weights become affine through one batched inversion, so
+    the build at n = 2^12 inverts at most twice as often as at n = 2^8 (one
+    inversion per orbit or level value put 3.2 per point, 12,996 at 2^12)."""
+    field = field_make(2**31 - 1)
+    invs = {}
+    for k in range(8, 13):
+        with field.count_ops() as ctr:
+            cyclic_plan(field, (2,) * k)
+        invs[k] = ctr.invs
+    assert invs[12] <= 2 * invs[8], invs
+    _report("criterion-8 M31 build inversions", True,
+            "; ".join(f"n=2^{k} {i}" for k, i in invs.items()) + " inversions")
+
+
 def test_criterion_8_affine_plan_build_ops_linear():
     """Multiplicative and additive plan builds cost O(n) field ops: each
     level's points come from one level-map call per point of the level below

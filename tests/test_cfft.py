@@ -1,11 +1,12 @@
 import itertools
+import json
 import sys
 import time
 
 import pytest
 
 from divisors import ratfn_levels
-from gfft import cfft, engine, gf, poly
+from gfft import cfft, engine, fileio, gf, poly
 
 from gfft.cfft import (
     cyclic_plan,
@@ -741,3 +742,59 @@ def test_poly_inputs_are_standard_vectors(rng):
                 ifft(plan, Poly(field, [1] * plan.n))
             with pytest.raises(BasisMismatch, match="got a polynomial"):
                 plan.ifft(Poly(field, [1] * plan.n))
+
+
+@pytest.mark.parametrize("args, radices", [((23,), (2, 2, 2, 3)), ((3, 2), (2, 5))])
+def test_explicit_m_accepted_exactly_when_primitive(args, radices):
+    """Every irreducible x^2 + a x + b: the plan accepts it as m exactly when
+    a root generates F_{q^2}^* (quadratic_root_order(m) = q^2 - 1).  The
+    build tests that b, the norm of a root, generates F_q^*, then that sigma
+    has order q + 1, and a refusal names the test that failed."""
+    field = field_make(*args)
+    q = field.q
+    accepted = refused = 0
+    for a, b in itertools.product(range(q), repeat=2):
+        if not gf.quadratic_is_irreducible(field, a, b):
+            continue
+        if gf.quadratic_root_order(field, a, b) == q * q - 1:
+            assert cyclic_plan(field, radices, m_pair=(a, b)).m_coeffs == (a, b)
+            accepted += 1
+            continue
+        why = ("irreducible but not primitive" if field.element_order(b) != q - 1
+               else r"companion map does not have order q\+1")
+        with pytest.raises(PrimitivityFailure, match=why):
+            cyclic_plan(field, radices, m_pair=(a, b))
+        refused += 1
+    assert accepted and refused
+
+
+def test_reload_starts_at_the_stored_first_point(monkeypatch):
+    """A plan file with its fiber and tables reloads from the stored first
+    point: no scan for a start place and no baby-step giant-step search
+    (CyclicPlan._start and _cycle_log never run), on a keyed M31 2^12 plan
+    and the default F_383 2^7 plan, and the reload writes the file it read
+    and costs no more ops than a default build.  A fiber given by value,
+    and a file without tables, still search."""
+    calls = []
+    start, cycle_log = cfft.CyclicPlan._start, cfft._cycle_log
+    monkeypatch.setattr(cfft.CyclicPlan, "_start",
+                        lambda self, key: calls.append("_start") or start(self, key))
+    monkeypatch.setattr(cfft, "_cycle_log", lambda *a: calls.append("_cycle_log") or cycle_log(*a))
+    field = field_make(M31)
+    with field.count_ops() as build:
+        default = cyclic_plan(field, (2,) * 12)
+    key = _x_r(default, 123456789)
+    calls.clear()
+    keyed = cyclic_plan(field, (2,) * 12, fiber_key=key)
+    assert calls == ["_start", "_cycle_log"] and 123456789 in keyed.points
+    for plan in (keyed, cyclic_plan(field_make(383), (2,) * 7)):
+        obj = json.loads(json.dumps(fileio.plan_to_json(plan)))
+        calls.clear()
+        assert fileio.plan_to_json(fileio.plan_from_json(obj)) == obj
+        assert calls == []
+        bare = {k: v for k, v in obj.items() if k != "tables"}
+        assert fileio.plan_to_json(fileio.plan_from_json(bare)) == obj
+        assert calls[0] == "_start"
+    with field.count_ops() as reload:
+        cfft.CyclicPlan.from_json(field, json.loads(json.dumps(fileio.plan_to_json(keyed))))
+    assert reload.total() <= build.total(), (reload, build)

@@ -167,3 +167,25 @@ def test_pole_fiber_guards_refuse_a_corrupted_input():
     plan.kernel[-1].leaf_order = [0] * plan.n
     with pytest.raises(SingularLocalSystem, match="pole-fiber slot doubly determined"):
         engine.inverse(plan.field, plan.kernel, list(values))
+
+
+@pytest.mark.parametrize("args", [(383,), (2**31 - 1,), (2, 6), (3, 4)])
+def test_batch_inverse_matches_field_inv(args):
+    """The batched inversion equals Field.inv entry by entry, at
+    3(N-1) muls, one inversion and no add for N entries; a zero anywhere is
+    refused."""
+    field = field_make(*args)
+    rng = random.Random(sum(args))
+    for n in (1, 2, 3, 127, 4096):
+        xs = [rng.randrange(1, field.q) for _ in range(n)]
+        with field.count_ops() as ctr:
+            (inv,) = engine._batch_inverse(field, [xs])
+        assert inv == [field.inv(x) for x in xs], n
+        assert (ctr.adds, ctr.muls, ctr.invs) == (0, 3 * (n - 1), 1), (n, ctr)
+        for at in {0, n // 2, n - 1}:
+            with pytest.raises(SingularLocalSystem, match="repeated node"):
+                engine._batch_inverse(field, [xs[:at] + [0] + xs[at + 1:]])
+    cols = [[rng.randrange(1, field.q) for _ in range(4)] for _ in range(3)]
+    assert engine._batch_inverse(field, cols) == [[field.inv(x) for x in c] for c in cols]
+    assert engine._batch_inverse(field, [[]]) == [[]]
+    assert engine.affine(field, [1, 2, 3], [1, 0, 2]) == [1, INF, field.div(3, 2)]

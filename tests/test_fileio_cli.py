@@ -539,3 +539,38 @@ def test_cli_tampered_plan_file_exits_3(tmp_path, capsys):
                      "--out", str(tmp_path / "v.json")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mismatch: plan table 'points'"), err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("point-on-the-fiber", "not at the least place of its fiber"),
+    ("point-off-the-fiber", "off the stored fiber 216"),
+    ("another-fiber", "starts at 0, off the stored fiber 218"),
+])
+def test_cli_refuses_an_edited_start_place(tmp_path, capsys, edit, message):
+    """A reload starts at the plan file's first point, so gfft fft refuses a
+    file whose first point or fiber was edited, as a mismatch (exit 3) like
+    any other table that disagrees with the plan: a later place of the same
+    fiber, a place off the fiber, and another fiber's value."""
+    plan_path, src = tmp_path / "plan.json", tmp_path / "c.json"
+    assert cli.main(["plan", "--case", "cyclic", "--p", "383", "--radices", "2,2,2,2,2,2,2",
+                     "--out", str(plan_path)]) == 0
+    obj = json.loads(plan_path.read_text())
+    plan = fileio.plan_from_json(obj)
+    assert fileio.plan_to_json(plan) == obj and obj["fiber"] == 216
+    points = obj["tables"]["points"]
+    if edit == "point-on-the-fiber":
+        points[0] = points[1]
+    elif edit == "point-off-the-fiber":
+        points[0] = next(x for x in range(383) if x not in points)
+    else:
+        other = cyclic_plan(plan.field, (2,) * 7, fiber_key=plan.lifts[-1](216))
+        assert other.bucket_key == 218 and points[0] == 0
+        obj["fiber"] = other.bucket_key
+    plan_path.write_text(json.dumps(obj))
+    src.write_text(json.dumps({"basis": "cyclic-z", "coeffs": list(range(128))}))
+    capsys.readouterr()
+    assert cli.main(["fft", "--plan", str(plan_path), "--in", str(src),
+                     "--out", str(tmp_path / "v.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mismatch: plan table 'points' starts at"), err
+    assert message in err[0], err

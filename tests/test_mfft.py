@@ -1,7 +1,8 @@
 import pytest
 
 from gfft import mfft
-from gfft.errors import BasisMismatch, LengthMismatch, RadixNotDividingGroupOrder, ValidationError
+from gfft.errors import (BasisMismatch, DegreeTooLarge, InvalidFieldValue, LengthMismatch,
+                         RadixNotDividingGroupOrder, ValidationError)
 from gfft.gf import field_make, find_primitive_element
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.oracle import mpe_horner
@@ -109,3 +110,26 @@ def test_build_refuses_repeated_points(F17, monkeypatch):
     monkeypatch.setattr(mfft, "find_primitive_element", lambda field: field.one())
     with pytest.raises(ValidationError, match="evaluation points not distinct"):
         mult_plan(F17, (2, 2))
+
+
+@pytest.mark.parametrize("args, radices", [((17,), (2, 2, 2, 2)), ((3, 2), (2, 2, 2))])
+def test_conversions_are_the_identity(args, radices):
+    """A mult plan's basis is the standard one, so to_standard and
+    from_standard return the coefficients unchanged, read as every
+    conversion reads them: a Poly is padded to n, and a vector of another
+    basis, of another length or with an entry outside F_q is refused."""
+    field = field_make(*args)
+    plan = mult_plan(field, radices)
+    c = [(5 * i + 2) % field.q for i in range(plan.n)]
+    for convert in (plan.to_standard, plan.from_standard):
+        assert convert(c) == CoeffVec(tuple(c), "standard")
+        assert convert(CoeffVec(tuple(c), "standard")).values == tuple(c)
+        assert convert(Poly(field, (1, 2))).values == (1, 2) + (0,) * (plan.n - 2)
+        with pytest.raises(BasisMismatch):
+            convert(CoeffVec(tuple(c), BASIS_LCH))
+        with pytest.raises(LengthMismatch):
+            convert(c[:-1])
+        with pytest.raises(InvalidFieldValue):
+            convert([field.q] + c[1:])
+        with pytest.raises(DegreeTooLarge):
+            convert(Poly(field, [1] * (plan.n + 1)))

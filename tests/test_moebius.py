@@ -101,3 +101,41 @@ def test_match_moebius_rejects_unrelated(F127):
     h = RatFn.x(F127)
     with pytest.raises(NoMoebiusRelation):
         match_moebius(g, h)
+
+
+@pytest.mark.parametrize("args", [(191,), (2, 6)])
+def test_power_equals_repeated_compose(args):
+    """__pow__ squares and multiplies raw 4-tuples and normalizes once; the
+    result equals repeated compose (with the inverse for e < 0), and counts
+    no more ops than the repeated compose's square and multiply did."""
+    field = field_make(*args)
+    m = MoebiusMap(field, 3, 1, 1, 5)
+    for e in (-5, 0, 1, 2, 191):
+        step = m if e >= 0 else m.inverse()
+        want = MoebiusMap.identity(field)
+        for _ in range(abs(e)):
+            want = want.compose(step)
+        assert m ** e == want, e
+    for e in (2, 191):
+        with field.count_ops() as ctr:
+            m ** e
+        products = e.bit_length() + bin(e).count("1")  # square_multiply's calls
+        assert (ctr.adds, ctr.muls, ctr.invs) == (4 * products + 1, 8 * products + 6, 1), e
+
+
+@pytest.mark.parametrize("args", [(191,), (2, 6)])
+def test_orbit_with_length_matches_apply(args):
+    """The fixed-length orbit runs on projective pairs with one batched
+    inversion; it visits the places apply visits, INF included."""
+    field = field_make(*args)
+    m = MoebiusMap(field, 0, 1, 1, 3)
+    for start in (INF, 0, 5):
+        want, cur = [], start
+        for _ in range(12):
+            want.append(cur)
+            cur = m.apply(cur)
+        with field.count_ops() as ctr:
+            assert m.orbit(start, length=12) == want
+        assert ctr.invs == 1
+    with pytest.raises(ValidationError, match="orbit does not close"):
+        m.orbit(0, length=field.q + 3)
