@@ -13,13 +13,14 @@ level through engine.fiber_levels: O(n * sum(p_i)) field operations,
 whatever q.  The orbit and each level's values are projective pairs made
 points by one batched inversion per list (engine.affine), so the build
 inverts per level, not per point; per-point values and powers are column
-ops.  A fiber named by its value is found on the x_r-line, where sigma acts
-as S_r, by baby-step giant-step (_start); a plan file's reload starts at its
-stored first point instead, checked to be the least place of the stored
-fiber, and searches nothing.  The degree-n tower lives in
-oracle.cyclic_tower, for the tests.  The finite poles of each level
-map are the orbit of infinity under the level's induced map, checked to be
-p-1 distinct roots of the degree-(p-1) denominator.  Coefficients live in
+ops, and the per-point scales reuse that pass's level denominators.  A fiber
+named by its value is found on the x_r-line, where sigma acts as S_r, by
+baby-step giant-step (_start); a plan file's reload starts at its stored
+first point instead, checked to be the least place of the stored fiber, and
+searches nothing.  The degree-n tower lives in oracle.cyclic_tower, for the
+tests.  The finite poles of each level map are the orbit of infinity under
+the level's induced map, checked to be p-1 distinct roots of the
+degree-(p-1) denominator.  Coefficients live in
 the "cyclic-z" basis: products of reciprocal linear factors of the tower
 coordinates, scaled so the basis spans the polynomials of degree < n.  The
 level quadratics Q_i, which give the scaling, are read off the level
@@ -205,14 +206,24 @@ class CyclicPlan:
         place: entry i lists the pairs (N_i, D_i) in the order of `places`.
 
         Starts from (alpha, 1), or (1, 0) at INF, and applies each level map
-        as (N, D) -> (D^p u(N/D), D^p v(N/D)).  For finite alpha, N_i and D_i
-        are the values at alpha of the numerator and denominator of x_i in
-        lowest terms, N_i monic of degree |G_i|.
+        as (N, D) -> (D^p u(N/D), D^p v(N/D)) by homogeneous Horner, 2p - 1
+        adds and 5p - 1 muls a place.  For finite alpha, N_i and D_i are the
+        values at alpha of the numerator and denominator of x_i in lowest
+        terms, N_i monic of degree |G_i|.
         """
-        pairs = [(1, 0) if pl is INF else (self.field.raw(pl), 1) for pl in places]
-        out = [pairs]
+        mul, add = self.field.mul, self.field.add
+        out = [[(1, 0) if pl is INF else (self.field.raw(pl), 1) for pl in places]]
         for lv in self.levels[:upto]:
-            pairs = _apply_level(self.field, lv, pairs)
+            p, ucs, vcs = lv.radix, lv.num.coeffs, lv.den.coeffs
+            pairs = []
+            for num, den in out[-1]:
+                u, v, dk = 1, 1, 1
+                for k in range(p - 1, -1, -1):
+                    dk = mul(dk, den)
+                    u = add(mul(u, num), mul(ucs[k], dk))
+                    if k:
+                        v = add(mul(v, num), mul(vcs[k - 1], dk))
+                pairs.append((u, mul(v, den)))
             out.append(pairs)
         return out
 
@@ -273,8 +284,8 @@ class CyclicPlan:
         stored = start is not None and not self.is_full
         if not stored:
             start = INF if self.is_full else self._start(fiber_key)
-        self.points = gen.orbit(start, length=n)
-        self.level_points = self._fiber_levels(self.points)
+        self.points = gen.orbit(start, n)
+        self.level_points, self.level_dens = self._fiber_levels(self.points)
         self.bucket_key = self.level_points[-1][0]
         if stored and self.bucket_key != fiber_key:
             raise MismatchError(f"plan table 'points' starts at {point_out(f, start)}, "
@@ -291,33 +302,38 @@ class CyclicPlan:
         x_r(sigma^k(alpha)) = S_r^k(x_r(alpha)): key is a fiber value exactly
         when S_r^k takes x_r(alpha) to it, and _cycle_log finds that k."""
         f = self.field
-        alpha = next((a for a in range(f.q) if all(self.tower_values([a])[-1][0])), None)
-        if alpha is None:
+        for alpha in range(f.q):
+            ((num, den),) = self.tower_values([alpha])[-1]
+            if num and den:
+                break
+        else:
             raise ValidationError("no usable evaluation fiber")
         if key is None:
             return alpha
-        ((num, den),) = self.tower_values([alpha])[-1]
         k = _cycle_log(self.lifts[-1], f.div(num, den), key, (f.q + 1) // self.n)
         if k is None:
             raise ValidationError(f"{key} is not an evaluation fiber value")
         return min(self.gen.orbit((self.sigma ** k)(alpha), self.n))
 
     def _fiber_levels(self, points):
-        """x_0, ..., x_r on n orbit points: entry i lists x_i at the first n_i
-        points, after checking that the points are distinct; engine.fiber_levels
-        applies each level map to the previous list and checks that x_i at
-        point s equals x_i at point s mod n_i (at level r: one value on all)."""
+        """(levels, dens) on n orbit points: levels[i] lists x_i at the first
+        n_i points, after checking that the points are distinct;
+        engine.fiber_levels applies each level map to the previous list and
+        checks that x_i at point s equals x_i at point s mod n_i (at level r:
+        one value on all).  dens[i - 1] lists v_i at the finite entries of
+        levels[i - 1], for _build_scaling; no plan state changes."""
         f = self.field
         if len(set(points)) != self.n:
             raise ValidationError("orbit of the order-n map repeats a place")
+        dens = []
 
         def step(i, xs):  # u/v at each x, by Horner on the finite ones; INF goes to INF
             lv, finite = self.levels[i - 1], [x for x in xs if x is not INF]
-            values = iter(engine.affine(f, _horner(f, lv.num.coeffs, finite),
-                                        _horner(f, lv.den.coeffs, finite)))
+            dens.append(_horner(f, lv.den.coeffs, finite))
+            values = iter(engine.affine(f, _horner(f, lv.num.coeffs, finite), dens[-1]))
             return [INF if x is INF else next(values) for x in xs]
 
-        return engine.fiber_levels(points, self.radices, step, strided=True)
+        return engine.fiber_levels(points, self.radices, step, strided=True), dens
 
     def _check_pole_order(self):
         """Each level's poles, in induced-map orbit order, must be x_{i-1} at
@@ -328,7 +344,7 @@ class CyclicPlan:
         for i, lv in enumerate(self.levels, start=1):
             tau = self.gen ** self.sizes[i]
             seq = engine.affine(
-                f, *zip(*self.tower_values(tau.orbit(INF, length=lv.radix)[1:], upto=i - 1)[-1]))
+                f, *zip(*self.tower_values(tau.orbit(INF, lv.radix)[1:], upto=i - 1)[-1]))
             if list(lv.poles) != seq:
                 raise SplitValidationFailure(
                     f"level {i} induced-map orbit {list(lv.poles)} disagrees with point order {seq}"
@@ -354,9 +370,9 @@ class CyclicPlan:
             self.scales = [None] + f.products(_horner(f, quad0.coeffs, self.points[1:]), repeat(c))
             self.inv_scales = [None] + engine._batch_inverse(f, [self.scales[1:]])[0]
             return None, None
-        dens = [1] * n  # D at each point
-        for lv, xs in zip(self.levels, self.level_points):
-            dens = f.products(_powers(f, dens, lv.radix), cycle(_horner(f, lv.den.coeffs, xs)))
+        dens = [1] * n  # D at each point, from the v_i the fiber pass evaluated
+        for p, vs in zip(self.radices, self.level_dens):
+            dens = f.products(_powers(f, dens, p), cycle(vs))
         key = self.bucket_key
         q_key = self.quads[self.r].eval(key)
         q0s = _horner(f, quad0.coeffs, self.points)
@@ -655,37 +671,6 @@ def _value_and_slope(field, coeffs, x):
         slope = field.add(field.mul(slope, x), val)
         val = field.add(field.mul(val, x), c)
     return val, slope
-
-
-def _apply_level(field, lv, pairs):
-    """The level map u/v on projective pairs: (N, D) -> (D^p u(N/D), D^p v(N/D)),
-    by homogeneous Horner; u is monic of degree p, v monic of degree p - 1."""
-    p = lv.radix
-    ucs, vcs = lv.num.coeffs, lv.den.coeffs
-    out = []
-    if field.r == 1:
-        mod = field.p
-        for num, den in pairs:
-            u, v, dk = 1, 1, 1
-            for k in range(p - 1, -1, -1):
-                dk = dk * den % mod
-                u = (u * num + ucs[k] * dk) % mod
-                if k:
-                    v = (v * num + vcs[k - 1] * dk) % mod
-            out.append((u, v * den % mod))
-        # as the extension branch counts
-        field._tally((2 * p - 1) * len(pairs), (5 * p - 1) * len(pairs))
-        return out
-    mul, add = field.mul, field.add
-    for num, den in pairs:
-        u, v, dk = 1, 1, 1
-        for k in range(p - 1, -1, -1):
-            dk = mul(dk, den)
-            u = add(mul(u, num), mul(ucs[k], dk))
-            if k:
-                v = add(mul(v, num), mul(vcs[k - 1], dk))
-        out.append((u, mul(v, den)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ The column ops (add_products, sub_products, diff_products, products) fuse
 an entrywise multiply with an add or subtract over whole lists, for the
 transform kernels, and count as the element ops they fuse; sum adds up a
 column, counted as its adds.  Field._tally is the one way a loop that does
-element ops inline, here or in another module (poly.mul_add, Poly.eval, the
-cyclic level map), reports them: no other module reads the counter.
+element ops inline, here or in another module (poly.mul_add and Poly.eval),
+reports them: no other module reads the counter.
 
 Field.raw is the one rule for what a value of F_q is: an int in [0, q) that
 is not a bool, or a FieldElement of an equal field.  Values are checked,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .engine import affine
 from .errors import NoMoebiusRelation, ValidationError
-from .gf import Field, multiplicative_order, square_multiply
+from .gf import Field, _int_entry, multiplicative_order, square_multiply
 from .linalg import nullspace_vector
 from .poly import INF, Poly, RatFn
 
@@ -79,31 +79,24 @@ class MoebiusMap:
     def __call__(self, point):
         return self.apply(point)
 
-    def orbit(self, start, length=None):
-        """Orbit of a point under iterated application, in visiting order.
-        Given its length, the orbit runs on projective pairs (N, D), made
-        points by one batched inversion (engine.affine)."""
+    def orbit(self, start, length):
+        """The first `length` >= 1 places of start's orbit, in visiting
+        order, on projective pairs (N, D) made points by one batched
+        inversion (engine.affine); past q + 2 places no orbit closes."""
         f = self.field
-        if length is not None:
-            if length > f.q + 2:
-                raise ValidationError("orbit does not close")
-            a, b, c, d = self.entries()
-            add, mul = f.add, f.mul
-            x, z = (1, 0) if start is INF else (f.raw(start), 1)
-            nums, dens = [x], [z]
-            for _ in range(length - 1):
-                x, z = add(mul(a, x), mul(b, z)), add(mul(c, x), mul(d, z))
-                nums.append(x)
-                dens.append(z)
-            return affine(f, nums, dens)
-        out = [start]
-        cur = self.apply(start)
-        while cur != start:
-            out.append(cur)
-            cur = self.apply(cur)
-            if len(out) > f.q + 2:
-                raise ValidationError("orbit does not close")
-        return out
+        if _int_entry(length) < 1:
+            raise ValidationError(f"orbit length must be at least 1, got {length}")
+        if length > f.q + 2:
+            raise ValidationError("orbit does not close")
+        a, b, c, d = self.entries()
+        add, mul = f.add, f.mul
+        x, z = (1, 0) if start is INF else (f.raw(start), 1)
+        nums, dens = [x], [z]
+        for _ in range(length - 1):
+            x, z = add(mul(a, x), mul(b, z)), add(mul(c, x), mul(d, z))
+            nums.append(x)
+            dens.append(z)
+        return affine(f, nums, dens)
 
     def as_ratfn(self) -> RatFn:
         f = self.field

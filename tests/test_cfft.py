@@ -313,17 +313,54 @@ def test_tower_identities_outside_build(plan23):
 
 def test_scaling_guards_the_scale_identity():
     # on a partial fiber, a wrong Q_r fails the fiber's norm prod Q_0 = Q_r(key),
-    # and a wrong level denominator the per-point c Q_0^n = D^2 Q_r(key)
+    # and a wrong level-denominator value, as the fiber pass kept it, the
+    # per-point c Q_0^n = D^2 Q_r(key)
     plan = cyclic_plan(field_make(11), (2, 2))
     plan._build_scaling()
-    f, qr, lv = plan.field, plan.quads[-1], plan.levels[-1]
+    f, qr, vs = plan.field, plan.quads[-1], plan.level_dens[-1]
     plan.quads[-1] = Poly(f, (f.add(qr[0], 1), qr[1], qr[2]))
     with pytest.raises(ValidationError, match="norm of Q_0"):
         plan._build_scaling()
     plan.quads[-1] = qr
-    lv.den = Poly(f, (f.add(lv.den[0], 1),) + lv.den.coeffs[1:])
+    plan.level_dens[-1] = [f.add(vs[0], 1)] + vs[1:]
     with pytest.raises(ValidationError, match="tower identity"):
         plan._build_scaling()
+
+
+@pytest.mark.parametrize("field_args, radices", [((383,), (2,) * 7), ((2, 6), (5, 13)),
+                                                 ((3, 4), (41,))])
+def test_tower_values_cost_per_place_and_level(field_args, radices):
+    """Each level map costs 2p - 1 adds, 5p - 1 muls and no inversion a
+    place, on every field kind, at INF too."""
+    plan = cyclic_plan(field_make(*field_args), radices)
+    f = plan.field
+    places = [INF, 0, 1] + plan.points[:4]
+    for upto in range(plan.r + 1):
+        with f.count_ops() as ctr:
+            plan.tower_values(places, upto)
+        per_place = [(2 * p - 1, 5 * p - 1) for p in radices[:upto]]
+        adds, muls = (sum(c) * len(places) for c in zip((0, 0), *per_place))
+        assert (ctr.adds, ctr.muls, ctr.invs) == (adds, muls, 0), upto
+
+
+@pytest.mark.parametrize("field_args, radices", [((383,), (2,) * 7), ((3, 4), (41,))])
+def test_partial_build_evaluates_each_level_denominator_once(field_args, radices, monkeypatch):
+    """The fiber pass evaluates v_i on level i - 1's points, and the scales
+    reuse those values: one _horner call per level denominator."""
+    calls = []
+    horner = cfft._horner
+
+    def spy(field, coeffs, xs):
+        calls.append((tuple(coeffs), len(xs)))
+        return horner(field, coeffs, xs)
+
+    monkeypatch.setattr(cfft, "_horner", spy)
+    plan = cyclic_plan(field_make(*field_args), radices)
+    assert not plan.is_full
+    for lv, xs in zip(plan.levels, plan.level_points):
+        assert calls.count((tuple(lv.den.coeffs), len(xs))) == 1
+    dens = {tuple(lv.den.coeffs) for lv in plan.levels}
+    assert sum(c in dens for c, _ in calls) == plan.r
 
 
 @pytest.mark.parametrize("field_args, radices", [

@@ -136,7 +136,7 @@ def test_level_points_match_a_per_point_sweep():
         if plan.case == "cyclic":
             inf_fiber = plan.gen.orbit(INF, length=n)
             fibers = [(plan.points, plan.level_points),
-                      (inf_fiber, plan._fiber_levels(inf_fiber))]
+                      (inf_fiber, plan._fiber_levels(inf_fiber)[0])]
             for points, levels in fibers:
                 for i, pairs in enumerate(plan.tower_values(points)):
                     nq = plan.sizes[i]

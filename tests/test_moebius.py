@@ -60,7 +60,7 @@ def test_point_action(F127):
     for _ in range(128):
         pt = sigma.apply(pt)
     assert pt is INF
-    orbit = sigma.orbit(INF)
+    orbit = sigma.orbit(INF, 128)
     assert len(orbit) == 128
     assert sorted(v for v in orbit if v is not INF) == list(range(127))
 
@@ -139,3 +139,19 @@ def test_orbit_with_length_matches_apply(args):
         assert ctr.invs == 1
     with pytest.raises(ValidationError, match="orbit does not close"):
         m.orbit(0, length=field.q + 3)
+
+
+@pytest.mark.parametrize("args", [(191,), (2, 6)])
+def test_orbit_length_is_an_int_of_at_least_one(args):
+    """An orbit has at least its start place: a length below 1 is refused,
+    as a length that is no int, not read as [start]."""
+    field = field_make(*args)
+    m = MoebiusMap(field, 0, 1, 1, 3)
+    for start in (INF, 0, 5):
+        assert m.orbit(start, 1) == [start]
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match="at least 1"):
+            m.orbit(5, bad)
+    for bad in (True, 2.0, "3", None):
+        with pytest.raises(ValidationError, match="not an integer"):
+            m.orbit(5, bad)
