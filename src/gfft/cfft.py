@@ -45,7 +45,7 @@ inverts nothing.  Both conversions cost O(n^2).
 from __future__ import annotations
 
 import json
-from functools import reduce
+from functools import partial, reduce
 from itertools import cycle, repeat
 from math import isqrt
 
@@ -60,7 +60,8 @@ from .errors import (
     SplitValidationFailure,
     ValidationError,
 )
-from .gf import Field, find_primitive_quadratic, multiplicative_order, quadratic_is_irreducible
+from .gf import (Field, find_primitive_quadratic, multiplicative_order, quadratic_is_irreducible,
+                 square_multiply)
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
 from .linalg import invert, nullspace_vector  # noqa: F401
@@ -235,23 +236,28 @@ class CyclicPlan:
         degree p and den monic of degree p - 1 make the top three
         coefficients of the identity a triangular system in the other two."""
         f = self.field
+        prod = partial(mul_add, f)
         for i, lv in enumerate(self.levels, start=1):
             prev, p = self.quads[-1], lv.radix
+            num, den = lv.num.coeffs, lv.den.coeffs
             lead = prev.lc()
             for pole in lv.poles:
                 lead = f.mul(lead, prev.eval(pole))
-            lhs, num2, num_den = prev**p, lv.num * lv.num, lv.num * lv.den
+            lhs = square_multiply(prod, prev.coeffs, p, [1])
+            num2, num_den = prod(num, num), prod(num, den)
             top = lhs[2 * p]  # c_i * lc(Q_i)
             norm_const = f.div(top, lead)
             c1 = f.sub(lhs[2 * p - 1], f.mul(top, num2[2 * p - 1]))  # c_i * Q_i[1]
             c0 = f.sub(f.sub(lhs[2 * p - 2], f.mul(top, num2[2 * p - 2])),
                        f.mul(c1, num_den[2 * p - 2]))  # c_i * Q_i[0]
             quad = Poly(f, (f.div(c0, norm_const), f.div(c1, norm_const), lead))
-            rhs = (num2.scale(quad[2]) + num_den.scale(quad[1])
-                   + (lv.den * lv.den).scale(quad[0])).scale(norm_const)
+            # c_i * den^2 * Q_i(num/den) on coefficient lists, c_i * Q_i[k] being c_k
+            rhs = f.products(num2, repeat(top))
+            rhs[:2 * p] = f.add_products(rhs, num_den, repeat(c1))
+            rhs[:2 * p - 1] = f.add_products(rhs, prod(den, den), repeat(c0))
             if lhs != rhs:
                 raise ValidationError(f"level {i} norm identity failed")
-            monic = quad.monic()
+            monic = quad.coeffs if lead == 1 else f.products(quad.coeffs, repeat(f.inv(lead)))
             if not quadratic_is_irreducible(f, monic[1], monic[0]):
                 raise ValidationError(f"level {i} quadratic splits; tower corrupted")
             lv.norm_const = norm_const

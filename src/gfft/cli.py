@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -241,7 +242,10 @@ def cmd_repro127(args) -> int:
     return 3
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: parse_args leaves it as it was and
+    returns a fresh namespace, so main builds it once and reuses it."""
     ap = argparse.ArgumentParser(prog="gfft", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -289,8 +293,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

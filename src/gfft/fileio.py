@@ -4,20 +4,20 @@ Field elements serialize as decimal residues for prime fields and as
 little-endian coefficient lists for extensions (":"-joined in CSV cells).
 Plan files carry the construction parameters plus derived tables for audit;
 loading rebuilds the plan deterministically and diffs any embedded tables
-the writer still produces.  A cyclic plan rebuilds from its stored start
-place, the first of its stored points, with no search for the fiber; a
-start place that is not the least place of the stored fiber is refused as
-a mismatch.  A stored table the writer no longer produces is ignored:
-cyclic plan files from earlier versions carry `tower_num`, the degree-n
-tower numerator, which is a function of the `level_nums` table that is
-still written and diffed.
+the writer still produces, and refuses a `tables` entry that is no object.
+A cyclic plan rebuilds from its stored start place, the first of its stored
+points, with no search for the fiber; a start place that is not the least
+place of the stored fiber is refused as a mismatch.  A stored table the
+writer no longer produces is ignored: cyclic plan files from earlier
+versions carry `tower_num`, the degree-n tower numerator, which is a
+function of the `level_nums` table that is still written and diffed.
 """
 
 from __future__ import annotations
 
 from .afft import AddPlan
 from .cfft import CyclicPlan
-from .errors import MismatchError, ValidationError
+from .errors import MismatchError, PlanFileError, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_in,
@@ -136,10 +136,12 @@ def plan_from_json(obj):
     cls = PLAN_CASES.get(obj["case"])
     if cls is None:
         raise ValidationError(f"unknown plan case {obj['case']!r}")
+    stored = obj.get("tables", {})
+    if not isinstance(stored, dict):
+        raise PlanFileError(f"plan entry 'tables' must be an object, got {stored!r}")
     plan = cls.from_json(field, obj)
-    if "tables" in obj:
+    if stored:
         fresh = plan_to_json(plan)["tables"]
-        stored = obj["tables"]
         for key, val in fresh.items():
             if key in stored and stored[key] != val:
                 raise MismatchError(f"plan table {key!r} does not match the regenerated plan")

@@ -363,6 +363,43 @@ def test_partial_build_evaluates_each_level_denominator_once(field_args, radices
     assert sum(c in dens for c, _ in calls) == plan.r
 
 
+@pytest.mark.parametrize("field_args, radices", [((383,), (2,) * 7), ((3, 4), (2, 41))])
+def test_norm_stage_builds_no_poly_arithmetic(field_args, radices, monkeypatch):
+    """_build_quads runs the level identity on coefficient lists: no Poly
+    product, power, scale or sum is formed while it runs, and its quadratics
+    still satisfy Q_(i-1)^p = c_i den^2 Q_i(num/den)."""
+    inside, calls = [False], {"inside": 0, "outside": 0}
+    build_quads = cfft.CyclicPlan._build_quads
+
+    def stage(self):
+        inside[0] = True
+        try:
+            build_quads(self)
+        finally:
+            inside[0] = False
+
+    def spy(name):
+        method = getattr(Poly, name)
+
+        def counted(*args, **kwargs):
+            calls["inside" if inside[0] else "outside"] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cfft.CyclicPlan, "_build_quads", stage)
+    for name in ("__mul__", "__pow__", "scale", "__add__"):
+        monkeypatch.setattr(Poly, name, spy(name))
+    plan = cyclic_plan(field_make(*field_args), radices)
+    assert calls["inside"] == 0
+    one, before = Poly.one(plan.field), calls["outside"]
+    (one ** 2 + one).scale(1)  # the spies see Poly arithmetic outside the stage
+    assert calls["outside"] - before >= 4 and calls["inside"] == 0
+    monkeypatch.undo()
+    for lv, prev, quad in zip(plan.levels, plan.quads, plan.quads[1:]):
+        rhs = lv.num**2 * quad[2] + lv.num * lv.den * quad[1] + lv.den**2 * quad[0]
+        assert prev**lv.radix == rhs.scale(lv.norm_const)
+
+
 @pytest.mark.parametrize("field_args, radices", [
     ((7,), (2, 2, 2)), ((13,), (2, 7)), ((23,), (2, 2, 2, 3)), ((127,), (2,) * 7),
     ((191,), (2,) * 6 + (3,)), ((2, 2), (5,)), ((2, 3), (3, 3)), ((2, 4), (17,)),

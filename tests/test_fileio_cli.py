@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -574,3 +576,63 @@ def test_cli_refuses_an_edited_start_place(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mismatch: plan table 'points' starts at"), err
     assert message in err[0], err
+
+
+@pytest.mark.parametrize("tables", [[], "x", 5])
+@pytest.mark.parametrize("case", sorted(CLI_PLANS))
+def test_cli_refuses_tables_that_are_not_an_object(tmp_path, capsys, case, tables):
+    """A plan file's tables are diffed against the rebuilt plan, so a
+    "tables" entry that is no object is refused (exit 2), not loaded with no
+    table diffed ([] and "x" used to exit 0, 5 to fail on a raw TypeError)."""
+    plan_path = tmp_path / "plan.json"
+    assert cli.main(["plan", *CLI_PLANS[case], "--out", str(plan_path)]) == 0
+    obj = json.loads(plan_path.read_text())
+    obj["tables"] = tables
+    plan_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["fft", "--plan", str(plan_path), "--in", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "v.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: PlanFileError: plan entry 'tables' must be an object, "
+                   f"got {tables!r}"], err
+
+
+def _main_output(capsys, argv):
+    """(exit code, stdout, stderr) of one cli.main call, SystemExit included."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_cli_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    """main builds its argparse parser on the first call only; every later
+    command, --help and bad commands included, prints and exits exactly as
+    the first did, and a command's options do not leak into the next."""
+    plan_path, src = str(tmp_path / "plan.json"), tmp_path / "c.json"
+    assert cli.main(["plan", *CLI_PLANS["mult"], "--out", plan_path]) == 0
+    src.write_text(json.dumps({"coeffs": list(range(16))}))
+    fft = ["fft", "--plan", plan_path, "--in", str(src), "--out", str(tmp_path / "v.json")]
+    commands = [(["--help"], 0), (["fft", "--help"], 0), (["nosuchcmd"], 2), (["fft"], 2),
+                ([*fft, "--count-ops"], 0), (fft, 0)]
+    cli.build_parser.cache_clear()
+    capsys.readouterr()
+    first = [_main_output(capsys, argv) for argv, _ in commands]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    second = [_main_output(capsys, argv) for argv, _ in commands]
+    assert built == []
+    wall = re.compile(r"wall=[0-9.]+s")
+    for (argv, code), a, b in zip(commands, first, second):
+        assert a[0] == code, (argv, a)
+        assert (a[0], a[1], wall.sub("wall", a[2])) == (b[0], b[1], wall.sub("wall", b[2])), argv
+    assert first[0][1].startswith("usage: gfft") and "ops:" not in first[-1][2] + second[-1][2]
+    assert second[-2][2].startswith("ops: adds=64 muls=64 invs=0 wall=")
