@@ -17,10 +17,10 @@ ops, and the per-point scales reuse that pass's level denominators.  A fiber
 named by its value is found on the x_r-line, where sigma acts as S_r, by
 baby-step giant-step (_start); a plan file's reload starts at its stored
 first point instead, checked to be the least place of the stored fiber, and
-searches nothing.  The degree-n tower lives in oracle.cyclic_tower, for the
-tests.  The finite poles of each level map are the orbit of infinity under
-the level's induced map, checked to be p-1 distinct roots of the
-degree-(p-1) denominator.  Coefficients live in
+searches nothing.  The degree-n tower is never formed (the tests build it
+symbolically).  The finite poles of each level map are the orbit of
+infinity under the level's induced map, checked to be p-1 distinct roots of
+the degree-(p-1) denominator.  Coefficients live in
 the "cyclic-z" basis: products of reciprocal linear factors of the tower
 coordinates, scaled so the basis spans the polynomials of degree < n.  The
 level quadratics Q_i, which give the scaling, are read off the level
@@ -75,7 +75,7 @@ def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
     """outer(inner(x)) as a reduced rational function, by Horner on RatFn.
 
     The plan build never calls this (it would form the degree-n tower); the
-    tests use it to check the level maps against oracle.cyclic_tower.
+    tests use it to check the level maps against the symbolic tower.
     """
     def ev(poly):
         acc = RatFn.constant(inner.field, 0)
@@ -165,7 +165,8 @@ class CyclicPlan:
         beta) / (gamma x + delta): the homogeneous image of Q_0 under sigma
         is a nonzero multiple of Q_0."""
         f = self.field
-        (image,) = _homogeneous(f, [quad.coeffs], self.sigma.entries(), 2)
+        sig = self.sigma
+        (image,) = _homogeneous(f, [quad.coeffs], [sig.b, sig.a], [sig.d, sig.c], 2)
         if not image[2] or f.products(image, repeat(f.inv(image[2]))) != list(quad.coeffs):
             raise ValidationError("quadratic is not invariant under the cyclic group")
 
@@ -580,7 +581,7 @@ def _lift_sigma(field, prev, num, den, level):
     f = field
     p = len(num) - 1
     den = list(den) + [0]  # degree p - 1, read at degree p
-    num_l, den_l = _homogeneous(f, (num, den), prev.entries(), p)
+    num_l, den_l = _homogeneous(f, (num, den), [prev.b, prev.a], [prev.d, prev.c], p)
     rows = [[f.neg(a), f.neg(b), c, d] for a, b, c, d in zip(
         mul_add(f, den_l, num), mul_add(f, den_l, den),
         mul_add(f, num_l, num), mul_add(f, num_l, den))]
@@ -591,15 +592,15 @@ def _lift_sigma(field, prev, num, den, level):
     return MoebiusMap(f, *sol)
 
 
-def _homogeneous(field, polys, mat, deg):
-    """sum g_k (a T + b)^k (c T + d)^(deg - k) for each g in polys (deg + 1
-    ascending coefficients) and mat = (a, b, c, d), by Horner: the numerator
-    of g(mat(T)) over the denominator (c T + d)^deg."""
-    a, b, c, d = mat
-    outs, bottom = [[g[deg]] for g in polys], [1]
+def _homogeneous(field, polys, top, bottom, deg):
+    """sum g_k top^k bottom^(deg - k) for each g in polys (deg + 1 ascending
+    coefficients), top and bottom coefficient lists, by Horner: the numerator
+    of g(top / bottom) over the denominator bottom^deg, untrimmed.  For a
+    Moebius map (a T + b) / (c T + d), top = [b, a] and bottom = [d, c]."""
+    outs, power = [[g[deg]] for g in polys], [1]
     for k in range(deg - 1, -1, -1):
-        bottom = mul_add(field, bottom, [d, c])
-        outs = [mul_add(field, out, [b, a], field.products(bottom, repeat(g[k])))
+        power = mul_add(field, power, bottom)
+        outs = [mul_add(field, out, top, field.products(power, repeat(g[k])))
                 for out, g in zip(outs, polys)]
     return outs
 
@@ -692,6 +693,14 @@ def q1_fft(plan: CyclicPlan, coeffs) -> CyclicEvalVec:
     # the slot at INF is structurally zero; printed convention
     out = [v if s is None else f.mul(s, v) for s, v in zip(plan.scales, tilde)]
     return CyclicEvalVec(plan.points, out, tilde, vals[0] if plan.is_full else None)
+
+
+def q1_tilde(plan: CyclicPlan, values) -> list:
+    """The tilde q1_fft pairs with values in plan point order: value / scale,
+    0 at INF.  inv_scales is 1 / (scale * base_value) on a partial plan."""
+    f = plan.field
+    tilde = [0 if u is None else f.mul(v, u) for u, v in zip(plan.inv_scales, values)]
+    return tilde if plan.is_full else f.products(tilde, repeat(plan.base_value))
 
 
 def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:

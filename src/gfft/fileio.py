@@ -11,12 +11,13 @@ place of the stored fiber is refused as a mismatch.  A stored table the
 writer no longer produces is ignored: cyclic plan files from earlier
 versions carry `tower_num`, the degree-n tower numerator, which is a
 function of the `level_nums` table that is still written and diffed.
+A keyed cyclic value file's tilde is value / scale (cfft.q1_tilde), checked.
 """
 
 from __future__ import annotations
 
 from .afft import AddPlan
-from .cfft import CyclicPlan
+from .cfft import CyclicPlan, q1_tilde
 from .errors import MismatchError, PlanFileError, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
@@ -83,7 +84,11 @@ def values_from_json(field: Field, obj, plan=None):
         if plan is None or plan.basis != BASIS_CYCLIC:
             raise ValidationError("keyed value files need a cyclic plan")
         seq = _keyed(field, obj, "values", plan.points)
-        tilde = _keyed(field, obj, "tilde", plan.points) if "tilde" in obj else [0] * len(seq)
+        tilde = q1_tilde(plan, seq)
+        stored = _keyed(field, obj, "tilde", plan.points) if "tilde" in obj else tilde
+        bad = [pt for pt, a, b in zip(plan.points, stored, tilde) if a != b]
+        if bad:
+            raise MismatchError(f"'tilde' at {point_out(field, bad[0])} is not value / scale")
         a0 = field.parse_raw(obj["a0"]) if "a0" in obj else None
         return CyclicEvalVec(plan.points, seq, tilde, a0)
     return [field.parse_raw(v) for v in vals]

@@ -3,9 +3,9 @@
 Nothing here shares code with the transform recursions beyond the gf/poly
 primitives: multipoint evaluation is plain Horner, interpolation is textbook
 Lagrange, basis conversion goes through a dense basis matrix whose
-columns are expanded directly from point-set data, and the cyclic subfield
-tower is built symbolically from the order-(q+1) map, not from the plan's
-level maps.
+columns are expanded directly from point-set data, and the cyclic columns
+take each fiber of the subfield tower as an orbit of a subgroup of the
+order-(q+1) cycle, not from the plan's level maps.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import DuplicatePoint, SingularMatrix, ValidationError
 from .gf import _digits
 from .linalg import invert, mat_vec
-from .poly import INF, Poly, RatFn, compose_moebius, lagrange_basis_interpolate
+from .poly import INF, Poly, RatFn, lagrange_basis_interpolate
 from .vectors import BASIS_CYCLIC, BASIS_LCH, BASIS_STANDARD
 
 DENSE_LIMIT = 4096
@@ -24,15 +24,10 @@ def mpe_horner(f, points):
     polynomials at the infinite place."""
     out = []
     for pt in points:
-        if isinstance(f, RatFn):
-            out.append(f.eval_place(pt))
-        elif pt is INF:
-            if f.degree >= 1:
-                out.append(INF)
-            else:
-                out.append(f[0])
+        if pt is INF and not isinstance(f, RatFn):
+            out.append(INF if f.degree >= 1 else f[0])
         else:
-            out.append(f.eval(pt))
+            out.append(f(pt))
     return out
 
 
@@ -95,61 +90,39 @@ def _add_columns(plan):
     return cols
 
 
-def cyclic_tower(plan, top=None) -> list:
-    """x_0 = x, x_1, ..., x_top (default x_r) as rational functions of x:
-    x_i is the sum of the translates of x_{i-1} under tau_i, a generator of
-    G_i.  x_i has degree |G_i|, so this costs dense products of degree up
-    to n."""
-    field, q = plan.field, plan.field.q
-    top = plan.r if top is None else top
-    tower = [RatFn.x(field)]
-    for size, p in zip(plan.subgroup_sizes[1:top + 1], plan.radices):
-        tau = plan.sigma ** ((q + 1) // size)
-        acc = cur = tower[-1]
-        for _ in range(1, p):
-            cur = compose_moebius(cur, tau)
-            acc = acc + cur
-        tower.append(acc)
-    return tower
+def _cyclic_fibers(plan):
+    """Per level i < r, the places of the infinity fiber over INF (entry 0)
+    and over each pole of level i + 1 (entry t, pole t - 1) of x_i, from
+    group data alone: the fiber of x_i through a place is its orbit under
+    G_i, generated by gen^(sizes[i]) = sigma^((q+1)/|G_i|), and the t-th
+    pole of level i + 1 is x_i at tau^t(INF) for tau = gen^(sizes[i+1]), a
+    generator of G_(i+1)."""
+    fibers = []
+    for i, size in enumerate(plan.subgroup_sizes[:plan.r]):
+        g_i, tau = plan.gen ** plan.sizes[i], plan.gen ** plan.sizes[i + 1]
+        fibers.append([g_i.orbit(start, size) for start in tau.orbit(INF, plan.radices[i])])
+    return fibers
 
 
 def _cyclic_columns(plan):
     """Columns from point-set data: the product over the infinity fiber,
-    divided by each selected pole fiber and multiplied by each level's own
-    pole set.  Independent of the plan's level-map composition route."""
+    divided by each selected pole fiber and multiplied by each level's fiber
+    over INF.  Independent of the plan's level maps and pole values."""
     field = plan.field
-    tower = cyclic_tower(plan, plan.r - 1)
-    inf_finite = [v for v in plan.gen.orbit(INF, plan.n) if v is not INF]
-    d_inf = Poly.from_roots(field, inf_finite)
-    # per level i (0-based): points of the infinity fiber sorted by their
-    # value under x_{i}: the fiber polynomials of each pole, and of infinity
-    fiber_polys = []
-    pole_fiber_at_inf = []
-    for i in range(plan.r):
-        xi = tower[i]
-        by_value = {}
-        for alpha in inf_finite:
-            by_value.setdefault(xi.eval_place(alpha), []).append(alpha)
-        lv = plan.levels[i]
-        fiber_polys.append(
-            [Poly.from_roots(field, by_value[lam]) for lam in lv.poles]
-        )
-        pole_fiber_at_inf.append(Poly.from_roots(field, by_value.get(INF, [])))
+    d_inf = Poly.from_roots(field, plan.gen.orbit(INF, plan.n)[1:])  # the orbit starts at INF
+    fiber_polys = [[Poly.from_roots(field, [v for v in places if v is not INF]) for places in level]
+                   for level in _cyclic_fibers(plan)]
     cols = []
     for e in range(plan.n):
-        digits = []
-        v = e
-        for lv in plan.levels:
-            v, d = divmod(v, lv.radix)
-            digits.append(d)
-        col = d_inf
-        for i, d in enumerate(digits):
-            for s in range(d):
-                q, rem = divmod(col, fiber_polys[i][s])
+        col, v = d_inf, e
+        for polys, p in zip(fiber_polys, plan.radices):
+            v, d = divmod(v, p)  # the mixed-radix digits of e, level 0 first
+            for s in range(1, d + 1):
+                q, rem = divmod(col, polys[s])
                 if not rem.is_zero():
                     raise ValidationError("basis column does not clear its denominator")
                 col = q
             if d:
-                col = col * (pole_fiber_at_inf[i] ** d)
+                col = col * (polys[0] ** d)
         cols.append([col[i] for i in range(plan.n)])
     return cols

@@ -190,8 +190,8 @@ class Poly:
             d = len(self.coeffs) - 1
             f._tally(d, d)
             return acc
-        acc = 0
-        for c in reversed(self.coeffs):
+        acc = self.coeffs[-1]  # from the leading coefficient: deg adds and muls
+        for c in self.coeffs[-2::-1]:
             acc = f.add(f.mul(acc, x), c)
         return acc
 

@@ -1,7 +1,8 @@
 """Valuations and complete factorization over F_q (odd q), for the tests that
 check the divisor structure of the rational function field, and the cyclic
-plan's level maps and lifts of sigma derived symbolically.  The library
-itself never factors, takes valuations or sums rational functions."""
+plan's subfield tower, level maps and lifts of sigma derived symbolically.
+The library itself never factors, takes valuations or sums rational
+functions."""
 
 from gfft.errors import ValidationError
 from gfft.moebius import match_moebius
@@ -171,3 +172,20 @@ def ratfn_levels(plan):
         poles.append(tuple(induced.orbit(INF, length=p)[1:]))
         lifts.append(match_moebius(compose_moebius(mi, lifts[-1]), mi))
     return maps, poles, lifts
+
+
+def cyclic_tower(plan) -> list:
+    """x_0 = x, x_1, ..., x_r of a cyclic plan as reduced rational functions
+    of x, from sigma and the radices alone: x_i is the sum of the translates
+    of x_{i-1} under tau_i, a generator of G_i.  x_i has degree |G_i|, so
+    this costs dense products of degree up to n."""
+    field, q = plan.field, plan.field.q
+    tower = [RatFn.x(field)]
+    for size, p in zip(plan.subgroup_sizes[1:], plan.radices):
+        tau = plan.sigma ** ((q + 1) // size)
+        acc = cur = tower[-1]
+        for _ in range(1, p):
+            cur = compose_moebius(cur, tau)
+            acc = acc + cur
+        tower.append(acc)
+    return tower

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from divisors import cyclic_tower
 from gfft.afft import (
     add_fft,
     add_ifft,
@@ -26,7 +27,7 @@ from gfft.errors import SingularLocalSystem, ValidationError
 from gfft.gf import field_make
 from gfft.linalg import solve
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
-from gfft.oracle import basis_matrix, cyclic_tower, mpe_horner
+from gfft.oracle import basis_matrix, mpe_horner
 from gfft.poly import INF, Poly
 from gfft.repro import (
     EXPECTED_POLES,

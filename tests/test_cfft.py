@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from divisors import ratfn_levels
+from divisors import cyclic_tower, ratfn_levels
 from gfft import cfft, engine, fileio, gf, poly
 
 from gfft.cfft import (
@@ -31,7 +31,7 @@ from gfft.errors import (
 from gfft.gf import field_make
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.moebius import MoebiusMap
-from gfft.oracle import basis_matrix, cyclic_tower, lagrange_interpolate, mpe_horner
+from gfft.oracle import basis_matrix, lagrange_interpolate, mpe_horner
 from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
 from gfft.vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec

@@ -7,15 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from divisors import cyclic_tower
 from gfft import cli, fileio
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan, q1_fft
 from gfft.errors import MismatchError, PointMismatch, ValidationError
 from gfft.gf import field_make
 from gfft.mfft import mult_plan
-from gfft.oracle import cyclic_tower
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
-from gfft.vectors import BASIS_LCH, CoeffVec
+from gfft.vectors import BASIS_LCH, CoeffVec, point_out
 
 
 def run_cli(*args, env_extra=None):
@@ -78,6 +78,52 @@ def test_cyclic_value_file_reads_back_unchanged(q, radices, rng):
         with pytest.raises(PointMismatch, match=f"'{name}' holds no entry at evaluation point "
                                                 f"{first}:"):
             fileio.values_from_json(field, bad, plan)
+
+
+def _cyclic_value_file(tmp_path, q, radices, seed):
+    """(plan, q1_fft output, plan file, coefficient file, value file object)."""
+    field = field_make(q)
+    plan = cyclic_plan(field, radices)
+    coeffs = [(seed * i + 1) % q for i in range(plan.n)]
+    plan_path, cz = tmp_path / "plan.json", tmp_path / "cz.json"
+    plan_path.write_text(json.dumps(fileio.plan_to_json(plan)))
+    cz.write_text(json.dumps({"basis": "cyclic-z", "coeffs": coeffs}, indent=1))
+    ev = q1_fft(plan, coeffs)
+    return plan, ev, plan_path, cz, json.loads(json.dumps(fileio.values_to_json(field, ev)))
+
+
+@pytest.mark.parametrize("q, radices", [(23, (2, 2, 2, 3)), (383, (2,) * 7)])
+def test_cyclic_value_file_without_tilde_derives_it(tmp_path, q, radices):
+    """tilde is value / scale, 0 at inf: a file without the map reads back
+    with q1_fft's tilde and writes back the full file, and gfft ifft inverts
+    it."""
+    plan, ev, plan_path, cz, obj = _cyclic_value_file(tmp_path, q, radices, 7)
+    bare = {k: v for k, v in obj.items() if k != "tilde"}
+    back = fileio.values_from_json(plan.field, bare, plan)
+    assert back.tilde == ev.tilde and back.values == ev.values
+    assert fileio.values_to_json(plan.field, back) == obj
+    values, out = tmp_path / "v.json", tmp_path / "back.json"
+    values.write_text(json.dumps(bare))
+    assert cli.main(["ifft", "--plan", str(plan_path), "--in", str(values),
+                     "--out", str(out)]) == 0
+    assert out.read_text() == cz.read_text()
+
+
+@pytest.mark.parametrize("q, radices", [(23, (2, 2, 2, 3)), (383, (2,) * 7)])
+def test_cyclic_value_file_with_a_wrong_tilde_is_a_mismatch(tmp_path, capsys, q, radices):
+    plan, _, plan_path, _, obj = _cyclic_value_file(tmp_path, q, radices, 11)
+    key = str(point_out(plan.field, plan.points[1]))
+    obj["tilde"][key] = (obj["tilde"][key] + 1) % q
+    with pytest.raises(MismatchError, match=f"'tilde' at {key} is not value / scale"):
+        fileio.values_from_json(plan.field, obj, plan)
+    values = tmp_path / "v.json"
+    values.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["ifft", "--plan", str(plan_path), "--in", str(values),
+                     "--out", str(tmp_path / "back.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"mismatch: 'tilde' at {key} is not value / scale"]
+    assert not (tmp_path / "back.json").exists()
 
 
 def test_plan_json_roundtrip_all_cases(F17, F9):

@@ -1,12 +1,14 @@
 import pytest
 
+from divisors import cyclic_tower
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan, tilde_to_std
 from gfft.errors import DuplicatePoint
 from gfft.gf import field_make
 from gfft.mfft import mult_plan
-from gfft.oracle import basis_matrix, lagrange_interpolate, mpe_horner
+from gfft.oracle import _cyclic_fibers, basis_matrix, lagrange_interpolate, mpe_horner
 from gfft.poly import INF, Poly, RatFn
+from gfft.repro import check_reproduction, tower_fraction
 
 
 def test_horner_zero_and_random(F17, rng):
@@ -74,3 +76,53 @@ def test_basis_matrix_solve_inverts_apply(F9, rng):
     for _ in range(20):
         v = [rng.randrange(9) for _ in range(9)]
         assert bm.solve(bm.apply(v)) == v
+
+
+# (p, r, radices, plan options): full and partial plans, prime and extension fields
+TOWER_CONFIGS = [
+    (127, 1, (2,) * 7, {"m_pair": (126, 3)}), (191, 1, (2,) * 6 + (3,), {}),
+    (383, 1, (2,) * 7, {}), (2, 6, (5, 13), {}), (3, 4, (41,), {}), (3, 4, (2, 41), {}),
+    (23, 1, (2, 3), {"fiber_key": 7}), (131, 1, (2, 3, 11), {}), (7, 2, (2, 5, 5), {}),
+    (13, 1, (2, 7), {}),
+]
+
+
+@pytest.mark.parametrize("p, r, radices, options", TOWER_CONFIGS)
+def test_cyclic_fibers_are_fibers_of_the_symbolic_tower(p, r, radices, options):
+    """The oracle's fibers, taken from group data alone, against the tower
+    built symbolically: each is |G_i| distinct places on which x_i takes one
+    value (x_i has degree |G_i|, so that is a whole fiber), INF on the orbit
+    through INF and the t-th pole of level i + 1 on the orbit through
+    tau^t(INF)."""
+    plan = cyclic_plan(field_make(p, r), radices, **options)
+    tower = cyclic_tower(plan)
+    for i, (fibers, lv) in enumerate(zip(_cyclic_fibers(plan), plan.levels)):
+        assert [len(set(places)) for places in fibers] == [plan.subgroup_sizes[i]] * lv.radix
+        assert [set(mpe_horner(tower[i], places)) for places in fibers] == (
+            [{INF}] + [{pole} for pole in lv.poles])
+
+
+@pytest.mark.parametrize("p, r, radices, options", TOWER_CONFIGS)
+def test_tower_fraction_is_the_symbolic_tower(p, r, radices, options):
+    # the level maps composed on coefficient lists give x_r in lowest terms
+    plan = cyclic_plan(field_make(p, r), radices, **options)
+    num, den = tower_fraction(plan)
+    top = cyclic_tower(plan)[-1]
+    assert (Poly(plan.field, num), Poly(plan.field, den)) == (top.num, top.den)
+
+
+def test_oracle_and_repro_build_no_rational_function(monkeypatch):
+    plan = cyclic_plan(field_make(127), (2,) * 7, m_pair=(126, 3))
+    calls = []
+    init = RatFn.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFn, "__init__", spy)
+    basis_matrix(plan)
+    assert check_reproduction()[0]
+    assert calls == []
+    RatFn.x(plan.field)  # the spy is live
+    assert len(calls) == 1

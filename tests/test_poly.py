@@ -1,6 +1,7 @@
 import pytest
 
 from divisors import ZeroFunction, factor_monic, valuation, valuation_at_irreducible
+from gfft import cfft
 from gfft.errors import DivisionByZeroPoly, InvalidFieldValue, MixedFields
 from gfft.gf import field_make
 from gfft.moebius import MoebiusMap
@@ -211,3 +212,16 @@ def test_interpolation_roundtrip(F127, rng):
     f = Poly(F127, [rng.randrange(127) for _ in range(9)])
     g = lagrange_basis_interpolate(F127, xs, [f.eval(x) for x in xs])
     assert g == f
+
+
+@pytest.mark.parametrize("p, r", [(7, 1), (2, 4), (3, 2)])
+def test_eval_counts_deg_adds_and_muls(p, r):
+    # Horner from the leading coefficient on every field: deg adds and deg
+    # muls, as cfft._horner counts on a one-point column
+    field = field_make(p, r)
+    poly = Poly(field, (1, 2, 3, 1))  # x^3 + 3x^2 + 2x + 1
+    with field.count_ops() as ctr:
+        value = poly.eval(2)
+    with field.count_ops() as column:
+        assert cfft._horner(field, poly.coeffs, [2]) == [value]
+    assert (ctr.adds, ctr.muls) == (column.adds, column.muls) == (3, 3)
