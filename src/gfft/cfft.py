@@ -39,7 +39,9 @@ interpolates at the finite points by a transposed Vandermonde solve: power
 sums of the values times the weights 1/M'(x_i), combined through the
 coefficients of the fiber polynomial M = prod (x - x_i).  The plan builds M
 and the weights in closed form, in O(n) field operations, so a conversion
-inverts nothing.  Both conversions cost O(n^2).
+inverts nothing.  Both conversions cost O(n^2); the power sums run over the
+square classes {x, -x} of the points, which halves them on a full plan over
+odd q.
 """
 
 from __future__ import annotations
@@ -630,6 +632,18 @@ def _powers(field, xs, e):
     return out
 
 
+def _square_classes(field, xs):
+    """The indices of the points grouped by x^2, which x and -x share:
+    (pairs, alone), lists of (x^2, i, j) with x_j = -x_i and of (x^2, i) for a
+    point alone in its class (x = 0, characteristic 2, or -x not a point),
+    from one counted squaring a point and a dict on the raw square."""
+    classes = {}
+    for i, y in enumerate(field.products(xs, xs)):
+        classes.setdefault(y, []).append(i)
+    pairs = [(y, *c) for y, c in classes.items() if len(c) == 2]
+    return pairs, [(y, *c) for y, c in classes.items() if len(c) == 1]
+
+
 def _binomials_mod_p(field, n):
     """C(n, k) in field for k = 0..n by Lucas' theorem: the product of
     C(n_i, k_i) over the base-p digits of n and k, zero where some k_i > n_i.
@@ -739,9 +753,13 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     points x_i, and the transposed Vandermonde solve on the plan's fiber
     polynomial M and weights w_i = 1 / M'(x_i) gives its coefficients
     (Lagrange: f = sum y_i w_i M(x) / (x - x_i)).  With z = y * w and the
-    power sums P_e = sum z_i x_i^e, e < m, c_k = sum_(j > k) M_j P_(j-1-k):
-    m column products and sums, then one column op per nonzero M_j (2 on a
-    full plan, where M = x^q - x), and no inversion.  On a full plan the
+    power sums P_e = sum z_i x_i^e, e < m, c_k = sum_(j > k) M_j P_(j-1-k).
+    The sums run over the distinct squares y = a^2: P_2k = sum u_y y^k and
+    P_(2k+1) = sum v_y y^k, u_y = z_a + z_-a and v_y = a (z_a - z_-a) for a
+    pair, u_y = z_a and v_y = a z_a for a point alone.  So m column products
+    and sums of one entry a class (m^2 / 2 muls on a full plan over odd q,
+    against m^2 over the points), then one column op per nonzero M_j (2 on
+    a full plan, where M = x^q - x), and no inversion.  On a full plan the
     finite points are all of F_q, which leaves the multiple of x^q - x open:
     it is the index-0 basis element, whose coefficient q1_fft carries as a0."""
     f = plan.field
@@ -749,10 +767,18 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     first = 1 if plan.is_full else 0  # a full plan's points start at INF
     xs = plan.points[first:]
     z = f.products(ev.values[first:], plan.weights)
-    sums = [f.sum(z)]
-    for _ in range(len(xs) - 1):
-        z = f.products(z, xs)
-        sums.append(f.sum(z))
+    pairs, alone = _square_classes(f, xs)
+    za, zb = [z[i] for _, i, _ in pairs], [z[j] for _, _, j in pairs]
+    zs = [z[i] for _, i in alone]
+    ys = [y for y, *_ in pairs + alone]
+    cols = [list(map(f.add, za, zb)) + zs,  # [u_y], then [v_y], each times y^k
+            f.diff_products(za, zb, [xs[i] for _, i, _ in pairs])
+            + f.products(zs, [xs[i] for _, i in alone])]
+    sums = []
+    for e in range(len(xs)):
+        if e > 1:
+            cols[e % 2] = f.products(cols[e % 2], ys)
+        sums.append(f.sum(cols[e % 2]))
     out = [0] * plan.n
     for j, mj in enumerate(plan.fiber_poly):
         if j and mj:

@@ -11,7 +11,8 @@ place of the stored fiber is refused as a mismatch.  A stored table the
 writer no longer produces is ignored: cyclic plan files from earlier
 versions carry `tower_num`, the degree-n tower numerator, which is a
 function of the `level_nums` table that is still written and diffed.
-A keyed cyclic value file's tilde is value / scale (cfft.q1_tilde), checked.
+A keyed cyclic value file's tilde is value / scale (cfft.q1_tilde), checked,
+and a full plan's value at inf is the 0 that q1_fft writes there, checked.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ def values_from_json(field: Field, obj, plan=None):
         if plan is None or plan.basis != BASIS_CYCLIC:
             raise ValidationError("keyed value files need a cyclic plan")
         seq = _keyed(field, obj, "values", plan.points)
+        if plan.is_full and seq[0]:  # a full plan's points start at inf
+            raise MismatchError("'values' at inf is not 0")
         tilde = q1_tilde(plan, seq)
         stored = _keyed(field, obj, "tilde", plan.points) if "tilde" in obj else tilde
         bad = [pt for pt, a, b in zip(plan.points, stored, tilde) if a != b]

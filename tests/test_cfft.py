@@ -36,6 +36,8 @@ from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
 from gfft.vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec
 
+M31 = 2**31 - 1
+
 
 @pytest.fixture(scope="module")
 def plan127():
@@ -199,16 +201,31 @@ def test_std_to_tilde_checks_basis_and_values(plan11):
         std_to_tilde(plan49, [100, 3])
 
 
-@pytest.mark.parametrize("config", ["plan7", "plan11", "plan23", "F49-255", "F27-227"])
+# (field, radices, pairs {x, -x} among the finite points) of the oracle
+# configs built here: tilde_to_std sums over the squares x^2, so these cover
+# full and partial plans, with and without pairs, and characteristic 2
+ORACLE_PLANS = {
+    "F49-255": ((7, 2), (2, 5, 5), 24),
+    "F27-227": ((3, 3), (2, 2, 7), 13),
+    "F131-2.3.11": ((131,), (2, 3, 11), 17),
+    "F81-41": ((3, 4), (41,), 10),
+    "F383-2^6": ((383,), (2,) * 6, 5),
+    "F64-5.13": ((2, 6), (5, 13), 0),
+    "M31-2^5": ((M31,), (2,) * 5, 0),
+}
+
+
+@pytest.mark.parametrize("config", ["plan7", "plan11", "plan23", *ORACLE_PLANS])
 def test_std_to_tilde_matches_basis_matrix(request, config, rng):
     """Both conversions against the dense oracle, whose columns are built
     from point-set data and share no code with the transform."""
     if config.startswith("plan"):
         plan = request.getfixturevalue(config)
-    elif config == "F49-255":
-        plan = cyclic_plan(field_make(7, 2), (2, 5, 5))
     else:
-        plan = cyclic_plan(field_make(3, 3), (2, 2, 7))
+        field_args, radices, n_pairs = ORACLE_PLANS[config]
+        plan = cyclic_plan(field_make(*field_args), radices)
+        pairs, _ = cfft._square_classes(plan.field, [x for x in plan.points if x is not INF])
+        assert len(pairs) == n_pairs
     bm = basis_matrix(plan)
     q, n = plan.field.q, plan.n
     for trial in range(20):
@@ -519,9 +536,6 @@ def test_cross_fiber_extension(q, radices, rng):
         assert list(ext.values) == mpe_horner(f, other.points), key
 
 
-M31 = 2**31 - 1
-
-
 @pytest.mark.parametrize("k", [6, 10])
 def test_m31_cyclic_plans(k, rng):
     """Over the Mersenne prime 2^31 - 1, q + 1 = 2^31 allows every power-of-two
@@ -773,6 +787,27 @@ def test_tilde_to_std_inverts_nothing(field_args, radices, rng):
         with field.count_ops() as ctr:
             tilde_to_std(plan, c)
         assert ctr.invs == 0 and ctr.muls > 0, (field_args, radices)
+
+
+@pytest.mark.parametrize("field_args, radices", [
+    ((23,), (2, 2, 2, 3)), ((47,), (2, 2, 2, 2, 3)), ((191,), (2,) * 6 + (3,)),
+    ((7, 2), (2, 5, 5)), ((3, 4), (2, 41)),
+])
+def test_tilde_to_std_power_sums_over_squares(field_args, radices, rng):
+    """On a full plan over odd q the finite points are F_q, where x and -x
+    share x^2, so the power sums run over (q + 1) / 2 squares: tilde_to_std
+    costs at most n^2 / 2 + 8n muls beyond its q1_fft, where summing over
+    the points themselves costs about n^2."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices)
+    assert plan.is_full and field.p != 2
+    c = [rng.randrange(field.q) for _ in range(plan.n)]
+    with field.count_ops() as fft_ops:
+        q1_fft(plan, c)
+    with field.count_ops() as ctr:
+        tilde_to_std(plan, c)
+    n = plan.n
+    assert ctr.muls - fft_ops.muls <= n * n // 2 + 8 * n, (field_args, radices, ctr.muls)
 
 
 def test_poly_inputs_are_standard_vectors(rng):

@@ -126,6 +126,27 @@ def test_cyclic_value_file_with_a_wrong_tilde_is_a_mismatch(tmp_path, capsys, q,
     assert not (tmp_path / "back.json").exists()
 
 
+@pytest.mark.parametrize("with_tilde", [True, False])
+def test_full_plan_value_file_with_a_nonzero_inf_value_is_a_mismatch(tmp_path, capsys,
+                                                                     with_tilde):
+    """q1_fft writes 0 at a full plan's inf and q1_ifft ignores the slot, so a
+    file with another value there used to load and invert like the true one."""
+    plan, _, plan_path, _, obj = _cyclic_value_file(tmp_path, 23, (2, 2, 2, 3), 13)
+    assert obj["values"]["inf"] == 0
+    obj["values"]["inf"] = 5
+    if not with_tilde:
+        del obj["tilde"]
+    with pytest.raises(MismatchError, match="'values' at inf is not 0"):
+        fileio.values_from_json(plan.field, obj, plan)
+    values = tmp_path / "v.json"
+    values.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["ifft", "--plan", str(plan_path), "--in", str(values),
+                     "--out", str(tmp_path / "back.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["mismatch: 'values' at inf is not 0"]
+    assert not (tmp_path / "back.json").exists()
+
+
 def test_plan_json_roundtrip_all_cases(F17, F9):
     F23 = field_make(23)
     plans = [
