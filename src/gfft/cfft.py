@@ -39,15 +39,17 @@ interpolates at the finite points by a transposed Vandermonde solve: power
 sums of the values times the weights 1/M'(x_i), combined through the
 coefficients of the fiber polynomial M = prod (x - x_i).  The plan builds M
 and the weights in closed form, in O(n) field operations, so a conversion
-inverts nothing.  Both conversions cost O(n^2); the power sums run over the
-square classes {x, -x} of the points, which halves them on a full plan over
-odd q.
+inverts nothing.  standard -> cyclic-z costs O(n^2).  cyclic-z -> standard
+runs its power sums over the classes y = x^d of the points, from a table
+built on the first conversion: on a full plan, whose points are F_q, d | q - 1
+near sqrt(q) makes them O(n^1.5); a partial plan's square classes {x, -x}
+keep them O(n^2).
 """
 
 from __future__ import annotations
 
 import json
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import cycle, repeat
 from math import isqrt
 
@@ -462,6 +464,24 @@ class CyclicPlan:
         engine.build_inverse_locals(f, kernel)
         self.kernel = kernel
 
+    @cached_property
+    def class_table(self):
+        """tilde_to_std's grouping of the finite points by y = x^d, built on
+        the first conversion: (d, ys, ranks), ys the distinct y, larger
+        classes first, repeated d times, and ranks[j] = (idx, pows) the index
+        of the j-th point of each class that has one and pows[r - 1] = [x^r]
+        there.  A full plan's points are F_q, whose x^d has 1 + (q - 1) / d
+        classes: d | q - 1 is the largest divisor at most sqrt(q - 1), which
+        minimizes d + (q - 1) / d.  A partial plan keeps the squares, d = 2,
+        whose pairs x, -x are by chance."""
+        q, xs = self.field.q, self.points[1:] if self.is_full else self.points
+        d = max(k for k in range(1, isqrt(q - 1) + 1) if (q - 1) % k == 0) if self.is_full else 2
+        classes, pows = _power_classes(self.field, xs, d)
+        order = sorted(classes.items(), key=lambda yc: -len(yc[1]))
+        ranks = [[c[j] for _, c in order if len(c) > j] for j in range(len(order[0][1]))]
+        return d, [y for y, _ in order] * d, [
+            (idx, [[pw[i] for i in idx] for pw in pows]) for idx in ranks]
+
     # -- introspection ---------------------------------------------------------
 
     def pole_sequence(self):
@@ -632,16 +652,18 @@ def _powers(field, xs, e):
     return out
 
 
-def _square_classes(field, xs):
-    """The indices of the points grouped by x^2, which x and -x share:
-    (pairs, alone), lists of (x^2, i, j) with x_j = -x_i and of (x^2, i) for a
-    point alone in its class (x = 0, characteristic 2, or -x not a point),
-    from one counted squaring a point and a dict on the raw square."""
+def _power_classes(field, xs, d):
+    """The indices of the points grouped by y = x^d, d >= 1, and the columns
+    x^r, 0 < r < d: (classes, pows), classes a dict from the raw y to its
+    points' indices and pows[r - 1] = [x^r], from d - 1 counted products a
+    point (one squaring at d = 2)."""
+    pows = [xs]
+    for _ in range(d - 1):
+        pows.append(field.products(pows[-1], xs))
     classes = {}
-    for i, y in enumerate(field.products(xs, xs)):
+    for i, y in enumerate(pows.pop()):
         classes.setdefault(y, []).append(i)
-    pairs = [(y, *c) for y, c in classes.items() if len(c) == 2]
-    return pairs, [(y, *c) for y, c in classes.items() if len(c) == 1]
+    return classes, pows
 
 
 def _binomials_mod_p(field, n):
@@ -732,6 +754,8 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
         seq = value_raws(f, values)
     if len(seq) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(seq)}")
+    if a0 is not None and not plan.is_full:
+        raise ValidationError("a partial plan's values carry no a0")
     tilde = [0 if u is None else f.mul(v, u) for u, v in zip(plan.inv_scales, seq)]
     out = engine.inverse(f, plan.kernel, tilde)
     if plan.is_full:
@@ -754,31 +778,34 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     polynomial M and weights w_i = 1 / M'(x_i) gives its coefficients
     (Lagrange: f = sum y_i w_i M(x) / (x - x_i)).  With z = y * w and the
     power sums P_e = sum z_i x_i^e, e < m, c_k = sum_(j > k) M_j P_(j-1-k).
-    The sums run over the distinct squares y = a^2: P_2k = sum u_y y^k and
-    P_(2k+1) = sum v_y y^k, u_y = z_a + z_-a and v_y = a (z_a - z_-a) for a
-    pair, u_y = z_a and v_y = a z_a for a point alone.  So m column products
-    and sums of one entry a class (m^2 / 2 muls on a full plan over odd q,
-    against m^2 over the points), then one column op per nonzero M_j (2 on
-    a full plan, where M = x^q - x), and no inversion.  On a full plan the
-    finite points are all of F_q, which leaves the multiple of x^q - x open:
-    it is the index-0 basis element, whose coefficient q1_fft carries as a0."""
+    The sums run over the classes y = x^d of the plan's class_table:
+    P_(dk+r) = sum U_(y,r) y^k, U_(y,r) = sum_(x^d = y) z_x x^r, so m (d - 1)
+    muls build U and one column product a k, d entries a class, steps it to
+    the next power of y.  On a full plan d near sqrt q makes that O(n^1.5),
+    where the points take m^2; a partial plan sums over its squares.  Then
+    one column op per nonzero M_j (2 on a full plan, where M = x^q - x), and
+    no inversion.  On a full plan the finite points are all of F_q, which
+    leaves the multiple of x^q - x open: it is the index-0 basis element,
+    whose coefficient q1_fft carries as a0."""
     f = plan.field
     ev = q1_fft(plan, coeffs)
-    first = 1 if plan.is_full else 0  # a full plan's points start at INF
-    xs = plan.points[first:]
-    z = f.products(ev.values[first:], plan.weights)
-    pairs, alone = _square_classes(f, xs)
-    za, zb = [z[i] for _, i, _ in pairs], [z[j] for _, _, j in pairs]
-    zs = [z[i] for _, i in alone]
-    ys = [y for y, *_ in pairs + alone]
-    cols = [list(map(f.add, za, zb)) + zs,  # [u_y], then [v_y], each times y^k
-            f.diff_products(za, zb, [xs[i] for _, i, _ in pairs])
-            + f.products(zs, [xs[i] for _, i in alone])]
-    sums = []
-    for e in range(len(xs)):
-        if e > 1:
-            cols[e % 2] = f.products(cols[e % 2], ys)
-        sums.append(f.sum(cols[e % 2]))
+    z = f.products(ev.values[1:] if plan.is_full else ev.values, plan.weights)
+    d, ys, ranks = plan.class_table
+    cols = None
+    for idx, pows in ranks:  # U_(y,r), r < d, adding the j-th point of each class at rank j
+        zs = [z[i] for i in idx]
+        if cols is None:
+            cols = [zs] + [f.products(zs, pw) for pw in pows]
+            continue
+        cols[0][:len(zs)] = map(f.add, cols[0], zs)
+        for col, pw in zip(cols[1:], pows):
+            col[:len(zs)] = f.add_products(col, zs, pw)
+    m, c = len(z), len(ys) // d
+    row, sums = [u for col in cols for u in col], []
+    for e in range(0, m, d):  # row k: U_(y,r) y^k, r-major, whose r-th block sums to P_(e+r)
+        if e:
+            row = f.products(row if m - e >= d else row[:(m - e) * c], ys)
+        sums += [f.sum(row[i:i + c]) for i in range(0, min(m - e, d) * c, c)]
     out = [0] * plan.n
     for j, mj in enumerate(plan.fiber_poly):
         if j and mj:

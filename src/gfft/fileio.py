@@ -87,6 +87,8 @@ def values_from_json(field: Field, obj, plan=None):
         seq = _keyed(field, obj, "values", plan.points)
         if plan.is_full and seq[0]:  # a full plan's points start at inf
             raise MismatchError("'values' at inf is not 0")
+        if not plan.is_full and "a0" in obj:
+            raise MismatchError("a partial plan's values carry no 'a0'")
         tilde = q1_tilde(plan, seq)
         stored = _keyed(field, obj, "tilde", plan.points) if "tilde" in obj else tilde
         bad = [pt for pt, a, b in zip(plan.points, stored, tilde) if a != b]

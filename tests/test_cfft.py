@@ -34,7 +34,7 @@ from gfft.moebius import MoebiusMap
 from gfft.oracle import basis_matrix, lagrange_interpolate, mpe_horner
 from gfft.poly import INF, Poly, RatFn
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
-from gfft.vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec
+from gfft.vectors import BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec
 
 M31 = 2**31 - 1
 
@@ -163,6 +163,17 @@ def test_ifft_requires_carried_coefficient(plan7):
     assert list(q1_ifft(plan7, vals, a0=0).values) == [0] * 8
 
 
+def test_ifft_refuses_a0_on_a_partial_plan(plan11):
+    """A partial plan has no carried coefficient: an a0, given or on the
+    vector, is refused, not dropped."""
+    ev = q1_fft(plan11, [1] * plan11.n)
+    assert ev.a0 is None
+    with pytest.raises(ValidationError, match="carry no a0"):
+        q1_ifft(plan11, list(ev.values), a0=0)
+    with pytest.raises(ValidationError, match="carry no a0"):
+        q1_ifft(plan11, CyclicEvalVec(ev.points, ev.values, ev.tilde, 3))
+
+
 def test_conversion_roundtrip_and_horner_anchor(plan23, plan127, rng):
     for _ in range(40):
         c = [rng.randrange(23) for _ in range(24)]
@@ -202,9 +213,13 @@ def test_std_to_tilde_checks_basis_and_values(plan11):
 
 
 # (field, radices, pairs {x, -x} among the finite points) of the oracle
-# configs built here: tilde_to_std sums over the squares x^2, so these cover
-# full and partial plans, with and without pairs, and characteristic 2
+# configs built here: tilde_to_std sums over the classes of x^d, d = 2 on a
+# partial plan and d | q - 1 near sqrt(q) on a full one, so these cover full
+# and partial plans, with and without pairs, characteristic 2, and full plans
+# with d = 3 (x and -x in different classes) and d = 4
 ORACLE_PLANS = {
+    "F13-2.7": ((13,), (2, 7), 6),
+    "F17-2.3.3": ((17,), (2, 3, 3), 8),
     "F49-255": ((7, 2), (2, 5, 5), 24),
     "F27-227": ((3, 3), (2, 2, 7), 13),
     "F131-2.3.11": ((131,), (2, 3, 11), 17),
@@ -224,8 +239,8 @@ def test_std_to_tilde_matches_basis_matrix(request, config, rng):
     else:
         field_args, radices, n_pairs = ORACLE_PLANS[config]
         plan = cyclic_plan(field_make(*field_args), radices)
-        pairs, _ = cfft._square_classes(plan.field, [x for x in plan.points if x is not INF])
-        assert len(pairs) == n_pairs
+        classes, _ = cfft._power_classes(plan.field, [x for x in plan.points if x is not INF], 2)
+        assert sum(len(c) == 2 for c in classes.values()) == n_pairs
     bm = basis_matrix(plan)
     q, n = plan.field.q, plan.n
     for trial in range(20):
@@ -808,6 +823,31 @@ def test_tilde_to_std_power_sums_over_squares(field_args, radices, rng):
         tilde_to_std(plan, c)
     n = plan.n
     assert ctr.muls - fft_ops.muls <= n * n // 2 + 8 * n, (field_args, radices, ctr.muls)
+
+
+@pytest.mark.parametrize("field_args, radices", [
+    ((191,), (2,) * 6 + (3,)), ((127,), (2,) * 7), ((2, 6), (5, 13)), ((7, 2), (2, 5, 5)),
+    ((3, 4), (2, 41)),
+])
+def test_tilde_to_std_power_sums_over_power_classes(field_args, radices, rng):
+    """A full plan's finite points are F_q; grouped by x^d, d | q - 1 near
+    sqrt(q), the power sums cost O(n^1.5): once the class table exists,
+    tilde_to_std takes at most 3 n^1.5 muls beyond its q1_fft, where the
+    square classes take about n^2 / 2.  The table is built on the first
+    conversion, not with the plan, and the first call, a later one and a
+    plan reloaded from its file agree."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices)
+    assert plan.is_full and "class_table" not in vars(plan)
+    c = [rng.randrange(field.q) for _ in range(plan.n)]
+    first = tilde_to_std(plan, c)
+    with field.count_ops() as fft_ops:
+        q1_fft(plan, c)
+    with field.count_ops() as ctr:
+        assert tilde_to_std(plan, c) == first
+    reloaded = fileio.plan_from_json(json.loads(json.dumps(fileio.plan_to_json(plan))))
+    assert tilde_to_std(reloaded, c) == first
+    assert ctr.muls - fft_ops.muls <= 3 * plan.n ** 1.5, (field_args, radices, ctr.muls)
 
 
 def test_poly_inputs_are_standard_vectors(rng):

@@ -147,6 +147,24 @@ def test_full_plan_value_file_with_a_nonzero_inf_value_is_a_mismatch(tmp_path, c
     assert not (tmp_path / "back.json").exists()
 
 
+def test_partial_plan_value_file_with_an_a0_is_a_mismatch(tmp_path, capsys):
+    """A partial plan carries no top coefficient, so q1_fft writes no a0 and
+    a file with one used to invert like the true file, the a0 dropped."""
+    plan, _, plan_path, _, obj = _cyclic_value_file(tmp_path, 383, (2,) * 5, 11)
+    assert not plan.is_full and "a0" not in obj
+    obj["a0"] = 5
+    with pytest.raises(MismatchError, match="a partial plan's values carry no 'a0'"):
+        fileio.values_from_json(plan.field, obj, plan)
+    values = tmp_path / "v.json"
+    values.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["ifft", "--plan", str(plan_path), "--in", str(values),
+                     "--out", str(tmp_path / "back.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "mismatch: a partial plan's values carry no 'a0'"]
+    assert not (tmp_path / "back.json").exists()
+
+
 def test_plan_json_roundtrip_all_cases(F17, F9):
     F23 = field_make(23)
     plans = [
