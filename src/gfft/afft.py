@@ -26,7 +26,6 @@ from itertools import repeat
 
 from . import engine
 from .errors import (
-    DegreeTooLarge,
     DependentBasis,
     SubspaceTooLarge,
     ValidationError,
@@ -34,7 +33,8 @@ from .errors import (
 from .gf import Field, field_make
 from .linalg import nullspace_vector
 from .poly import Poly, poly_str
-from .vectors import BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, plan_list, value_raws
+from .vectors import (BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, plan_list,
+                      standard_values, value_raws)
 
 
 class AddPlan:
@@ -212,10 +212,7 @@ def padic_reassemble(field, terms, alpha) -> Poly:
 
 
 def standard_to_lch(plan: AddPlan, coeffs) -> CoeffVec:
-    vals = coeff_values(plan.field, coeffs, BASIS_STANDARD)
-    if len(vals) > plan.n:
-        raise DegreeTooLarge(f"degree must be < {plan.n}")
-    vals = vals + [0] * (plan.n - len(vals))
+    vals = standard_values(plan.field, coeffs, plan.n)
     for level, beta in enumerate(plan.betas):
         _split(plan.field, vals, beta, plan.field.p**level)
     return CoeffVec(tuple(vals), BASIS_LCH)

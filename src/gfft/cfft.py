@@ -55,7 +55,6 @@ from math import isqrt
 
 from . import engine
 from .errors import (
-    DegreeTooLarge,
     LengthMismatch,
     MismatchError,
     NoMoebiusRelation,
@@ -68,26 +67,20 @@ from .gf import (Field, find_primitive_quadratic, multiplicative_order, quadrati
                  square_multiply)
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
-from .linalg import invert, nullspace_vector  # noqa: F401
-from .moebius import MoebiusMap
-from .poly import INF, Poly, RatFn, mul_add, poly_str
+from .linalg import invert  # noqa: F401
+from .moebius import MoebiusMap, relation
+from .poly import INF, Poly, RatFn, _substitute, homogeneous, mul_add, poly_str
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
-                      plan_list, point_in, point_ordered, point_out, value_raws)
+                      plan_list, point_in, point_ordered, point_out, standard_values, value_raws)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
-    """outer(inner(x)) as a reduced rational function, by Horner on RatFn.
+    """outer(inner(x)) as a reduced rational function, by poly.homogeneous.
 
     The plan build never calls this (it would form the degree-n tower); the
     tests use it to check the level maps against the symbolic tower.
     """
-    def ev(poly):
-        acc = RatFn.constant(inner.field, 0)
-        for c in reversed(poly.coeffs):
-            acc = acc * inner + RatFn.constant(inner.field, c)
-        return acc
-
-    return ev(outer.num) / ev(outer.den)
+    return _substitute(outer, inner.num.coeffs, inner.den.coeffs)
 
 
 class CyclicLevel:
@@ -170,7 +163,7 @@ class CyclicPlan:
         is a nonzero multiple of Q_0."""
         f = self.field
         sig = self.sigma
-        (image,) = _homogeneous(f, [quad.coeffs], [sig.b, sig.a], [sig.d, sig.c], 2)
+        (image,) = homogeneous(f, [quad.coeffs], [sig.b, sig.a], [sig.d, sig.c], 2)
         if not image[2] or f.products(image, repeat(f.inv(image[2]))) != list(quad.coeffs):
             raise ValidationError("quadratic is not invariant under the cyclic group")
 
@@ -594,37 +587,18 @@ def _level_map(field, induced, p, level):
 
 def _lift_sigma(field, prev, num, den, level):
     """The Moebius map S with m o prev = S o m, for the level map m = num/den
-    (ascending coefficients) and prev, sigma's map one level down.  With
-    num_L / den_L = m o prev by homogeneous composition, S = (A, B; C, D)
-    solves num_L (C num + D den) = den_L (A num + B den): 2p + 1 coefficient
-    equations in (A, B, C, D).  m o prev is no constant, so every solution
-    with AD = BC is zero and the kernel is the line of S.  Verified exactly:
-    AD - BC != 0 and the kernel vector satisfies every equation."""
-    f = field
+    (ascending coefficients) and prev, sigma's map one level down: with
+    num_L / den_L = m o prev by homogeneous composition, S is the relation
+    num_L / den_L = S o m (moebius.relation), 2p + 1 coefficient equations
+    in its entries.  m o prev is no constant, so every solution with AD = BC
+    is zero and the kernel is the line of S."""
     p = len(num) - 1
     den = list(den) + [0]  # degree p - 1, read at degree p
-    num_l, den_l = _homogeneous(f, (num, den), [prev.b, prev.a], [prev.d, prev.c], p)
-    rows = [[f.neg(a), f.neg(b), c, d] for a, b, c, d in zip(
-        mul_add(f, den_l, num), mul_add(f, den_l, den),
-        mul_add(f, num_l, num), mul_add(f, num_l, den))]
-    sol = nullspace_vector(f, rows)
-    if (sol is None or f.mul(sol[0], sol[3]) == f.mul(sol[1], sol[2])
-            or any(f.sum(f.products(row, sol)) for row in rows)):
+    lift = relation(field, homogeneous(field, (num, den), [prev.b, prev.a], [prev.d, prev.c], p),
+                    (num, den))
+    if lift is None:
         raise NoMoebiusRelation(f"level {level}: sigma does not lift through the level map")
-    return MoebiusMap(f, *sol)
-
-
-def _homogeneous(field, polys, top, bottom, deg):
-    """sum g_k top^k bottom^(deg - k) for each g in polys (deg + 1 ascending
-    coefficients), top and bottom coefficient lists, by Horner: the numerator
-    of g(top / bottom) over the denominator bottom^deg, untrimmed.  For a
-    Moebius map (a T + b) / (c T + d), top = [b, a] and bottom = [d, c]."""
-    outs, power = [[g[deg]] for g in polys], [1]
-    for k in range(deg - 1, -1, -1):
-        power = mul_add(field, power, bottom)
-        outs = [mul_add(field, out, top, field.products(power, repeat(g[k])))
-                for out, g in zip(outs, polys)]
-    return outs
+    return lift
 
 
 def _cycle_log(step, start, target, length):
@@ -825,9 +799,6 @@ def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     infinity is unused: the index-0 basis element x^q - x vanishes on F_q, so
     its coefficient is the x^q coefficient, passed as a0.
     """
-    vals = coeff_values(plan.field, coeffs, BASIS_STANDARD)
-    if len(vals) > plan.n:
-        raise DegreeTooLarge(f"degree must be < {plan.n}")
-    poly = Poly(plan.field, vals)
+    poly = Poly(plan.field, standard_values(plan.field, coeffs, plan.n))
     values = [0 if pt is INF else poly.eval(pt) for pt in plan.points]
     return q1_ifft(plan, values, poly[plan.n - 1] if plan.is_full else None)

@@ -11,15 +11,16 @@ place of the stored fiber is refused as a mismatch.  A stored table the
 writer no longer produces is ignored: cyclic plan files from earlier
 versions carry `tower_num`, the degree-n tower numerator, which is a
 function of the `level_nums` table that is still written and diffed.
-A keyed cyclic value file's tilde is value / scale (cfft.q1_tilde), checked,
-and a full plan's value at inf is the 0 that q1_fft writes there, checked.
+A cyclic value file's maps, point-keyed or lists in plan point order, are read
+alike: tilde is value / scale (cfft.q1_tilde) and a full plan's value at inf
+is the 0 q1_fft writes, both checked, and a partial plan's a0 is refused.
 """
 
 from __future__ import annotations
 
 from .afft import AddPlan
 from .cfft import CyclicPlan, q1_tilde
-from .errors import MismatchError, PlanFileError, ValidationError
+from .errors import LengthMismatch, MismatchError, PlanFileError, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_in,
@@ -81,28 +82,34 @@ def values_to_json(field: Field, values) -> dict:
 
 def values_from_json(field: Field, obj, plan=None):
     vals = obj["values"]
-    if isinstance(vals, dict):
-        if plan is None or plan.basis != BASIS_CYCLIC:
+    if plan is None or plan.basis != BASIS_CYCLIC:
+        if isinstance(vals, dict):
             raise ValidationError("keyed value files need a cyclic plan")
-        seq = _keyed(field, obj, "values", plan.points)
-        if plan.is_full and seq[0]:  # a full plan's points start at inf
-            raise MismatchError("'values' at inf is not 0")
-        if not plan.is_full and "a0" in obj:
-            raise MismatchError("a partial plan's values carry no 'a0'")
-        tilde = q1_tilde(plan, seq)
-        stored = _keyed(field, obj, "tilde", plan.points) if "tilde" in obj else tilde
-        bad = [pt for pt, a, b in zip(plan.points, stored, tilde) if a != b]
-        if bad:
-            raise MismatchError(f"'tilde' at {point_out(field, bad[0])} is not value / scale")
-        a0 = field.parse_raw(obj["a0"]) if "a0" in obj else None
-        return CyclicEvalVec(plan.points, seq, tilde, a0)
-    return [field.parse_raw(v) for v in vals]
+        return [field.parse_raw(v) for v in vals]
+    seq = _ordered(field, obj, "values", plan.points)
+    if plan.is_full and seq[0]:  # a full plan's points start at inf
+        raise MismatchError("'values' at inf is not 0")
+    if not plan.is_full and "a0" in obj:
+        raise MismatchError("a partial plan's values carry no 'a0'")
+    tilde = q1_tilde(plan, seq)
+    stored = _ordered(field, obj, "tilde", plan.points) if "tilde" in obj else tilde
+    bad = [pt for pt, a, b in zip(plan.points, stored, tilde) if a != b]
+    if bad:
+        raise MismatchError(f"'tilde' at {point_out(field, bad[0])} is not value / scale")
+    a0 = field.parse_raw(obj["a0"]) if "a0" in obj else None
+    return CyclicEvalVec(plan.points, seq, tilde, a0)
 
 
-def _keyed(field, obj, name, points):
-    """The entries of the point-keyed map obj[name], in the order of points."""
-    lookup = {point_in(field, k): field.parse_raw(v) for k, v in obj[name].items()}
-    return point_ordered(field, lookup, points, repr(name), "the file")
+def _ordered(field, obj, name, points):
+    """The entries of obj[name] in the order of points: a point-keyed map,
+    or a list already in that order."""
+    entries = obj[name]
+    if isinstance(entries, dict):
+        lookup = {point_in(field, k): field.parse_raw(v) for k, v in entries.items()}
+        return point_ordered(field, lookup, points, repr(name), "the file")
+    if len(entries) != len(points):
+        raise LengthMismatch(f"{name!r} holds {len(entries)} entries, not {len(points)}")
+    return [field.parse_raw(v) for v in entries]
 
 
 def values_to_csv(field: Field, values) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import engine
 from .errors import RadixNotDividingGroupOrder, ValidationError
 from .gf import Field, find_primitive_element
-from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, plan_list, value_raws
+from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, plan_list, standard_values, value_raws
 
 
 class MultPlan:
@@ -62,7 +62,7 @@ class MultPlan:
         return CoeffVec(tuple(vals), BASIS_STANDARD)
 
     def from_standard(self, coeffs) -> CoeffVec:
-        return self.to_standard(coeffs)
+        return CoeffVec(tuple(standard_values(self.field, coeffs, self.n)), BASIS_STANDARD)
 
     def describe(self) -> list:
         return [f"multiplicative plan: n={self.n} radices={list(self.radices)}",

@@ -9,11 +9,13 @@ on the orientation cross-validate it against independent data.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .engine import affine
 from .errors import NoMoebiusRelation, ValidationError
 from .gf import Field, _int_entry, multiplicative_order, square_multiply
 from .linalg import nullspace_vector
-from .poly import INF, Poly, RatFn
+from .poly import INF, Poly, RatFn, mul_add
 
 
 class MoebiusMap:
@@ -36,9 +38,6 @@ class MoebiusMap:
     @classmethod
     def identity(cls, field):
         return cls(field, 1, 0, 0, 1)
-
-    def is_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product self * other: acts as self after other."""
@@ -132,29 +131,32 @@ def _product(f, m, n):
 def match_moebius(g: RatFn, h: RatFn) -> MoebiusMap:
     """Solve g = M o h (M applied to the values of h) for a Moebius map M.
 
-    Exists exactly when g and h generate the same subfield of F_q(x); found
-    by linear coefficient comparison and verified exactly.
+    Exists exactly when g and h generate the same subfield of F_q(x), h not
+    constant; found by coefficient comparison (relation), verified exactly.
     """
-    f = g.field
-    # g_num*(c*h_num + d*h_den) - g_den*(a*h_num + b*h_den) = 0
-    pa = -(g.den * h.num)
-    pb = -(g.den * h.den)
-    pc = g.num * h.num
-    pd = g.num * h.den
-    width = max(int(p.degree) for p in (pa, pb, pc, pd) if not p.is_zero()) + 1
-    rows = [[pa[k], pb[k], pc[k], pd[k]] for k in range(width)]
-    sol = nullspace_vector(f, rows)
-    if sol is None:
-        raise NoMoebiusRelation("no linear relation; functions generate different fields")
-    a, b, c, d = sol
-    if f.sub(f.mul(a, d), f.mul(b, c)) == 0:
-        raise NoMoebiusRelation("relation degenerate; functions generate different fields")
-    m = MoebiusMap(f, a, b, c, d)
-    applied = RatFn(
-        f,
-        h.num.scale(m.a) + h.den.scale(m.b),
-        h.num.scale(m.c) + h.den.scale(m.d),
-    )
-    if applied != g:
-        raise NoMoebiusRelation("candidate relation fails exact verification")
+    h = g._check(h)  # MixedFields for h over another field
+    m = relation(g.field, (g.num.coeffs, g.den.coeffs), (h.num.coeffs, h.den.coeffs))
+    if m is None:
+        raise NoMoebiusRelation("no Moebius relation; functions generate different fields")
     return m
+
+
+def relation(field, g, h):
+    """The Moebius map M with g = M o h, or None, for g and h given as
+    (numerator, denominator) pairs of ascending coefficient lists.
+
+    M = (A, B; C, D) solves g_num (C h_num + D h_den) = g_den (A h_num +
+    B h_den), one equation per coefficient, through nullspace_vector.  The
+    kernel vector is verified exactly: AD - BC != 0 and it satisfies every
+    equation, which together are g = M o h.
+    """
+    f = field
+    (g_num, g_den), (h_num, h_den) = g, h
+    rows = [[f.neg(a), f.neg(b), c, d] for a, b, c, d in zip_longest(
+        mul_add(f, g_den, h_num), mul_add(f, g_den, h_den),
+        mul_add(f, g_num, h_num), mul_add(f, g_num, h_den), fillvalue=0)]
+    sol = nullspace_vector(f, rows)
+    if (sol is None or f.mul(sol[0], sol[3]) == f.mul(sol[1], sol[2])
+            or any(f.sum(f.products(row, sol)) for row in rows)):
+        return None
+    return MoebiusMap(f, *sol)

@@ -35,8 +35,6 @@ def lagrange_interpolate(field, points, values) -> Poly:
     """Unique interpolant of degree < len(points) through finite points."""
     if any(pt is INF for pt in points):
         raise DuplicatePoint("interpolation needs finite points")
-    if len(set(points)) != len(points):
-        raise DuplicatePoint("interpolation points must be distinct")
     return lagrange_basis_interpolate(field, points, values)
 
 

@@ -5,13 +5,14 @@ zeros trimmed.  Every coefficient, point and scalar passed in is read through
 Field.raw or Field.raws, so it is checked, not reduced.  Rational places are
 represented by a raw value alpha in F_q or the INF sentinel; evaluation of a
 rational function returns a raw value or INF likewise.  mul_add is the one
-product of coefficient lists: Poly.__mul__ and the cyclic plan build both run
-on it.
+product of coefficient lists and homogeneous the one composition: Poly and
+RatFn run on them, and so does the cyclic plan build.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 
 from .errors import DivisionByZeroPoly, DuplicatePoint, MixedFields
 from .gf import Field, square_multiply
@@ -199,10 +200,8 @@ class Poly:
         return self.eval(x)
 
     def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(self.field, c)
-        return acc
+        (out,) = homogeneous(self.field, [self], inner.coeffs, [1], max(len(self.coeffs) - 1, 0))
+        return Poly(self.field, out)
 
     def roots(self):
         """All roots in F_q with multiplicity, by desk-scale scan + division."""
@@ -246,6 +245,19 @@ def mul_add(field: Field, u, v, acc=()) -> list:
                     if vj:
                         out[j] = field.add(out[j], field.mul(ui, vj))
     return out
+
+
+def homogeneous(field: Field, polys, top, bottom, deg) -> list:
+    """sum g_k top^k bottom^(deg - k) for each g in polys (read at degrees 0
+    to deg), top and bottom coefficient lists, by Horner: the numerator of
+    g(top / bottom) over the denominator bottom^deg, untrimmed.  For a
+    Moebius map (a T + b) / (c T + d), top = [b, a] and bottom = [d, c]."""
+    outs, power = [[g[deg]] for g in polys], [1]
+    for k in range(deg - 1, -1, -1):
+        power = mul_add(field, power, bottom)
+        outs = [mul_add(field, out, top, field.products(power, repeat(g[k])))
+                for out, g in zip(outs, polys)]
+    return outs
 
 
 def poly_str(poly: Poly) -> str:
@@ -373,25 +385,15 @@ class RatFn:
 
 def compose_moebius(g: RatFn, mat) -> RatFn:
     """Substitute (a x + b)/(c x + d) for x in g; mat has raw attrs a,b,c,d."""
-    field = g.field
-    lin_num = Poly(field, (mat.b, mat.a))
-    lin_den = Poly(field, (mat.d, mat.c))
-    m = g.map_degree()
-    num_pows = [Poly.one(field)]
-    den_pows = [Poly.one(field)]
-    for _ in range(m):
-        num_pows.append(num_pows[-1] * lin_num)
-        den_pows.append(den_pows[-1] * lin_den)
+    return _substitute(g, [mat.b, mat.a], [mat.d, mat.c])
 
-    def homog(poly: Poly) -> Poly:
-        acc = Poly.zero(field)
-        for k in range(m + 1):
-            c = poly[k]
-            if c:
-                acc = acc + (num_pows[k] * den_pows[m - k]).scale(c)
-        return acc
 
-    return RatFn(field, homog(g.num), homog(g.den))
+def _substitute(g: RatFn, top, bottom) -> RatFn:
+    """g(top / bottom) for coefficient lists top and bottom, reduced: num and
+    den (Poly reads 0 past the degree) composed at the map degree."""
+    f = g.field
+    num, den = homogeneous(f, (g.num, g.den), top, bottom, g.map_degree())
+    return RatFn(f, Poly(f, num), Poly(f, den))
 
 
 def mod_inverse(a: Poly, m: Poly) -> Poly:

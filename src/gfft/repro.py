@@ -10,9 +10,9 @@ pair, returning a structured report.
 
 from __future__ import annotations
 
-from .cfft import _homogeneous, cyclic_plan, q1_fft
+from .cfft import cyclic_plan, q1_fft
 from .gf import field_make
-from .poly import INF, Poly
+from .poly import INF, Poly, homogeneous
 
 FIELD_P = 127
 RADICES = (2, 2, 2, 2, 2, 2, 2)
@@ -77,8 +77,8 @@ def tower_fraction(plan):
     through each level map u / v: (N, D) -> sum_k (u_k, v_k) N^k D^(p-k)."""
     num, den = [0, 1], [1]
     for lv in plan.levels:
-        num, den = _homogeneous(plan.field, (lv.num.coeffs, [*lv.den.coeffs, 0]), num, den,
-                                lv.radix)
+        num, den = homogeneous(plan.field, (lv.num.coeffs, [*lv.den.coeffs, 0]), num, den,
+                               lv.radix)
     return num, den
 
 

@@ -78,20 +78,15 @@ def plan_list(obj, key, length=None, ints=False):
 
 def coeff_values(field, coeffs, expected_basis, n=None):
     """Unwrap a CoeffVec (tag-checked) or a Poly (a standard-basis vector of
-    field, zero-padded to length n) or accept a sequence; the entries come
-    back as checked raw values of field."""
+    field, zero-padded to length n by standard_values) or accept a sequence;
+    the entries come back as checked raw values of field."""
     if isinstance(coeffs, Poly):
         if coeffs.field != field:
             raise MixedFields(f"a polynomial over F_{coeffs.field.q} for a plan over F_{field.q}")
         if expected_basis != BASIS_STANDARD:
             raise BasisMismatch(f"expected {expected_basis!r} basis, got a polynomial "
                                 f"({BASIS_STANDARD!r} basis)")
-        vals = list(coeffs.coeffs)
-        if n is not None:
-            if len(vals) > n:
-                raise DegreeTooLarge(f"degree must be < {n}, got {coeffs.degree}")
-            vals += [0] * (n - len(vals))
-        return vals
+        return list(coeffs.coeffs) if n is None else standard_values(field, coeffs, n)
     if isinstance(coeffs, CoeffVec):
         if coeffs.basis != expected_basis:
             raise BasisMismatch(f"expected {expected_basis!r} basis, got {coeffs.basis!r}")
@@ -100,6 +95,15 @@ def coeff_values(field, coeffs, expected_basis, n=None):
     if n is not None and len(vals) != n:
         raise LengthMismatch(f"expected length {n}, got {len(vals)}")
     return vals
+
+
+def standard_values(field, coeffs, n):
+    """Standard-basis coefficients of degree < n, read as coeff_values reads
+    them and zero-padded to length n: the reader of every from_standard."""
+    vals = coeff_values(field, coeffs, BASIS_STANDARD)
+    if len(vals) > n:
+        raise DegreeTooLarge(f"degree must be < {n}, got {len(vals)} coefficients")
+    return vals + [0] * (n - len(vals))
 
 
 def value_raws(field, values):

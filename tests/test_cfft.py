@@ -893,6 +893,23 @@ def test_poly_inputs_are_standard_vectors(rng):
                 plan.ifft(Poly(field, [1] * plan.n))
 
 
+@pytest.mark.parametrize("build, args, radices", [
+    (mult_plan, (17,), (2, 2)), (add_plan, (2, 4), [1, 2, 4]),
+    (cyclic_plan, (23,), (2, 3)), (cyclic_plan, (23,), (2, 2, 2, 3)),
+])
+def test_from_standard_pads_a_short_list_as_a_poly(build, args, radices):
+    """Every plan's from_standard reads a short standard list as it reads the
+    same Poly, zero-padded to n (the mult plan used to refuse the list), and
+    refuses degree n or more."""
+    field = field_make(*args)
+    plan = build(field, radices)
+    short = [1, 1]
+    padded = plan.from_standard(short + [0] * (plan.n - 2))
+    assert plan.from_standard(short) == plan.from_standard(Poly(field, short)) == padded
+    with pytest.raises(DegreeTooLarge):
+        plan.from_standard([1] * (plan.n + 1))
+
+
 @pytest.mark.parametrize("args, radices", [((23,), (2, 2, 2, 3)), ((3, 2), (2, 5))])
 def test_explicit_m_accepted_exactly_when_primitive(args, radices):
     """Every irreducible x^2 + a x + b: the plan accepts it as m exactly when

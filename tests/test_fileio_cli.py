@@ -11,7 +11,7 @@ from divisors import cyclic_tower
 from gfft import cli, fileio
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan, q1_fft
-from gfft.errors import MismatchError, PointMismatch, ValidationError
+from gfft.errors import LengthMismatch, MismatchError, PointMismatch, ValidationError
 from gfft.gf import field_make
 from gfft.mfft import mult_plan
 from gfft.repro import WORKED_COEFFS, WORKED_VALUES
@@ -63,7 +63,8 @@ def test_cyclic_values_json_roundtrip():
 def test_cyclic_value_file_reads_back_unchanged(q, radices, rng):
     """A value file read back and written again is the same file, tilde map
     included (it used to read back as zeros); a point missing from either
-    map is refused by name."""
+    map is refused by name.  The list form, entries in plan point order,
+    reads back alike, a0 included, and a list of another length is refused."""
     field = field_make(q)
     plan = cyclic_plan(field, radices)
     ev = q1_fft(plan, [rng.randrange(q) for _ in range(plan.n)])
@@ -71,6 +72,10 @@ def test_cyclic_value_file_reads_back_unchanged(q, radices, rng):
     back = fileio.values_from_json(field, obj, plan)
     assert list(back.tilde) == list(ev.tilde)
     assert fileio.values_to_json(field, back) == obj
+    listed = fileio.values_from_json(field, _listed(obj), plan)
+    assert (listed, listed.tilde) == (back, back.tilde)
+    with pytest.raises(LengthMismatch, match=f"'values' holds {plan.n - 1} entries, not {plan.n}"):
+        fileio.values_from_json(field, {"values": _listed(obj)["values"][1:]}, plan)
     first = "inf" if plan.is_full else str(plan.points[0])
     for name in ("values", "tilde"):
         bad = json.loads(json.dumps(obj))
@@ -78,6 +83,12 @@ def test_cyclic_value_file_reads_back_unchanged(q, radices, rng):
         with pytest.raises(PointMismatch, match=f"'{name}' holds no entry at evaluation point "
                                                 f"{first}:"):
             fileio.values_from_json(field, bad, plan)
+
+
+def _listed(obj):
+    """A keyed cyclic value file in list form: each map's entries in the
+    order written, which is the plan's point order."""
+    return {k: list(v.values()) if isinstance(v, dict) else v for k, v in obj.items()}
 
 
 def _cyclic_value_file(tmp_path, q, radices, seed):
@@ -163,6 +174,40 @@ def test_partial_plan_value_file_with_an_a0_is_a_mismatch(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "mismatch: a partial plan's values carry no 'a0'"]
     assert not (tmp_path / "back.json").exists()
+
+
+@pytest.mark.parametrize("q, radices, edit, error", [
+    (23, (2, 2, 2, 3), {}, None),
+    (23, (2, 2, 2, 3), {"inf": 7}, "'values' at inf is not 0"),
+    (383, (2,) * 5, {"a0": 5}, "a partial plan's values carry no 'a0'"),
+], ids=["full-with-a0", "full-nonzero-inf", "partial-with-a0"])
+def test_list_form_cyclic_value_file_is_read_as_the_keyed_form(tmp_path, capsys, q, radices,
+                                                               edit, error):
+    """Maps given as lists in plan point order are read on the keyed form's
+    path: a full plan's a0 is kept (gfft ifft used to exit 2 without it), and
+    a nonzero value at inf or a partial plan's a0 is a mismatch (both used to
+    be read, the first exiting 2 and the second inverting with exit 0)."""
+    plan, ev, plan_path, cz, obj = _cyclic_value_file(tmp_path, q, radices, 13)
+    obj = _listed(obj)
+    if "inf" in edit:
+        obj["values"][0] = edit["inf"]
+    if "a0" in edit:
+        obj["a0"] = edit["a0"]
+    values, out = tmp_path / "v.json", tmp_path / "back.json"
+    values.write_text(json.dumps(obj))
+    argv = ["ifft", "--plan", str(plan_path), "--in", str(values), "--out", str(out)]
+    if error is None:
+        back = fileio.values_from_json(plan.field, obj, plan)
+        assert (back, back.tilde, back.a0) == (ev, ev.tilde, ev.a0)
+        assert cli.main(argv) == 0
+        assert out.read_text() == cz.read_text()
+        return
+    with pytest.raises(MismatchError, match=error):
+        fileio.values_from_json(plan.field, obj, plan)
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [f"mismatch: {error}"]
+    assert not out.exists()
 
 
 def test_plan_json_roundtrip_all_cases(F17, F9):

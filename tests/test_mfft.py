@@ -117,18 +117,21 @@ def test_conversions_are_the_identity(args, radices):
     """A mult plan's basis is the standard one, so to_standard and
     from_standard return the coefficients unchanged, read as every
     conversion reads them: a Poly is padded to n, and a vector of another
-    basis, of another length or with an entry outside F_q is refused."""
+    basis or with an entry outside F_q is refused.  A vector of another
+    length is refused by to_standard, which reads the plan's basis, while
+    from_standard reads a polynomial and pads a short one as it pads a Poly."""
     field = field_make(*args)
     plan = mult_plan(field, radices)
     c = [(5 * i + 2) % field.q for i in range(plan.n)]
+    with pytest.raises(LengthMismatch):
+        plan.to_standard(c[:-1])
+    assert plan.from_standard(c[:-1]).values == tuple(c[:-1]) + (0,)
     for convert in (plan.to_standard, plan.from_standard):
         assert convert(c) == CoeffVec(tuple(c), "standard")
         assert convert(CoeffVec(tuple(c), "standard")).values == tuple(c)
         assert convert(Poly(field, (1, 2))).values == (1, 2) + (0,) * (plan.n - 2)
         with pytest.raises(BasisMismatch):
             convert(CoeffVec(tuple(c), BASIS_LCH))
-        with pytest.raises(LengthMismatch):
-            convert(c[:-1])
         with pytest.raises(InvalidFieldValue):
             convert([field.q] + c[1:])
         with pytest.raises(DegreeTooLarge):

@@ -4,7 +4,7 @@ import pytest
 
 from gfft.errors import NoMoebiusRelation, ValidationError
 from gfft.gf import field_make, find_primitive_element
-from gfft.moebius import MoebiusMap, match_moebius
+from gfft.moebius import MoebiusMap, match_moebius, relation
 from gfft.poly import INF, Poly, RatFn, compose_moebius
 
 
@@ -30,16 +30,21 @@ def test_order_examples(F127):
     assert MoebiusMap(F127, g, 0, 0, 1).order() == 126
 
 
+def _pgl2(field):
+    q = field.q
+    return {MoebiusMap(field, a, b, c, d)
+            for a, b, c, d in itertools.product(range(q), repeat=4) if (a * d - b * c) % q}
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_order_matches_composition_walk(q):
     # every element of PGL_2(q), against the least k with m^k the identity
     field = field_make(q)
-    maps = {MoebiusMap(field, a, b, c, d)
-            for a, b, c, d in itertools.product(range(q), repeat=4) if (a * d - b * c) % q}
+    maps = _pgl2(field)
     assert len(maps) == q * (q * q - 1)
     for m in maps:
         acc, k = m, 1
-        while not acc.is_identity():
+        while acc != MoebiusMap.identity(field):
             acc, k = acc * m, k + 1
         assert m.order() == k
 
@@ -74,7 +79,7 @@ def test_action_is_group_action(F127, rng):
 
 def test_match_moebius_identity(F127):
     x1 = RatFn(F127, Poly(F127, (42, 0, 1)), Poly(F127, (21, 1)))
-    assert match_moebius(x1, x1).is_identity()
+    assert match_moebius(x1, x1) == MoebiusMap.identity(F127)
 
 
 def test_match_moebius_read_off(F127):
@@ -101,6 +106,53 @@ def test_match_moebius_rejects_unrelated(F127):
     h = RatFn.x(F127)
     with pytest.raises(NoMoebiusRelation):
         match_moebius(g, h)
+
+
+def _applied(m, h):
+    """M o h, M applied to the values of h (h not constant)."""
+    return RatFn(m.field, h.num.scale(m.a) + h.den.scale(m.b), h.num.scale(m.c) + h.den.scale(m.d))
+
+
+def _solved(g, h):
+    """relation and match_moebius on g and h, checked to agree: the map or None."""
+    found = relation(g.field, (g.num.coeffs, g.den.coeffs), (h.num.coeffs, h.den.coeffs))
+    if found is None:
+        with pytest.raises(NoMoebiusRelation):
+            match_moebius(g, h)
+    else:
+        assert match_moebius(g, h) == found
+    return found
+
+
+def test_relation_agrees_with_a_search_of_pgl2(rng):
+    """Against all 120 maps of PGL_2(F_5): on g = M o h the solve returns
+    exactly the one map the search finds, and on random pairs it refuses
+    exactly when the search finds none; h of degree 1 to 3, g of 0 to 3."""
+    field = field_make(5)
+    maps = sorted(_pgl2(field), key=MoebiusMap.entries)
+    assert len(maps) == 120
+
+    def ratfn(lo, hi):
+        while True:
+            num = Poly(field, [rng.randrange(5) for _ in range(rng.randint(1, hi + 1))])
+            den = Poly(field, [rng.randrange(5) for _ in range(rng.randint(1, hi + 1))])
+            if not den.is_zero():
+                out = RatFn(field, num, den)
+                if lo <= out.map_degree() <= hi:
+                    return out
+
+    refused = 0
+    for trial in range(120):
+        h = ratfn(1, 3)
+        g = _applied(rng.choice(maps), h) if trial % 2 else ratfn(0, 3)
+        hits = [m for m in maps if _applied(m, h) == g]
+        assert len(hits) <= 1
+        found = _solved(g, h)
+        assert (found is None) == (not hits)
+        if hits:
+            assert found == hits[0]
+        refused += found is None
+    assert 0 < refused < 120
 
 
 @pytest.mark.parametrize("args", [(191,), (2, 6)])

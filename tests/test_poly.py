@@ -155,6 +155,41 @@ def test_compose_is_right_action(F127, rng):
         assert compose_moebius(g, m1 * m2) == compose_moebius(compose_moebius(g, m1), m2)
 
 
+@pytest.mark.parametrize("args", [(23,), (3, 2)])
+def test_poly_compose_evaluates_the_inner_value(args, rng):
+    """p.compose(r)(alpha) = p(r(alpha)) at every alpha of F_q, for the zero
+    polynomial, constants and random p, and for r zero, constant or not."""
+    field = field_make(*args)
+    q = field.q
+    polys = [Poly.zero(field), Poly.constant(field, 2)] + [
+        Poly(field, [rng.randrange(q) for _ in range(rng.randint(1, 6))]) for _ in range(6)]
+    inners = [Poly.zero(field), Poly.constant(field, q - 1), Poly.x(field)] + [
+        Poly(field, [rng.randrange(q) for _ in range(rng.randint(2, 4))]) for _ in range(4)]
+    for p in polys:
+        for r in inners:
+            composed = p.compose(r)
+            assert [composed(a) for a in range(q)] == [p(r(a)) for a in range(q)], (p, r)
+
+
+def test_ratfn_substitute_evaluates_place_by_place(F127, rng):
+    """ratfn_substitute(outer, inner) takes at every place of F_127 u {INF}
+    the value of outer at inner's value there, for non-constant inner."""
+    def ratfn(dmax):
+        while True:
+            num = Poly(F127, [rng.randrange(127) for _ in range(rng.randint(1, dmax + 1))])
+            den = Poly(F127, [rng.randrange(127) for _ in range(rng.randint(1, dmax + 1))])
+            if not den.is_zero():
+                return RatFn(F127, num, den)
+
+    places = [INF, *range(127)]
+    for _ in range(12):
+        outer, inner = ratfn(3), ratfn(3)
+        if inner.map_degree() == 0:
+            continue
+        composed = cfft.ratfn_substitute(outer, inner)
+        assert [composed(pl) for pl in places] == [outer(inner(pl)) for pl in places]
+
+
 def test_canonicalization_idempotent(F127, rng):
     for _ in range(20):
         num = Poly(F127, [rng.randrange(127) for _ in range(6)])
