@@ -30,7 +30,7 @@ from .errors import (
     SubspaceTooLarge,
     ValidationError,
 )
-from .gf import Field, field_make
+from .gf import Field, field_make, square_multiply
 from .linalg import nullspace_vector
 from .poly import Poly, poly_str
 from .vectors import (BASIS_LCH, BASIS_STANDARD, CoeffVec, coeff_values, plan_list,
@@ -68,7 +68,8 @@ class AddPlan:
             if beta == 0:
                 raise DependentBasis("zero basis image; elements dependent")
             betas.append(beta)
-            return [field.sub(field.pow(x, field.p), field.mul(beta, x)) for x in xs]
+            return field.sub_products(square_multiply(field.products, xs, field.p, None), xs,
+                                      repeat(beta))
 
         self.level_points = engine.fiber_levels(_span_points(field, basis), radices, step,
                                                 strided=False)

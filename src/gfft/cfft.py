@@ -362,8 +362,8 @@ class CyclicPlan:
         Partial plan: N = key D, D_i = D_{i-1}^p_i v_i(x_{i-1}) on the level
         points, and c Q_0^n = D^2 Q_r(key) makes scale * base_value = D; that
         identity is guarded at each point, and Q_r by the fiber's norm
-        prod Q_0(points) = Q_r(key).  Returns Q_0 and D at the points of a
-        partial plan (None, None on a full one), for _build_fiber_tables."""
+        prod Q_0(points) = Q_r(key).  Returns Q_0 and 1 / D at the points of
+        a partial plan (None, None on a full one), for _build_fiber_tables."""
         f, n, quad0 = self.field, self.n, self.quads[0]
         self.scale_const = c = self.quads[self.r].lc()
         if self.is_full:
@@ -376,21 +376,21 @@ class CyclicPlan:
             return None, None
         dens = [1] * n  # D at each point, from the v_i the fiber pass evaluated
         for p, vs in zip(self.radices, self.level_dens):
-            dens = f.products(_powers(f, dens, p), cycle(vs))
+            dens = f.products(square_multiply(f.products, dens, p, None), cycle(vs))
         key = self.bucket_key
         q_key = self.quads[self.r].eval(key)
         q0s = _horner(f, quad0.coeffs, self.points)
         if reduce(f.mul, q0s) != q_key:
             raise ValidationError("Q_r disagrees with the norm of Q_0 over the fiber")
-        if f.products(_powers(f, q0s, n), repeat(c)) != f.products(f.products(dens, dens),
-                                                                 repeat(q_key)):
+        lhs = f.products(square_multiply(f.products, q0s, n, None), repeat(c))
+        if lhs != f.products(f.products(dens, dens), repeat(q_key)):
             raise ValidationError("scale constant fails the tower identity")
         self.base_value = f.div(key, q_key)
         self.scales = f.products(dens, repeat(f.div(q_key, key)))
         self.inv_scales = engine._batch_inverse(f, [dens])[0]  # 1 / (scale * base_value)
-        return q0s, dens
+        return q0s, self.inv_scales
 
-    def _build_fiber_tables(self, q0s, dens):
+    def _build_fiber_tables(self, q0s, inv_dens):
         """The fiber polynomial M = prod (x - x_i) over the finite points and
         the weights w_i = 1 / M'(x_i), the two tables of tilde_to_std, in
         closed form.  Full plan: the finite points are F_q, so M = x^q - x
@@ -400,12 +400,12 @@ class CyclicPlan:
         (-1)^(n-k) C(n, k) t_(n-k), where t_j = (theta^j - c theta^(qj)) /
         (1 - c) has t_0 = 1, t_1 = sum x_i / n and the recurrence of Q_0.
         M = N - key D for x_r = N/D, and x_r' = K / Q_0 on the fiber, so
-        w_i = Q_0(x_i) / (K D(x_i)), with K = x_r'(x_0) Q_0(x_0) from the
-        chain rule through the level maps at x_0.  Guarded at x_0: M(x_0) = 0
-        and w_0 M'(x_0) = 1; and at every point through two identities of the
-        weights 1 / M'(x_i): sum w_i = 0 for n >= 2, and sum w_i D(x_i) = 1,
-        which is sum w_i x_i^(n-1) = 1 as D is monic of degree n - 1 (each
-        level denominator is monic of degree one below its numerator's)."""
+        w_i = Q_0(x_i) / (K D(x_i)).  The weights 1 / M'(x_i) satisfy
+        sum w_i D(x_i) = 1, which is sum w_i x_i^(n-1) = 1 as D is monic of
+        degree n - 1 (each level denominator is monic of degree one below its
+        numerator's), so K = sum Q_0(x_i).  Guarded at every point by the
+        other identity of the weights, sum w_i = 0 for n >= 2, then at x_0:
+        M(x_0) = 0 and w_0 M'(x_0) = 1."""
         f, n = self.field, self.n
         if self.is_full:
             self.fiber_poly = [0, f.neg(1)] + [0] * (f.q - 2) + [1]
@@ -419,19 +419,12 @@ class CyclicPlan:
         signed = [c if (n - k) % 2 == 0 else f.neg(c)
                   for k, c in enumerate(_binomials_mod_p(f, n))]
         self.fiber_poly = f.products(signed, reversed(t))
-        slope_num, slope_den = 1, 1  # x_r'(x_0) as a fraction, level by level
-        for lv, xs in zip(self.levels, self.level_points):
-            u, du = _value_and_slope(f, lv.num.coeffs, xs[0])
-            v, dv = _value_and_slope(f, lv.den.coeffs, xs[0])
-            slope_num = f.mul(slope_num, f.sub(f.mul(du, v), f.mul(u, dv)))
-            slope_den = f.mul(slope_den, f.mul(v, v))
-        inv_k = f.div(slope_den, f.mul(slope_num, q0s[0]))  # 1 / K
-        self.weights = f.products(f.products(q0s, self.inv_scales), repeat(inv_k))
+        self.weights = f.products(f.products(q0s, inv_dens), repeat(f.inv(f.sum(q0s))))
+        if n > 1 and f.sum(self.weights) != 0:
+            raise ValidationError("weights fail the identities of 1 / M'(x_i) over the fiber")
         at_x0, slope = _value_and_slope(f, self.fiber_poly, self.points[0])
         if at_x0 != 0 or f.mul(self.weights[0], slope) != 1:
             raise ValidationError("fiber polynomial or weights fail at the fiber's first point")
-        if (n > 1 and f.sum(self.weights) != 0) or f.sum(f.products(self.weights, dens)) != 1:
-            raise ValidationError("weights fail the identities of 1 / M'(x_i) over the fiber")
 
     def _build_kernel(self):
         """engine Levels from each level's points and poles, plus the
@@ -612,18 +605,6 @@ def _cycle_log(step, start, target, length):
             return i * m + baby[target]
         target = back(target)
     return None
-
-
-def _powers(field, xs, e):
-    """[x^e] over a column, e >= 1, by left-to-right square and multiply on
-    Field.products: (bit length - 1) squarings and (popcount - 1) products,
-    at most pow's count, 2 (bit length - 1) muls an entry."""
-    out = xs
-    for bit in bin(e)[3:]:
-        out = field.products(out, out)
-        if bit == "1":
-            out = field.products(out, xs)
-    return out
 
 
 def _power_classes(field, xs, d):

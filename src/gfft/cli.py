@@ -15,6 +15,7 @@ import time
 from . import fileio
 from .afft import add_plan
 from .cfft import cyclic_plan
+from .engine import MAX_N
 from .errors import (InputError, InvalidFieldValue, MismatchError, SubspaceTooLarge,
                      ValidationError)
 from .gf import factorize, field_make
@@ -193,18 +194,17 @@ def cmd_bench(args) -> int:
         for n in _parse_ints(args.ladder):
             if n < 2:
                 raise ValidationError(f"ladder size {n} is below 2")
+            if n > MAX_N:  # refused before trial division, which would run to sqrt(n)
+                raise ValidationError(f"ladder size {n} beyond the transform bound 2**20")
             if args.case == "mult":
                 plan = mult_plan(field, _factor_smooth(n))
             elif args.case == "add":
-                dim, m = 0, n
-                while m > 1 and m % field.p == 0:
-                    m //= field.p
-                    dim += 1
-                if m != 1:
+                primes = _factor_smooth(n)
+                if set(primes) != {field.p}:
                     raise ValidationError(f"additive ladder sizes must be powers of {field.p}")
                 if n > field.q:
                     raise SubspaceTooLarge(f"additive ladder size {n} exceeds q = {field.q}")
-                basis = [field.p**i for i in range(dim)]  # unit coefficient vectors
+                basis = [field.p**i for i in range(len(primes))]  # unit coefficient vectors
                 plan = add_plan(field, basis)
             else:
                 plan = cyclic_plan(field, _factor_smooth(n))

@@ -86,13 +86,19 @@ class OpCounter:
 
 
 def square_multiply(mul, x, e: int, one):
-    """x^e, e >= 0, for an associative product mul with identity one."""
-    acc = one
-    while e:
-        if e & 1:
+    """x^e for an associative product mul, left to right: (bit length - 1)
+    squarings and (popcount - 1) products, so one is returned only for e = 0
+    (a column power passes None).  The library's one power routine; e is an
+    int (not a bool) and never negative, else ValidationError."""
+    if _int_entry(e) < 0:
+        raise ValidationError(f"negative exponent {e}")
+    if e == 0:
+        return one
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
             acc = mul(acc, x)
-        x = mul(x, x)
-        e >>= 1
     return acc
 
 
@@ -393,8 +399,8 @@ class Field:
         else:
             out = self._exp[(self._log[x] * e) % (self.q - 1)]
         c = self._counter
-        if c is not None:  # square and multiply's count, from e alone, for every x
-            c.muls += max(e.bit_length() * 2 - 2, 0)
+        if c is not None:  # square_multiply's count, from e alone, for every x
+            c.muls += max(e.bit_length() + e.bit_count() - 2, 0)
         return out
 
     def element_order(self, x: int) -> int:

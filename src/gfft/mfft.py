@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import engine
 from .errors import RadixNotDividingGroupOrder, ValidationError
-from .gf import Field, find_primitive_element
+from .gf import Field, find_primitive_element, square_multiply
 from .vectors import BASIS_STANDARD, CoeffVec, coeff_values, plan_list, standard_values, value_raws
 
 
@@ -44,7 +44,8 @@ class MultPlan:
 
         # x_i = x^(p_1...p_i), checked constant on each strided fiber
         self.level_points = engine.fiber_levels(
-            pts, radices, lambda i, xs: [field.pow(x, radices[i - 1]) for x in xs], strided=True)
+            pts, radices, lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None),
+            strided=True)
         self.points = pts
         self.kernel = [engine.Level(p, True, pts) for p, pts in zip(radices, self.level_points)]
         engine.build_inverse_locals(field, self.kernel)

@@ -54,7 +54,7 @@ class MoebiusMap:
         """By square and multiply on the raw 4-tuples, each product counted
         as compose counts it, normalized once, at the end."""
         f = self.field
-        base = self if e >= 0 else self.inverse()
+        base = self if _int_entry(e) >= 0 else self.inverse()
         return MoebiusMap(f, *square_multiply(lambda u, v: _product(f, u, v), base.entries(),
                                               abs(e), (1, 0, 0, 1)))
 

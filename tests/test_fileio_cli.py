@@ -321,7 +321,8 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
                                   "inf-fiber-on-partial-plan", "radices-on-add", "fiber-on-mult",
                                   "beta-on-cyclic", "m-on-mult", "basis-on-mult",
                                   "basis-on-cyclic", "add-ladder-beyond-q", "ladder-zero",
-                                  "ladder-negative", "beta-two-values", "fiber-not-json"])
+                                  "ladder-negative", "ladder-beyond-bound", "beta-two-values",
+                                  "fiber-not-json"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -405,6 +406,11 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         # used to benchmark a one-point plan and print it as n=1
         argv = ["bench", "--case", "mult", "--p", "17", "--ladder",
                 "0" if case == "ladder-zero" else "-4"]
+        error = "ValidationError"
+    elif case == "ladder-beyond-bound":
+        # refused before it is factored: trial division up to 1e9 used to
+        # run for minutes
+        argv = ["bench", "--case", "mult", "--p", "17", "--ladder", str(10**18 + 3)]
         error = "ValidationError"
     elif case.split("-on-")[0] in ("radices", "fiber", "beta", "m", "basis"):
         # an option of another case used to be dropped, with exit 0

@@ -14,6 +14,7 @@ from gfft.gf import (
     multiplicative_order,
     quadratic_is_irreducible,
     quadratic_root_order,
+    square_multiply,
 )
 
 
@@ -195,7 +196,52 @@ def test_pow_negative_exponent_inverts(F127, F9):
     # one inverse, then square and multiply on the exponent 5
     with F127.count_ops() as ctr:
         F127.pow(3, -5)
-    assert (ctr.muls, ctr.invs) == (4, 1)
+    assert (ctr.muls, ctr.invs) == (3, 1)
+
+
+def _sm_count(e):
+    """square_multiply's product count: (bit length - 1) squarings and
+    (popcount - 1) products."""
+    return max(e.bit_length() + bin(e).count("1") - 2, 0)
+
+
+def test_square_multiply_counts_its_products():
+    calls = []
+
+    def mul(u, v):
+        calls.append(None)
+        return u * v % 1009
+
+    for e in range(301):
+        calls.clear()
+        assert square_multiply(mul, 3, e, 1) == pow(3, e, 1009), e
+        assert len(calls) == _sm_count(e), e
+
+
+@pytest.mark.parametrize("args", [(127,), (3, 2), (2, 6)])
+def test_pow_charges_square_multiplys_count(args):
+    """Field.pow keeps its native shortcut but charges square_multiply's
+    count, at x = 0 and at x != 0 alike."""
+    field = field_make(*args)
+    for x in (0, 1, 5):
+        for e in (0, 1, 2, 3, 7, 8, 13, 126, 300):
+            with field.count_ops() as ctr:
+                got = field.pow(x, e)
+            assert got == square_multiply(field.mul, x, e, 1), (args, x, e)
+            assert (ctr.adds, ctr.muls, ctr.invs) == (0, _sm_count(e), 0), (args, x, e)
+
+
+@pytest.mark.parametrize("args", [(127,), (3, 2), (2, 6), (3, 4)])
+def test_column_powers_match_pow(args):
+    """square_multiply on Field.products powers a whole column, with
+    square_multiply's count per entry."""
+    field = field_make(*args)
+    xs = list(range(min(field.q, 40)))
+    for e in (2, 3, 5, 11, 13, 128):
+        with field.count_ops() as ctr:
+            got = square_multiply(field.products, xs, e, None)
+        assert got == [field.pow(x, e) for x in xs], (args, e)
+        assert (ctr.adds, ctr.muls) == (0, _sm_count(e) * len(xs)), (args, e)
 
 
 def test_pow_exponent_additivity(F127, rng):
@@ -368,10 +414,10 @@ def test_counter_scopes_nest(F127):
 
 
 def test_pow_counts_from_the_exponent_alone(F17, F9):
-    # GF(9).pow(0, 5) used to count no muls where F_17's counted 4
+    # GF(9).pow(0, 5) used to count no muls where F_17's counted them
     for field in (F17, F9):
         for x in (0, 1, 2):
-            for e, muls in ((5, 4), (0, 0)):
+            for e, muls in ((5, 3), (0, 0)):
                 with field.count_ops() as ctr:
                     field.pow(x, e)
                 assert (ctr.adds, ctr.muls, ctr.invs) == (0, muls, 0), (field, x, e)

@@ -171,7 +171,7 @@ def test_power_equals_repeated_compose(args):
     for e in (2, 191):
         with field.count_ops() as ctr:
             m ** e
-        products = e.bit_length() + bin(e).count("1")  # square_multiply's calls
+        products = e.bit_length() + bin(e).count("1") - 2  # square_multiply's calls
         assert (ctr.adds, ctr.muls, ctr.invs) == (4 * products + 1, 8 * products + 6, 1), e
 
 

@@ -18,6 +18,21 @@ CASES = {
 }
 
 
+def test_power_exponents_checked():
+    """Every ** reads its exponent as an int, not a bool, before its sign:
+    -1 inverts a field element and a Moebius map, and a polynomial has no
+    negative power (square and multiply used to shift -1 forever)."""
+    F17 = field_make(17)
+    x, m, f = F17(3), MoebiusMap(F17, 3, 1, 1, 5), Poly(F17, [1, 1])
+    assert x ** -1 == x.inverse() and m ** -1 == m.inverse()
+    with pytest.raises(ValidationError, match="negative exponent"):
+        f ** -1
+    for base in (x, m, f):
+        for e in (2.0, True, "3"):
+            with pytest.raises(InvalidFieldValue):
+                base ** e
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_raw_values_checked_at_entry_points(case):
     make, fft, ifft = CASES[case]
