@@ -33,17 +33,17 @@ including infinity; the kernel then routes the fiber over each level's point
 at infinity through precomputed constants instead of direct evaluation.
 
 The basis conversions mirror each other around the transform: standard ->
-cyclic-z evaluates the polynomial at the plan's points (Horner) and inverts
-the values with q1_ifft; cyclic-z -> standard evaluates with q1_fft and
-interpolates at the finite points by a transposed Vandermonde solve: power
-sums of the values times the weights 1/M'(x_i), combined through the
-coefficients of the fiber polynomial M = prod (x - x_i).  The plan builds M
-and the weights in closed form, in O(n) field operations, so a conversion
-inverts nothing.  standard -> cyclic-z costs O(n^2).  cyclic-z -> standard
-runs its power sums over the classes y = x^d of the points, from a table
-built on the first conversion: on a full plan, whose points are F_q, d | q - 1
-near sqrt(q) makes them O(n^1.5); a partial plan's square classes {x, -x}
-keep them O(n^2).
+cyclic-z evaluates the polynomial at the plan's points and inverts the values
+with q1_ifft; cyclic-z -> standard evaluates with q1_fft and interpolates at
+the finite points by a transposed Vandermonde solve: power sums of the values
+times the weights 1/M'(x_i), combined through the coefficients of the fiber
+polynomial M = prod (x - x_i).  The plan builds M and the weights in closed
+form, in O(n) field operations, so a conversion inverts nothing.  Both run
+over the classes y = x^d of the points, from one table built on the first
+conversion that reads it: the evaluation sums x^r f_r(x^d), and the power sums
+are its transpose.  On a full plan, whose points are F_q, d | q - 1 near
+sqrt(q) makes both O(n^1.5); a partial plan evaluates at d = 1 (Horner at
+each point, no table) and sums over its square classes {x, -x}: O(n^2).
 """
 
 from __future__ import annotations
@@ -452,14 +452,16 @@ class CyclicPlan:
 
     @cached_property
     def class_table(self):
-        """tilde_to_std's grouping of the finite points by y = x^d, built on
-        the first conversion: (d, ys, ranks), ys the distinct y, larger
-        classes first, repeated d times, and ranks[j] = (idx, pows) the index
-        of the j-th point of each class that has one and pows[r - 1] = [x^r]
-        there.  A full plan's points are F_q, whose x^d has 1 + (q - 1) / d
-        classes: d | q - 1 is the largest divisor at most sqrt(q - 1), which
-        minimizes d + (q - 1) / d.  A partial plan keeps the squares, d = 2,
-        whose pairs x, -x are by chance."""
+        """The grouping of the finite points by y = x^d that both conversions
+        run over, built on the first that reads it (either one on a full
+        plan, tilde_to_std on a partial one): (d, ys, ranks), ys the
+        distinct y, larger classes first, repeated d times, and ranks[j] =
+        (idx, pows) the index of the j-th point of each class that has one
+        and pows[r - 1] = [x^r] there.  A full plan's points are F_q, whose
+        x^d has 1 + (q - 1) / d classes: d | q - 1 is the largest divisor at
+        most sqrt(q - 1), which minimizes d + (q - 1) / d.  A partial plan
+        keeps the squares, d = 2, whose pairs x, -x are by chance; its
+        std_to_tilde runs at d = 1 and reads no table."""
         q, xs = self.field.q, self.points[1:] if self.is_full else self.points
         d = max(k for k in range(1, isqrt(q - 1) + 1) if (q - 1) % k == 0) if self.is_full else 2
         classes, pows = _power_classes(self.field, xs, d)
@@ -775,11 +777,31 @@ def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     """Express a standard-coefficient polynomial of degree < n in cyclic-z.
 
     The transform maps cyclic-z coefficients bijectively onto values at the
-    plan's points, so the polynomial is evaluated there (Horner) and the
-    values are inverted through the kernel.  On a full plan the slot at
-    infinity is unused: the index-0 basis element x^q - x vanishes on F_q, so
-    its coefficient is the x^q coefficient, passed as a0.
+    plan's points, so the polynomial is evaluated there and the values are
+    inverted through the kernel.  The evaluation is the transpose of
+    tilde_to_std's power sums, over the same class_table: f = sum_(r < d)
+    x^r f_r(x^d), so Horner gives each f_r at the distinct y = x^d, about
+    n / d steps a class, and d - 1 column ops over the x^r columns give each
+    point's value from its class's d values.  On a full plan d near sqrt q
+    makes that O(n^1.5), where Horner at the points takes n^2.  A partial
+    plan takes d = 1, one class a point: Horner at each point, deg f adds and
+    muls a point.  On a full plan the slot at infinity is unused: the index-0
+    basis element x^q - x vanishes on F_q, so its coefficient is the x^q
+    coefficient, passed as a0.
     """
-    poly = Poly(plan.field, standard_values(plan.field, coeffs, plan.n))
-    values = [0 if pt is INF else poly.eval(pt) for pt in plan.points]
-    return q1_ifft(plan, values, poly[plan.n - 1] if plan.is_full else None)
+    f, full = plan.field, plan.is_full
+    a = standard_values(f, coeffs, plan.n)
+    d, ys, ranks = plan.class_table if full else (1, plan.points, [(range(plan.n), [])])
+    parts = [Poly(f, a[r::d]) for r in range(d)]
+    while len(parts) > 1 and not parts[-1].coeffs:  # a zero top part costs no column op
+        parts.pop()
+    ys = ys[:len(ys) // d]
+    parts = [[g.eval(y) for y in ys] for g in parts]  # f_r(y) by Horner, a class each
+    values = [0] * plan.n  # a full plan's INF, first, keeps 0
+    for idx, pows in ranks:  # f(x) = sum x^r f_r(x^d) at the j-th point of each class
+        acc = parts[0][:len(idx)]
+        for part, pw in zip(parts[1:], pows):
+            acc = f.add_products(acc, part, pw)
+        for i, v in zip(idx, acc):
+            values[i + full] = v
+    return q1_ifft(plan, values, a[-1] if full else None)

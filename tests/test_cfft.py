@@ -252,18 +252,27 @@ def test_std_to_tilde_matches_basis_matrix(request, config, rng):
             assert list(std_to_tilde(plan, Poly(plan.field, std)).values) == expected
 
 
+# q1_fft (adds, muls) on F_23, n = 24, by radix order: the cost falls as the
+# radix 3 moves down the tower; gfft bench factors ascending, (2, 2, 2, 3)
+RADIX_ORDER_FFT_OPS = {(3, 2, 2, 2): (96, 119), (2, 3, 2, 2): (95, 118), (2, 2, 2, 3): (89, 112)}
+
+
 def test_radix_order_variants(rng):
     F23 = field_make(23)
-    for radices in ((3, 2, 2, 2), (2, 3, 2, 2)):
+    for radices, fft_ops in RADIX_ORDER_FFT_OPS.items():
         plan = cyclic_plan(F23, radices)
         for _ in range(25):
             c = [rng.randrange(23) for _ in range(24)]
-            ev = q1_fft(plan, c)
-            f = Poly(F23, list(tilde_to_std(plan, c).values))
+            with F23.count_ops() as ctr:
+                ev = q1_fft(plan, c)
+            assert (ctr.adds, ctr.muls, ctr.invs) == (*fft_ops, 0), radices
+            std = list(tilde_to_std(plan, c).values)
+            f = Poly(F23, std)
             for pt, v in zip(ev.points, ev.values):
                 if pt is not INF:
                     assert v == f.eval(pt)
             assert list(q1_ifft(plan, ev).values) == c
+            assert list(std_to_tilde(plan, std).values) == c
 
 
 @pytest.mark.parametrize("field_args, radices", [
@@ -848,6 +857,93 @@ def test_tilde_to_std_power_sums_over_power_classes(field_args, radices, rng):
     reloaded = fileio.plan_from_json(json.loads(json.dumps(fileio.plan_to_json(plan))))
     assert tilde_to_std(reloaded, c) == first
     assert ctr.muls - fft_ops.muls <= 3 * plan.n ** 1.5, (field_args, radices, ctr.muls)
+
+
+@pytest.mark.parametrize("field_args, radices", [
+    ((191,), (2,) * 6 + (3,)), ((127,), (2,) * 7), ((2, 6), (5, 13)), ((7, 2), (2, 5, 5)),
+    ((3, 4), (2, 41)),
+])
+def test_std_to_tilde_evaluates_over_power_classes(field_args, radices, rng, monkeypatch):
+    """The transpose of the power sums above: f = sum_(r < d) x^r f_r(x^d),
+    with f_r evaluated once a class y = x^d, so std_to_tilde takes at most
+    3 n^1.5 muls beyond its q1_ifft, where Horner at the points takes about
+    n^2.  The first call, a later one and a plan reloaded from its file
+    agree, and the two conversions share one class table, built once by
+    whichever runs first."""
+    builds, power_classes = [], cfft._power_classes
+    monkeypatch.setattr(cfft, "_power_classes",
+                        lambda *args: builds.append(args) or power_classes(*args))
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices)
+    assert plan.is_full and "class_table" not in vars(plan)
+    std = [rng.randrange(field.q) for _ in range(plan.n)]
+    first = std_to_tilde(plan, std)
+    table = plan.class_table
+    assert len(builds) == 1
+    ev = q1_fft(plan, first)
+    with field.count_ops() as ifft_ops:
+        q1_ifft(plan, ev)
+    with field.count_ops() as ctr:
+        assert std_to_tilde(plan, std) == first
+    assert list(tilde_to_std(plan, first).values) == std
+    assert plan.class_table is table and len(builds) == 1
+    n = plan.n
+    assert ctr.muls - ifft_ops.muls <= 3 * n ** 1.5, (field_args, radices, ctr.muls)
+
+    reloaded = fileio.plan_from_json(json.loads(json.dumps(fileio.plan_to_json(plan))))
+    assert "class_table" not in vars(reloaded)
+    assert list(tilde_to_std(reloaded, first).values) == std
+    table = reloaded.class_table
+    assert std_to_tilde(reloaded, std) == first
+    assert reloaded.class_table is table and len(builds) == 2
+
+
+@pytest.mark.parametrize("field_args, radices, fiber", [
+    ((383,), (2,) * 7, None), ((131,), (2, 3, 11), None), ((M31,), (2,) * 6, 2),
+])
+def test_std_to_tilde_on_a_partial_plan_is_horner_at_each_point(field_args, radices, fiber, rng):
+    """A partial plan's std_to_tilde runs the class evaluation at d = 1, one
+    class a point: exactly deg f adds and deg f muls a point beyond its
+    q1_ifft, and no class table: pairing it over tilde_to_std's square
+    classes would push criterion 5's EXIT / ENTER ratio past its bound."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices, fiber_key=fiber)
+    n = plan.n
+    assert not plan.is_full
+    for length in (1, 2, n // 2, n):
+        std = [rng.randrange(field.q) for _ in range(length - 1)] + [rng.randrange(1, field.q)]
+        ev = q1_fft(plan, std_to_tilde(plan, std))
+        with field.count_ops() as ifft_ops:
+            q1_ifft(plan, ev)
+        with field.count_ops() as ctr:
+            std_to_tilde(plan, std)
+        deg = length - 1
+        assert (ctr.adds - ifft_ops.adds, ctr.muls - ifft_ops.muls) == (deg * n, deg * n)
+    assert "class_table" not in vars(plan)
+
+
+@pytest.mark.parametrize("field_args, radices, d", [
+    ((2,), (3,), 1), ((3,), (2, 2), 1), ((2, 2), (5,), 1), ((2, 4), (17,), 3),
+    ((13,), (2, 7), 3), ((7, 2), (2, 5, 5), 6),
+])
+def test_conversions_at_class_edge_lengths(field_args, radices, d, rng):
+    """Both conversions against the dense oracle at the lengths where the
+    split f = sum x^r f_r(x^d) is thin: empty, one coefficient, d - 1, d and
+    d + 1 (the top part f_r shorter than the others, or missing), n - 1 and
+    n; every point set holds 0, the class y = 0 of one point.  d = 1 leaves
+    one part and no combining step."""
+    plan = cyclic_plan(field_make(*field_args), radices)
+    assert plan.is_full and plan.class_table[0] == d
+    bm, q, n = basis_matrix(plan), plan.field.q, plan.n
+    for length in sorted({0, 1, d - 1, d, d + 1, n - 1, n} & set(range(n + 1))):
+        for _ in range(3):
+            std = [rng.randrange(q) for _ in range(length)]
+            if length:
+                std[-1] = rng.randrange(1, q)
+            padded = std + [0] * (n - length)
+            expected = bm.solve(padded)
+            assert list(std_to_tilde(plan, std).values) == expected, (field_args, length)
+            assert list(tilde_to_std(plan, expected).values) == padded, (field_args, length)
 
 
 def test_poly_inputs_are_standard_vectors(rng):
