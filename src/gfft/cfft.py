@@ -63,13 +63,13 @@ from .errors import (
     SplitValidationFailure,
     ValidationError,
 )
-from .gf import (Field, find_primitive_quadratic, multiplicative_order, quadratic_is_irreducible,
+from .gf import (Field, find_primitive_quadratic, quadratic_failure, quadratic_is_irreducible,
                  square_multiply)
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
 from .linalg import invert  # noqa: F401
 from .moebius import MoebiusMap, relation
-from .poly import INF, Poly, RatFn, _substitute, homogeneous, mul_add, poly_str
+from .poly import INF, Poly, RatFn, _substitute, homogeneous, horner, mul_add, poly_str, trim
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
                       plan_list, point_in, point_ordered, point_out, standard_values, value_raws)
 
@@ -121,24 +121,13 @@ class CyclicPlan:
             if len(m) != 2:
                 raise ValidationError(f"m_pair must hold two entries (a, b), got {m_pair!r}")
             a, b = m
-            if not quadratic_is_irreducible(field, a, b):
-                raise PrimitivityFailure("x^2 + a x + b is reducible")
-            # b is the norm of a root, so it generates F_q^* if the root
-            # generates F_{q^2}^*; with sigma of order q + 1 (checked below),
-            # that is also enough
-            if field.element_order(b) != field.q - 1:
-                raise PrimitivityFailure("x^2 + a x + b is irreducible but not primitive")
+            if failure := quadratic_failure(field)(a, b):
+                raise PrimitivityFailure(failure)
         self.m_coeffs = (a, b)
-
         self.sigma = MoebiusMap(field, 0, 1, f.neg(b), f.neg(a))
-        order = multiplicative_order(self.sigma, field.q + 1, pow, MoebiusMap.identity(f))
-        if order != field.q + 1:
-            raise PrimitivityFailure("companion map does not have order q+1")
 
         inv_b = f.inv(b)
         quad0 = Poly(field, (inv_b, f.mul(a, inv_b), 1))
-        if not quadratic_is_irreducible(field, quad0[1], quad0[0]):
-            raise ValidationError("ramified quadratic is reducible")
         self._check_quad_invariance(quad0)
         self.quads = [quad0]
 
@@ -678,29 +667,29 @@ def _value_and_slope(field, coeffs, x):
 
 
 def q1_fft(plan: CyclicPlan, coeffs) -> CyclicEvalVec:
-    f = plan.field
+    f, full = plan.field, plan.is_full
     vals = coeff_values(f, coeffs, BASIS_CYCLIC, plan.n)
     tilde = engine.forward(f, plan.kernel, vals)
-    if not plan.is_full:
+    if not full:
         tilde = f.products(tilde, repeat(plan.base_value))
     # the slot at INF is structurally zero; printed convention
-    out = [v if s is None else f.mul(s, v) for s, v in zip(plan.scales, tilde)]
-    return CyclicEvalVec(plan.points, out, tilde, vals[0] if plan.is_full else None)
+    out = tilde[:full] + f.products(tilde[full:], plan.scales[full:])
+    return CyclicEvalVec(plan.points, out, tilde, vals[0] if full else None)
 
 
 def q1_tilde(plan: CyclicPlan, values) -> list:
     """The tilde q1_fft pairs with values in plan point order: value / scale,
     0 at INF.  inv_scales is 1 / (scale * base_value) on a partial plan."""
-    f = plan.field
-    tilde = [0 if u is None else f.mul(v, u) for u, v in zip(plan.inv_scales, values)]
-    return tilde if plan.is_full else f.products(tilde, repeat(plan.base_value))
+    f, full = plan.field, plan.is_full
+    tilde = [0] * full + f.products(values[full:], plan.inv_scales[full:])
+    return tilde if full else f.products(tilde, repeat(plan.base_value))
 
 
 def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
     """Invert q1_fft.  Accepts the CyclicEvalVec from the forward transform,
     or a value sequence in plan point order (with a0 supplied separately for
     full plans)."""
-    f = plan.field
+    f, full = plan.field, plan.is_full
     if isinstance(values, CyclicEvalVec):
         a0 = values.a0 if a0 is None else a0
         seq = values.values
@@ -711,11 +700,11 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
         seq = value_raws(f, values)
     if len(seq) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(seq)}")
-    if a0 is not None and not plan.is_full:
+    if a0 is not None and not full:
         raise ValidationError("a partial plan's values carry no a0")
-    tilde = [0 if u is None else f.mul(v, u) for u, v in zip(plan.inv_scales, seq)]
+    tilde = [0] * full + f.products(seq[full:], plan.inv_scales[full:])
     out = engine.inverse(f, plan.kernel, tilde)
-    if plan.is_full:
+    if full:
         if a0 is None:
             raise ValidationError(
                 "full-length inversion needs the carried top coefficient a0"
@@ -792,11 +781,12 @@ def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     f, full = plan.field, plan.is_full
     a = standard_values(f, coeffs, plan.n)
     d, ys, ranks = plan.class_table if full else (1, plan.points, [(range(plan.n), [])])
-    parts = [Poly(f, a[r::d]) for r in range(d)]
-    while len(parts) > 1 and not parts[-1].coeffs:  # a zero top part costs no column op
+    # lists, not Polys: CPython 3.11 keeps the freed tuples of up to 20 entries
+    parts = [trim(a[r::d]) for r in range(d)]
+    while len(parts) > 1 and not parts[-1]:  # a zero top part costs no column op
         parts.pop()
     ys = ys[:len(ys) // d]
-    parts = [[g.eval(y) for y in ys] for g in parts]  # f_r(y) by Horner, a class each
+    parts = [[horner(f, g, y) for y in ys] for g in parts]  # f_r(y), a class each
     values = [0] * plan.n  # a full plan's INF, first, keeps 0
     for idx, pows in ranks:  # f(x) = sum x^r f_r(x^d) at the j-th point of each class
         acc = parts[0][:len(idx)]

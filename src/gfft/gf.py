@@ -10,7 +10,7 @@ The column ops (add_products, sub_products, diff_products, products) fuse
 an entrywise multiply with an add or subtract over whole lists, for the
 transform kernels, and count as the element ops they fuse; sum adds up a
 column, counted as its adds.  Field._tally is the one way a loop that does
-element ops inline, here or in another module (poly.mul_add and Poly.eval),
+element ops inline, here or in another module (poly.mul_add and poly.horner),
 reports them: no other module reads the counter.
 
 Field.raw is the one rule for what a value of F_q is: an int in [0, q) that
@@ -622,43 +622,41 @@ def quadratic_is_irreducible(field: Field, a: int, b: int) -> bool:
     return disc != 0 and field._log[disc] % 2 == 1
 
 
-def quadratic_root_order(field: Field, a: int, b: int) -> int:
-    """Multiplicative order of a root of irreducible x^2 + a x + b in F_{q^2}.
+def quadratic_failure(field: Field):
+    """The one primitivity test of m = x^2 + a x + b: a function of raw (a, b)
+    that returns None when a root theta generates F_{q^2}^*, else the message
+    of the first test that fails: m is irreducible; b = theta^(q+1)
+    generates F_q^* (q - 1 is factored once, here); the companion map sigma:
+    x -> 1 / (-b x - a) has order q + 1 in PGL_2, that of theta mod F_q^*.
+    For theta of order k these are k / gcd(k, q + 1) and k / gcd(k, q - 1),
+    and both together force k = q^2 - 1."""
+    from .moebius import MoebiusMap  # function level: moebius imports gf
 
-    Works in F_q[T]/(m) with elements as raw pairs (c0, c1).
-    """
-    f = field
-    neg_a, neg_b = f.neg(a), f.neg(b)
+    q = field.q
+    cofactors = [(q - 1) // ell for ell in factorize(q - 1)]  # none for q = 2
+    identity = MoebiusMap.identity(field)
 
-    def mul2(u, v):
-        u0, u1 = u
-        v0, v1 = v
-        t = f.mul(u1, v1)  # coefficient of T^2 -> reduce via T^2 = -aT - b
-        c0 = f.add(f.mul(u0, v0), f.mul(t, neg_b))
-        c1 = f.add(f.add(f.mul(u0, v1), f.mul(u1, v0)), f.mul(t, neg_a))
-        return (c0, c1)
+    def failure(a, b):
+        if not quadratic_is_irreducible(field, a, b):
+            return "x^2 + a x + b is reducible"
+        if any(field.pow(b, e) == 1 for e in cofactors):
+            return "x^2 + a x + b is irreducible but not primitive"
+        sigma = MoebiusMap(field, 0, 1, field.neg(b), field.neg(a))
+        if multiplicative_order(sigma, q + 1, pow, identity) != q + 1:
+            return "companion map does not have order q+1"
 
-    def pow2(x, e):
-        return square_multiply(mul2, x, e, (1, 0))
-
-    return multiplicative_order((0, 1), (f.q - 1, f.q + 1), pow2, (1, 0))
+    return failure
 
 
 def find_primitive_quadratic(field: Field):
-    """Least (a, b) with x^2 + a x + b irreducible and a root generating
-    F_{q^2}^*.  Returns a pair of FieldElements.  The roots theta, theta^q
-    multiply to the norm theta^(q+1) = b, and the norm maps a generator of
-    F_{q^2}^* onto one of F_q^*, so a b that generates no F_q^* is refused
-    before the root order is computed (q - 1 is factored once)."""
-    q = field.q
-    target = q * q - 1
-    cofactors = [(q - 1) // ell for ell in factorize(q - 1)]  # none for q = 2
+    """Least (a, b), a then b, that quadratic_failure passes: x^2 + a x + b
+    irreducible with a root generating F_{q^2}^*.  Returns a pair of
+    FieldElements."""
+    failure = quadratic_failure(field)
     # a = 0 never qualifies: a root of an irreducible x^2 + b has alpha^2 = -b
     # in F_q^*, so its order divides 2(q - 1) < q^2 - 1
-    for a in range(1, q):
-        for b in range(1, q):  # b = 0 is the norm of no unit
-            if (all(field.pow(b, e) != 1 for e in cofactors)
-                    and quadratic_is_irreducible(field, a, b)
-                    and quadratic_root_order(field, a, b) == target):
+    for a in range(1, field.q):
+        for b in range(1, field.q):  # b = 0 is the norm of no unit
+            if failure(a, b) is None:
                 return FieldElement(field, a), FieldElement(field, b)
     raise ValidationError("no primitive quadratic found")  # pragma: no cover

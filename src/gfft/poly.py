@@ -5,8 +5,9 @@ zeros trimmed.  Every coefficient, point and scalar passed in is read through
 Field.raw or Field.raws, so it is checked, not reduced.  Rational places are
 represented by a raw value alpha in F_q or the INF sentinel; evaluation of a
 rational function returns a raw value or INF likewise.  mul_add is the one
-product of coefficient lists and homogeneous the one composition: Poly and
-RatFn run on them, and so does the cyclic plan build.
+product of coefficient lists, horner the one evaluation of one at a point and
+homogeneous the one composition: Poly and RatFn run on them, and so do the
+cyclic plan build and std_to_tilde.
 """
 
 from __future__ import annotations
@@ -42,10 +43,7 @@ class Poly:
 
     def __init__(self, field: Field, coeffs=()):
         self.field = field
-        c = field.raws(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
+        self.coeffs = tuple(trim(field.raws(coeffs)))
 
     # -- constructors --------------------------------------------------------
 
@@ -179,22 +177,7 @@ class Poly:
     # -- evaluation -------------------------------------------------------------
 
     def eval(self, x) -> int:
-        f = self.field
-        x = f.raw(x)
-        if not self.coeffs:
-            return 0
-        if f.r == 1:
-            p = f.p
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % p
-            d = len(self.coeffs) - 1
-            f._tally(d, d)
-            return acc
-        acc = self.coeffs[-1]  # from the leading coefficient: deg adds and muls
-        for c in self.coeffs[-2::-1]:
-            acc = f.add(f.mul(acc, x), c)
-        return acc
+        return horner(self.field, self.coeffs, self.field.raw(x))
 
     def __call__(self, x):
         return self.eval(x)
@@ -223,6 +206,34 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
+
+
+def trim(coeffs: list) -> list:
+    """coeffs with its trailing zeros popped, in place: Poly's stored form."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def horner(field: Field, coeffs, x: int) -> int:
+    """g(x) for raw x and g with ascending raw coeffs, by Horner from the last
+    coefficient: len(coeffs) - 1 adds and muls (on prime fields inline,
+    reported through Field._tally), none for no coefficient.  Trimmed coeffs
+    (trim, Poly's form) give the count of Poly.eval, which runs on it."""
+    if not coeffs:
+        return 0
+    if field.r == 1:
+        p = field.p
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        d = len(coeffs) - 1
+        field._tally(d, d)
+        return acc
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = field.add(field.mul(acc, x), c)
+    return acc
 
 
 def mul_add(field: Field, u, v, acc=()) -> list:

@@ -1,10 +1,13 @@
 """Valuations and complete factorization over F_q (odd q), for the tests that
-check the divisor structure of the rational function field, and the cyclic
-plan's subfield tower, level maps and lifts of sigma derived symbolically.
-The library itself never factors, takes valuations or sums rational
-functions."""
+check the divisor structure of the rational function field, the cyclic
+plan's subfield tower, level maps and lifts of sigma derived symbolically,
+and the order of a root of a quadratic in F_{q^2}, the reference the
+library's companion-map primitivity test (gf.quadratic_failure) is checked
+against.  The library itself never factors, takes valuations, sums rational
+functions or computes in F_{q^2}."""
 
 from gfft.errors import ValidationError
+from gfft.gf import multiplicative_order, square_multiply
 from gfft.moebius import match_moebius
 from gfft.poly import INF, Poly, RatFn, compose_moebius
 
@@ -189,3 +192,23 @@ def cyclic_tower(plan) -> list:
             acc = acc + cur
         tower.append(acc)
     return tower
+
+
+def quadratic_root_order(field, a: int, b: int) -> int:
+    """Multiplicative order of a root of irreducible x^2 + a x + b in
+    F_{q^2}, with F_{q^2} as F_q[T]/(x^2 + a x + b) on raw pairs (c0, c1)."""
+    f = field
+    neg_a, neg_b = f.neg(a), f.neg(b)
+
+    def mul2(u, v):
+        u0, u1 = u
+        v0, v1 = v
+        t = f.mul(u1, v1)  # coefficient of T^2 -> reduce via T^2 = -aT - b
+        c0 = f.add(f.mul(u0, v0), f.mul(t, neg_b))
+        c1 = f.add(f.add(f.mul(u0, v1), f.mul(u1, v0)), f.mul(t, neg_a))
+        return (c0, c1)
+
+    def pow2(x, e):
+        return square_multiply(mul2, x, e, (1, 0))
+
+    return multiplicative_order((0, 1), (f.q - 1, f.q + 1), pow2, (1, 0))

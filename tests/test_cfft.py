@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from divisors import cyclic_tower, ratfn_levels
+from divisors import cyclic_tower, quadratic_root_order, ratfn_levels
 from gfft import cfft, engine, fileio, gf, poly
 
 from gfft.cfft import (
@@ -1018,7 +1018,7 @@ def test_explicit_m_accepted_exactly_when_primitive(args, radices):
     for a, b in itertools.product(range(q), repeat=2):
         if not gf.quadratic_is_irreducible(field, a, b):
             continue
-        if gf.quadratic_root_order(field, a, b) == q * q - 1:
+        if quadratic_root_order(field, a, b) == q * q - 1:
             assert cyclic_plan(field, radices, m_pair=(a, b)).m_coeffs == (a, b)
             accepted += 1
             continue
@@ -1028,6 +1028,33 @@ def test_explicit_m_accepted_exactly_when_primitive(args, radices):
             cyclic_plan(field, radices, m_pair=(a, b))
         refused += 1
     assert accepted and refused
+
+
+def test_sigma_order_is_tested_once_per_pair(monkeypatch):
+    """sigma's order test runs in gf.quadratic_failure only: a default build
+    runs it inside the search alone, as often as the search does by itself,
+    and a build with a given m, or a reload from the plan file, runs it once."""
+    tested = []
+    order = gf.multiplicative_order
+
+    def counting(x, *args):
+        if isinstance(x, MoebiusMap):
+            tested.append(x)
+        return order(x, *args)
+
+    monkeypatch.setattr(gf, "multiplicative_order", counting)
+    field, radices = field_make(191), (2,) * 6 + (3,)
+    gf.find_primitive_quadratic(field)
+    searched = len(tested)
+    assert searched
+    del tested[:]
+    plan = cyclic_plan(field, radices)
+    assert len(tested) == searched
+    for build in (lambda: cyclic_plan(field, radices, m_pair=plan.m_coeffs),
+                  lambda: fileio.plan_from_json(json.loads(json.dumps(fileio.plan_to_json(plan))))):
+        del tested[:]
+        build()
+        assert len(tested) == 1
 
 
 def test_reload_starts_at_the_stored_first_point(monkeypatch):

@@ -3,6 +3,7 @@ import operator
 
 import pytest
 
+from divisors import quadratic_root_order
 from gfft import gf
 from gfft.errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus,
                          ValidationError, ZeroInverse)
@@ -13,7 +14,6 @@ from gfft.gf import (
     is_irreducible_modp,
     multiplicative_order,
     quadratic_is_irreducible,
-    quadratic_root_order,
     square_multiply,
 )
 
@@ -363,6 +363,42 @@ def test_primitive_quadratic_is_least_from_a_zero(p, r):
                  and quadratic_root_order(field, a, b) == target)
     a, b = find_primitive_quadratic(field)
     assert (a.raw, b.raw) == least
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (13, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_quadratic_failure_matches_the_root_order(p, r):
+    # on every (a, b): None exactly when a root has order q^2 - 1 by the
+    # F_{q^2} reference, else the first test that fails, in order
+    field = field_make(p, r)
+    q = field.q
+    failure = gf.quadratic_failure(field)
+    for a in range(q):
+        for b in range(q):
+            if not quadratic_is_irreducible(field, a, b):
+                why = "x^2 + a x + b is reducible"
+            elif field.element_order(b) != q - 1:
+                why = "x^2 + a x + b is irreducible but not primitive"
+            elif quadratic_root_order(field, a, b) != q * q - 1:
+                why = "companion map does not have order q+1"
+            else:
+                why = None
+            assert failure(a, b) == why, (a, b)
+
+
+@pytest.mark.parametrize("p, pair", [(2**31 - 1, (1, 11)), (131071, (1, 3))])
+def test_primitive_quadratic_on_large_primes_passes_the_root_order(p, pair):
+    # too large for a scan from a = 0: a = 0 never qualifies, so the pair is
+    # the least when the F_{q^2} reference accepts it and no smaller b at a = 1
+    field = field_make(p)
+
+    def primitive(a, b):
+        return (quadratic_is_irreducible(field, a, b)
+                and quadratic_root_order(field, a, b) == p * p - 1)
+
+    a, b = find_primitive_quadratic(field)
+    assert (a.raw, b.raw) == pair
+    assert primitive(*pair)
+    assert not any(primitive(1, b) for b in range(1, pair[1]))
 
 
 @pytest.mark.parametrize("p,r", [(2, 1)] + NORM_FIELDS)
