@@ -11,7 +11,11 @@ binomials (_split) and the way back joins by Horner in them (_compose), one
 pass per division depth and a few fused column ops per pass, so both cost
 O(p n log^2 n) field ops with no recursion and no dense product.
 Each level's points are the previous level's images under its map
-T^p - b_i T, checked constant on every fiber (engine.fiber_levels).  Each
+T^p - b_i T, checked constant on every fiber (engine.fiber_levels).  The
+kernel's points run first basis vector slowest, so that each level's fibers
+fall on the engine's one layout; the public points run first vector fastest,
+and one index list, the base-p digit reversal, gathers the transforms'
+values between the two orders.  Each
 ell_i is built from its i + 1 linearized coefficients, the x^(p^j) ones:
 ell_{i-1}^p raises each to the p-th power and moves it up one place, so a
 level costs O(i) field ops, and the dense ell_i tables are written from them.
@@ -27,6 +31,7 @@ from itertools import repeat
 from . import engine
 from .errors import (
     DependentBasis,
+    LengthMismatch,
     SubspaceTooLarge,
     ValidationError,
 )
@@ -58,22 +63,21 @@ class AddPlan:
         self.n = n
         self.radices = radices
 
-        # level i's points are the images of level i-1's under T^p - b_i T,
-        # b_i = (image of basis[i-1])^(p-1), read from entry 1 of level i-1
-        # (digit order, first vector fastest): constant on blocks of p
+        # the kernel's points run first vector slowest, so that each level's
+        # fibers fall on the engine's layout; level i's are the images of
+        # level i-1's under T^p - b_i T, b_i = (image of basis[i-1])^(p-1),
+        # read at entry len(xs) // p of level i-1
         betas = []
 
         def step(i, xs):
-            beta = field.pow(xs[1], field.p - 1)
+            beta = field.pow(xs[len(xs) // field.p], field.p - 1)
             if beta == 0:
                 raise DependentBasis("zero basis image; elements dependent")
             betas.append(beta)
             return field.sub_products(square_multiply(field.products, xs, field.p, None), xs,
                                       repeat(beta))
 
-        self.level_points = engine.fiber_levels(_span_points(field, basis), radices, step,
-                                                strided=False)
-        self.points = self.level_points[0]
+        self.level_points = engine.fiber_levels(_span_points(field, basis[::-1]), radices, step)
         self.betas = tuple(betas)
         # ell_i = sum_j c_j x^(p^j) from ell_(i-1)'s c_j, then its dense table
         p = field.p
@@ -87,8 +91,13 @@ class AddPlan:
         self.lin_polys = ells  # ells[i] vanishes exactly on span(basis[:i])
 
         self._validate()
-        self.kernel = [engine.Level(p, False, pts) for p, pts in zip(radices, self.level_points)]
+        self.kernel = [engine.Level(p, pts) for p, pts in zip(radices, self.level_points)]
         engine.build_inverse_locals(field, self.kernel)
+        # public point j (first vector fastest) is kernel point
+        # kernel_order[j]: the base-p digit reversal, which is the kernel's
+        # leaf order on equal radices and its own inverse
+        self.kernel_order = self.kernel[-1].leaf_order if r else [0]
+        self.points = [self.level_points[0][i] for i in self.kernel_order]
 
     def _validate(self):
         """ell_i must be monic linearized of degree p^i (nonzero only at
@@ -166,11 +175,15 @@ def add_plan(field: Field, basis_elems) -> AddPlan:
 
 def add_fft(plan: AddPlan, coeffs):
     vals = coeff_values(plan.field, coeffs, BASIS_LCH, plan.n)
-    return engine.forward(plan.field, plan.kernel, vals)
+    out = engine.forward(plan.field, plan.kernel, vals)
+    return [out[i] for i in plan.kernel_order]
 
 
 def add_ifft(plan: AddPlan, values) -> CoeffVec:
-    out = engine.inverse(plan.field, plan.kernel, value_raws(plan.field, values))
+    values = value_raws(plan.field, values)
+    if len(values) != plan.n:
+        raise LengthMismatch(f"{len(values)} values for {plan.n} points")
+    out = engine.inverse(plan.field, plan.kernel, [values[i] for i in plan.kernel_order])
     return CoeffVec(tuple(out), BASIS_LCH)
 
 

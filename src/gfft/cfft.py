@@ -326,7 +326,7 @@ class CyclicPlan:
             values = iter(engine.affine(f, _horner(f, lv.num.coeffs, finite), dens[-1]))
             return [INF if x is INF else next(values) for x in xs]
 
-        return engine.fiber_levels(points, self.radices, step, strided=True), dens
+        return engine.fiber_levels(points, self.radices, step), dens
 
     def _check_pole_order(self):
         """Each level's poles, in induced-map orbit order, must be x_{i-1} at
@@ -435,7 +435,7 @@ class CyclicPlan:
                     for k in range(p - 2, t - 1, -1):
                         consts[(t, k)] = val = f.mul(val, f.sub(lam_t, lv.poles[k]))
                 lv.pole_consts = consts
-            kernel.append(engine.Level(p, True, self.level_points[i - 1], lv.poles, lv.pole_consts))
+            kernel.append(engine.Level(p, self.level_points[i - 1], lv.poles, lv.pole_consts))
         engine.build_inverse_locals(f, kernel)
         self.kernel = kernel
 

@@ -1,27 +1,27 @@
 """The one mixed-radix divide-and-conquer kernel behind all three cases.
 
-A plan describes its tower as a list of Levels: radix, fiber layout, points
-and, in the cyclic case, poles and (on full plans) pole-fiber constants, and
-builds the level points with fiber_levels, which also proves them.  The
-P_d = p_1...p_d subproblems at depth d all evaluate at levels[d]'s points,
-so forward and inverse recurse once per level, not once per subproblem: each
-call works on all P_d subproblems as one length-n vector, column by column
-(column t: point t of every fiber of every subproblem), through the fused,
-counted column ops of gf.Field.  The coefficients stay where they are
-(subproblem r owns r + P_d*s); values use slices only, in two layouts:
-  - strided levels (mult, cyclic): value s of the subproblem at position j
-    at s*P_d + j, subproblems in digit-reversed order; child k is V[k::p]
-    and column t one contiguous block;
-  - block levels (add): value s at s + (n/P_d)*j, subproblems in natural
-    order; child k is the block [k*n/p, (k+1)*n/p) and column t is V[t::p].
-Only the leaves are permuted, by leaf_order.
+A plan describes its tower as a list of Levels: radix, points and, in the
+cyclic case, poles and (on full plans) pole-fiber constants, and builds the
+level points with fiber_levels, which also proves them.  The P_d = p_1...p_d
+subproblems at depth d all evaluate at levels[d]'s points, so forward and
+inverse recurse once per level, not once per subproblem: each call works on
+all P_d subproblems as one length-n vector through the fused, counted column
+ops of gf.Field.  The coefficients stay where they are (subproblem r owns
+r + P_d*s); values use slices only, in one layout: value s of the subproblem
+at position j sits at s*P_d + j, subproblems in digit-reversed order, so
+child k is V[k::p] and column t (point t of every fiber of every subproblem)
+one contiguous block.  Only the leaves are permuted, by leaf_order.  An
+additive plan orders its kernel points so that its fibers fall on this
+layout and gathers its public point order from it.
 
-Each level recombines the p children with p-1 Horner steps per point, whose
-weights build_inverse_locals derives: the point itself in the affine cases,
-1/(x - pole_j) at step j in the cyclic case.  On full cyclic plans the fiber
-over each level's point at infinity goes through the pole-fiber constants,
-on coefficients gathered through leaf_order, and the leaves, at the top
-level's point at infinity, are 0.
+Each level recombines the p children with p-1 Horner steps, whose weights
+build_inverse_locals derives: the point itself in the affine cases,
+1/(x - pole_j) at step j in the cyclic case.  Step k is one column op over
+the whole level: child k repeated p times against weight column k spread
+over the subproblems.  On full cyclic plans the fiber over each level's
+point at infinity goes through the pole-fiber constants, on coefficients
+gathered through leaf_order, and the leaves, at the top level's point at
+infinity, are 0.
 
 forward and inverse take the same arguments in all three cases and invert no
 field element.  The inverse solves each level's local systems in Newton form
@@ -32,7 +32,7 @@ more ops per fiber on cyclic levels of radix p > 2.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, chain, cycle, repeat
+from itertools import accumulate, chain, repeat
 
 from .errors import LengthMismatch, SingularLocalSystem, ValidationError
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
@@ -63,26 +63,24 @@ def check_radices(radices):
 class Level:
     """One tower level as the kernel sees it.
 
-    Point t of fiber sq sits at t*nq + sq on a strided level (nq = size/p
-    fibers) and at t + sq*p on a block level.  With poles None the level is
-    affine.  On a full cyclic level, which alone has pole_consts {(t, k): c}
-    and is always strided, fiber 0 lies over the level's point at infinity
+    Point t of fiber sq sits at t*nq + sq (nq = size/p fibers).  With poles
+    None the level is affine.  On a full cyclic level, which alone has
+    pole_consts {(t, k): c}, fiber 0 lies over the level's point at infinity
     and first is 1: the Horner steps skip it.
 
-    The forward step's local system at point s has rows [1, w_0[s],
-    w_0[s] w_1[s], ...], from the Horner weights w_j = weights[j].
-    build_inverse_locals sets weights, newton (the data of local_solve),
-    inv_diag (the inverse diagonal of the pole-fiber system) and, on the last
-    level of a tower, leaf_order.
+    The forward step's local system at point s has rows [1, w_0(s),
+    w_0(s) w_1(s), ...], from the Horner weights w_j.  build_inverse_locals
+    sets weights (w_j at the points of columns 0..p-1, in that order),
+    newton (the data of local_solve), inv_diag (the inverse diagonal of the
+    pole-fiber system) and, on the last level of a tower, leaf_order.
     """
 
-    __slots__ = ("radix", "size", "strided", "points", "poles", "pole_consts",
+    __slots__ = ("radix", "size", "points", "poles", "pole_consts",
                  "first", "weights", "newton", "inv_diag", "leaf_order")
 
-    def __init__(self, radix, strided, points, poles=None, pole_consts=None):
+    def __init__(self, radix, points, poles=None, pole_consts=None):
         self.radix = radix
         self.size = len(points)
-        self.strided = strided
         self.points = points
         self.poles = poles
         self.pole_consts = pole_consts
@@ -91,39 +89,31 @@ class Level:
 
     def column(self, t, P=1):
         """Slice of point t of every fiber the Horner steps evaluate, over P
-        subproblems: contiguous on strided levels, stride p on blocks."""
-        if self.strided:
-            m = self.size // self.radix * P
-            return slice(t * m + self.first * P, (t + 1) * m)
-        return slice(t, None, self.radix)
-
-    def child(self, k, P):
-        """Slice of child k, the subproblems one level up, over P subproblems
-        of this level: stride p on strided levels, a block on blocks."""
-        if self.strided:
-            return slice(k, None, self.radix)
+        subproblems."""
         m = self.size // self.radix * P
-        return slice(k * m, (k + 1) * m)
+        return slice(t * m + self.first * P, (t + 1) * m)
 
-    def store(self, vec, kids, P):
-        """Write the p child vectors kids into vec, over P subproblems; as a
-        method, so that inverse's frame holds no child while the levels
-        above it run."""
+    def store(self, vec, kids):
+        """Write the p child vectors kids into vec; as a method, so that
+        inverse's frame holds no child while the levels above it run."""
         for k, kid in enumerate(kids):
-            vec[self.child(k, P)] = kid
-
-    def spread(self, col, P):
-        """A column of per-point data, one entry per point of column(t, P):
-        each entry P times over on strided levels, the column P times over on
-        blocks."""
-        if P == 1:
-            return col
-        if self.strided:
-            return chain.from_iterable(map(repeat, col, repeat(P)))
-        return cycle(col)
+            vec[k::self.radix] = kid
 
 
-def fiber_levels(points, radices, step, strided):
+def spread(col, P):
+    """A column of per-point data with each entry P times over, one entry per
+    value of the P subproblems at those points."""
+    if P == 1:
+        return col
+    if P > len(col):
+        return list(chain.from_iterable(map(repeat, col, repeat(P))))
+    out = [None] * (len(col) * P)
+    for j in range(P):
+        out[j::P] = col
+    return out
+
+
+def fiber_levels(points, radices, step):
     """The point lists of a tower's levels: entry 0 is points, and level i's
     list is step(i, level i-1's list), one value per entry, checked constant
     on each fiber of level i-1 (radix radices[i-1]) and cut to one entry per
@@ -133,8 +123,8 @@ def fiber_levels(points, radices, step, strided):
     out = [points]
     for i, p in enumerate(radices, start=1):
         values = step(i, out[-1])
-        cut = values[:len(values) // p] if strided else values[::p]
-        if values != (cut * p if strided else [v for v in cut for _ in range(p)]):
+        cut = values[:len(values) // p]
+        if values != cut * p:
             raise ValidationError(f"fiber constancy violated at level {i}")
         out.append(cut)
     return out
@@ -156,26 +146,26 @@ def forward(field, levels, coeffs, depth=0):
         return [coeffs[i] for i in levels[-1].leaf_order]
     lv = levels[depth]
     p, P = lv.radix, n // lv.size
-    out = forward(field, levels, coeffs, depth=depth + 1)  # overwritten in place
-    kids = [out[lv.child(k, P)] for k in range(p)]
+    out = forward(field, levels, coeffs, depth=depth + 1)
+    kids = [out[k::p] for k in range(p)]
     if lv.first:  # the pole fiber goes through the constants below
         kids = [kid[P:] for kid in kids]
-        out[:P] = [0] * P  # the level's point at infinity
+    acc = kids[-1] * p
+    for k in range(p - 2, -1, -1):
+        acc = field.add_products(kids[k] * p, acc, spread(lv.weights[k], P))
+    if not lv.first:
+        return acc
+    m, L, nq, order = n // p, len(kids[0]), lv.size // p, levels[-1].leaf_order
     for t in range(p):
-        col = lv.column(t)
-        acc = kids[p - 1]
-        for k in range(p - 2, -1, -1):
-            acc = field.add_products(kids[k], acc, lv.spread(lv.weights[k][col], P))
-        out[lv.column(t, P)] = acc
-    if lv.pole_consts is not None:
-        m, nq, order = n // p, lv.size // p, levels[-1].leaf_order
-        # coefficient k of every subproblem, in layout order, for k = 1..p-1
-        c_k = [None] + [[coeffs[i] for i in order[k * nq::lv.size]] for k in range(1, p)]
-        for t in range(1, p):
-            acc = [0] * P
-            for k in range(t, p):
-                acc = field.add_products(acc, c_k[k], repeat(lv.pole_consts[(t, k)]))
-            out[t * m:t * m + P] = acc
+        out[t * m + P:(t + 1) * m] = acc[t * L:(t + 1) * L]
+    out[:P] = [0] * P  # the level's point at infinity
+    # coefficient k of every subproblem, in layout order, for k = 1..p-1
+    c_k = [None] + [[coeffs[i] for i in order[k * nq::lv.size]] for k in range(1, p)]
+    for t in range(1, p):
+        acc = [0] * P
+        for k in range(t, p):
+            acc = field.add_products(acc, c_k[k], repeat(lv.pole_consts[(t, k)]))
+        out[t * m:t * m + P] = acc
     return out
 
 
@@ -203,7 +193,7 @@ def inverse(field, levels, values, depth=0):
     if not depth:  # the levels overwrite one vector in place
         values = list(values)
     pole_values = [values[t * m:t * m + P] for t in range(p)] if lv.first else None
-    lv.store(values, local_solve(field, lv, values), P)
+    lv.store(values, local_solve(field, lv, values))
     out = inverse(field, levels, values, depth=depth + 1)
     if lv.pole_consts is not None:
         nq, order, consts = lv.size // p, levels[-1].leaf_order, lv.pole_consts
@@ -236,11 +226,11 @@ def local_solve(field, lv, values):
     p, P = lv.radix, len(values) // lv.size
     d = [values[lv.column(t, P)] for t in range(p)]
     if scales is not None:
-        d = [field.products(col, lv.spread(s, P)) for col, s in zip(d, scales)]
+        d = [field.products(col, spread(s, P)) for col, s in zip(d, scales)]
     inv_diffs = iter(inv_diffs)
     for j in range(1, p):
         for i in range(p - 1, j - 1, -1):
-            d[i] = field.diff_products(d[i], d[i - 1], lv.spread(next(inv_diffs), P))
+            d[i] = field.diff_products(d[i], d[i - 1], spread(next(inv_diffs), P))
     # Horner in the Newton form, e <- d_k + (x - a_k) e, with e kept in the
     # basis N_i of the centres b_i: (x - a_k) N_i = N_(i+1) - (a_k - b_i) N_i
     e = [d[p - 1]]
@@ -248,8 +238,8 @@ def local_solve(field, lv, values):
         e.append(e[-1])
         shift = shifts[k]
         for i in range(len(e) - 2, 0, -1):
-            e[i] = field.sub_products(e[i - 1], e[i], lv.spread(shift[i], P))
-        e[0] = field.sub_products(d[k], e[0], lv.spread(shift[0], P))
+            e[i] = field.sub_products(e[i - 1], e[i], spread(shift[i], P))
+        e[0] = field.sub_products(d[k], e[0], spread(shift[0], P))
     if scales is not None:
         e.reverse()
     return [[0] * P + col for col in e] if lv.first else e
@@ -259,9 +249,9 @@ def build_inverse_locals(field, levels):
     """Set each level's weights, newton data and inv_diag, and the last
     level's leaf_order.
 
-    The Horner weights are the points on an affine level and w_j[s] =
-    1/(points[s] - poles[j]) on a cyclic one, None on the pole fiber; a
-    point on another fiber that is a pole or infinity is refused.  The newton
+    The Horner weights are the points on an affine level and w_j(x) =
+    1/(x - poles[j]) on a cyclic one, at the points off the pole fiber; such
+    a point that is a pole or infinity is refused.  The newton
     data, as columns over the fibers, are the scales (or None), the inverses
     of each fiber's p(p-1)/2 node differences, from one batched inversion,
     and shifts[k][i] = a_k - b_i for node a_k and centre b_i.
@@ -273,8 +263,7 @@ def build_inverse_locals(field, levels):
     pole_(p-2), ..., pole_0, in reverse order.
 
     leaf_order[j] is the natural index of the coefficient at leaf j: each
-    level places child k of the subproblem at position j at k + p*j on a
-    strided level and at j + P*k on a block level.
+    level places child k of the subproblem at position j at k + p*j.
     """
     sub = field.sub
     for lv in levels:
@@ -282,23 +271,19 @@ def build_inverse_locals(field, levels):
         if lv.poles is None:
             lv.weights = [lv.points] * (p - 1)
         else:
-            live = [s for t in range(p) for s in range(lv.size)[lv.column(t)]]
-            xs = [lv.points[s] for s in live]
+            xs = [x for t in range(p) for x in lv.points[lv.column(t)]]
             if any(x is INF or x in lv.poles for x in xs):
                 raise ValidationError("evaluation point collides with a level pole")
-            lv.weights = [[None] * lv.size for _ in lv.poles]
-            inv = _batch_inverse(field, [[sub(x, lam) for x in xs] for lam in lv.poles])
-            for col, inv_col in zip(lv.weights, inv):
-                for s, w in zip(live, inv_col):
-                    col[s] = w
+            lv.weights = _batch_inverse(field, [[sub(x, lam) for x in xs] for lam in lv.poles])
         if lv.pole_consts is not None:
             diag = [lv.pole_consts[(k, k)] for k in range(1, p)]
             if 0 in diag:
                 raise SingularLocalSystem("zero diagonal in the pole-fiber system")
             lv.inv_diag = [field.inv(c) for c in diag]
         scaled = lv.poles is not None and p > 2
-        nodes, centres = (lv.points, lv.poles[::-1]) if scaled else (lv.weights[0], (0,) * (p - 1))
-        a = [nodes[lv.column(t)] for t in range(p)]
+        nodes, centres = (xs, lv.poles[::-1]) if scaled else (lv.weights[0], (0,) * (p - 1))
+        L = len(nodes) // p
+        a = [nodes[t * L:(t + 1) * L] for t in range(p)]
         shifts = [[col if not b else [sub(x, b) for x in col] for b in centres] for col in a]
         diffs = [list(map(sub, a[i], a[i - j])) for j in range(1, p) for i in range(p - 1, j - 1, -1)]
         scales = [reduce(field.products, row) for row in shifts] if scaled else None
@@ -307,10 +292,7 @@ def build_inverse_locals(field, levels):
     order = [0]
     for lv in levels:
         P, ks = len(order), range(lv.radix)
-        if lv.strided:
-            order = [a + P * k for a in order for k in ks]
-        else:
-            order = [a + P * k for k in ks for a in order]
+        order = [a + P * k for a in order for k in ks]
     if levels:
         levels[-1].leaf_order = order
 

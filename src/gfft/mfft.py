@@ -1,10 +1,10 @@
 """Multiplicative transform: evaluation on a coset of the order-n subgroup of
 F_q^* for smooth n | q-1, with the power-map tower x -> x^(p_i) per level.
 
-The coefficient basis is the standard monomial basis; fibers at each level
-are strided subsequences of the j-major point order beta * omega^j, and
-engine.fiber_levels builds each level's points by the power map and checks
-them constant on those fibers.
+The coefficient basis is the standard monomial basis; the points run in the
+j-major order beta * omega^j, and engine.fiber_levels builds each level's
+points by the power map and checks them constant on its fibers (every
+(size/p)-th point of the level below).
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ class MultPlan:
         if len(set(pts)) != n:
             raise ValidationError("evaluation points not distinct; omega order wrong")
 
-        # x_i = x^(p_1...p_i), checked constant on each strided fiber
+        # x_i = x^(p_1...p_i), checked constant on each fiber
         self.level_points = engine.fiber_levels(
-            pts, radices, lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None),
-            strided=True)
+            pts, radices, lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None))
         self.points = pts
-        self.kernel = [engine.Level(p, True, pts) for p, pts in zip(radices, self.level_points)]
+        self.kernel = [engine.Level(p, pts) for p, pts in zip(radices, self.level_points)]
         engine.build_inverse_locals(field, self.kernel)
 
     def fft(self, coeffs):

@@ -629,19 +629,17 @@ def test_criterion_8_local_solve_oracle():
         for depth, lv in enumerate(plan.kernel):
             values = [rng.randrange(field.q) for _ in range(lv.size)]
             subvals = local_solve(field, lv, values)
-            # point t of fiber sq sits at t*nq + sq (strided) or t + sq*p
-            # (blocks); a full cyclic level's fiber 0, over its point at
-            # infinity, has no local system
+            # point t of fiber sq sits at t*nq + sq, and its weights at
+            # t*(nq - first) + sq - first, as a full cyclic level's fiber 0,
+            # over its point at infinity, has no local system
             nq = lv.size // lv.radix
-            t_step, q_step = (nq, 1) if lv.strided else (1, lv.radix)
-            fibers = [(sq, [t * t_step + sq * q_step for t in range(lv.radix)])
-                      for sq in range(lv.first, nq)]
+            fibers = [(sq, [t * nq + sq for t in range(lv.radix)]) for sq in range(lv.first, nq)]
             for sq, points in rng.sample(fibers, min(len(fibers), 6)):
                 rows = []
-                for s in points:
+                for t in range(lv.radix):
                     row = [1]
                     for w in lv.weights:
-                        row.append(field.mul(row[-1], w[s]))
+                        row.append(field.mul(row[-1], w[t * (nq - lv.first) + sq - lv.first]))
                     rows.append(row)
                 assert [sub[sq] for sub in subvals] == solve(field, rows, [values[s] for s in points]), \
                     (name, depth, sq)
@@ -653,10 +651,10 @@ def test_criterion_8_local_solve_oracle():
 
     F7 = field_make(7)
 
-    def cyclic_level(pts, poles):  # strided fibers
-        return Level(len(poles) + 1, True, pts, poles)
+    def cyclic_level(pts, poles):
+        return Level(len(poles) + 1, pts, poles)
 
-    repeated = [Level(3, False, [1, 2, 3, 4, 5, 4]),  # blocks (1, 2, 3), (4, 5, 4)
+    repeated = [Level(3, [1, 4, 2, 5, 3, 4]),  # fibers (1, 2, 3), (4, 5, 4)
                 cyclic_level([1, 2, 3, 2, 5, 6], (0, 4)),  # fibers (1, 3, 5), (2, 2, 6)
                 cyclic_level([1, 2, 3, 2], (4,))]  # fibers (1, 3), (2, 2)
     for lv in repeated:

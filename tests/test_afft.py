@@ -28,10 +28,13 @@ def f8_plan():
     return F8, add_plan(F8, [1, 2, 4])
 
 
-def test_plan_covers_f8():
+def test_plan_covers_f8(F9):
+    # a unit basis spans the packed values in order, first vector fastest:
+    # the point order that plan files store
     F8, plan = f8_plan()
-    assert sorted(plan.points) == list(range(8))
+    assert plan.points == list(range(8))
     assert plan.n == 8
+    assert add_plan(F9, [1, 3]).points == list(range(9))
 
 
 def test_plan_trivial(F9):
@@ -187,6 +190,11 @@ def test_length_error(F9):
     plan = add_plan(F9, [1, 3])
     with pytest.raises(LengthMismatch):
         add_fft(plan, [1, 2, 3])
+    # refused before the kernel's gather, which would fail on a short list
+    # and drop the tail of a long one
+    for values in ([1, 2, 3], list(range(9)) + [1]):
+        with pytest.raises(LengthMismatch, match=f"{len(values)} values for 9 points"):
+            add_ifft(plan, values)
 
 
 def _conversion_inputs(field, n, rng):
@@ -247,13 +255,13 @@ def test_validate_rejects_corrupt_level_point(F27, monkeypatch):
     # makes them (engine.fiber_levels): corrupt one image on level 2
     real = engine.fiber_levels
 
-    def corrupting(points, radices, step, strided):
+    def corrupting(points, radices, step):
         def bad_step(i, xs):
             out = step(i, xs)
             if i == 2:
                 out[1] = F27.add(out[1], 1)
             return out
-        return real(points, radices, bad_step, strided)
+        return real(points, radices, bad_step)
 
     monkeypatch.setattr(engine, "fiber_levels", corrupting)
     with pytest.raises(ValidationError, match="fiber constancy violated at level 2"):

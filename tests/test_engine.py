@@ -1,8 +1,9 @@
 """The level-batched kernel on seeded random configurations: mixed radices up
 to 13, full and partial cyclic fibers, and additive plans over GF(2^k),
 GF(3^k) and GF(5^k), each checked against oracle Horner evaluation and by an
-ifft-of-fft round trip; and the level builder, engine.fiber_levels, on both
-fiber layouts and against a per-point sweep of every level of those plans."""
+ifft-of-fft round trip; the fused forward step by its column-op calls; and
+the level builder, engine.fiber_levels, on its fiber layout and against a
+per-point sweep of every level of those plans."""
 
 import math
 import random
@@ -14,7 +15,7 @@ from gfft import engine
 from gfft.cfft import cyclic_plan
 from gfft.engine import fiber_levels
 from gfft.errors import DependentBasis, SingularLocalSystem, ValidationError
-from gfft.gf import field_make, is_prime
+from gfft.gf import Field, field_make, is_prime
 from gfft.mfft import mult_plan
 from gfft.oracle import basis_matrix
 from gfft.poly import INF, Poly
@@ -106,23 +107,27 @@ def test_random_configurations_match_the_oracle():
     assert cases == {"mult", "add-p2", "add-p3", "add-p5", "cyclic-full", "cyclic-partial"}
 
 
-def test_fiber_levels_on_both_layouts():
-    # strided: point t of fiber sq at t*nq + sq; blocks: at t + sq*p
+def test_fiber_levels_checks_every_fiber():
+    # point t of fiber sq at t*nq + sq: the fibers of 12 points under radix 2
+    # are {s, s + 6}, those of the 6 level-1 points under radix 3 {s, s + 2, s + 4}
     points = list(range(12))
-    steps = {True: lambda i, xs: [x % (6, 2)[i - 1] for x in xs],
-             False: lambda i, xs: [x // (2, 3)[i - 1] for x in xs]}
-    for strided, good in steps.items():
-        assert fiber_levels(points, (2, 3), good, strided) == [points, [0, 1, 2, 3, 4, 5], [0, 1]]
 
-        def bad(i, xs, good=good):
+    def good(i, xs):
+        return [x % (6, 2)[i - 1] for x in xs]
+
+    assert fiber_levels(points, (2, 3), good) == [points, [0, 1, 2, 3, 4, 5], [0, 1]]
+    # a point off its fiber's value: the last point of level 2's input, and
+    # a point of the entries level 1 keeps
+    for level, entry in ((2, -1), (1, 3)):
+        def bad(i, xs, level=level, entry=entry):
             out = good(i, xs)
-            if i == 2:
-                out[-1] += 1  # the last point leaves its fiber's value
+            if i == level:
+                out[entry] += 1
             return out
 
-        with pytest.raises(ValidationError, match="fiber constancy violated at level 2"):
-            fiber_levels(points, (2, 3), bad, strided)
-    assert fiber_levels([7], (), None, strided=True) == [[7]]
+        with pytest.raises(ValidationError, match=f"fiber constancy violated at level {level}"):
+            fiber_levels(points, (2, 3), bad)
+    assert fiber_levels([7], (), None) == [[7]]
 
 
 def test_level_points_match_a_per_point_sweep():
@@ -147,11 +152,33 @@ def test_level_points_match_a_per_point_sweep():
         size = 1
         for i, p in enumerate((1,) + plan.radices):
             size *= p
-            for s, x in enumerate(plan.points):
-                if plan.case == "mult":
-                    assert field.pow(x, size) == plan.level_points[i][s % (n // size)], (name, i)
-                else:
-                    assert plan.lin_polys[i].eval(x) == plan.level_points[i][s // size], (name, i)
+            for s, x in enumerate(plan.level_points[0]):  # kernel order
+                y = field.pow(x, size) if plan.case == "mult" else plan.lin_polys[i].eval(x)
+                assert y == plan.level_points[i][s % (n // size)], (name, i)
+
+
+def test_forward_makes_one_column_op_per_horner_step(monkeypatch):
+    """engine.forward makes p - 1 add_products calls on a level of radix p,
+    one per Horner step over all its columns (one per step and column made
+    p(p - 1)); a full cyclic level makes p(p - 1)/2 more, one per pole-fiber
+    constant, each against a repeated constant in place of a weight list."""
+    plans = [mult_plan(field_make(191), (19, 5, 2)), cyclic_plan(field_make(131), (2, 3, 11)),
+             cyclic_plan(field_make(191), (2,) * 6 + (3,))]
+    real, calls = Field.add_products, []
+
+    def spy(self, ys, xs, ws):
+        calls.append(isinstance(ws, list))
+        return real(self, ys, xs, ws)
+
+    monkeypatch.setattr(Field, "add_products", spy)
+    for plan in plans:
+        calls.clear()
+        engine.forward(plan.field, plan.kernel, [i % plan.field.q for i in range(plan.n)])
+        horner = sum(p - 1 for p in plan.radices)
+        full = plan.case == "cyclic" and plan.is_full
+        consts = sum(p * (p - 1) // 2 for p in plan.radices) if full else 0
+        assert (calls.count(True), calls.count(False)) == (horner, consts), plan
+    assert (horner, consts) == (8, 9)  # the full plan's 6 radix-2 levels and one radix-3
 
 
 def test_pole_fiber_guards_refuse_a_corrupted_input():
