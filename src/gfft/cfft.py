@@ -35,15 +35,13 @@ at infinity through precomputed constants instead of direct evaluation.
 The basis conversions mirror each other around the transform: standard ->
 cyclic-z evaluates the polynomial at the plan's points and inverts the values
 with q1_ifft; cyclic-z -> standard evaluates with q1_fft and interpolates at
-the finite points by a transposed Vandermonde solve: power sums of the values
-times the weights 1/M'(x_i), combined through the coefficients of the fiber
-polynomial M = prod (x - x_i).  The plan builds M and the weights in closed
-form, in O(n) field operations, so a conversion inverts nothing.  Both run
-over the classes y = x^d of the points, from one table built on the first
-conversion that reads it: the evaluation sums x^r f_r(x^d), and the power sums
-are its transpose.  On a full plan, whose points are F_q, d | q - 1 near
-sqrt(q) makes both O(n^1.5); a partial plan evaluates at d = 1 (Horner at
-each point, no table) and sums over its square classes {x, -x}: O(n^2).
+the finite points, inverting nothing.  A full plan's finite points are F_q, so
+both run on the multiplicative case's kernel over F_q^* (mult_route): one
+forward each, O(n sum p_i) over the primes p_i of q - 1, plus the point 0.  A
+partial plan evaluates by Horner at each point and interpolates by a
+transposed Vandermonde solve, power sums of the values times the weights
+1/M'(x_i) over its square classes, combined through the fiber polynomial M =
+prod (x - x_i), both built in closed form: O(n^2).
 """
 
 from __future__ import annotations
@@ -63,11 +61,12 @@ from .errors import (
     SplitValidationFailure,
     ValidationError,
 )
-from .gf import (Field, find_primitive_quadratic, quadratic_failure, quadratic_is_irreducible,
-                 square_multiply)
+from .gf import (Field, factorize, find_primitive_element, find_primitive_quadratic,
+                 quadratic_failure, quadratic_is_irreducible, square_multiply)
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
 from .linalg import invert  # noqa: F401
+from .mfft import coset_kernel
 from .moebius import MoebiusMap, relation
 from .poly import INF, Poly, RatFn, _substitute, homogeneous, horner, mul_add, poly_str, trim
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
@@ -141,7 +140,9 @@ class CyclicPlan:
         self._build_quads()
         self._build_points(fiber_key, _start)
         self._check_pole_order()
-        self._build_fiber_tables(*self._build_scaling())
+        tables = self._build_scaling()
+        if not self.is_full:  # a full plan's conversions run on mult_route
+            self._build_fiber_tables(*tables)
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
@@ -352,7 +353,7 @@ class CyclicPlan:
         points, and c Q_0^n = D^2 Q_r(key) makes scale * base_value = D; that
         identity is guarded at each point, and Q_r by the fiber's norm
         prod Q_0(points) = Q_r(key).  Returns Q_0 and 1 / D at the points of
-        a partial plan (None, None on a full one), for _build_fiber_tables."""
+        a partial plan, for _build_fiber_tables."""
         f, n, quad0 = self.field, self.n, self.quads[0]
         self.scale_const = c = self.quads[self.r].lc()
         if self.is_full:
@@ -362,7 +363,7 @@ class CyclicPlan:
             self.base_value = 0  # the kernel zeroes a full plan's leaves
             self.scales = [None] + f.products(_horner(f, quad0.coeffs, self.points[1:]), repeat(c))
             self.inv_scales = [None] + engine._batch_inverse(f, [self.scales[1:]])[0]
-            return None, None
+            return None
         dens = [1] * n  # D at each point, from the v_i the fiber pass evaluated
         for p, vs in zip(self.radices, self.level_dens):
             dens = f.products(square_multiply(f.products, dens, p, None), cycle(vs))
@@ -380,10 +381,9 @@ class CyclicPlan:
         return q0s, self.inv_scales
 
     def _build_fiber_tables(self, q0s, inv_dens):
-        """The fiber polynomial M = prod (x - x_i) over the finite points and
-        the weights w_i = 1 / M'(x_i), the two tables of tilde_to_std, in
-        closed form.  Full plan: the finite points are F_q, so M = x^q - x
-        and w_i = -1, by Fermat.  Partial plan: sigma fixes the roots theta,
+        """A partial plan's fiber polynomial M = prod (x - x_i) over its
+        points and the weights w_i = 1 / M'(x_i), the two tables of
+        tilde_to_std, in closed form.  sigma fixes the roots theta,
         theta^q of Q_0, so ((x - theta) / (x - theta^q))^n is a constant c on
         the fiber and M = ((x - theta)^n - c (x - theta^q)^n) / (1 - c): M_k =
         (-1)^(n-k) C(n, k) t_(n-k), where t_j = (theta^j - c theta^(qj)) /
@@ -395,12 +395,7 @@ class CyclicPlan:
         numerator's), so K = sum Q_0(x_i).  Guarded at every point by the
         other identity of the weights, sum w_i = 0 for n >= 2, then at x_0:
         M(x_0) = 0 and w_0 M'(x_0) = 1."""
-        f, n = self.field, self.n
-        if self.is_full:
-            self.fiber_poly = [0, f.neg(1)] + [0] * (f.q - 2) + [1]
-            self.weights = [f.neg(1)] * f.q
-            return
-        p = f.p
+        f, n, p = self.field, self.n, self.field.p
         a1, a0 = f.neg(self.quads[0][1]), f.neg(self.quads[0][0])
         t = [1, f.div(f.sum(self.points), n % p)]  # p does not divide n | q + 1
         for _ in range(n - 1):
@@ -441,23 +436,30 @@ class CyclicPlan:
 
     @cached_property
     def class_table(self):
-        """The grouping of the finite points by y = x^d that both conversions
-        run over, built on the first that reads it (either one on a full
-        plan, tilde_to_std on a partial one): (d, ys, ranks), ys the
-        distinct y, larger classes first, repeated d times, and ranks[j] =
-        (idx, pows) the index of the j-th point of each class that has one
-        and pows[r - 1] = [x^r] there.  A full plan's points are F_q, whose
-        x^d has 1 + (q - 1) / d classes: d | q - 1 is the largest divisor at
-        most sqrt(q - 1), which minimizes d + (q - 1) / d.  A partial plan
-        keeps the squares, d = 2, whose pairs x, -x are by chance; its
-        std_to_tilde runs at d = 1 and reads no table."""
-        q, xs = self.field.q, self.points[1:] if self.is_full else self.points
-        d = max(k for k in range(1, isqrt(q - 1) + 1) if (q - 1) % k == 0) if self.is_full else 2
-        classes, pows = _power_classes(self.field, xs, d)
+        """A partial plan's points grouped by y = x^2 for tilde_to_std, built on
+        its first call: (d, ys, ranks), d = 2, ys the distinct y, larger classes
+        first, repeated d times, and ranks[j] = (idx, [xs]) the index and x of
+        the j-th point of each class that has one (pairs x, -x are by chance)."""
+        xs = self.points
+        classes = {}
+        for i, y in enumerate(self.field.products(xs, xs)):
+            classes.setdefault(y, []).append(i)
         order = sorted(classes.items(), key=lambda yc: -len(yc[1]))
         ranks = [[c[j] for _, c in order if len(c) > j] for j in range(len(order[0][1]))]
-        return d, [y for y, _ in order] * d, [
-            (idx, [[pw[i] for i in idx] for pw in pows]) for idx in ranks]
+        return 2, [y for y, _ in order] * 2, [(idx, [[xs[i] for i in idx]]) for idx in ranks]
+
+    @cached_property
+    def mult_route(self):
+        """A full plan's conversions' kernel over F_q^*, built on the first:
+        (levels, idx), the levels on the primes of q - 1, largest first, at
+        alpha^j for the least primitive alpha, with forward's tables only, so
+        nothing is inverted; idx[i] is the j of point i + 1, q - 1 for 0."""
+        f = self.field
+        radices = sorted((p for p, e in factorize(f.q - 1).items() for _ in range(e)), reverse=True)
+        (points, *_), levels = coset_kernel(f, radices, find_primitive_element(f).raw)
+        engine.build_forward_locals(f, levels)
+        index = {x: j for j, x in enumerate(points)}
+        return levels, [index.get(x, f.q - 1) for x in self.points[1:]]
 
     # -- introspection ---------------------------------------------------------
 
@@ -598,20 +600,6 @@ def _cycle_log(step, start, target, length):
     return None
 
 
-def _power_classes(field, xs, d):
-    """The indices of the points grouped by y = x^d, d >= 1, and the columns
-    x^r, 0 < r < d: (classes, pows), classes a dict from the raw y to its
-    points' indices and pows[r - 1] = [x^r], from d - 1 counted products a
-    point (one squaring at d = 2)."""
-    pows = [xs]
-    for _ in range(d - 1):
-        pows.append(field.products(pows[-1], xs))
-    classes = {}
-    for i, y in enumerate(pows.pop()):
-        classes.setdefault(y, []).append(i)
-    return classes, pows
-
-
 def _binomials_mod_p(field, n):
     """C(n, k) in field for k = 0..n by Lucas' theorem: the product of
     C(n_i, k_i) over the base-p digits of n and k, zero where some k_i > n_i.
@@ -718,24 +706,34 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
 
 
 def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
-    """Express cyclic-z coefficients in the standard basis, the mirror of
-    std_to_tilde: q1_fft gives the polynomial's values y_i at the m finite
-    points x_i, and the transposed Vandermonde solve on the plan's fiber
-    polynomial M and weights w_i = 1 / M'(x_i) gives its coefficients
-    (Lagrange: f = sum y_i w_i M(x) / (x - x_i)).  With z = y * w and the
-    power sums P_e = sum z_i x_i^e, e < m, c_k = sum_(j > k) M_j P_(j-1-k).
-    The sums run over the classes y = x^d of the plan's class_table:
-    P_(dk+r) = sum U_(y,r) y^k, U_(y,r) = sum_(x^d = y) z_x x^r, so m (d - 1)
-    muls build U and one column product a k, d entries a class, steps it to
-    the next power of y.  On a full plan d near sqrt q makes that O(n^1.5),
-    where the points take m^2; a partial plan sums over its squares.  Then
-    one column op per nonzero M_j (2 on a full plan, where M = x^q - x), and
-    no inversion.  On a full plan the finite points are all of F_q, which
-    leaves the multiple of x^q - x open: it is the index-0 basis element,
-    whose coefficient q1_fft carries as a0."""
+    """Express cyclic-z coefficients in the standard basis: q1_fft gives the
+    values y at the finite points, interpolated there inverting nothing.
+
+    Full plan: on F_q^* = <alpha>, of order q - 1 = -1 in F_q, the
+    interpolant of degree < q - 1 is h_k = -sum_j y(alpha^j) alpha^(-jk), one
+    forward of mult_route read backwards after index 0 and negated; through
+    0 too it is h + (y(0) - h_0)(1 - x^(q-1)).  The multiple of x^q - x, the
+    index-0 basis element, is the a0 that q1_fft carries.
+
+    Partial plan: Lagrange, f = sum y_i w_i M(x) / (x - x_i), on the fiber
+    polynomial M and weights w_i = 1 / M'(x_i).  With z = y * w and power
+    sums P_e = sum z_i x_i^e, c_k = sum_(j > k) M_j P_(j-1-k); over the
+    class_table, P_(dk+r) = sum U_(y,r) y^k with U_(y,r) = sum_(x^d = y) z_x
+    x^r, one column product a k stepping to the next power of y."""
     f = plan.field
     ev = q1_fft(plan, coeffs)
-    z = f.products(ev.values[1:] if plan.is_full else ev.values, plan.weights)
+    if plan.is_full:
+        levels, idx = plan.mult_route
+        ys = [0] * f.q
+        for j, y in zip(idx, ev.values[1:]):
+            ys[j] = y
+        y0 = ys.pop()  # the value at 0
+        sums = engine.forward(f, levels, ys)  # sum_j y(alpha^j) alpha^(jk) at k
+        h = f.products(sums[:1] + sums[:0:-1], repeat(f.neg(1)))
+        out = h + [f.sub(h[0], y0), ev.a0]
+        out[0], out[1] = y0, f.sub(out[1], ev.a0)
+        return CoeffVec(tuple(out), BASIS_STANDARD)
+    z = f.products(ev.values, plan.weights)
     d, ys, ranks = plan.class_table
     cols = None
     for idx, pows in ranks:  # U_(y,r), r < d, adding the j-th point of each class at rank j
@@ -756,42 +754,26 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     for j, mj in enumerate(plan.fiber_poly):
         if j and mj:
             out[:j] = f.add_products(out[:j], sums[j - 1::-1], repeat(mj))
-    if plan.is_full:
-        out[plan.n - 1] = ev.a0
-        out[1] = f.sub(out[1], ev.a0)
     return CoeffVec(tuple(out), BASIS_STANDARD)
 
 
 def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
-    """Express a standard-coefficient polynomial of degree < n in cyclic-z.
-
-    The transform maps cyclic-z coefficients bijectively onto values at the
-    plan's points, so the polynomial is evaluated there and the values are
-    inverted through the kernel.  The evaluation is the transpose of
-    tilde_to_std's power sums, over the same class_table: f = sum_(r < d)
-    x^r f_r(x^d), so Horner gives each f_r at the distinct y = x^d, about
-    n / d steps a class, and d - 1 column ops over the x^r columns give each
-    point's value from its class's d values.  On a full plan d near sqrt q
-    makes that O(n^1.5), where Horner at the points takes n^2.  A partial
-    plan takes d = 1, one class a point: Horner at each point, deg f adds and
-    muls a point.  On a full plan the slot at infinity is unused: the index-0
-    basis element x^q - x vanishes on F_q, so its coefficient is the x^q
-    coefficient, passed as a0.
+    """Express a standard-coefficient polynomial of degree < n in cyclic-z:
+    its values at the plan's points, inverted with q1_ifft.  A partial plan
+    evaluates by Horner at each point.  On a full plan f(0) = a_0, and the
+    values on F_q^*, where x^(q-1) = 1, are one forward of mult_route on f
+    folded mod x^(q-1) - 1; the index-0 basis element x^q - x vanishes on
+    F_q, so its coefficient is the x^q coefficient, passed as a0.
     """
-    f, full = plan.field, plan.is_full
+    f = plan.field
     a = standard_values(f, coeffs, plan.n)
-    d, ys, ranks = plan.class_table if full else (1, plan.points, [(range(plan.n), [])])
-    # lists, not Polys: CPython 3.11 keeps the freed tuples of up to 20 entries
-    parts = [trim(a[r::d]) for r in range(d)]
-    while len(parts) > 1 and not parts[-1]:  # a zero top part costs no column op
-        parts.pop()
-    ys = ys[:len(ys) // d]
-    parts = [[horner(f, g, y) for y in ys] for g in parts]  # f_r(y), a class each
-    values = [0] * plan.n  # a full plan's INF, first, keeps 0
-    for idx, pows in ranks:  # f(x) = sum x^r f_r(x^d) at the j-th point of each class
-        acc = parts[0][:len(idx)]
-        for part, pw in zip(parts[1:], pows):
-            acc = f.add_products(acc, part, pw)
-        for i, v in zip(idx, acc):
-            values[i + full] = v
-    return q1_ifft(plan, values, a[-1] if full else None)
+    if not plan.is_full:
+        g = trim(a)
+        return q1_ifft(plan, [horner(f, g, x) for x in plan.points])
+    levels, idx = plan.mult_route
+    m = f.q - 1
+    folded = a[:m]
+    for k in range(m, plan.n):
+        folded[k % m] = f.add(folded[k % m], a[k])
+    ys = engine.forward(f, levels, folded) + [a[0]]  # f(alpha^j), then f(0)
+    return q1_ifft(plan, [0] + [ys[j] for j in idx], a[-1])

@@ -15,7 +15,7 @@ additive plan orders its kernel points so that its fibers fall on this
 layout and gathers its public point order from it.
 
 Each level recombines the p children with p-1 Horner steps, whose weights
-build_inverse_locals derives: the point itself in the affine cases,
+build_forward_locals derives: the point itself in the affine cases,
 1/(x - pole_j) at step j in the cyclic case.  Step k is one column op over
 the whole level: child k repeated p times against weight column k spread
 over the subproblems.  On full cyclic plans the fiber over each level's
@@ -69,10 +69,10 @@ class Level:
     and first is 1: the Horner steps skip it.
 
     The forward step's local system at point s has rows [1, w_0(s),
-    w_0(s) w_1(s), ...], from the Horner weights w_j.  build_inverse_locals
-    sets weights (w_j at the points of columns 0..p-1, in that order),
-    newton (the data of local_solve), inv_diag (the inverse diagonal of the
-    pole-fiber system) and, on the last level of a tower, leaf_order.
+    w_0(s) w_1(s), ...], from the Horner weights w_j.  build_forward_locals
+    sets weights (w_j at the points of columns 0..p-1, in that order) and
+    leaf_order (last level only); build_inverse_locals also newton (the data
+    of local_solve) and inv_diag (the inverse diagonal of the pole system).
     """
 
     __slots__ = ("radix", "size", "points", "poles", "pole_consts",
@@ -102,7 +102,9 @@ class Level:
 
 def spread(col, P):
     """A column of per-point data with each entry P times over, one entry per
-    value of the P subproblems at those points."""
+    value of the P subproblems at those points; a one-entry column endlessly."""
+    if len(col) == 1:
+        return repeat(col[0])
     if P == 1:
         return col
     if P > len(col):
@@ -245,56 +247,66 @@ def local_solve(field, lv, values):
     return [[0] * P + col for col in e] if lv.first else e
 
 
-def build_inverse_locals(field, levels):
-    """Set each level's weights, newton data and inv_diag, and the last
-    level's leaf_order.
-
-    The Horner weights are the points on an affine level and w_j(x) =
-    1/(x - poles[j]) on a cyclic one, at the points off the pole fiber; such
-    a point that is a pole or infinity is refused.  The newton
-    data, as columns over the fibers, are the scales (or None), the inverses
-    of each fiber's p(p-1)/2 node differences, from one batched inversion,
-    and shifts[k][i] = a_k - b_i for node a_k and centre b_i.
-
-    On an affine or a radix-2 level the rows are monomials in w_0 (the
-    radix-2 row is [1, w_0]): the nodes are w_0 and the centres 0.  On a
-    cyclic level of radix p > 2 the row at x, scaled by prod_j (x - pole_j),
-    is [prod_(j>=k) (x - pole_j)]_k: the Newton basis in x with centres
-    pole_(p-2), ..., pole_0, in reverse order.
-
-    leaf_order[j] is the natural index of the coefficient at leaf j: each
-    level places child k of the subproblem at position j at k + p*j.
+def build_forward_locals(field, levels):
+    """Set forward's tables: each level's Horner weights, the points on an
+    affine level and w_j(x) = 1/(x - poles[j]) on a cyclic one, at the points
+    off the pole fiber, where a pole or infinity is refused; and the last
+    level's leaf_order, whose entry j is the natural index of the coefficient
+    at leaf j: each level places child k of the subproblem at j at k + p*j.
     """
-    sub = field.sub
     for lv in levels:
-        p = lv.radix
         if lv.poles is None:
-            lv.weights = [lv.points] * (p - 1)
+            lv.weights = [lv.points] * (lv.radix - 1)
         else:
-            xs = [x for t in range(p) for x in lv.points[lv.column(t)]]
+            xs = _column_points(lv)
             if any(x is INF or x in lv.poles for x in xs):
                 raise ValidationError("evaluation point collides with a level pole")
-            lv.weights = _batch_inverse(field, [[sub(x, lam) for x in xs] for lam in lv.poles])
-        if lv.pole_consts is not None:
-            diag = [lv.pole_consts[(k, k)] for k in range(1, p)]
-            if 0 in diag:
-                raise SingularLocalSystem("zero diagonal in the pole-fiber system")
-            lv.inv_diag = [field.inv(c) for c in diag]
-        scaled = lv.poles is not None and p > 2
-        nodes, centres = (xs, lv.poles[::-1]) if scaled else (lv.weights[0], (0,) * (p - 1))
-        L = len(nodes) // p
-        a = [nodes[t * L:(t + 1) * L] for t in range(p)]
-        shifts = [[col if not b else [sub(x, b) for x in col] for b in centres] for col in a]
-        diffs = [list(map(sub, a[i], a[i - j])) for j in range(1, p) for i in range(p - 1, j - 1, -1)]
-        scales = [reduce(field.products, row) for row in shifts] if scaled else None
-        lv.newton = (scales, _batch_inverse(field, diffs),
-                     [row[:p - 1 - k] for k, row in enumerate(shifts[:-1])])
+            lv.weights = _batch_inverse(field, [[field.sub(x, lam) for x in xs] for lam in lv.poles])
     order = [0]
     for lv in levels:
         P, ks = len(order), range(lv.radix)
         order = [a + P * k for a in order for k in ks]
     if levels:
         levels[-1].leaf_order = order
+
+
+def build_inverse_locals(field, levels):
+    """Set forward's tables (build_forward_locals) and each level's newton
+    data and inv_diag.  The newton data, as columns over the fibers, are the
+    scales (or None), the inverses of each fiber's p(p-1)/2 node differences,
+    from one batched inversion, a column of one value as that one entry, and
+    shifts[k][i] = a_k - b_i for node a_k and centre b_i.
+
+    On an affine or a radix-2 level the rows are monomials in w_0 (the
+    radix-2 row is [1, w_0]): the nodes are w_0 and the centres 0.  On a
+    cyclic level of radix p > 2 the row at x, scaled by prod_j (x - pole_j),
+    is [prod_(j>=k) (x - pole_j)]_k: the Newton basis in x with centres
+    pole_(p-2), ..., pole_0, in reverse order.
+    """
+    build_forward_locals(field, levels)
+    sub = field.sub
+    for lv in levels:
+        p = lv.radix
+        if lv.pole_consts is not None:
+            diag = [lv.pole_consts[(k, k)] for k in range(1, p)]
+            if 0 in diag:
+                raise SingularLocalSystem("zero diagonal in the pole-fiber system")
+            lv.inv_diag = [field.inv(c) for c in diag]
+        scaled = lv.poles is not None and p > 2
+        nodes, centres = (_column_points(lv), lv.poles[::-1]) if scaled else (lv.weights[0], (0,) * (p - 1))
+        L = len(nodes) // p
+        a = [nodes[t * L:(t + 1) * L] for t in range(p)]
+        shifts = [[col if not b else [sub(x, b) for x in col] for b in centres] for col in a]
+        diffs = [list(map(sub, a[i], a[i - j])) for j in range(1, p) for i in range(p - 1, j - 1, -1)]
+        scales = [reduce(field.products, row) for row in shifts] if scaled else None
+        lv.newton = (scales, [col[:1] if len(set(col)) == 1 else col
+                              for col in _batch_inverse(field, diffs)],
+                     [row[:p - 1 - k] for k, row in enumerate(shifts[:-1])])
+
+
+def _column_points(lv):
+    """The points the Horner steps of level lv evaluate, column by column."""
+    return [x for t in range(lv.radix) for x in lv.points[lv.column(t)]]
 
 
 def _batch_inverse(field, cols):

@@ -9,6 +9,8 @@ points by the power map and checks them constant on its fibers (every
 
 from __future__ import annotations
 
+from math import prod
+
 from . import engine
 from .errors import RadixNotDividingGroupOrder, ValidationError
 from .gf import Field, find_primitive_element, square_multiply
@@ -33,20 +35,8 @@ class MultPlan:
         self.beta = beta
         self.alpha = find_primitive_element(field).raw
         self.omega = field.pow(self.alpha, (field.q - 1) // n)
-
-        pts = []
-        acc = beta
-        for _ in range(n):
-            pts.append(acc)
-            acc = field.mul(acc, self.omega)
-        if len(set(pts)) != n:
-            raise ValidationError("evaluation points not distinct; omega order wrong")
-
-        # x_i = x^(p_1...p_i), checked constant on each fiber
-        self.level_points = engine.fiber_levels(
-            pts, radices, lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None))
-        self.points = pts
-        self.kernel = [engine.Level(p, pts) for p, pts in zip(radices, self.level_points)]
+        self.level_points, self.kernel = coset_kernel(field, radices, self.omega, beta)
+        self.points = self.level_points[0]
         engine.build_inverse_locals(field, self.kernel)
 
     def fft(self, coeffs):
@@ -84,6 +74,22 @@ class MultPlan:
 
 def mult_plan(field: Field, radices, beta=1) -> MultPlan:
     return MultPlan(field, radices, beta)
+
+
+def coset_kernel(field: Field, radices, omega, beta=1):
+    """(level_points, levels) on the n = prod(radices) points beta * omega^j,
+    omega of order n: x_i = x^(p_1...p_i), checked constant on each fiber, and
+    the engine Levels without tables, which MultPlan adds for both directions
+    and a full cyclic plan's conversions (cfft.CyclicPlan.mult_route) forward."""
+    pts, acc = [], beta
+    for _ in range(prod(radices)):
+        pts.append(acc)
+        acc = field.mul(acc, omega)
+    if len(set(pts)) != len(pts):
+        raise ValidationError("evaluation points not distinct; omega order wrong")
+    level_points = engine.fiber_levels(
+        pts, radices, lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None))
+    return level_points, [engine.Level(p, xs) for p, xs in zip(radices, level_points)]
 
 
 def mult_fft(plan: MultPlan, coeffs):

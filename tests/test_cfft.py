@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import json
 import sys
@@ -213,10 +214,10 @@ def test_std_to_tilde_checks_basis_and_values(plan11):
 
 
 # (field, radices, pairs {x, -x} among the finite points) of the oracle
-# configs built here: tilde_to_std sums over the classes of x^d, d = 2 on a
-# partial plan and d | q - 1 near sqrt(q) on a full one, so these cover full
-# and partial plans, with and without pairs, characteristic 2, and full plans
-# with d = 3 (x and -x in different classes) and d = 4
+# configs built here: tilde_to_std sums over the square classes on a partial
+# plan and runs the mult route over F_q^* on a full one, so these cover full
+# and partial plans, partial ones with and without pairs, characteristic 2,
+# and routes of radices up to 41
 ORACLE_PLANS = {
     "F13-2.7": ((13,), (2, 7), 6),
     "F17-2.3.3": ((17,), (2, 3, 3), 8),
@@ -239,8 +240,8 @@ def test_std_to_tilde_matches_basis_matrix(request, config, rng):
     else:
         field_args, radices, n_pairs = ORACLE_PLANS[config]
         plan = cyclic_plan(field_make(*field_args), radices)
-        classes, _ = cfft._power_classes(plan.field, [x for x in plan.points if x is not INF], 2)
-        assert sum(len(c) == 2 for c in classes.values()) == n_pairs
+        squares = Counter(plan.field.mul(x, x) for x in plan.points if x is not INF)
+        assert sum(c == 2 for c in squares.values()) == n_pairs
     bm = basis_matrix(plan)
     q, n = plan.field.q, plan.n
     for trial in range(20):
@@ -760,18 +761,18 @@ def test_safe_prime_build_factors_small_parts(monkeypatch, rng):
     ((5, 2), (2, 13)),
 ])
 def test_fiber_tables_closed_forms(field_args, radices):
-    """The closed-form fiber polynomial is prod (x - x_i) over the finite
-    points (x^q - x on a full plan) and w_i M'(x_i) = 1 at every one of them;
-    GF(3^4) with n = 41 > p takes C(n, k) mod p through Lucas' theorem."""
+    """A partial plan's closed-form fiber polynomial is prod (x - x_i) over
+    its points and w_i M'(x_i) = 1 at every one of them; GF(3^4) with
+    n = 41 > p takes C(n, k) mod p through Lucas' theorem.  A full plan,
+    whose conversions run on its mult route, builds neither table."""
     field = field_make(*field_args)
     plan = cyclic_plan(field, radices)
-    xs = [pt for pt in plan.points if pt is not INF]
-    fiber = Poly(field, plan.fiber_poly)
     if plan.is_full:
-        assert fiber == Poly.x(field) ** field.q - Poly.x(field)
-        assert plan.weights == [field.neg(1)] * field.q
-    else:
-        assert fiber == Poly.from_roots(field, xs)
+        assert "fiber_poly" not in vars(plan) and "weights" not in vars(plan)
+        return
+    xs = plan.points
+    fiber = Poly(field, plan.fiber_poly)
+    assert fiber == Poly.from_roots(field, xs)
     slope = Poly(field, [field.mul(k % field.p, c) for k, c in enumerate(fiber.coeffs)][1:])
     assert len(plan.weights) == len(xs)
     assert [field.mul(w, slope.eval(x)) for w, x in zip(plan.weights, xs)] == [1] * len(xs)
@@ -834,68 +835,94 @@ def test_tilde_to_std_power_sums_over_squares(field_args, radices, rng):
     assert ctr.muls - fft_ops.muls <= n * n // 2 + 8 * n, (field_args, radices, ctr.muls)
 
 
-@pytest.mark.parametrize("field_args, radices", [
+@pytest.fixture
+def route_builds(monkeypatch):
+    """The args of every mult-route build, through a spy on cfft.coset_kernel."""
+    builds, build = [], cfft.coset_kernel
+    monkeypatch.setattr(cfft, "coset_kernel", lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
+ROUTE_PLANS = [
     ((191,), (2,) * 6 + (3,)), ((127,), (2,) * 7), ((2, 6), (5, 13)), ((7, 2), (2, 5, 5)),
     ((3, 4), (2, 41)),
-])
-def test_tilde_to_std_power_sums_over_power_classes(field_args, radices, rng):
-    """A full plan's finite points are F_q; grouped by x^d, d | q - 1 near
-    sqrt(q), the power sums cost O(n^1.5): once the class table exists,
-    tilde_to_std takes at most 3 n^1.5 muls beyond its q1_fft, where the
-    square classes take about n^2 / 2.  The table is built on the first
-    conversion, not with the plan, and the first call, a later one and a
-    plan reloaded from its file agree."""
+]
+
+
+@pytest.mark.parametrize("field_args, radices", ROUTE_PLANS)
+def test_tilde_to_std_power_sums_over_power_classes(field_args, radices, rng, route_builds):
+    """A full plan's finite points are F_q, and tilde_to_std interpolates on
+    F_q^* by one forward of the plan's mult route, O(n sum p_i) over the
+    primes p_i of q - 1: at most 3 n^1.5 muls beyond its q1_fft, where the
+    square classes take about n^2 / 2.  The route is built on the first
+    conversion, not with the plan, and once a plan; the first call, a later
+    one and a plan reloaded from its file agree."""
     field = field_make(*field_args)
     plan = cyclic_plan(field, radices)
-    assert plan.is_full and "class_table" not in vars(plan)
+    assert plan.is_full and "mult_route" not in vars(plan) and not route_builds
     c = [rng.randrange(field.q) for _ in range(plan.n)]
     first = tilde_to_std(plan, c)
+    assert len(route_builds) == 1
     with field.count_ops() as fft_ops:
         q1_fft(plan, c)
     with field.count_ops() as ctr:
         assert tilde_to_std(plan, c) == first
     reloaded = fileio.plan_from_json(json.loads(json.dumps(fileio.plan_to_json(plan))))
     assert tilde_to_std(reloaded, c) == first
+    assert len(route_builds) == 2
     assert ctr.muls - fft_ops.muls <= 3 * plan.n ** 1.5, (field_args, radices, ctr.muls)
 
 
-@pytest.mark.parametrize("field_args, radices", [
-    ((191,), (2,) * 6 + (3,)), ((127,), (2,) * 7), ((2, 6), (5, 13)), ((7, 2), (2, 5, 5)),
-    ((3, 4), (2, 41)),
-])
-def test_std_to_tilde_evaluates_over_power_classes(field_args, radices, rng, monkeypatch):
-    """The transpose of the power sums above: f = sum_(r < d) x^r f_r(x^d),
-    with f_r evaluated once a class y = x^d, so std_to_tilde takes at most
-    3 n^1.5 muls beyond its q1_ifft, where Horner at the points takes about
-    n^2.  The first call, a later one and a plan reloaded from its file
-    agree, and the two conversions share one class table, built once by
-    whichever runs first."""
-    builds, power_classes = [], cfft._power_classes
-    monkeypatch.setattr(cfft, "_power_classes",
-                        lambda *args: builds.append(args) or power_classes(*args))
+@pytest.mark.parametrize("field_args, radices", ROUTE_PLANS)
+def test_std_to_tilde_evaluates_over_power_classes(field_args, radices, rng, route_builds):
+    """The mirror of the interpolation above: f folded mod x^(q-1) - 1 and
+    evaluated on F_q^* by one forward of the mult route, so std_to_tilde
+    takes at most 3 n^1.5 muls beyond its q1_ifft, where Horner at the
+    points takes about n^2.  The first call, a later one and a plan reloaded
+    from its file agree, and the two conversions share one route, built once
+    a plan by whichever runs first."""
     field = field_make(*field_args)
     plan = cyclic_plan(field, radices)
-    assert plan.is_full and "class_table" not in vars(plan)
+    assert plan.is_full and "mult_route" not in vars(plan)
     std = [rng.randrange(field.q) for _ in range(plan.n)]
     first = std_to_tilde(plan, std)
-    table = plan.class_table
-    assert len(builds) == 1
+    route = plan.mult_route
+    assert len(route_builds) == 1
     ev = q1_fft(plan, first)
     with field.count_ops() as ifft_ops:
         q1_ifft(plan, ev)
     with field.count_ops() as ctr:
         assert std_to_tilde(plan, std) == first
     assert list(tilde_to_std(plan, first).values) == std
-    assert plan.class_table is table and len(builds) == 1
+    assert plan.mult_route is route and len(route_builds) == 1
     n = plan.n
     assert ctr.muls - ifft_ops.muls <= 3 * n ** 1.5, (field_args, radices, ctr.muls)
 
     reloaded = fileio.plan_from_json(json.loads(json.dumps(fileio.plan_to_json(plan))))
-    assert "class_table" not in vars(reloaded)
+    assert "mult_route" not in vars(reloaded)
     assert list(tilde_to_std(reloaded, first).values) == std
-    table = reloaded.class_table
+    route = reloaded.mult_route
     assert std_to_tilde(reloaded, std) == first
-    assert reloaded.class_table is table and len(builds) == 2
+    assert reloaded.mult_route is route and len(route_builds) == 2
+
+
+@pytest.mark.parametrize("field_args, radices", [
+    ((2,), (3,)), ((3,), (2, 2)), ((47,), (2, 2, 2, 2, 3)), ((191,), (2,) * 6 + (3,)),
+    ((2, 6), (5, 13)), ((3, 4), (2, 41)), ((383,), (2,) * 7),
+])
+def test_std_to_tilde_inverts_nothing(field_args, radices, rng):
+    """std_to_tilde counts no inversion beyond its q1_ifft, from the first
+    call of a fresh plan on: a full plan's mult route is built without the
+    Newton data of an inverse."""
+    field = field_make(*field_args)
+    plan = cyclic_plan(field, radices)
+    for _ in range(2):
+        std = [rng.randrange(field.q) for _ in range(plan.n)]
+        with field.count_ops() as ctr:
+            tilde = std_to_tilde(plan, std)
+        with field.count_ops() as ifft_ops:
+            q1_ifft(plan, q1_fft(plan, tilde))
+        assert ctr.invs == ifft_ops.invs == 0 and ctr.muls > 0, (field_args, radices)
 
 
 @pytest.mark.parametrize("field_args, radices, fiber", [
@@ -922,20 +949,21 @@ def test_std_to_tilde_on_a_partial_plan_is_horner_at_each_point(field_args, radi
     assert "class_table" not in vars(plan)
 
 
-@pytest.mark.parametrize("field_args, radices, d", [
+@pytest.mark.parametrize("field_args, radices, short", [
     ((2,), (3,), 1), ((3,), (2, 2), 1), ((2, 2), (5,), 1), ((2, 4), (17,), 3),
     ((13,), (2, 7), 3), ((7, 2), (2, 5, 5), 6),
 ])
-def test_conversions_at_class_edge_lengths(field_args, radices, d, rng):
-    """Both conversions against the dense oracle at the lengths where the
-    split f = sum x^r f_r(x^d) is thin: empty, one coefficient, d - 1, d and
-    d + 1 (the top part f_r shorter than the others, or missing), n - 1 and
-    n; every point set holds 0, the class y = 0 of one point.  d = 1 leaves
-    one part and no combining step."""
+def test_conversions_at_class_edge_lengths(field_args, radices, short, rng):
+    """Both conversions against the dense oracle at the edges of the fold
+    mod x^(q-1) - 1 on a full plan: empty, one coefficient, q - 2, q - 1 and
+    q (the x^(q-1) and x^q coefficients folded into a_0 and a_1) and
+    q + 1 = n, and at a short length and one above it, where the folded list
+    is mostly zero.  F_2 folds every coefficient into a_0 on a route of no
+    level; every point set holds 0, whose value is a_0 and not the fold's."""
     plan = cyclic_plan(field_make(*field_args), radices)
-    assert plan.is_full and plan.class_table[0] == d
     bm, q, n = basis_matrix(plan), plan.field.q, plan.n
-    for length in sorted({0, 1, d - 1, d, d + 1, n - 1, n} & set(range(n + 1))):
+    assert plan.is_full
+    for length in sorted({0, 1, short, short + 1, q - 2, q - 1, q, n} & set(range(n + 1))):
         for _ in range(3):
             std = [rng.randrange(q) for _ in range(length)]
             if length:
