@@ -92,7 +92,7 @@ class AddPlan:
 
         self._validate()
         self.kernel = [engine.Level(p, pts) for p, pts in zip(radices, self.level_points)]
-        engine.build_inverse_locals(field, self.kernel)
+        engine.build_forward_locals(field, self.kernel)
         # public point j (first vector fastest) is kernel point
         # kernel_order[j]: the base-p digit reversal, which is the kernel's
         # leaf order on equal radices and its own inverse

@@ -2,46 +2,32 @@
 of fractional-linear maps, for smooth n | q+1.
 
 A plan builds the subfield tower x_0, x_1, ..., x_r level by level, never
-whole: each level map m_i (x_i in x_{i-1}-coordinates) is a degree-p_i
-rational function summed, on coefficient lists, from the 2x2 matrices of the
-powers of the level's induced Moebius map, itself a power of sigma's map
-S_{i-1} on the x_{i-1}-line; sigma is lifted one degree-p_i identity per
-level, solved as a small linear system.  No rational function is formed.
+whole, from 2x2 matrices (_build_tower): no rational function is formed.
 The evaluation fiber is the orbit of the order-n map, proved a whole fiber
-of x_r without scanning F_q, and the tower is evaluated on it only, level by
-level through engine.fiber_levels: O(n * sum(p_i)) field operations,
-whatever q.  The orbit and each level's values are projective pairs made
-points by one batched inversion per list (engine.affine), so the build
-inverts per level, not per point; per-point values and powers are column
-ops, and the per-point scales reuse that pass's level denominators.  A fiber
-named by its value is found on the x_r-line, where sigma acts as S_r, by
-baby-step giant-step (_start); a plan file's reload starts at its stored
-first point instead, checked to be the least place of the stored fiber, and
-searches nothing.  The degree-n tower is never formed (the tests build it
-symbolically).  The finite poles of each level map are the orbit of
-infinity under the level's induced map, checked to be p-1 distinct roots of
-the degree-(p-1) denominator.  Coefficients live in
-the "cyclic-z" basis: products of reciprocal linear factors of the tower
-coordinates, scaled so the basis spans the polynomials of degree < n.  The
-level quadratics Q_i, which give the scaling, are read off the level
-identity Q_{i-1}^p = c_i * den^2 * Q_i(num/den) that the build verifies; the
-per-point scales come in closed form from the level points.
+of x_r without scanning F_q (_build_points), and the tower is evaluated on
+it only, level by level through engine.fiber_levels: O(n * sum(p_i)) field
+operations, whatever q, inverting per level, not per point.  Coefficients
+live in the "cyclic-z" basis: products of reciprocal linear factors of the
+tower coordinates, scaled so the basis spans the polynomials of degree < n,
+by per-point scales in closed form (_build_scaling).
 
 The transforms run on the shared kernel in engine.py, given each level's
 points and poles.  When n = q+1 the evaluation set is every rational point
 including infinity; the kernel then routes the fiber over each level's point
-at infinity through precomputed constants instead of direct evaluation.
+at infinity through precomputed constants instead of direct evaluation.  A
+plan builds what q1_fft reads; 1 / scale and the kernel's Newton data, which
+the inverse reads, and the conversions' tables are built on first use.
 
 The basis conversions mirror each other around the transform: standard ->
 cyclic-z evaluates the polynomial at the plan's points and inverts the values
 with q1_ifft; cyclic-z -> standard evaluates with q1_fft and interpolates at
-the finite points, inverting nothing.  A full plan's finite points are F_q, so
-both run on the multiplicative case's kernel over F_q^* (mult_route): one
-forward each, O(n sum p_i) over the primes p_i of q - 1, plus the point 0.  A
-partial plan evaluates by Horner at each point and interpolates by a
-transposed Vandermonde solve, power sums of the values times the weights
-1/M'(x_i) over its square classes, combined through the fiber polynomial M =
-prod (x - x_i), both built in closed form: O(n^2).
+the finite points, inverting nothing past its tables.  A full plan's finite
+points are F_q, so both run on the multiplicative case's kernel over F_q^*
+(mult_route): one forward each, O(n sum p_i) over the primes p_i of q - 1,
+plus the point 0.  A partial plan evaluates by Horner at each point and
+interpolates by a transposed Vandermonde solve, power sums of the values
+times the weights 1/M'(x_i) over its square classes, combined through the
+fiber polynomial M = prod (x - x_i), both built in closed form: O(n^2).
 """
 
 from __future__ import annotations
@@ -140,9 +126,7 @@ class CyclicPlan:
         self._build_quads()
         self._build_points(fiber_key, _start)
         self._check_pole_order()
-        tables = self._build_scaling()
-        if not self.is_full:  # a full plan's conversions run on mult_route
-            self._build_fiber_tables(*tables)
+        self._build_scaling()
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
@@ -352,8 +336,8 @@ class CyclicPlan:
         Partial plan: N = key D, D_i = D_{i-1}^p_i v_i(x_{i-1}) on the level
         points, and c Q_0^n = D^2 Q_r(key) makes scale * base_value = D; that
         identity is guarded at each point, and Q_r by the fiber's norm
-        prod Q_0(points) = Q_r(key).  Returns Q_0 and 1 / D at the points of
-        a partial plan, for _build_fiber_tables."""
+        prod Q_0(points) = Q_r(key).  A partial plan keeps D and Q_0 at the
+        points, for inv_scales and fiber_tables."""
         f, n, quad0 = self.field, self.n, self.quads[0]
         self.scale_const = c = self.quads[self.r].lc()
         if self.is_full:
@@ -362,8 +346,7 @@ class CyclicPlan:
                 raise ValidationError("x_r is not the trace of x over the cycle")
             self.base_value = 0  # the kernel zeroes a full plan's leaves
             self.scales = [None] + f.products(_horner(f, quad0.coeffs, self.points[1:]), repeat(c))
-            self.inv_scales = [None] + engine._batch_inverse(f, [self.scales[1:]])[0]
-            return None
+            return
         dens = [1] * n  # D at each point, from the v_i the fiber pass evaluated
         for p, vs in zip(self.radices, self.level_dens):
             dens = f.products(square_multiply(f.products, dens, p, None), cycle(vs))
@@ -377,38 +360,46 @@ class CyclicPlan:
             raise ValidationError("scale constant fails the tower identity")
         self.base_value = f.div(key, q_key)
         self.scales = f.products(dens, repeat(f.div(q_key, key)))
-        self.inv_scales = engine._batch_inverse(f, [dens])[0]  # 1 / (scale * base_value)
-        return q0s, self.inv_scales
+        self._dens, self._q0s = dens, q0s
 
-    def _build_fiber_tables(self, q0s, inv_dens):
+    @cached_property
+    def inv_scales(self):
+        """1 / scale at the finite points (None at INF), 1 / (scale *
+        base_value) = 1 / D on a partial plan, on first use."""
+        full = self.is_full
+        return [None] * full + engine._batch_inverse(
+            self.field, [self.scales[1:] if full else self._dens])[0]
+
+    @cached_property
+    def fiber_tables(self):
         """A partial plan's fiber polynomial M = prod (x - x_i) over its
-        points and the weights w_i = 1 / M'(x_i), the two tables of
-        tilde_to_std, in closed form.  sigma fixes the roots theta,
-        theta^q of Q_0, so ((x - theta) / (x - theta^q))^n is a constant c on
-        the fiber and M = ((x - theta)^n - c (x - theta^q)^n) / (1 - c): M_k =
-        (-1)^(n-k) C(n, k) t_(n-k), where t_j = (theta^j - c theta^(qj)) /
-        (1 - c) has t_0 = 1, t_1 = sum x_i / n and the recurrence of Q_0.
-        M = N - key D for x_r = N/D, and x_r' = K / Q_0 on the fiber, so
-        w_i = Q_0(x_i) / (K D(x_i)).  The weights 1 / M'(x_i) satisfy
-        sum w_i D(x_i) = 1, which is sum w_i x_i^(n-1) = 1 as D is monic of
+        points and the weights w_i = 1 / M'(x_i), for tilde_to_std, in closed
+        form on first use.  sigma fixes the roots theta, theta^q of Q_0, so
+        ((x - theta) / (x - theta^q))^n is a constant c on the fiber and M =
+        ((x - theta)^n - c (x - theta^q)^n) / (1 - c): M_k = (-1)^(n-k)
+        C(n, k) t_(n-k), where t_j = (theta^j - c theta^(qj)) / (1 - c) has
+        t_0 = 1, t_1 = sum x_i / n and the recurrence of Q_0.  M = N - key D
+        for x_r = N/D, and x_r' = K / Q_0 on the fiber, so w_i = Q_0(x_i) /
+        (K D(x_i)); sum w_i D(x_i) = sum w_i x_i^(n-1) = 1, as D is monic of
         degree n - 1 (each level denominator is monic of degree one below its
         numerator's), so K = sum Q_0(x_i).  Guarded at every point by the
-        other identity of the weights, sum w_i = 0 for n >= 2, then at x_0:
-        M(x_0) = 0 and w_0 M'(x_0) = 1."""
-        f, n, p = self.field, self.n, self.field.p
+        other identity, sum w_i = 0 for n >= 2, then at x_0: M(x_0) = 0 and
+        w_0 M'(x_0) = 1."""
+        f, n, p, q0s = self.field, self.n, self.field.p, self._q0s
         a1, a0 = f.neg(self.quads[0][1]), f.neg(self.quads[0][0])
         t = [1, f.div(f.sum(self.points), n % p)]  # p does not divide n | q + 1
         for _ in range(n - 1):
             t.append(f.add(f.mul(a1, t[-1]), f.mul(a0, t[-2])))
         signed = [c if (n - k) % 2 == 0 else f.neg(c)
                   for k, c in enumerate(_binomials_mod_p(f, n))]
-        self.fiber_poly = f.products(signed, reversed(t))
-        self.weights = f.products(f.products(q0s, inv_dens), repeat(f.inv(f.sum(q0s))))
-        if n > 1 and f.sum(self.weights) != 0:
+        fiber_poly = f.products(signed, reversed(t))
+        weights = f.products(f.products(q0s, self.inv_scales), repeat(f.inv(f.sum(q0s))))
+        if n > 1 and f.sum(weights) != 0:
             raise ValidationError("weights fail the identities of 1 / M'(x_i) over the fiber")
-        at_x0, slope = _value_and_slope(f, self.fiber_poly, self.points[0])
-        if at_x0 != 0 or f.mul(self.weights[0], slope) != 1:
+        x0, slope = self.points[0], f.products([k % p for k in range(1, n + 1)], fiber_poly[1:])
+        if horner(f, fiber_poly, x0) != 0 or f.mul(weights[0], horner(f, slope, x0)) != 1:
             raise ValidationError("fiber polynomial or weights fail at the fiber's first point")
+        return fiber_poly, weights
 
     def _build_kernel(self):
         """engine Levels from each level's points and poles, plus the
@@ -431,22 +422,22 @@ class CyclicPlan:
                         consts[(t, k)] = val = f.mul(val, f.sub(lam_t, lv.poles[k]))
                 lv.pole_consts = consts
             kernel.append(engine.Level(p, self.level_points[i - 1], lv.poles, lv.pole_consts))
-        engine.build_inverse_locals(f, kernel)
+        engine.build_forward_locals(f, kernel)
         self.kernel = kernel
 
     @cached_property
     def class_table(self):
         """A partial plan's points grouped by y = x^2 for tilde_to_std, built on
-        its first call: (d, ys, ranks), d = 2, ys the distinct y, larger classes
-        first, repeated d times, and ranks[j] = (idx, [xs]) the index and x of
-        the j-th point of each class that has one (pairs x, -x are by chance)."""
+        its first call: (ys, ranks), ys the distinct y, larger classes first,
+        twice over, and ranks[j] = (idx, xs) the index and x of the j-th point
+        of each class that has one (pairs x, -x are by chance)."""
         xs = self.points
         classes = {}
         for i, y in enumerate(self.field.products(xs, xs)):
             classes.setdefault(y, []).append(i)
         order = sorted(classes.items(), key=lambda yc: -len(yc[1]))
         ranks = [[c[j] for _, c in order if len(c) > j] for j in range(len(order[0][1]))]
-        return 2, [y for y, _ in order] * 2, [(idx, [[xs[i] for i in idx]]) for idx in ranks]
+        return [y for y, _ in order] * 2, [(idx, [xs[i] for i in idx]) for idx in ranks]
 
     @cached_property
     def mult_route(self):
@@ -457,7 +448,6 @@ class CyclicPlan:
         f = self.field
         radices = sorted((p for p, e in factorize(f.q - 1).items() for _ in range(e)), reverse=True)
         (points, *_), levels = coset_kernel(f, radices, find_primitive_element(f).raw)
-        engine.build_forward_locals(f, levels)
         index = {x: j for j, x in enumerate(points)}
         return levels, [index.get(x, f.q - 1) for x in self.points[1:]]
 
@@ -641,15 +631,6 @@ def _horner(field, coeffs, xs):
     return out
 
 
-def _value_and_slope(field, coeffs, x):
-    """(g(x), g'(x)) for the polynomial g with ascending coeffs, by Horner."""
-    val = slope = 0
-    for c in reversed(coeffs):
-        slope = field.add(field.mul(slope, x), val)
-        val = field.add(field.mul(val, x), c)
-    return val, slope
-
-
 # ---------------------------------------------------------------------------
 # forward / inverse transforms
 
@@ -680,24 +661,24 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
     f, full = plan.field, plan.is_full
     if isinstance(values, CyclicEvalVec):
         a0 = values.a0 if a0 is None else a0
-        seq = values.values
-        if list(values.points) != plan.points:
-            seq = point_ordered(f, values.as_dict(), plan.points, "'values'", "the vector")
-        seq = f.raws(seq)
-    else:
-        seq = value_raws(f, values)
+        values = values.values if list(values.points) == plan.points else point_ordered(
+            f, values.as_dict(), plan.points, "'values'", "the vector")
+    seq = value_raws(f, values)
     if len(seq) != plan.n:
         raise LengthMismatch(f"expected {plan.n} values, got {len(seq)}")
-    if a0 is not None and not full:
-        raise ValidationError("a partial plan's values carry no a0")
+    if (a0 is None) == full:
+        raise ValidationError("full-length inversion needs the carried top coefficient a0"
+                              if full else "a partial plan's values carry no a0")
+    return _ifft(plan, seq, f.raw(a0) if full else None)
+
+
+def _ifft(plan: CyclicPlan, seq, a0) -> CoeffVec:
+    """q1_ifft past its checks, on n raw values in plan point order and a raw a0."""
+    f, full = plan.field, plan.is_full
     tilde = [0] * full + f.products(seq[full:], plan.inv_scales[full:])
     out = engine.inverse(f, plan.kernel, tilde)
     if full:
-        if a0 is None:
-            raise ValidationError(
-                "full-length inversion needs the carried top coefficient a0"
-            )
-        out[0] = f.raw(a0)
+        out[0] = a0
     return CoeffVec(tuple(out), BASIS_CYCLIC)
 
 
@@ -707,7 +688,8 @@ def q1_ifft(plan: CyclicPlan, values, a0=None) -> CoeffVec:
 
 def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     """Express cyclic-z coefficients in the standard basis: q1_fft gives the
-    values y at the finite points, interpolated there inverting nothing.
+    values y at the finite points, interpolated there inverting nothing once
+    the tables are built.
 
     Full plan: on F_q^* = <alpha>, of order q - 1 = -1 in F_q, the
     interpolant of degree < q - 1 is h_k = -sum_j y(alpha^j) alpha^(-jk), one
@@ -718,7 +700,7 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     Partial plan: Lagrange, f = sum y_i w_i M(x) / (x - x_i), on the fiber
     polynomial M and weights w_i = 1 / M'(x_i).  With z = y * w and power
     sums P_e = sum z_i x_i^e, c_k = sum_(j > k) M_j P_(j-1-k); over the
-    class_table, P_(dk+r) = sum U_(y,r) y^k with U_(y,r) = sum_(x^d = y) z_x
+    class_table, P_(2k+r) = sum U_(y,r) y^k with U_(y,r) = sum_(x^2 = y) z_x
     x^r, one column product a k stepping to the next power of y."""
     f = plan.field
     ev = q1_fft(plan, coeffs)
@@ -733,25 +715,22 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
         out = h + [f.sub(h[0], y0), ev.a0]
         out[0], out[1] = y0, f.sub(out[1], ev.a0)
         return CoeffVec(tuple(out), BASIS_STANDARD)
-    z = f.products(ev.values, plan.weights)
-    d, ys, ranks = plan.class_table
-    cols = None
-    for idx, pows in ranks:  # U_(y,r), r < d, adding the j-th point of each class at rank j
+    z = f.products(ev.values, plan.fiber_tables[1])  # y_i w_i
+    ys, ((idx, xs), *ranks) = plan.class_table  # rank 0 holds every class
+    u = [z[i] for i in idx]
+    v = f.products(u, xs)
+    for idx, xs in ranks:  # U_(y,0), U_(y,1), adding the j-th point of each class at rank j
         zs = [z[i] for i in idx]
-        if cols is None:
-            cols = [zs] + [f.products(zs, pw) for pw in pows]
-            continue
-        cols[0][:len(zs)] = map(f.add, cols[0], zs)
-        for col, pw in zip(cols[1:], pows):
-            col[:len(zs)] = f.add_products(col, zs, pw)
-    m, c = len(z), len(ys) // d
-    row, sums = [u for col in cols for u in col], []
-    for e in range(0, m, d):  # row k: U_(y,r) y^k, r-major, whose r-th block sums to P_(e+r)
+        u[:len(zs)] = map(f.add, u, zs)
+        v[:len(zs)] = f.add_products(v, zs, xs)
+    m, c = len(z), len(ys) // 2
+    row, sums = u + v, []
+    for e in range(0, m, 2):  # row k: U_(y,r) y^k, r-major, whose r-th block sums to P_(e+r)
         if e:
-            row = f.products(row if m - e >= d else row[:(m - e) * c], ys)
-        sums += [f.sum(row[i:i + c]) for i in range(0, min(m - e, d) * c, c)]
+            row = f.products(row if m - e >= 2 else row[:c], ys)
+        sums += [f.sum(row[i:i + c]) for i in range(0, min(m - e, 2) * c, c)]
     out = [0] * plan.n
-    for j, mj in enumerate(plan.fiber_poly):
+    for j, mj in enumerate(plan.fiber_tables[0]):
         if j and mj:
             out[:j] = f.add_products(out[:j], sums[j - 1::-1], repeat(mj))
     return CoeffVec(tuple(out), BASIS_STANDARD)
@@ -759,8 +738,8 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
 
 def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     """Express a standard-coefficient polynomial of degree < n in cyclic-z:
-    its values at the plan's points, inverted with q1_ifft.  A partial plan
-    evaluates by Horner at each point.  On a full plan f(0) = a_0, and the
+    its values at the plan's points, inverted by q1_ifft's _ifft.  A partial
+    plan evaluates by Horner at each point.  On a full plan f(0) = a_0, and the
     values on F_q^*, where x^(q-1) = 1, are one forward of mult_route on f
     folded mod x^(q-1) - 1; the index-0 basis element x^q - x vanishes on
     F_q, so its coefficient is the x^q coefficient, passed as a0.
@@ -769,11 +748,11 @@ def std_to_tilde(plan: CyclicPlan, coeffs) -> CoeffVec:
     a = standard_values(f, coeffs, plan.n)
     if not plan.is_full:
         g = trim(a)
-        return q1_ifft(plan, [horner(f, g, x) for x in plan.points])
+        return _ifft(plan, [horner(f, g, x) for x in plan.points], None)
     levels, idx = plan.mult_route
     m = f.q - 1
     folded = a[:m]
     for k in range(m, plan.n):
         folded[k % m] = f.add(folded[k % m], a[k])
     ys = engine.forward(f, levels, folded) + [a[0]]  # f(alpha^j), then f(0)
-    return q1_ifft(plan, [0] + [ys[j] for j in idx], a[-1])
+    return _ifft(plan, [0] + [ys[j] for j in idx], a[-1])

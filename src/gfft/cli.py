@@ -66,6 +66,22 @@ def _write_output(path, text):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _json_text(obj, indent=""):
+    """json.dumps(obj, indent=1) by the C encoder (indent=1 runs the Python
+    one) on each container of scalars: dicts with str keys, lists, tuples."""
+    keyed = type(obj) is dict
+    items = obj.values() if keyed else obj if type(obj) in (list, tuple) else ()
+    if not items:
+        return json.dumps(obj)
+    sep = ",\n" + indent + " "
+    if {dict, list, tuple}.isdisjoint(map(type, items)):
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    else:
+        parts = [_json_text(v, indent + " ") for v in items]
+        body = sep.join(map("{}: {}".format, map(json.dumps, obj), parts) if keyed else parts)
+    return "[{"[keyed] + sep[1:] + body + "\n" + indent + "]}"[keyed]
+
+
 def _counted(field, fn, arg, report=False):
     """(fn(arg), its op total, its wall time); report prints one ops: line."""
     with field.count_ops() as ctr:
@@ -107,7 +123,7 @@ def cmd_plan(args) -> int:
     for line in plan.describe():
         print(line)
     if args.out:
-        _write_output(args.out, json.dumps(fileio.plan_to_json(plan), indent=1))
+        _write_output(args.out, _json_text(fileio.plan_to_json(plan)))
         print(f"plan written to {args.out}")
     return 0
 
@@ -131,7 +147,7 @@ def _read_coeffs(field, path, fmt, basis):
 def _write_vector(args, field, vec, to_csv, to_json):
     """vec to args.out, as to_csv's text or to_json's object as JSON."""
     _write_output(args.out, to_csv(field, vec) if _is_csv(args.out, args.format)
-                  else json.dumps(to_json(field, vec), indent=1))
+                  else _json_text(to_json(field, vec)))
 
 
 def cmd_fft(args) -> int:

@@ -23,10 +23,11 @@ point at infinity goes through the pole-fiber constants, on coefficients
 gathered through leaf_order, and the leaves, at the top level's point at
 infinity, are 0.
 
-forward and inverse take the same arguments in all three cases and invert no
-field element.  The inverse solves each level's local systems in Newton form
-(local_solve), at the forward's op count on affine and radix-2 levels and p
-more ops per fiber on cyclic levels of radix p > 2.
+forward and inverse take the same arguments in all three cases.  The inverse
+solves each level's local systems in Newton form (local_solve), at the
+forward's op count on affine and radix-2 levels and p more ops per fiber on
+cyclic levels of radix p > 2.  A plan builds forward's tables; the first
+inverse builds the Newton data, and no later call inverts a field element.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class Level:
     The forward step's local system at point s has rows [1, w_0(s),
     w_0(s) w_1(s), ...], from the Horner weights w_j.  build_forward_locals
     sets weights (w_j at the points of columns 0..p-1, in that order) and
-    leaf_order (last level only); build_inverse_locals also newton (the data
-    of local_solve) and inv_diag (the inverse diagonal of the pole system).
+    leaf_order (last level only); the first inverse sets newton (the data of
+    local_solve) and inv_diag (the inverse diagonal of the pole system).
     """
 
     __slots__ = ("radix", "size", "points", "poles", "pole_consts",
@@ -182,6 +183,8 @@ def inverse(field, levels, values, depth=0):
     n = levels[0].size if levels else 1
     if len(values) != n:
         raise LengthMismatch(f"{len(values)} values for {n} points")
+    if levels and levels[-1].newton is None:
+        build_inverse_locals(field, levels)
     if depth == len(levels):
         if not levels:
             return list(values)
@@ -271,11 +274,11 @@ def build_forward_locals(field, levels):
 
 
 def build_inverse_locals(field, levels):
-    """Set forward's tables (build_forward_locals) and each level's newton
-    data and inv_diag.  The newton data, as columns over the fibers, are the
-    scales (or None), the inverses of each fiber's p(p-1)/2 node differences,
-    from one batched inversion, a column of one value as that one entry, and
-    shifts[k][i] = a_k - b_i for node a_k and centre b_i.
+    """Set forward's tables (build_forward_locals) if unset, and each level's
+    newton data and inv_diag.  The newton data, as columns over the fibers,
+    are the scales (or None), the inverses of each fiber's p(p-1)/2 node
+    differences, from one batched inversion, a column of one value as that
+    one entry, and shifts[k][i] = a_k - b_i for node a_k and centre b_i.
 
     On an affine or a radix-2 level the rows are monomials in w_0 (the
     radix-2 row is [1, w_0]): the nodes are w_0 and the centres 0.  On a
@@ -283,7 +286,8 @@ def build_inverse_locals(field, levels):
     is [prod_(j>=k) (x - pole_j)]_k: the Newton basis in x with centres
     pole_(p-2), ..., pole_0, in reverse order.
     """
-    build_forward_locals(field, levels)
+    if levels and levels[-1].leaf_order is None:
+        build_forward_locals(field, levels)
     sub = field.sub
     for lv in levels:
         p = lv.radix

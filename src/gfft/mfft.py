@@ -37,7 +37,6 @@ class MultPlan:
         self.omega = field.pow(self.alpha, (field.q - 1) // n)
         self.level_points, self.kernel = coset_kernel(field, radices, self.omega, beta)
         self.points = self.level_points[0]
-        engine.build_inverse_locals(field, self.kernel)
 
     def fft(self, coeffs):
         return mult_fft(self, coeffs)
@@ -79,8 +78,8 @@ def mult_plan(field: Field, radices, beta=1) -> MultPlan:
 def coset_kernel(field: Field, radices, omega, beta=1):
     """(level_points, levels) on the n = prod(radices) points beta * omega^j,
     omega of order n: x_i = x^(p_1...p_i), checked constant on each fiber, and
-    the engine Levels without tables, which MultPlan adds for both directions
-    and a full cyclic plan's conversions (cfft.CyclicPlan.mult_route) forward."""
+    the engine Levels with forward's tables, for MultPlan and a full cyclic
+    plan's conversions (cfft.CyclicPlan.mult_route)."""
     pts, acc = [], beta
     for _ in range(prod(radices)):
         pts.append(acc)
@@ -89,7 +88,9 @@ def coset_kernel(field: Field, radices, omega, beta=1):
         raise ValidationError("evaluation points not distinct; omega order wrong")
     level_points = engine.fiber_levels(
         pts, radices, lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None))
-    return level_points, [engine.Level(p, xs) for p, xs in zip(radices, level_points)]
+    levels = [engine.Level(p, xs) for p, xs in zip(radices, level_points)]
+    engine.build_forward_locals(field, levels)
+    return level_points, levels
 
 
 def mult_fft(plan: MultPlan, coeffs):

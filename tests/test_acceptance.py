@@ -8,6 +8,7 @@ tolerance.
 import math
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -40,6 +41,7 @@ from gfft.repro import (
     image_below_level,
     tower_numerator_expected,
 )
+from gfft.vectors import BASIS_STANDARD, CoeffVec
 
 SEED = 0xACCE
 
@@ -277,7 +279,9 @@ def test_criterion_5_cyclic_std_to_tilde_ladder():
     kernel pass plus power sums over the plan's fiber polynomial, about 3n^2
     ops and no inversion) keep count(2n) / count(n) near 4, where an n^3
     route grows by 6 to 7 per doubling.  The two are mirror images, so
-    cyclic-z -> standard costs at most 1.6 times its partner."""
+    cyclic-z -> standard costs at most 1.6 times its partner.  Both are
+    counted once a first call has built their tables (the surplus of that
+    call is pinned by test_first_call_surplus_is_the_table_builds)."""
     rng = random.Random(SEED + 7)
     field = field_make(383)
     counts = {std_to_tilde: {}, tilde_to_std: {}}
@@ -285,6 +289,7 @@ def test_criterion_5_cyclic_std_to_tilde_ladder():
         plan = cyclic_plan(field, (2,) * k)
         c = [rng.randrange(field.q) for _ in range(plan.n)]
         for convert, by_n in counts.items():
+            convert(plan, c)  # builds the tables
             with field.count_ops() as ctr:
                 convert(plan, c)
             by_n[plan.n] = ctr.total()
@@ -531,12 +536,14 @@ def test_criterion_8_cost_theorem():
     ops exactly.  On cyclic plans ifft ops <= 2 n sum(p_i - 1)
     + n #{i : p_i > 2} + scalings: a level of radix p > 2 first scales
     each point by prod_j (x - pole_j), n muls per level.  Neither direction
-    inverts a field element: every inverse is precomputed at plan build."""
+    inverts a field element once the first ifft has built the inverse's
+    tables (test_first_call_surplus_is_the_table_builds pins that call)."""
     rng = random.Random(SEED + 9)
     notes = []
     for name, case, plan in _cost_plans():
         field, n, radices = plan.field, plan.n, plan.radices
         c = [rng.randrange(field.q) for _ in range(n)]
+        plan.ifft(_forward(case, plan, c))  # builds the inverse's tables
         with field.count_ops() as fwd:
             values = _forward(case, plan, c)
         with field.count_ops() as inv:
@@ -591,7 +598,8 @@ EXACT_OPS = {
 def test_criterion_8_exact_op_counts():
     """fft and ifft op counts, exact, on every cost-theorem config and on the
     four benchmark configs (the cli workload's plan is the default partial
-    fiber of F_383, radices 2^7)."""
+    fiber of F_383, radices 2^7), counted once a first ifft has built the
+    inverse's tables."""
     rng = random.Random(SEED + 12)
     plans = [(name, case, plan) for name, case, plan in _cost_plans()]
     plans += [("mult-65537-n4096", "mult", mult_plan(field_make(65537), (2,) * 12)),
@@ -602,6 +610,7 @@ def test_criterion_8_exact_op_counts():
     for name, case, plan in plans:
         field = plan.field
         c = [rng.randrange(field.q) for _ in range(plan.n)]
+        plan.ifft(_forward(case, plan, c))  # builds the inverse's tables
         with field.count_ops() as fwd:
             values = _forward(case, plan, c)
         with field.count_ops() as inv:
@@ -611,12 +620,70 @@ def test_criterion_8_exact_op_counts():
     _report("criterion-8 exact op counts", True, f"{len(plans)} configs, fft and ifft")
 
 
+def _first_use_tables(case, plan, job):
+    """The tables a job builds on its first call on a fresh plan: "newton"
+    is the Newton data of every kernel level, any other name a plan
+    attribute built on first use."""
+    if job == "fft" or (case != "cyclic" and job != "ifft"):
+        return ()
+    inverse = ("inv_scales", "newton") if case == "cyclic" else ("newton",)
+    if job == "ifft":
+        return inverse
+    if job == "to_std":
+        return ("mult_route",) if plan.is_full else ("inv_scales", "fiber_tables", "class_table")
+    return ("mult_route",) * plan.is_full + inverse
+
+
+FIRST_USE_TABLES = ("newton", "inv_scales", "fiber_tables", "class_table", "mult_route")
+
+
+def _has_table(plan, table):
+    if table == "newton":
+        return all(lv.newton is not None for lv in plan.kernel)
+    return table in vars(plan)
+
+
+@pytest.mark.parametrize("job", ["fft", "ifft", "to_std", "from_std"])
+def test_first_call_surplus_is_the_table_builds(job):
+    """A plan builds only what its fft reads; each other table is built on
+    the first call that reads it.  So a job's first call on a fresh plan
+    costs exactly its second call plus the ops of the builders of those
+    tables, run alone on a twin plan of the same config (adds, muls and
+    invs each), and builds them and no other; a second call builds nothing."""
+    rng = random.Random(SEED + 13)
+    for (name, case, plan), (_, _, twin) in zip(_cost_plans(), _cost_plans()):
+        field = plan.field
+        tables = _first_use_tables(case, plan, job)
+        assert not any(_has_table(plan, t) for t in FIRST_USE_TABLES), (name, job)
+        c = [rng.randrange(field.q) for _ in range(plan.n)]
+        run = {"fft": lambda: _forward(case, plan, c),
+               "ifft": partial(plan.ifft, _forward(case, twin, c)),
+               "to_std": partial(plan.to_standard, CoeffVec(tuple(c), plan.basis)),
+               "from_std": partial(plan.from_standard, CoeffVec(tuple(c), BASIS_STANDARD))}[job]
+        counts = []
+        for _ in range(2):
+            with field.count_ops() as ctr:
+                run()
+            counts.append((ctr.adds, ctr.muls, ctr.invs))
+        assert {t for t in FIRST_USE_TABLES if _has_table(plan, t)} == set(tables), (name, job)
+        with twin.field.count_ops() as ctr:
+            for table in tables:
+                if table == "newton":
+                    build_inverse_locals(twin.field, twin.kernel)
+                else:
+                    getattr(twin, table)
+        surplus = tuple(a - b for a, b in zip(*counts))
+        assert surplus == (ctr.adds, ctr.muls, ctr.invs), (name, job, surplus, ctr)
+    _report(f"first-use tables of {job}", True, "first call = second call + table builds")
+
+
 def test_criterion_8_local_solve_oracle():
     """engine.local_solve against linalg.solve on the Horner-product rows
     [1, w_0, w_0 w_1, ...] of random fibers, on every level of full and
-    partial cyclic, mult and add plans with radices 2, 3, 5, 11 and 13; a
-    fiber with a repeated node raises SingularLocalSystem at build, and a
-    point on a level pole raises ValidationError."""
+    partial cyclic, mult and add plans with radices 2, 3, 5, 11 and 13, once
+    build_inverse_locals has set their Newton data, as a first ifft does; a
+    fiber with a repeated node raises SingularLocalSystem there, and a point
+    on a level pole raises ValidationError."""
     rng = random.Random(SEED + 11)
     plans = [(name, plan) for name, _, plan in _cost_plans()]
     plans += [(f"mult-F8581-{r}", mult_plan(field_make(8581), r))
@@ -626,6 +693,7 @@ def test_criterion_8_local_solve_oracle():
     radices, checked = set(), 0
     for name, plan in plans:
         field = plan.field
+        build_inverse_locals(field, plan.kernel)
         for depth, lv in enumerate(plan.kernel):
             values = [rng.randrange(field.q) for _ in range(lv.size)]
             subvals = local_solve(field, lv, values)

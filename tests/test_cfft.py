@@ -768,34 +768,38 @@ def test_fiber_tables_closed_forms(field_args, radices):
     field = field_make(*field_args)
     plan = cyclic_plan(field, radices)
     if plan.is_full:
-        assert "fiber_poly" not in vars(plan) and "weights" not in vars(plan)
+        assert "fiber_tables" not in vars(plan)
         return
     xs = plan.points
-    fiber = Poly(field, plan.fiber_poly)
+    fiber_poly, weights = plan.fiber_tables
+    fiber = Poly(field, fiber_poly)
     assert fiber == Poly.from_roots(field, xs)
     slope = Poly(field, [field.mul(k % field.p, c) for k, c in enumerate(fiber.coeffs)][1:])
-    assert len(plan.weights) == len(xs)
-    assert [field.mul(w, slope.eval(x)) for w, x in zip(plan.weights, xs)] == [1] * len(xs)
+    assert len(weights) == len(xs)
+    assert [field.mul(w, slope.eval(x)) for w, x in zip(weights, xs)] == [1] * len(xs)
 
 
 def test_fiber_tables_guard_the_closed_forms():
+    """The guards run where the tables are built, on their first use: the
+    weights, built from the points as they were, no longer match points
+    rotated before that use, and the first conversion refuses the plan."""
     plan = cyclic_plan(field_make(383), (2,) * 5)
-    q0s, dens = plan._build_scaling()
-    plan._build_fiber_tables(q0s, dens)
     plan.points = plan.points[1:] + plan.points[:1]  # weights no longer match the points
     with pytest.raises(ValidationError, match="fiber polynomial or weights"):
-        plan._build_fiber_tables(q0s, dens)
+        tilde_to_std(plan, [1] * plan.n)
+    with pytest.raises(ValidationError, match="fiber polynomial or weights"):
+        plan.fiber_tables
 
 
 @pytest.mark.parametrize("at", [1, 17, 31])
 def test_fiber_tables_guard_every_weight(at):
-    """A wrong weight away from the first point fails the weight identities."""
+    """A wrong weight away from the first point fails the weight identities,
+    on the first conversion that reads the weights."""
     field = field_make(383)
     plan = cyclic_plan(field, (2,) * 5)
-    q0s, dens = plan._build_scaling()
-    q0s[at] = field.add(q0s[at], 1)
+    plan._q0s[at] = field.add(plan._q0s[at], 1)
     with pytest.raises(ValidationError, match="identities of 1 / M'"):
-        plan._build_fiber_tables(q0s, dens)
+        tilde_to_std(plan, [1] * plan.n)
 
 
 @pytest.mark.parametrize("field_args, radices", [
@@ -804,9 +808,11 @@ def test_fiber_tables_guard_every_weight(at):
 ])
 def test_tilde_to_std_inverts_nothing(field_args, radices, rng):
     """tilde_to_std runs on plan tables only: like the fft, it counts no
-    inversion, from the first call of a fresh plan on."""
+    inversion once its first call has built them (a partial plan's 1 / scale
+    takes one; test_first_call_surplus_is_the_table_builds pins that call)."""
     field = field_make(*field_args)
     plan = cyclic_plan(field, radices)
+    tilde_to_std(plan, [1] * plan.n)
     for _ in range(2):
         c = [rng.randrange(field.q) for _ in range(plan.n)]
         with field.count_ops() as ctr:
@@ -911,11 +917,15 @@ def test_std_to_tilde_evaluates_over_power_classes(field_args, radices, rng, rou
     ((2, 6), (5, 13)), ((3, 4), (2, 41)), ((383,), (2,) * 7),
 ])
 def test_std_to_tilde_inverts_nothing(field_args, radices, rng):
-    """std_to_tilde counts no inversion beyond its q1_ifft, from the first
-    call of a fresh plan on: a full plan's mult route is built without the
-    Newton data of an inverse."""
+    """std_to_tilde counts no inversion beyond its q1_ifft once its first
+    call has built the inverse's tables (test_first_call_surplus_is_the_
+    table_builds pins that call): a full plan's mult route has no Newton
+    data."""
     field = field_make(*field_args)
     plan = cyclic_plan(field, radices)
+    std_to_tilde(plan, [1] * plan.n)
+    if plan.is_full:
+        assert all(lv.newton is None for lv in plan.mult_route[0])
     for _ in range(2):
         std = [rng.randrange(field.q) for _ in range(plan.n)]
         with field.count_ops() as ctr:

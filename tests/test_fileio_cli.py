@@ -652,17 +652,64 @@ def test_cli_output_refused_exits_2_and_keeps_the_file(tmp_path, capsys):
 
 
 def test_cli_count_ops_on_fft_and_ifft(tmp_path, capsys):
-    # ifft used to accept --count-ops and print nothing
+    """--count-ops counts the whole transform call (ifft used to accept it
+    and print nothing).  A command reloads its plan, so the ifft's line also
+    counts the Newton data that its first inverse builds: 15 subs for the
+    node differences of the 8 + 4 + 2 + 1 fibers, and one batched inversion
+    a level, 3(N - 1) muls for N fibers, over the transform's 64 and 64."""
     plan_path, src = str(tmp_path / "plan.json"), tmp_path / "c.json"
     vals, back = str(tmp_path / "v.json"), str(tmp_path / "back.json")
     assert cli.main(["plan", *CLI_PLANS["mult"], "--out", plan_path]) == 0
     src.write_text(json.dumps({"coeffs": list(range(16))}))
     capsys.readouterr()
-    for argv in (["fft", "--in", str(src), "--out", vals], ["ifft", "--in", vals, "--out", back]):
+    for argv, line in ((["fft", "--in", str(src), "--out", vals], "adds=64 muls=64 invs=0"),
+                       (["ifft", "--in", vals, "--out", back], "adds=79 muls=97 invs=4")):
         assert cli.main([*argv, "--plan", plan_path, "--count-ops"]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ops: adds=64 muls=64 invs=0 wall="), err
+        assert len(err) == 1 and err[0].startswith(f"ops: {line} wall="), err
     assert json.loads(Path(back).read_text())["coeffs"] == list(range(16))
+
+
+def _writer_plans():
+    return [mult_plan(field_make(17), (2, 2, 2, 2)), mult_plan(field_make(3, 2), (2, 2), 3),
+            add_plan(field_make(3, 2), [1, 3]), add_plan(field_make(2, 4), [1, 2]),
+            cyclic_plan(field_make(23), (2, 2, 2, 3)), cyclic_plan(field_make(383), (2,) * 5),
+            cyclic_plan(field_make(3, 4), (41,)), cyclic_plan(field_make(2, 4), (17,))]
+
+
+def test_json_text_is_the_indented_dumps():
+    """The CLI writes every JSON file through cli._json_text, whose text is
+    json.dumps(obj, indent=1) exactly: plan, value and coefficient objects
+    over prime and extension fields (nested digit lists), keyed cyclic value
+    files with and without a0, and empty lists and maps."""
+    objs = []
+    for plan in _writer_plans():
+        field = plan.field
+        objs.append(fileio.plan_to_json(plan))
+        coeffs = [(3 * i + 1) % field.q for i in range(plan.n)]
+        values = plan.fft(coeffs)
+        objs.append(fileio.values_to_json(field, values))
+        objs.append(fileio.coeffs_to_json(field, plan.ifft(values)))
+        objs.append(fileio.coeffs_to_json(field, CoeffVec((), plan.basis)))
+    assert {"a0" in obj for obj in objs if "tilde" in obj} == {True, False}
+    assert any(isinstance(obj["values"], list) for obj in objs if "values" in obj)
+    objs += [{}, [], {"values": {}, "tilde": {}}, [[], {}], {"a": [[], [1]], "b": "\u00e9\n"}]
+    for obj in objs:
+        assert cli._json_text(obj) == json.dumps(obj, indent=1), obj
+
+
+@pytest.mark.parametrize("plan", _writer_plans(), ids=repr)
+def test_reloaded_plan_builds_only_what_fft_reads(plan):
+    """A gfft command reloads its plan, and an fft on it builds no table of
+    the inverse or of the conversions: no level's Newton data, no 1 / scale
+    and no fiber table.  Its first ifft builds the Newton data."""
+    reloaded = fileio.plan_from_json(json.loads(cli._json_text(fileio.plan_to_json(plan))))
+    values = reloaded.fft([(5 * i + 2) % plan.field.q for i in range(plan.n)])
+    assert all(lv.newton is None and lv.inv_diag is None for lv in reloaded.kernel)
+    lazy = {"inv_scales", "fiber_tables", "class_table", "mult_route"}
+    assert not lazy & set(vars(reloaded))
+    reloaded.ifft(values)
+    assert all(lv.newton is not None for lv in reloaded.kernel)
 
 
 def test_cli_tampered_plan_file_exits_3(tmp_path, capsys):
@@ -677,6 +724,29 @@ def test_cli_tampered_plan_file_exits_3(tmp_path, capsys):
                      "--out", str(tmp_path / "v.json")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mismatch: plan table 'points'"), err
+
+
+@pytest.mark.parametrize("table", ["scale_const", "pole_consts"])
+def test_cli_tampered_cyclic_plan_file_exits_3(tmp_path, capsys, table):
+    """A plan file is rebuilt and diffed in full at load, whatever tables
+    the command then builds on first use."""
+    plan_path, src = tmp_path / "plan.json", tmp_path / "c.json"
+    assert cli.main(["plan", *CLI_PLANS["cyclic"], "--out", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text())
+    tables = plan["tables"]
+    if table == "scale_const":
+        tables["scale_const"] = (tables["scale_const"] + 1) % 23
+    else:
+        key = sorted(tables["pole_consts"])[0]
+        tables["pole_consts"][key] = (tables["pole_consts"][key] + 1) % 23
+    plan_path.write_text(json.dumps(plan))
+    src.write_text(json.dumps({"basis": "cyclic-z", "coeffs": list(range(24))}))
+    capsys.readouterr()
+    for cmd in ("fft", "ifft"):
+        assert cli.main([cmd, "--plan", str(plan_path), "--in", str(src),
+                         "--out", str(tmp_path / "v.json")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"mismatch: plan table {table!r}"), err
 
 
 @pytest.mark.parametrize("edit, message", [
