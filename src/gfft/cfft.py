@@ -146,8 +146,8 @@ class CyclicPlan:
         from 2x2 matrices alone.
 
         sigma commutes with every G_i, so x_i o sigma = S_i o x_i: S_0 = sigma,
-        and S_i is the Moebius map with m_i o S_{i-1} = S_i o m_i, solved as
-        one linear system per level (_lift_sigma).  So tau_i = sigma^e,
+        and S_i is the Moebius map with m_i o S_{i-1} = S_i o m_i, solved by
+        Cramer's rule at two degrees per level (_lift_sigma).  So tau_i = sigma^e,
         e = (q+1)/|G_i|, a generator of G_i, induces M = S_{i-1}^e on the
         x_{i-1}-line, and x_i, the sum of the translates of x_{i-1} under
         tau_i, is m_i(x_{i-1}) with m_i = sum_t M^t(T) (_level_map): the
@@ -367,8 +367,7 @@ class CyclicPlan:
         """1 / scale at the finite points (None at INF), 1 / (scale *
         base_value) = 1 / D on a partial plan, on first use."""
         full = self.is_full
-        return [None] * full + engine._batch_inverse(
-            self.field, [self.scales[1:] if full else self._dens])[0]
+        return [None] * full + self.field.inverses(self.scales[1:] if full else self._dens)
 
     @cached_property
     def fiber_tables(self):
@@ -565,9 +564,13 @@ def _lift_sigma(field, prev, num, den, level):
     """The Moebius map S with m o prev = S o m, for the level map m = num/den
     (ascending coefficients) and prev, sigma's map one level down: with
     num_L / den_L = m o prev by homogeneous composition, S is the relation
-    num_L / den_L = S o m (moebius.relation), 2p + 1 coefficient equations
-    in its entries.  m o prev is no constant, so every solution with AD = BC
-    is zero and the kernel is the line of S."""
+    num_L / den_L = S o m (moebius.relation), read off by Cramer's rule and
+    verified on all 2p + 2 coefficient equations.  relation needs both sides
+    in lowest terms: m is (_build_tower checks it), and so is m o prev, as a
+    Moebius substitution keeps num and den coprime (it is an invertible
+    linear change of the homogeneous variables).  The minor it solves at,
+    degrees p and p - 1 of m (num monic of degree p, den monic of degree
+    p - 1), is 1."""
     p = len(num) - 1
     den = list(den) + [0]  # degree p - 1, read at degree p
     lift = relation(field, homogeneous(field, (num, den), [prev.b, prev.a], [prev.d, prev.c], p),

@@ -33,7 +33,7 @@ inverse builds the Newton data, and no later call inverts a field element.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 
 from .errors import LengthMismatch, SingularLocalSystem, ValidationError
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
@@ -314,21 +314,14 @@ def _column_points(lv):
 
 
 def _batch_inverse(field, cols):
-    """Entrywise inverses of equal-length columns by Montgomery's trick: one
-    field inversion and 3(N-1) muls for N entries."""
+    """Entrywise inverses of equal-length columns by one Field.inverses
+    (Montgomery's trick): one field inversion and 3(N-1) muls for N entries."""
     flat = [x for col in cols for x in col]
     if not flat:
         return cols
     if 0 in flat:
         raise SingularLocalSystem("repeated node in a local system")
-    mul = field.mul
-    prefix = list(accumulate(flat, mul))
-    inv = field.inv(prefix[-1])
-    out = [0] * len(flat)
-    for i in range(len(flat) - 1, 0, -1):
-        out[i] = mul(inv, prefix[i - 1])
-        inv = mul(inv, flat[i])
-    out[0] = inv
+    out = field.inverses(flat)
     m = len(cols[0])
     return [out[i:i + m] for i in range(0, len(out), m)]
 
@@ -336,6 +329,6 @@ def _batch_inverse(field, cols):
 def affine(field, nums, dens):
     """The points N/D of the projective pairs (N, D) of two columns, INF
     where D = 0, through one batched inversion of the nonzero D."""
-    (inv,) = _batch_inverse(field, [[d for d in dens if d]])
+    inv = field.inverses([d for d in dens if d])
     values = iter(field.products([x for x, d in zip(nums, dens) if d], inv))
     return [next(values) if d else INF for d in dens]

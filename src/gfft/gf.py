@@ -9,7 +9,8 @@ Field methods; FieldElement is a thin wrapper for user-facing code.
 The column ops (add_products, sub_products, diff_products, products) fuse
 an entrywise multiply with an add or subtract over whole lists, for the
 transform kernels, and count as the element ops they fuse; sum adds up a
-column, counted as its adds.  Field._tally is the one way a loop that does
+column, counted as its adds, and inverses inverts one by Montgomery's trick,
+counted as its one inv and its muls.  Field._tally is the one way a loop that does
 element ops inline, here or in another module (poly.mul_add and poly.horner),
 reports them: no other module reads the counter.
 
@@ -44,6 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 from .errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ValidationError,
                      ZeroInverse)
@@ -384,6 +386,43 @@ class Field:
         else:
             return reduce(self.add, xs) if xs else 0
         self._tally(max(len(xs) - 1, 0), 0)
+        return out
+
+    def inverses(self, xs) -> list:
+        """[1 / x] over a list by Montgomery's trick: the prefix products,
+        one inversion of the last, and a backward pass, counted as one inv
+        and 3(N - 1) muls for N entries.  A zero entry raises ZeroInverse."""
+        if 0 in xs:
+            raise ZeroInverse("inverse of zero")
+        n = len(xs)
+        if not n:
+            return []
+        out = [0] * n
+        if self.r == 1:
+            p, prefix, acc = self.p, [], 1
+            for x in xs:
+                acc = acc * x % p
+                prefix.append(acc)
+            inv = self.inv(acc)
+            for i in range(n - 1, 0, -1):
+                out[i] = inv * prefix[i - 1] % p
+                inv = inv * xs[i] % p
+        else:
+            if self.p == 2:
+                exp, log = self._exp, self._log
+
+                def mul(x, y):
+                    return exp[log[x] + log[y]]
+            else:
+                mul = self.mul
+            prefix = list(accumulate(xs, mul))
+            inv = self.inv(prefix[-1])
+            for i in range(n - 1, 0, -1):
+                out[i] = mul(inv, prefix[i - 1])
+                inv = mul(inv, xs[i])
+        out[0] = inv
+        if self.r == 1 or self.p == 2:
+            self._tally(0, 3 * (n - 1))
         return out
 
     def pow(self, x: int, e: int) -> int:

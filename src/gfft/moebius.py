@@ -9,13 +9,10 @@ on the orientation cross-validate it against independent data.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 from .engine import affine
 from .errors import NoMoebiusRelation, ValidationError
 from .gf import Field, _int_entry, multiplicative_order, square_multiply
-from .linalg import nullspace_vector
-from .poly import INF, Poly, RatFn, mul_add
+from .poly import INF, Poly, RatFn
 
 
 class MoebiusMap:
@@ -143,20 +140,40 @@ def match_moebius(g: RatFn, h: RatFn) -> MoebiusMap:
 
 def relation(field, g, h):
     """The Moebius map M with g = M o h, or None, for g and h given as
-    (numerator, denominator) pairs of ascending coefficient lists.
+    (numerator, denominator) pairs of ascending coefficient lists, each in
+    lowest terms.
 
-    M = (A, B; C, D) solves g_num (C h_num + D h_den) = g_den (A h_num +
-    B h_den), one equation per coefficient, through nullspace_vector.  The
-    kernel vector is verified exactly: AD - BC != 0 and it satisfies every
-    equation, which together are g = M o h.
+    For M = (A, B; C, D) with AD - BC != 0 the pair (A h_num + B h_den,
+    C h_num + D h_den) is in lowest terms too, so g = M o h holds exactly
+    when g_num = A h_num + B h_den and g_den = C h_num + D h_den, a common
+    scalar absorbed into M.  A, B and C, D are solved by Cramer's rule at
+    two degrees: h's top degree t and the highest s < t where the minor
+    h_num[t] h_den[s] - h_den[t] h_num[s] is nonzero (there is none only when
+    h is constant).  The solution is verified exactly: AD - BC != 0 and every
+    coefficient equation holds, by two column ops over both equations.
     """
     f = field
-    (g_num, g_den), (h_num, h_den) = g, h
-    rows = [[f.neg(a), f.neg(b), c, d] for a, b, c, d in zip_longest(
-        mul_add(f, g_den, h_num), mul_add(f, g_den, h_den),
-        mul_add(f, g_num, h_num), mul_add(f, g_num, h_den), fillvalue=0)]
-    sol = nullspace_vector(f, rows)
-    if (sol is None or f.mul(sol[0], sol[3]) == f.mul(sol[1], sol[2])
-            or any(f.sum(f.products(row, sol)) for row in rows)):
+    size = max(map(len, (*g, *h)))
+    g_num, g_den, h_num, h_den = (list(c) + [0] * (size - len(c)) for c in (*g, *h))
+    t = next((k for k in range(size - 1, -1, -1) if h_num[k] or h_den[k]), 0)
+    nt, dt = h_num[t], h_den[t]
+    for s in range(t - 1, -1, -1):
+        minor = f.sub(f.mul(nt, h_den[s]), f.mul(dt, h_num[s]))
+        if minor:
+            break
+    else:
         return None
-    return MoebiusMap(f, *sol)
+    ns, ds, inv = h_num[s], h_den[s], f.inv(minor)
+
+    def cramer(top, low):  # (X, Y) with X h_num + Y h_den = top at t, low at s
+        return (f.mul(f.sub(f.mul(top, ds), f.mul(dt, low)), inv),
+                f.mul(f.sub(f.mul(nt, low), f.mul(ns, top)), inv))
+
+    (a, b), (c, d) = cramer(g_num[t], g_num[s]), cramer(g_den[t], g_den[s])
+    if f.mul(a, d) == f.mul(b, c):
+        return None
+    lhs = f.add_products(f.products(h_num * 2, [a] * size + [c] * size),
+                         h_den * 2, [b] * size + [d] * size)
+    if lhs != g_num + g_den:
+        return None
+    return MoebiusMap(f, a, b, c, d)

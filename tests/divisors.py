@@ -1,15 +1,19 @@
 """Valuations and complete factorization over F_q (odd q), for the tests that
 check the divisor structure of the rational function field, the cyclic
 plan's subfield tower, level maps and lifts of sigma derived symbolically,
-and the order of a root of a quadratic in F_{q^2}, the reference the
-library's companion-map primitivity test (gf.quadratic_failure) is checked
-against.  The library itself never factors, takes valuations, sums rational
-functions or computes in F_{q^2}."""
+a Moebius-relation solve by elimination, the reference moebius.relation's
+Cramer's rule is checked against, and the order of a root of a quadratic in
+F_{q^2}, the reference the library's companion-map primitivity test
+(gf.quadratic_failure) is checked against.  The library itself never
+factors, takes valuations, sums rational functions or computes in F_{q^2}."""
+
+from itertools import zip_longest
 
 from gfft.errors import ValidationError
 from gfft.gf import multiplicative_order, square_multiply
-from gfft.moebius import match_moebius
-from gfft.poly import INF, Poly, RatFn, compose_moebius
+from gfft.linalg import nullspace_vector
+from gfft.moebius import MoebiusMap
+from gfft.poly import INF, Poly, RatFn, compose_moebius, mul_add
 
 
 class ZeroFunction(ValidationError):
@@ -156,12 +160,33 @@ def factor_monic(f: Poly, rng) -> dict:
     return factors
 
 
+def relation_by_elimination(field, g, h):
+    """The Moebius map M with g = M o h, or None, for g and h given as
+    (numerator, denominator) pairs of ascending coefficient lists, solved
+    without moebius.relation: M = (A, B; C, D) spans the kernel of g_num
+    (C h_num + D h_den) = g_den (A h_num + B h_den), one equation per
+    coefficient, found by linalg.nullspace_vector and verified exactly
+    (AD - BC != 0 and every equation holds).  Cross-multiplied, it needs
+    neither pair in lowest terms."""
+    f = field
+    (g_num, g_den), (h_num, h_den) = g, h
+    rows = [[f.neg(a), f.neg(b), c, d] for a, b, c, d in zip_longest(
+        mul_add(f, g_den, h_num), mul_add(f, g_den, h_den),
+        mul_add(f, g_num, h_num), mul_add(f, g_num, h_den), fillvalue=0)]
+    sol = nullspace_vector(f, rows)
+    if (sol is None or f.mul(sol[0], sol[3]) == f.mul(sol[1], sol[2])
+            or any(f.sum(f.products(row, sol)) for row in rows)):
+        return None
+    return MoebiusMap(f, *sol)
+
+
 def ratfn_levels(plan):
     """(maps, poles, lifts) of a cyclic plan's tower, from sigma and the
     radices alone, on reduced rational functions: the level's induced map
     M = S_(i-1)^((q+1)/|G_i|), m_i = T + sum_t M^t(T) summed as RatFn, its
-    poles M^t(INF) for t = 1..p_i-1, and the lift S_i matched from
-    m_i o S_(i-1) = S_i o m_i."""
+    poles M^t(INF) for t = 1..p_i-1, and the lift S_i solved from
+    m_i o S_(i-1) = S_i o m_i by elimination (relation_by_elimination), not
+    by the build's moebius.relation."""
     field, q = plan.field, plan.field.q
     maps, poles, lifts = [], [], [plan.sigma]
     size = 1
@@ -173,7 +198,12 @@ def ratfn_levels(plan):
             mi = mi + (induced**t).as_ratfn()
         maps.append(mi)
         poles.append(tuple(induced.orbit(INF, length=p)[1:]))
-        lifts.append(match_moebius(compose_moebius(mi, lifts[-1]), mi))
+        g = compose_moebius(mi, lifts[-1])
+        lift = relation_by_elimination(field, (g.num.coeffs, g.den.coeffs),
+                                       (mi.num.coeffs, mi.den.coeffs))
+        if lift is None:
+            raise ValidationError("sigma does not lift through the level map")
+        lifts.append(lift)
     return maps, poles, lifts
 
 

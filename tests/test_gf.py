@@ -244,6 +244,27 @@ def test_column_powers_match_pow(args):
         assert (ctr.adds, ctr.muls) == (0, _sm_count(e) * len(xs)), (args, e)
 
 
+@pytest.mark.parametrize("args", [(383,), (2**31 - 1,), (2, 6), (2, 12), (3, 2), (3, 4)])
+def test_inverses_match_inv_at_montgomerys_count(args, rng):
+    """Field.inverses equals Field.inv entry by entry, counted as one inv and
+    3(N - 1) muls and no add for N entries, on the inline paths (F_p,
+    GF(2^k)) and the mapped one (GF(3^k)) alike; the empty list costs
+    nothing, and a zero anywhere raises ZeroInverse."""
+    field = field_make(*args)
+    for n in (1, 2, 3, 80, 1000):
+        xs = [rng.randrange(1, field.q) for _ in range(n)]
+        with field.count_ops() as ctr:
+            got = field.inverses(xs)
+        assert got == [field.inv(x) for x in xs], (args, n)
+        assert (ctr.adds, ctr.muls, ctr.invs) == (0, 3 * (n - 1), 1), (args, n, ctr)
+        for at in {0, n // 2, n - 1}:
+            with pytest.raises(ZeroInverse):
+                field.inverses(xs[:at] + [0] + xs[at + 1:])
+    with field.count_ops() as ctr:
+        assert field.inverses([]) == []
+    assert (ctr.adds, ctr.muls, ctr.invs) == (0, 0, 0)
+
+
 def test_pow_exponent_additivity(F127, rng):
     for _ in range(30):
         x = rng.randrange(1, 127)

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from divisors import relation_by_elimination
 from gfft.errors import NoMoebiusRelation, ValidationError
 from gfft.gf import field_make, find_primitive_element
 from gfft.moebius import MoebiusMap, match_moebius, relation
-from gfft.poly import INF, Poly, RatFn, compose_moebius
+from gfft.poly import INF, Poly, RatFn, compose_moebius, mul_add
 
 
 def test_projective_canonicalization(F127, rng):
@@ -31,9 +32,9 @@ def test_order_examples(F127):
 
 
 def _pgl2(field):
-    q = field.q
-    return {MoebiusMap(field, a, b, c, d)
-            for a, b, c, d in itertools.product(range(q), repeat=4) if (a * d - b * c) % q}
+    f = field
+    return {MoebiusMap(f, a, b, c, d)
+            for a, b, c, d in itertools.product(range(f.q), repeat=4) if f.mul(a, d) != f.mul(b, c)}
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -113,9 +114,15 @@ def _applied(m, h):
     return RatFn(m.field, h.num.scale(m.a) + h.den.scale(m.b), h.num.scale(m.c) + h.den.scale(m.d))
 
 
+def _pairs(g, h):
+    return (g.num.coeffs, g.den.coeffs), (h.num.coeffs, h.den.coeffs)
+
+
 def _solved(g, h):
-    """relation and match_moebius on g and h, checked to agree: the map or None."""
-    found = relation(g.field, (g.num.coeffs, g.den.coeffs), (h.num.coeffs, h.den.coeffs))
+    """relation and match_moebius on g and h, checked to agree with each
+    other and with the elimination reference: the map or None."""
+    found = relation(g.field, *_pairs(g, h))
+    assert found == relation_by_elimination(g.field, *_pairs(g, h))
     if found is None:
         with pytest.raises(NoMoebiusRelation):
             match_moebius(g, h)
@@ -124,35 +131,71 @@ def _solved(g, h):
     return found
 
 
+def _random_ratfn(field, rng, lo, hi):
+    """A reduced rational function of map degree lo to hi."""
+    while True:
+        num = Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(1, hi + 1))])
+        den = Poly(field, [rng.randrange(field.q) for _ in range(rng.randint(1, hi + 1))])
+        if not den.is_zero():
+            out = RatFn(field, num, den)
+            if lo <= out.map_degree() <= hi:
+                return out
+
+
 def test_relation_agrees_with_a_search_of_pgl2(rng):
-    """Against all 120 maps of PGL_2(F_5): on g = M o h the solve returns
-    exactly the one map the search finds, and on random pairs it refuses
-    exactly when the search finds none; h of degree 1 to 3, g of 0 to 3."""
-    field = field_make(5)
-    maps = sorted(_pgl2(field), key=MoebiusMap.entries)
-    assert len(maps) == 120
+    """Against all of PGL_2(F_q) for F_5, GF(2^2) and GF(3^2) (120, 60 and
+    720 maps): on g = M o h the solve returns exactly the one map the search
+    finds, and on random pairs it refuses exactly when the search finds none;
+    h of degree 1 to 3, g of 0 to 3."""
+    for args, size in ((5,), 120), ((2, 2), 60), ((3, 2), 720):
+        field = field_make(*args)
+        maps = sorted(_pgl2(field), key=MoebiusMap.entries)
+        assert len(maps) == size
+        refused = 0
+        for trial in range(120):
+            h = _random_ratfn(field, rng, 1, 3)
+            g = _applied(rng.choice(maps), h) if trial % 2 else _random_ratfn(field, rng, 0, 3)
+            hits = [m for m in maps if _applied(m, h) == g]
+            assert len(hits) <= 1
+            found = _solved(g, h)
+            assert (found is None) == (not hits), args
+            if hits:
+                assert found == hits[0], args
+            refused += found is None
+        assert 0 < refused < 120, args
 
-    def ratfn(lo, hi):
-        while True:
-            num = Poly(field, [rng.randrange(5) for _ in range(rng.randint(1, hi + 1))])
-            den = Poly(field, [rng.randrange(5) for _ in range(rng.randint(1, hi + 1))])
-            if not den.is_zero():
-                out = RatFn(field, num, den)
-                if lo <= out.map_degree() <= hi:
-                    return out
 
-    refused = 0
-    for trial in range(120):
-        h = ratfn(1, 3)
-        g = _applied(rng.choice(maps), h) if trial % 2 else ratfn(0, 3)
-        hits = [m for m in maps if _applied(m, h) == g]
-        assert len(hits) <= 1
-        found = _solved(g, h)
-        assert (found is None) == (not hits)
-        if hits:
-            assert found == hits[0]
-        refused += found is None
-    assert 0 < refused < 120
+@pytest.mark.parametrize("args", [(5,), (2, 2), (3, 2), (191,)])
+def test_relation_needs_g_in_lowest_terms(args, rng):
+    """relation reads g = M o h off g's coefficients, so a g whose numerator
+    and denominator share a factor is refused (None), never mis-solved; the
+    cross-multiplied elimination still finds M there."""
+    field = field_make(*args)
+    maps = [MoebiusMap(field, 1, 0, 0, 1), MoebiusMap(field, 0, 1, 1, 0),
+            MoebiusMap(field, 1, 1, 1, 0), MoebiusMap(field, 1, 1, 0, 1)]
+    for _ in range(30):
+        h, m = _random_ratfn(field, rng, 1, 3), rng.choice(maps)
+        g = _applied(m, h)
+        factor = [rng.randrange(field.q), 1]  # x + c
+        common = [mul_add(field, g.num.coeffs, factor), mul_add(field, g.den.coeffs, factor)]
+        h_pair = (h.num.coeffs, h.den.coeffs)
+        assert relation(field, (g.num.coeffs, g.den.coeffs), h_pair) == m
+        assert relation(field, common, h_pair) is None
+        assert relation_by_elimination(field, common, h_pair) == m
+
+
+@pytest.mark.parametrize("args", [(5,), (2, 2), (191,)])
+def test_relation_refuses_a_degenerate_solution(args, rng):
+    """A constant g solves to A D = B C by Cramer's rule (its rows are
+    proportional); relation returns None there before MoebiusMap would
+    raise on the degenerate matrix."""
+    field = field_make(*args)
+    for _ in range(20):
+        h = _random_ratfn(field, rng, 1, 3)
+        k = rng.randrange(field.q)
+        for g in ([k], [1]), ([k, 0, 0], [1, 0]), (h.den.coeffs, h.den.coeffs):
+            assert relation(field, g, (h.num.coeffs, h.den.coeffs)) is None, (g, h)
+    assert relation(field, ([1], [1]), ([1], [1])) is None  # h constant: no minor
 
 
 @pytest.mark.parametrize("args", [(191,), (2, 6)])
