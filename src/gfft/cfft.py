@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, partial, reduce
-from itertools import cycle, repeat
+from itertools import accumulate, cycle, repeat
 from math import isqrt
 
 from . import engine
@@ -317,10 +317,11 @@ class CyclicPlan:
         """Each level's poles, in induced-map orbit order, must be x_{i-1} at
         tau_i^t(INF), t = 1..p-1, tau_i = gen^(n_i) (on a full plan, points
         1..p-1 of the level's pole fiber): the z-basis and the pole-fiber
-        constants rely on that order."""
+        constants rely on that order.  tau_r = gen and tau_i = tau_(i+1)^p_(i+1),
+        as n_i = n_(i+1) p_(i+1); the levels are checked from the first."""
         f = self.field
-        for i, lv in enumerate(self.levels, start=1):
-            tau = self.gen ** self.sizes[i]
+        taus = list(accumulate(reversed(self.radices[1:]), pow, initial=self.gen))[::-1]
+        for i, (lv, tau) in enumerate(zip(self.levels, taus), start=1):
             seq = engine.affine(
                 f, *zip(*self.tower_values(tau.orbit(INF, lv.radix)[1:], upto=i - 1)[-1]))
             if list(lv.poles) != seq:

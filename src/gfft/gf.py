@@ -25,8 +25,11 @@ quadratic) take the least candidate in packed-integer order, so results are
 reproducible.  The three order tests among them share one routine,
 multiplicative_order, which is exact, so the least candidate is still the one
 found; it factors group orders part by part (q - 1, q + 1, p), so trial
-division stays below 2**16.  Moduli are tested by Rabin's test on Poly over
-F_p.  Extension fields build exp/log tables and stay within q <= 2**20; prime
+division stays below 2**16.  Field construction multiplies by one
+table-free product on packed raws, packed_product: carry-less in
+characteristic 2, the digit schoolbook otherwise.  Moduli are tested by
+Rabin's test, its powers of x on that product and its gcds on Poly over F_p.
+Extension fields build exp/log tables and stay within q <= 2**20; prime
 fields go up to q < 2**31.  field_make checks the bound before the
 trial-division prime test.
 
@@ -44,7 +47,7 @@ import contextlib
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 
 from .errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus, ValidationError,
@@ -130,8 +133,55 @@ def _digits(n: int, p: int, width: int):
     return tuple(out)
 
 
+def product_modulus(coeffs, p: int):
+    """A monic modulus (c_0, ..., c_r) as packed_product reads it: its packed
+    raw, bit r set, in characteristic 2, else its digit tuple."""
+    return sum(c << i for i, c in enumerate(coeffs)) if p == 2 else tuple(coeffs)
+
+
+def packed_product(p: int, mod, x: int, y: int) -> int:
+    """x y modulo a monic modulus on packed raws, with no table (mod from
+    product_modulus; partial(packed_product, p, mod) is the two-argument
+    product): the one table-free product, under Rabin's test, the
+    table generator's order test, the byte images and the odd-characteristic
+    fill.  In characteristic 2 it is carry-less: x shifts up one bit per bit
+    of y and is XORed in at y's set bits, and a shift that sets bit r is
+    reduced by XOR with mod.  Otherwise it is the digit schoolbook, reduced
+    from the top digit down."""
+    if p == 2:
+        out = 0
+        while y:
+            if y & 1:
+                out ^= x
+            y >>= 1
+            x <<= 1
+            if x ^ mod < x:  # bit r is set
+                x ^= mod
+        return out
+    r = len(mod) - 1
+    b = _digits(y, p, r)
+    prod = [0] * (2 * r - 1)
+    for i in range(r):
+        x, ai = divmod(x, p)
+        if ai:
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    for k in range(2 * r - 2, r - 1, -1):
+        c = prod[k] % p
+        if c:
+            for i, mi in enumerate(mod[:r], k - r):
+                prod[i] -= c * mi
+    out = 0
+    for c in reversed(prod[:r]):
+        out = out * p + c % p
+    return out
+
+
 def is_irreducible_modp(coeffs, p: int) -> bool:
-    """Rabin's test for a monic polynomial over F_p (dense int list)."""
+    """Rabin's test for a monic polynomial m over F_p (dense int list):
+    x^(p^r) = x mod m, and gcd(x^(p^(r/l)) - x, m) = 1 for each prime l | r.
+    The powers x^(p^k) mod m are packed raws, each the p-th power of the
+    last by packed_product; the gcds run on Poly."""
     from .poly import Poly  # function level: poly imports gf
 
     r = len(coeffs) - 1
@@ -139,16 +189,16 @@ def is_irreducible_modp(coeffs, p: int) -> bool:
         return False
     if r == 1:
         return True
+    mul = partial(packed_product, p, product_modulus(coeffs, p))
+    powers = [p]  # x^(p^k) mod m for k = 0..r; x packs as p
+    for _ in range(r):
+        powers.append(square_multiply(mul, powers[-1], p, 1))
+    if powers[r] != p:
+        return False
     fp = Field(p, 1, ())
     m, x = Poly(fp, coeffs), Poly.x(fp)
-
-    def x_pow(e):  # x^e mod m
-        return square_multiply(lambda u, v: u * v % m, x, e, Poly.one(fp))
-
-    # x^(p^r) == x mod m, and gcd(x^(p^(r/l)) - x, m) == 1 for prime l | r
-    if x_pow(p**r) != x:
-        return False
-    return all((x_pow(p ** (r // ell)) - x).gcd(m).degree == 0 for ell in factorize(r))
+    return all((Poly(fp, _digits(powers[r // ell], p, r)) - x).gcd(m).degree == 0
+               for ell in factorize(r))
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +231,12 @@ class Field:
         if q > DESK_Q_BOUND:
             raise ValidationError(f"extension field of size {q} beyond desk bound")
         # discrete log tables over the least multiplicative generator; the
-        # order test runs square and multiply on the table-free product, and a
+        # order test runs square and multiply on packed_product, and a
         # reducible modulus fails its check at a zero divisor (ValidationError)
+        mul = partial(packed_product, p, product_modulus(self.modulus, p))
 
         def power(x, e):
-            return square_multiply(self._mul_poly, x, e, 1)
+            return square_multiply(mul, x, e, 1)
 
         gen = next(c for c in range(2, q) if multiplicative_order(c, q - 1, power, 1) == q - 1)
         exp = [0] * (q - 1)
@@ -198,7 +249,7 @@ class Field:
             # byte above bit r is 0 and reads the 0 of its [0]
             tables = [[0], [0], [0]]
             for k in range(r):
-                image = self._mul_poly(1 << k, gen)
+                image = mul(1 << k, gen)
                 tables[k // 8] += [v ^ image for v in tables[k // 8]]
             t0, t1, t2 = tables
             for i in range(q - 1):
@@ -209,7 +260,7 @@ class Field:
             for i in range(q - 1):
                 exp[i] = acc
                 log[acc] = i
-                acc = self._mul_poly(acc, gen)
+                acc = mul(acc, gen)
             # Zech's logarithm Z[k] = log(1 + g^k), None where g^k = -1:
             # adding 1 raises packed digit 0 by one, mod p
             ones = [v + 1 if v % p < p - 1 else v + 1 - p for v in exp]
@@ -228,24 +279,6 @@ class Field:
         for c in reversed(list(coeffs)):
             raw = raw * p + c
         return raw
-
-    def _mul_poly(self, x: int, y: int) -> int:
-        """Product via coefficient arithmetic; table-free fallback."""
-        a, b = self.unpack(x), self.unpack(y)
-        prod = [0] * (2 * self.r - 1)
-        p = self.p
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        m = self.modulus
-        for k in range(len(prod) - 1, self.r - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(self.r):
-                    prod[k - self.r + i] = (prod[k - self.r + i] - c * m[i]) % p
-        return self.pack(prod[: self.r])
 
     # -- raw arithmetic ------------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Bit-identity hash of plans, transforms and conversions, to compare commits.
+"""Bit-identity hash of fields, plans, transforms and conversions, to compare
+commits.
 
 Run from the repository root:
 
@@ -18,7 +19,10 @@ build or a reload cheaper keeps it.
 The configs are the cost-theorem plans of tests/test_acceptance.py
 (_cost_plans), the four benchmark configs, and cyclic plans over F_131
 (2, 3, 11), GF(3^4) (2, 41), GF(2^6) (5, 13), GF(7^2) (2, 5, 5), F_(2^31-1)
-2^8 and F_1151 (2^7 3^2, full).  pytest does not collect this file.
+2^8 and F_1151 (2^7 3^2, full).  The hash also covers field construction:
+for each field of FIELDS, (p, r), the default modulus, the table generator
+exp[1] and a sha256 of the exp and log tables.  pytest does not collect
+this file.
 """
 
 import hashlib
@@ -46,6 +50,16 @@ EXTRA = (  # name, field_make args, builder, builder args
     ("cyclic-M31-2^8", (2**31 - 1,), cyclic_plan, ((2,) * 8,)),
     ("cyclic-F1151-full", (1151,), cyclic_plan, ((2,) * 7 + (3, 3),)),
 )
+
+FIELDS = (tuple((2, k) for k in range(2, 21)) + tuple((3, k) for k in range(2, 8))
+          + ((5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (13, 3), (31, 2), (101, 2)))
+
+
+def field_record(p, r):
+    """The hashed record of field_make(p, r)."""
+    field = field_make(p, r)
+    tables = hashlib.sha256(json.dumps([field._exp, field._log]).encode()).hexdigest()
+    return [p, r, list(field.modulus), field._exp[1], tables]
 
 
 def _counted(field, run):
@@ -91,6 +105,11 @@ def record(name, plan, seed):
 def main(argv):
     verbose = "-v" in argv
     digest = hashlib.sha256()
+    for p, r in FIELDS:
+        rec = field_record(p, r)
+        digest.update(json.dumps(rec).encode())
+        if verbose:
+            print(f"GF({p}^{r}): modulus {rec[2]} exp[1] {rec[3]} tables {rec[4][:16]}")
     rows = [(name, plan, None) for name, _, plan in _cost_plans()]
     for name, args, build, build_args in EXTRA:
         field = field_make(*args)

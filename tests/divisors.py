@@ -2,10 +2,12 @@
 check the divisor structure of the rational function field, the cyclic
 plan's subfield tower, level maps and lifts of sigma derived symbolically,
 a Moebius-relation solve by elimination, the reference moebius.relation's
-Cramer's rule is checked against, and the order of a root of a quadratic in
+Cramer's rule is checked against, the order of a root of a quadratic in
 F_{q^2}, the reference the library's companion-map primitivity test
-(gf.quadratic_failure) is checked against.  The library itself never
-factors, takes valuations, sums rational functions or computes in F_{q^2}."""
+(gf.quadratic_failure) is checked against, and the digit schoolbook product
+of F_{p^r}, the reference of the packed product (gf.packed_product) and the
+exp/log tables.  The library itself never factors, takes valuations, sums
+rational functions or computes in F_{q^2}."""
 
 from itertools import zip_longest
 
@@ -242,3 +244,22 @@ def quadratic_root_order(field, a: int, b: int) -> int:
         return square_multiply(mul2, x, e, (1, 0))
 
     return multiplicative_order((0, 1), (f.q - 1, f.q + 1), pow2, (1, 0))
+
+
+def schoolbook_product(field, x: int, y: int) -> int:
+    """x y in F_{p^r} on coefficient lists: the digit schoolbook, reduced
+    term by term from the top by the field's modulus."""
+    r, p, m = field.r, field.p, field.modulus
+    a, b = field.unpack(x), field.unpack(y)
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for k in range(len(prod) - 1, r - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for i in range(r):
+                prod[k - r + i] = (prod[k - r + i] - c * m[i]) % p
+    return field.pack(prod[:r])

@@ -3,7 +3,7 @@ import operator
 
 import pytest
 
-from divisors import quadratic_root_order
+from divisors import quadratic_root_order, schoolbook_product
 from gfft import gf
 from gfft.errors import (InvalidFieldValue, MixedFields, NonPrimeP, ReducibleModulus,
                          ValidationError, ZeroInverse)
@@ -13,6 +13,8 @@ from gfft.gf import (
     find_primitive_quadratic,
     is_irreducible_modp,
     multiplicative_order,
+    packed_product,
+    product_modulus,
     quadratic_is_irreducible,
     square_multiply,
 )
@@ -95,16 +97,39 @@ def test_irreducibility_degree6():
     assert not is_irreducible_modp([1, 0, 1, 0, 1, 0, 1], 2)  # (x^2+x+1)^... reducible
 
 
-@pytest.mark.parametrize("p,max_r", [(2, 6), (3, 4), (5, 3)])
+def _trial_division_irreducible(p, r):
+    """Every monic irreducible of degree r over F_p, in packed order of its
+    tail, by division by every monic polynomial of degree 1 ... r/2."""
+    divisors = [list(tail) + [1] for k in range(1, r // 2 + 1)
+                for tail in itertools.product(range(p), repeat=k)]
+    tails = [list(reversed(t)) for t in itertools.product(range(p), repeat=r)]  # packed order
+    return [tail + [1] for tail in tails
+            if not any(_divides(d, tail + [1], p) for d in divisors)]
+
+
+@pytest.mark.parametrize("p,max_r", [(2, 8), (3, 4), (5, 3)])
 def test_irreducibility_matches_trial_division(p, max_r):
-    # every monic polynomial of degree r, against division by every monic
-    # polynomial of degree 1 ... r/2
+    # every monic polynomial of degree r, against trial division
     for r in range(1, max_r + 1):
-        divisors = [list(tail) + [1] for k in range(1, r // 2 + 1)
-                    for tail in itertools.product(range(p), repeat=k)]
+        irreducible = _trial_division_irreducible(p, r)
         for tail in itertools.product(range(p), repeat=r):
             f = list(tail) + [1]
-            assert is_irreducible_modp(f, p) == (not any(_divides(d, f, p) for d in divisors)), f
+            assert is_irreducible_modp(f, p) == (f in irreducible), f
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])
+def test_default_modulus_is_the_least_irreducible(p, r):
+    # the least trial-division irreducible in packed order, c_0 + c_1 p + ...
+    assert field_make(p, r).modulus == tuple(_trial_division_irreducible(p, r)[0])
+
+
+def test_default_moduli_are_pinned():
+    # the moduli plan files and the exp/log tables are built on
+    assert field_make(2, 12).modulus == (1, 0, 0, 1) + (0,) * 8 + (1,)  # x^12 + x^3 + 1
+    assert field_make(2, 16).modulus == (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)  # x^16 + x^5 + x^3 + x + 1
+    assert field_make(2, 20).modulus == (1, 0, 0, 1) + (0,) * 16 + (1,)  # x^20 + x^3 + 1
+    assert field_make(3, 7).modulus == (2, 0, 1, 0, 0, 0, 0, 1)  # x^7 + x^2 + 2
 
 
 @pytest.mark.parametrize("p,r", [(17, 1), (3, 2), (2, 4), (3, 3)])
@@ -125,12 +150,29 @@ def test_multiplicative_order_checks_its_multiple(F17):
         multiplicative_order(2, 12, F17.pow, 1)
 
 
+@pytest.mark.parametrize("p,r", [(2, k) for k in range(2, 21)] + [(3, 4), (5, 3), (7, 2), (101, 2)])
+def test_packed_product_matches_the_schoolbook(p, r, rng):
+    # random pairs, 0 and 1 as operands, and products with a term at or above
+    # x^r, which the modulus reduces: in characteristic 2 the top bit shifted
+    # into bit r, and the largest raw squared
+    field = field_make(p, r)
+    q, mod = field.q, product_modulus(field.modulus, p)
+    top = p ** (r - 1)  # x^(r - 1)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(300)]
+    pairs += [(x, y) for x in (0, 1) for y in (0, 1, q - 1, top)]
+    pairs += [(y, x) for x, y in pairs[-8:]]
+    pairs += [(top, p), (p, top), (top, top), (q - 1, q - 1), (q - 1, p), (top + 1, top + 1)]
+    for x, y in pairs:
+        assert packed_product(p, mod, x, y) == schoolbook_product(field, x, y), (x, y)
+    assert packed_product(p, mod, top, p) == field.pack(-c % p for c in field.modulus[:r])  # x^r
+
+
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6), (3, 4)])
 def test_table_generator_is_least_by_walk(p, r):
     # the exp/log tables run over the least raw value of order q - 1
     field = field_make(p, r)
     least = next(c for c in range(2, field.q)
-                 if _walk_order(field._mul_poly, c, 1) == field.q - 1)
+                 if _walk_order(lambda x, y: schoolbook_product(field, x, y), c, 1) == field.q - 1)
     assert field._exp[1] == least
 
 
@@ -143,23 +185,24 @@ def test_char2_tables_match_the_product_walk(r):
     for i in range(q - 1):
         exp.append(acc)
         log[acc] = i
-        acc = field._mul_poly(acc, gen)
+        acc = schoolbook_product(field, acc, gen)
     assert acc == 1
     assert field._exp == exp + exp
     assert field._log == log
 
 
 def test_char2_tables_take_no_product_per_entry(monkeypatch):
-    # GF(2^16) has 65,535 table entries; the modulus and generator searches
-    # and the r byte images take a few hundred schoolbook products
+    # GF(2^16) has 65,535 table entries; Rabin's test on the 44 candidates
+    # of the modulus search, the generator's order test and the r byte images
+    # take 911 table-free products
     calls = [0]
-    mul_poly = gf.Field._mul_poly
+    product = gf.packed_product
 
-    def counted(self, x, y):
+    def counted(*args):
         calls[0] += 1
-        return mul_poly(self, x, y)
+        return product(*args)
 
-    monkeypatch.setattr(gf.Field, "_mul_poly", counted)
+    monkeypatch.setattr(gf, "packed_product", counted)
     field_make(2, 16)
     assert calls[0] <= 2000, calls[0]
 
