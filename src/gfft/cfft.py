@@ -22,12 +22,13 @@ The basis conversions mirror each other around the transform: standard ->
 cyclic-z evaluates the polynomial at the plan's points and inverts the values
 with q1_ifft; cyclic-z -> standard evaluates with q1_fft and interpolates at
 the finite points, inverting nothing past its tables.  A full plan's finite
-points are F_q, so both run on the multiplicative case's kernel over F_q^*
+points are F_q, so both run on the kernel of a MultPlan over F_q^*
 (mult_route): one forward each, O(n sum p_i) over the primes p_i of q - 1,
 plus the point 0.  A partial plan evaluates by Horner at each point and
 interpolates by a transposed Vandermonde solve, power sums of the values
-times the weights 1/M'(x_i) over its square classes, combined through the
-fiber polynomial M = prod (x - x_i), both built in closed form: O(n^2).
+times the weights 1/M'(x_i) over its square classes {x, -x}, combined
+through the fiber polynomial M = prod (x - x_i): O(n^2), on one table
+(fiber_tables) with M and the weights in closed form.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ from .errors import (
     SplitValidationFailure,
     ValidationError,
 )
-from .gf import (Field, factorize, find_primitive_element, find_primitive_quadratic,
-                 quadratic_failure, quadratic_is_irreducible, square_multiply)
+from .gf import (Field, factorize, find_primitive_quadratic, quadratic_failure,
+                 quadratic_is_irreducible, square_multiply)
 # invert is unused here; perfbench's test_tracer_patches_every_binding_and_restores
 # checks that the tracer rebinds it in this module too
 from .linalg import invert  # noqa: F401
-from .mfft import coset_kernel
+from .mfft import MultPlan
 from .moebius import MoebiusMap, relation
 from .poly import INF, Poly, RatFn, _substitute, homogeneous, horner, mul_add, poly_str, trim
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
@@ -71,7 +72,7 @@ def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
 class CyclicLevel:
     """Connects the line in x_{i-1} to the line in x_i (radix p_i)."""
 
-    __slots__ = ("radix", "induced", "num", "den", "poles", "norm_const", "pole_consts")
+    __slots__ = ("radix", "induced", "num", "den", "poles", "norm_const")
 
     def __init__(self, radix, induced, num, den, poles):
         self.radix = radix
@@ -80,7 +81,6 @@ class CyclicLevel:
         self.den = den  # prod (T - pole), monic of degree radix-1
         self.poles = tuple(poles)
         self.norm_const = None
-        self.pole_consts = None  # {(t, k): value}, full plans only
 
 
 class CyclicPlan:
@@ -372,19 +372,22 @@ class CyclicPlan:
 
     @cached_property
     def fiber_tables(self):
-        """A partial plan's fiber polynomial M = prod (x - x_i) over its
-        points and the weights w_i = 1 / M'(x_i), for tilde_to_std, in closed
-        form on first use.  sigma fixes the roots theta, theta^q of Q_0, so
-        ((x - theta) / (x - theta^q))^n is a constant c on the fiber and M =
-        ((x - theta)^n - c (x - theta^q)^n) / (1 - c): M_k = (-1)^(n-k)
-        C(n, k) t_(n-k), where t_j = (theta^j - c theta^(qj)) / (1 - c) has
-        t_0 = 1, t_1 = sum x_i / n and the recurrence of Q_0.  M = N - key D
-        for x_r = N/D, and x_r' = K / Q_0 on the fiber, so w_i = Q_0(x_i) /
-        (K D(x_i)); sum w_i D(x_i) = sum w_i x_i^(n-1) = 1, as D is monic of
-        degree n - 1 (each level denominator is monic of degree one below its
-        numerator's), so K = sum Q_0(x_i).  Guarded at every point by the
-        other identity, sum w_i = 0 for n >= 2, then at x_0: M(x_0) = 0 and
-        w_0 M'(x_0) = 1."""
+        """A partial plan's one table for tilde_to_std, built on first use:
+        (M, weights, ys, (idx, xs), (neg, neg_xs)).  A square class y = x^2
+        holds x and at most -x: ys lists the classes twice over, pairs first,
+        idx and xs each class's first point and its x, neg and neg_xs a
+        pair's -x (none in characteristic 2).  The fiber polynomial M = prod
+        (x - x_i) over the points and the weights w_i = 1 / M'(x_i) are in
+        closed form.  sigma fixes the roots theta, theta^q of Q_0, so ((x -
+        theta) / (x - theta^q))^n is a constant c on the fiber and M = ((x -
+        theta)^n - c (x - theta^q)^n) / (1 - c): M_k = (-1)^(n-k) C(n, k) t_(n-k), where t_j = (theta^j - c
+        theta^(qj)) / (1 - c) has t_0 = 1, t_1 = sum x_i / n and the
+        recurrence of Q_0.  M = N - key D for x_r = N/D, and x_r' = K / Q_0
+        on the fiber, so w_i = Q_0(x_i) / (K D(x_i)); sum w_i D(x_i) = sum
+        w_i x_i^(n-1) = 1, as D is monic of degree n - 1 (each level
+        denominator is monic of degree one below its numerator's), so K =
+        sum Q_0(x_i).  Guarded at every point by the other identity, sum w_i
+        = 0 for n >= 2, then at x_0: M(x_0) = 0 and w_0 M'(x_0) = 1."""
         f, n, p, q0s = self.field, self.n, self.field.p, self._q0s
         a1, a0 = f.neg(self.quads[0][1]), f.neg(self.quads[0][0])
         t = [1, f.div(f.sum(self.points), n % p)]  # p does not divide n | q + 1
@@ -399,20 +402,25 @@ class CyclicPlan:
         x0, slope = self.points[0], f.products([k % p for k in range(1, n + 1)], fiber_poly[1:])
         if horner(f, fiber_poly, x0) != 0 or f.mul(weights[0], horner(f, slope, x0)) != 1:
             raise ValidationError("fiber polynomial or weights fail at the fiber's first point")
-        return fiber_poly, weights
+        xs, first, second = self.points, {}, {}
+        for i, y in enumerate(f.products(xs, xs)):  # y = x^2 holds x and at most -x
+            (second if y in first else first)[y] = i
+        ys = [*second, *(y for y in first if y not in second)]
+        pos, neg = [first[y] for y in ys], list(second.values())
+        return (fiber_poly, weights, ys * 2,
+                (pos, [xs[i] for i in pos]), (neg, [xs[i] for i in neg]))
 
     def _build_kernel(self):
-        """engine Levels from each level's points and poles, plus the
-        pole-fiber constants on a full plan: w / u(lambda_t) times the
-        pole differences, with w = 1 / lc(Q_r), the value of (tower map *
+        """engine Levels from each level's points and poles, plus, kept there
+        alone, the pole-fiber constants on a full plan: w / u(lambda_t) times
+        the pole differences, with w = 1 / lc(Q_r), the value of (tower map *
         reciprocal quadratic * level coordinate) at each level's point at
         infinity (every level numerator is monic)."""
         f = self.field
         w = f.inv(self.scale_const) if self.is_full else None
         kernel = []
-        for i in range(1, self.r + 1):
-            lv = self.levels[i - 1]
-            p = lv.radix
+        for lv, points in zip(self.levels, self.level_points):
+            p, consts = lv.radix, None
             if self.is_full:
                 consts = {}
                 for t in range(1, p):  # k from p - 1 down to t, one product a step
@@ -420,36 +428,21 @@ class CyclicPlan:
                     consts[(t, p - 1)] = val = f.div(w, lv.num.eval(lam_t))
                     for k in range(p - 2, t - 1, -1):
                         consts[(t, k)] = val = f.mul(val, f.sub(lam_t, lv.poles[k]))
-                lv.pole_consts = consts
-            kernel.append(engine.Level(p, self.level_points[i - 1], lv.poles, lv.pole_consts))
+            kernel.append(engine.Level(p, points, lv.poles, consts))
         engine.build_forward_locals(f, kernel)
         self.kernel = kernel
 
     @cached_property
-    def class_table(self):
-        """A partial plan's points grouped by y = x^2 for tilde_to_std, built on
-        its first call: (ys, ranks), ys the distinct y, larger classes first,
-        twice over, and ranks[j] = (idx, xs) the index and x of the j-th point
-        of each class that has one (pairs x, -x are by chance)."""
-        xs = self.points
-        classes = {}
-        for i, y in enumerate(self.field.products(xs, xs)):
-            classes.setdefault(y, []).append(i)
-        order = sorted(classes.items(), key=lambda yc: -len(yc[1]))
-        ranks = [[c[j] for _, c in order if len(c) > j] for j in range(len(order[0][1]))]
-        return [y for y, _ in order] * 2, [(idx, [xs[i] for i in idx]) for idx in ranks]
-
-    @cached_property
     def mult_route(self):
         """A full plan's conversions' kernel over F_q^*, built on the first:
-        (levels, idx), the levels on the primes of q - 1, largest first, at
-        alpha^j for the least primitive alpha, with forward's tables only, so
-        nothing is inverted; idx[i] is the j of point i + 1, q - 1 for 0."""
+        (levels, idx), a MultPlan's on the primes of q - 1, largest first, at
+        alpha^j (beta = 1), with forward's tables only, so nothing is
+        inverted; idx[i] is the j of point i + 1, q - 1 for 0."""
         f = self.field
         radices = sorted((p for p, e in factorize(f.q - 1).items() for _ in range(e)), reverse=True)
-        (points, *_), levels = coset_kernel(f, radices, find_primitive_element(f).raw)
-        index = {x: j for j, x in enumerate(points)}
-        return levels, [index.get(x, f.q - 1) for x in self.points[1:]]
+        route = MultPlan(f, radices)
+        index = {x: j for j, x in enumerate(route.points)}
+        return route.kernel, [index.get(x, f.q - 1) for x in self.points[1:]]
 
     # -- introspection ---------------------------------------------------------
 
@@ -463,7 +456,7 @@ class CyclicPlan:
         the level's pole."""
         if not self.is_full or any(lv.radix != 2 for lv in self.levels):
             return None
-        return [lv.pole_consts[(1, 1)] for lv in self.levels]
+        return [lv.pole_consts[(1, 1)] for lv in self.kernel]
 
     # -- the interface MultPlan and AddPlan share ----------------------------
 
@@ -496,12 +489,8 @@ class CyclicPlan:
 
     def to_json(self) -> dict:
         out = self.field.serialize_raw
-        pole_consts = {
-            f"{i},{t},{k}": out(v)
-            for i, lv in enumerate(self.levels, start=1)
-            if lv.pole_consts
-            for (t, k), v in sorted(lv.pole_consts.items())
-        }
+        pole_consts = {f"{i},{t},{k}": out(v) for i, lv in enumerate(self.kernel, start=1)
+                       if lv.pole_consts for (t, k), v in sorted(lv.pole_consts.items())}
         return {"radices": list(self.radices), "m": [out(c) for c in self.m_coeffs],
                 "fiber": point_out(self.field, self.bucket_key),
                 "tables": {
@@ -704,8 +693,8 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
     Partial plan: Lagrange, f = sum y_i w_i M(x) / (x - x_i), on the fiber
     polynomial M and weights w_i = 1 / M'(x_i).  With z = y * w and power
     sums P_e = sum z_i x_i^e, c_k = sum_(j > k) M_j P_(j-1-k); over the
-    class_table, P_(2k+r) = sum U_(y,r) y^k with U_(y,r) = sum_(x^2 = y) z_x
-    x^r, one column product a k stepping to the next power of y."""
+    square classes, P_(2k+r) = sum U_(y,r) y^k with U_(y,r) = sum_(x^2 = y)
+    z_x x^r, one column product a k stepping to the next power of y."""
     f = plan.field
     ev = q1_fft(plan, coeffs)
     if plan.is_full:
@@ -719,14 +708,13 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
         out = h + [f.sub(h[0], y0), ev.a0]
         out[0], out[1] = y0, f.sub(out[1], ev.a0)
         return CoeffVec(tuple(out), BASIS_STANDARD)
-    z = f.products(ev.values, plan.fiber_tables[1])  # y_i w_i
-    ys, ((idx, xs), *ranks) = plan.class_table  # rank 0 holds every class
-    u = [z[i] for i in idx]
+    fiber_poly, weights, ys, (idx, xs), (neg, neg_xs) = plan.fiber_tables
+    z = f.products(ev.values, weights)  # y_i w_i
+    u = [z[i] for i in idx]  # U_(y,0) and U_(y,1) at each class's first point,
     v = f.products(u, xs)
-    for idx, xs in ranks:  # U_(y,0), U_(y,1), adding the j-th point of each class at rank j
-        zs = [z[i] for i in idx]
-        u[:len(zs)] = map(f.add, u, zs)
-        v[:len(zs)] = f.add_products(v, zs, xs)
+    zs = [z[i] for i in neg]  # then at -x, on the pairs that lead ys
+    u[:len(zs)] = map(f.add, u, zs)
+    v[:len(zs)] = f.add_products(v, zs, neg_xs)
     m, c = len(z), len(ys) // 2
     row, sums = u + v, []
     for e in range(0, m, 2):  # row k: U_(y,r) y^k, r-major, whose r-th block sums to P_(e+r)
@@ -734,7 +722,7 @@ def tilde_to_std(plan: CyclicPlan, coeffs) -> CoeffVec:
             row = f.products(row if m - e >= 2 else row[:c], ys)
         sums += [f.sum(row[i:i + c]) for i in range(0, min(m - e, 2) * c, c)]
     out = [0] * plan.n
-    for j, mj in enumerate(plan.fiber_tables[0]):
+    for j, mj in enumerate(fiber_poly):
         if j and mj:
             out[:j] = f.add_products(out[:j], sums[j - 1::-1], repeat(mj))
     return CoeffVec(tuple(out), BASIS_STANDARD)

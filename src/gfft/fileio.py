@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .afft import AddPlan
 from .cfft import CyclicPlan, q1_tilde
-from .errors import LengthMismatch, MismatchError, PlanFileError, ValidationError
+from .errors import InputError, LengthMismatch, MismatchError, PlanFileError, ValidationError
 from .gf import Field, field_make
 from .mfft import MultPlan
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, point_in,
@@ -36,6 +36,8 @@ def coeffs_to_json(field: Field, vec: CoeffVec) -> dict:
 
 
 def coeffs_from_json(field: Field, obj) -> CoeffVec:
+    if not isinstance(obj, dict):
+        raise InputError(f"a coefficient file must hold a JSON object, not {type(obj).__name__}")
     basis = obj.get("basis", BASIS_STANDARD)
     return CoeffVec(tuple(field.parse_raw(v) for v in obj["coeffs"]), basis)
 

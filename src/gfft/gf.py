@@ -648,7 +648,10 @@ def field_make(p: int, r: int = 1, modulus=None) -> Field:
             raise ValidationError("prime field takes no modulus")
         return Field(p, 1, ())
     if modulus is not None:
-        mod = [_int_entry(c) for c in modulus]
+        try:
+            mod = [_int_entry(c) for c in modulus]
+        except TypeError:
+            raise InvalidFieldValue(f"modulus {modulus!r} is not a sequence of integers") from None
         if any(not 0 <= c < p for c in mod):
             raise InvalidFieldValue(f"modulus {list(modulus)!r} has an entry outside [0, {p})")
         if len(mod) != r + 1 or mod[-1] != 1:

@@ -4,12 +4,12 @@ F_q^* for smooth n | q-1, with the power-map tower x -> x^(p_i) per level.
 The coefficient basis is the standard monomial basis; the points run in the
 j-major order beta * omega^j, and engine.fiber_levels builds each level's
 points by the power map and checks them constant on its fibers (every
-(size/p)-th point of the level below).
+(size/p)-th point of the level below).  MultPlan is the one builder of these
+kernels: a full cyclic plan's conversions run on one over F_q^*
+(cfft.CyclicPlan.mult_route).
 """
 
 from __future__ import annotations
-
-from math import prod
 
 from . import engine
 from .errors import RadixNotDividingGroupOrder, ValidationError
@@ -35,8 +35,17 @@ class MultPlan:
         self.beta = beta
         self.alpha = find_primitive_element(field).raw
         self.omega = field.pow(self.alpha, (field.q - 1) // n)
-        self.level_points, self.kernel = coset_kernel(field, radices, self.omega, beta)
-        self.points = self.level_points[0]
+        self.points, acc = [], beta
+        for _ in range(n):
+            self.points.append(acc)
+            acc = field.mul(acc, self.omega)
+        if len(set(self.points)) != n:
+            raise ValidationError("evaluation points not distinct; omega order wrong")
+        self.level_points = engine.fiber_levels(
+            self.points, radices,
+            lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None))
+        self.kernel = [engine.Level(p, xs) for p, xs in zip(radices, self.level_points)]
+        engine.build_forward_locals(field, self.kernel)
 
     def fft(self, coeffs):
         return mult_fft(self, coeffs)
@@ -73,24 +82,6 @@ class MultPlan:
 
 def mult_plan(field: Field, radices, beta=1) -> MultPlan:
     return MultPlan(field, radices, beta)
-
-
-def coset_kernel(field: Field, radices, omega, beta=1):
-    """(level_points, levels) on the n = prod(radices) points beta * omega^j,
-    omega of order n: x_i = x^(p_1...p_i), checked constant on each fiber, and
-    the engine Levels with forward's tables, for MultPlan and a full cyclic
-    plan's conversions (cfft.CyclicPlan.mult_route)."""
-    pts, acc = [], beta
-    for _ in range(prod(radices)):
-        pts.append(acc)
-        acc = field.mul(acc, omega)
-    if len(set(pts)) != len(pts):
-        raise ValidationError("evaluation points not distinct; omega order wrong")
-    level_points = engine.fiber_levels(
-        pts, radices, lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None))
-    levels = [engine.Level(p, xs) for p, xs in zip(radices, level_points)]
-    engine.build_forward_locals(field, levels)
-    return level_points, levels
 
 
 def mult_fft(plan: MultPlan, coeffs):

@@ -630,11 +630,11 @@ def _first_use_tables(case, plan, job):
     if job == "ifft":
         return inverse
     if job == "to_std":
-        return ("mult_route",) if plan.is_full else ("inv_scales", "fiber_tables", "class_table")
+        return ("mult_route",) if plan.is_full else ("inv_scales", "fiber_tables")
     return ("mult_route",) * plan.is_full + inverse
 
 
-FIRST_USE_TABLES = ("newton", "inv_scales", "fiber_tables", "class_table", "mult_route")
+FIRST_USE_TABLES = ("newton", "inv_scales", "fiber_tables", "mult_route")
 
 
 def _has_table(plan, table):

@@ -1,6 +1,7 @@
 from collections import Counter
 import itertools
 import json
+from math import isqrt, prod
 import sys
 import time
 
@@ -242,6 +243,12 @@ def test_std_to_tilde_matches_basis_matrix(request, config, rng):
         plan = cyclic_plan(field_make(*field_args), radices)
         squares = Counter(plan.field.mul(x, x) for x in plan.points if x is not INF)
         assert sum(c == 2 for c in squares.values()) == n_pairs
+        if not plan.is_full:  # the table's x and -x lists hold every point once, -x at each pair
+            ys, (idx, xs), (neg, neg_xs) = plan.fiber_tables[2:]
+            assert ys == [plan.field.mul(x, x) for x in xs] * 2
+            assert len(neg) == n_pairs and sorted(idx + neg) == list(range(plan.n))
+            assert xs + neg_xs == [plan.points[i] for i in idx + neg]
+            assert neg_xs == [plan.field.neg(x) for x in xs[:n_pairs]]
     bm = basis_matrix(plan)
     q, n = plan.field.q, plan.n
     for trial in range(20):
@@ -771,7 +778,7 @@ def test_fiber_tables_closed_forms(field_args, radices):
         assert "fiber_tables" not in vars(plan)
         return
     xs = plan.points
-    fiber_poly, weights = plan.fiber_tables
+    fiber_poly, weights, *_ = plan.fiber_tables
     fiber = Poly(field, fiber_poly)
     assert fiber == Poly.from_roots(field, xs)
     slope = Poly(field, [field.mul(k % field.p, c) for k, c in enumerate(fiber.coeffs)][1:])
@@ -843,9 +850,21 @@ def test_tilde_to_std_power_sums_over_squares(field_args, radices, rng):
 
 @pytest.fixture
 def route_builds(monkeypatch):
-    """The args of every mult-route build, through a spy on cfft.coset_kernel."""
-    builds, build = [], cfft.coset_kernel
-    monkeypatch.setattr(cfft, "coset_kernel", lambda *args: builds.append(args) or build(*args))
+    """Every mult-route build, through a spy on the MultPlan cfft builds: the
+    MultPlan on the primes of q - 1, largest first, at beta = 1, so its
+    points and level points are mult_plan(field, radices)'s."""
+    builds, build = [], cfft.MultPlan
+
+    def spy(field, radices):
+        route = build(field, radices)
+        assert list(radices) == sorted(radices, reverse=True) and prod(radices) == field.q - 1
+        assert all(all(p % d for d in range(2, isqrt(p) + 1)) for p in radices)
+        reference = mult_plan(field, radices)
+        assert (route.points, route.level_points) == (reference.points, reference.level_points)
+        builds.append(route)
+        return route
+
+    monkeypatch.setattr(cfft, "MultPlan", spy)
     return builds
 
 
@@ -893,7 +912,7 @@ def test_std_to_tilde_evaluates_over_power_classes(field_args, radices, rng, rou
     std = [rng.randrange(field.q) for _ in range(plan.n)]
     first = std_to_tilde(plan, std)
     route = plan.mult_route
-    assert len(route_builds) == 1
+    assert len(route_builds) == 1 and route[0] is route_builds[0].kernel
     ev = q1_fft(plan, first)
     with field.count_ops() as ifft_ops:
         q1_ifft(plan, ev)
@@ -956,7 +975,7 @@ def test_std_to_tilde_on_a_partial_plan_is_horner_at_each_point(field_args, radi
             std_to_tilde(plan, std)
         deg = length - 1
         assert (ctr.adds - ifft_ops.adds, ctr.muls - ifft_ops.muls) == (deg * n, deg * n)
-    assert "class_table" not in vars(plan)
+    assert "fiber_tables" not in vars(plan)
 
 
 @pytest.mark.parametrize("field_args, radices, short", [

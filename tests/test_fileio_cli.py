@@ -322,7 +322,8 @@ def test_cli_fft_ifft_convert_roundtrip(tmp_path):
                                   "beta-on-cyclic", "m-on-mult", "basis-on-mult",
                                   "basis-on-cyclic", "add-ladder-beyond-q", "ladder-zero",
                                   "ladder-negative", "ladder-beyond-bound", "beta-two-values",
-                                  "fiber-not-json"])
+                                  "fiber-not-json", "coeffs-list", "coeffs-string",
+                                  "coeffs-number"])
 def test_cli_bad_input_exits_2(tmp_path, capsys, case):
     plan_path = tmp_path / "plan.json"
     assert cli.main(["plan", "--case", "mult", "--p", "17", "--radices", "2,2",
@@ -357,6 +358,9 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, case):
         coeffs_path.write_text(json.dumps({"coeffs": ["3", " 1", "0", "2"]}))
     elif case == "modulus-out-of-range":
         coeffs_path.write_text(json.dumps({"coeffs": [1, 2, 3, 4]}))
+    elif case.startswith("coeffs-"):
+        # a top-level JSON value that is no object used to end in an AttributeError traceback
+        coeffs_path.write_text({"list": "[1,2,3]", "string": '"x"', "number": "5"}[case[7:]])
     argv = ["fft", "--plan", str(plan_path), "--in", str(coeffs_path),
             "--out", str(tmp_path / "v.json")]
     if case == "bench-no-p":
@@ -706,7 +710,7 @@ def test_reloaded_plan_builds_only_what_fft_reads(plan):
     reloaded = fileio.plan_from_json(json.loads(cli._json_text(fileio.plan_to_json(plan))))
     values = reloaded.fft([(5 * i + 2) % plan.field.q for i in range(plan.n)])
     assert all(lv.newton is None and lv.inv_diag is None for lv in reloaded.kernel)
-    lazy = {"inv_scales", "fiber_tables", "class_table", "mult_route"}
+    lazy = {"inv_scales", "fiber_tables", "mult_route"}
     assert not lazy & set(vars(reloaded))
     reloaded.ifft(values)
     assert all(lv.newton is not None for lv in reloaded.kernel)

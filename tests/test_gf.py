@@ -92,6 +92,12 @@ def test_field_make_checks_modulus_entries():
     assert field_make(2, 2, [1, 1, 1]).modulus == (1, 1, 1)
 
 
+def test_field_make_refuses_a_non_iterable_modulus():
+    # used to end in a TypeError from iterating the int
+    with pytest.raises(InvalidFieldValue, match="not a sequence of integers"):
+        field_make(2, 3, 5)
+
+
 def test_irreducibility_degree6():
     assert is_irreducible_modp([1, 1, 0, 0, 0, 0, 1], 2)  # x^6+x+1
     assert not is_irreducible_modp([1, 0, 1, 0, 1, 0, 1], 2)  # (x^2+x+1)^... reducible
