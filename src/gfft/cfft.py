@@ -33,9 +33,8 @@ through the fiber polynomial M = prod (x - x_i): O(n^2), on one table
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, partial, reduce
-from itertools import accumulate, cycle, repeat
+from itertools import cycle, repeat
 from math import isqrt
 
 from . import engine
@@ -57,7 +56,7 @@ from .mfft import MultPlan
 from .moebius import MoebiusMap, relation
 from .poly import INF, Poly, RatFn, _substitute, homogeneous, horner, mul_add, poly_str, trim
 from .vectors import (BASIS_CYCLIC, BASIS_STANDARD, CoeffVec, CyclicEvalVec, coeff_values,
-                      plan_list, point_in, point_ordered, point_out, standard_values, value_raws)
+                      plan_list, point_ordered, point_out, point_value, standard_values, value_raws)
 
 
 def ratfn_substitute(outer: RatFn, inner: RatFn) -> RatFn:
@@ -112,9 +111,7 @@ class CyclicPlan:
         self.sigma = MoebiusMap(field, 0, 1, f.neg(b), f.neg(a))
 
         inv_b = f.inv(b)
-        quad0 = Poly(field, (inv_b, f.mul(a, inv_b), 1))
-        self._check_quad_invariance(quad0)
-        self.quads = [quad0]
+        self.quads = [Poly(field, (inv_b, f.mul(a, inv_b), 1))]
 
         sizes = [1]
         for p in radices:
@@ -125,21 +122,10 @@ class CyclicPlan:
         self._build_tower()
         self._build_quads()
         self._build_points(fiber_key, _start)
-        self._check_pole_order()
         self._build_scaling()
         self._build_kernel()
 
     # -- construction --------------------------------------------------------
-
-    def _check_quad_invariance(self, quad):
-        """Q_0 o sigma = c Q_0 / (gamma x + delta)^2 for sigma = (alpha x +
-        beta) / (gamma x + delta): the homogeneous image of Q_0 under sigma
-        is a nonzero multiple of Q_0."""
-        f = self.field
-        sig = self.sigma
-        (image,) = homogeneous(f, [quad.coeffs], [sig.b, sig.a], [sig.d, sig.c], 2)
-        if not image[2] or f.products(image, repeat(f.inv(image[2]))) != list(quad.coeffs):
-            raise ValidationError("quadratic is not invariant under the cyclic group")
 
     def _build_tower(self):
         """Each level map m_i = x_i in x_{i-1}-coordinates, at degree p_i,
@@ -151,11 +137,13 @@ class CyclicPlan:
         e = (q+1)/|G_i|, a generator of G_i, induces M = S_{i-1}^e on the
         x_{i-1}-line, and x_i, the sum of the translates of x_{i-1} under
         tau_i, is m_i(x_{i-1}) with m_i = sum_t M^t(T) (_level_map): the
-        degree-|G_i| tower is never formed.  The poles of m_i are the
-        M^t(INF), t = 1..p-1, in cycle order: p-1 distinct roots of the
-        degree-(p-1) denominator show that it splits simply, and the monic
-        degree-p numerator vanishes at none of them, so m_i is in lowest
-        terms.  self.lifts keeps S_0..S_r.
+        degree-|G_i| tower is never formed.  _level_map makes the numerator
+        monic of degree p and the denominator monic of degree p - 1; p - 1
+        distinct roots of the denominator show that it splits simply, and
+        the numerator vanishes at none of them, so m_i is in lowest terms.
+        The poles M^t(INF), t = 1..p-1, come in the order of x_{i-1} at
+        tau_i^t(INF): x_{i-1} o tau_i = M o x_{i-1} by the lifts, and
+        x_{i-1}(INF) = INF.  self.lifts keeps S_0..S_r.
         """
         f, q = self.field, self.field.q
         levels, lifts = [], [self.sigma]
@@ -164,10 +152,8 @@ class CyclicPlan:
             induced = lifts[-1] ** ((q + 1) // self.subgroup_sizes[i])
             num, den, poles = _level_map(f, induced, p, i)
             num, den = Poly(f, num), Poly(f, den)
-            if num.degree != p or not num.is_monic() or not all(map(num.eval, poles)):
+            if not all(map(num.eval, poles)):
                 raise ValidationError(f"level {i} map numerator malformed: {num!r}")
-            if den.degree != p - 1:
-                raise ValidationError(f"level {i} map denominator degree {den.degree}")
             if len(set(poles)) != p - 1 or any(map(den.eval, poles)):
                 raise SplitValidationFailure(f"level {i} denominator does not split simply")
             levels.append(CyclicLevel(p, induced, num, den, poles))
@@ -312,22 +298,6 @@ class CyclicPlan:
             return [INF if x is INF else next(values) for x in xs]
 
         return engine.fiber_levels(points, self.radices, step), dens
-
-    def _check_pole_order(self):
-        """Each level's poles, in induced-map orbit order, must be x_{i-1} at
-        tau_i^t(INF), t = 1..p-1, tau_i = gen^(n_i) (on a full plan, points
-        1..p-1 of the level's pole fiber): the z-basis and the pole-fiber
-        constants rely on that order.  tau_r = gen and tau_i = tau_(i+1)^p_(i+1),
-        as n_i = n_(i+1) p_(i+1); the levels are checked from the first."""
-        f = self.field
-        taus = list(accumulate(reversed(self.radices[1:]), pow, initial=self.gen))[::-1]
-        for i, (lv, tau) in enumerate(zip(self.levels, taus), start=1):
-            seq = engine.affine(
-                f, *zip(*self.tower_values(tau.orbit(INF, lv.radix)[1:], upto=i - 1)[-1]))
-            if list(lv.poles) != seq:
-                raise SplitValidationFailure(
-                    f"level {i} induced-map orbit {list(lv.poles)} disagrees with point order {seq}"
-                )
 
     def _build_scaling(self):
         """Scale constant c = lc(Q_r) and the per-point scales c Q_0^n / N for
@@ -510,11 +480,11 @@ class CyclicPlan:
         start = None
         if fiber is not None and isinstance(tables, dict) and "points" in tables:
             points = plan_list(tables, "points")
-            start = point_in(field, json.dumps(points[0])) if points else None
+            start = point_value(field, points[0]) if points else None
         return CyclicPlan(
             field, plan_list(obj, "radices", ints=True),
             m_pair=tuple(field.parse_raw(v) for v in plan_list(obj, "m", length=2)),
-            fiber_key=None if fiber is None else point_in(field, json.dumps(fiber)), _start=start)
+            fiber_key=None if fiber is None else point_value(field, fiber), _start=start)
 
     def __repr__(self):
         return (

@@ -644,7 +644,7 @@ def field_make(p: int, r: int = 1, modulus=None) -> Field:
     if not is_prime(p):
         raise NonPrimeP(f"{p} is not prime")
     if r == 1:
-        if modulus:
+        if modulus is not None:
             raise ValidationError("prime field takes no modulus")
         return Field(p, 1, ())
     if modulus is not None:

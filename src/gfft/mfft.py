@@ -39,8 +39,6 @@ class MultPlan:
         for _ in range(n):
             self.points.append(acc)
             acc = field.mul(acc, self.omega)
-        if len(set(self.points)) != n:
-            raise ValidationError("evaluation points not distinct; omega order wrong")
         self.level_points = engine.fiber_levels(
             self.points, radices,
             lambda i, xs: square_multiply(field.products, xs, radices[i - 1], None))

@@ -35,17 +35,22 @@ def point_out(field, pt):
     return "inf" if pt is INF else field.serialize_raw(pt)
 
 
+def point_value(field, obj):
+    """Inverse of point_out on its decoded JSON value: "inf" is INF, and any
+    other value is read by Field.parse_raw, so another string is refused."""
+    return INF if obj == "inf" else field.parse_raw(obj)
+
+
 def point_in(field, text):
-    """Inverse of point_out, read from the JSON text of its form (a key of a
-    point-keyed map, a command-line option): "inf" (quoted or not) is INF,
-    and any other value is read by Field.parse_raw, so a string is refused.
-    A residue's text, a key of every prime-field value file, skips the JSON
-    decoder, at a tenth of its cost."""
+    """point_value of the JSON text of a point (a key of a point-keyed map, a
+    command-line option), where "inf" may also come unquoted.  A residue's
+    text, a key of every prime-field value file, skips the JSON decoder, at
+    a tenth of its cost."""
     try:
         obj = "inf" if text == "inf" else int(text) if text.isdigit() else json.loads(text)
     except ValueError:
         raise InvalidFieldValue(f"{text!r} is not a point of F_{field.q}") from None
-    return INF if obj == "inf" else field.parse_raw(obj)
+    return point_value(field, obj)
 
 
 def point_ordered(field, keyed, points, name, owner):

@@ -268,15 +268,20 @@ def test_validate_rejects_corrupt_level_point(F27, monkeypatch):
         add_plan(F27, [1, 3, 9])
 
 
-def test_validate_rejects_non_linearized_coefficient(F64):
-    plan = add_plan(F64, [1, 2, 4, 8])
-    # degree 3 is no power of 2: the Frobenius-chain values read only the
-    # degrees 1, 2, 4 and would not see it, so the structural check must
-    coeffs = list(plan.lin_polys[2].coeffs)
-    coeffs[3] = F64.add(coeffs[3], 1)
-    plan.lin_polys[2] = Poly(F64, coeffs)
-    with pytest.raises(ValidationError, match="ell_2 is not monic linearized"):
-        plan._validate()
+def test_lin_polys_are_monic_linearized():
+    """Each ell_i is monic of degree p^i with nonzero coefficients only at
+    degrees p^j, on GF(2^6), GF(3^3) and GF(2^12): the Frobenius-chain
+    values read only those degrees, so the vanishing check proves ell_i
+    F_p-linear only on this shape."""
+    for args, basis in [((2, 6), [1, 2, 4, 8]), ((3, 3), [1, 3, 9]),
+                        ((2, 12), [1 << k for k in range(10)])]:
+        field = field_make(*args)
+        p, plan = field.p, add_plan(field, basis)
+        assert len(plan.lin_polys) == len(basis) + 1
+        for i, ell in enumerate(plan.lin_polys):
+            assert ell.degree == p**i and ell.is_monic(), (args, i)
+            assert all(d in {p**j for j in range(i + 1)}
+                       for d, c in enumerate(ell.coeffs) if c), (args, i)
 
 
 def test_validate_rejects_vanishing_violation(F27):

@@ -615,9 +615,8 @@ def test_build_lifts_sigma_once_per_level(q, radices, monkeypatch):
 
 def test_tower_guards_refuse_foreign_maps():
     """The coefficient-list checks refuse what the group does not fix: a
-    level map that sigma's lift does not pass through, a quadratic that
-    sigma does not keep, an induced map with a pole at infinity, a level
-    numerator that breaks the norm identity, poles out of orbit order, a
+    level map that sigma's lift does not pass through, an induced map with
+    a pole at infinity, a level numerator that breaks the norm identity, a
     reducible m_pair and a vector of the wrong length for the kernel."""
     plan = cyclic_plan(field_make(191), (2,) * 6 + (3,))
     f, lv = plan.field, plan.levels[0]
@@ -626,8 +625,6 @@ def test_tower_guards_refuse_foreign_maps():
     num[0] = f.add(num[0], 1)
     with pytest.raises(ValidationError, match="does not lift"):
         cfft._lift_sigma(f, plan.sigma, num, lv.den.coeffs, 1)
-    with pytest.raises(ValidationError, match="not invariant"):
-        plan._check_quad_invariance(Poly(f, (1, 0, 1)))
     with pytest.raises(SplitValidationFailure, match="level 1 denominator does not split"):
         cfft._level_map(f, MoebiusMap(f, 2, 0, 0, 1), 2, 1)  # x -> 2x: c = 0
     with pytest.raises(LengthMismatch, match="191 coefficients for 192 points"):
@@ -637,21 +634,34 @@ def test_tower_guards_refuse_foreign_maps():
     plan.quads = plan.quads[:1]
     with pytest.raises(ValidationError, match="level 3 norm identity failed"):
         plan._build_quads()
-    lv.num = num  # the pole order check below applies this level
-    top = plan.levels[-1]
-    assert top.radix == 3
-    top.poles = top.poles[::-1]
-    with pytest.raises(SplitValidationFailure, match="level 7 induced-map orbit"):
-        plan._check_pole_order()
     with pytest.raises(PrimitivityFailure, match="reducible"):
         cyclic_plan(field_make(127), (2, 2), m_pair=(0, 126))  # x^2 - 1
+
+
+@pytest.mark.parametrize("q, radices", [(7, (2,)), (191, (2,)), (383, (2,)), (M31, (2,)),
+                                        ((2, 4), (17,)), ((3, 4), (2,)), ((7, 2), (2,))])
+def test_sigma_keeps_the_base_quadratic(q, radices, rng):
+    """For sigma = (0, 1; -b, -a) and Q_0 = x^2 + (a/b) x + 1/b, the
+    homogeneous image of Q_0 under sigma is b Q_0 for every b != 0, so the
+    roots of Q_0 are fixed by sigma whether Q_0 is irreducible or not:
+    random pairs, reducible ones included, and the default plan's own."""
+    f = field_make(*q) if isinstance(q, tuple) else field_make(q)
+    plan = cyclic_plan(f, radices)
+    pairs = [plan.m_coeffs] + [(rng.randrange(f.q), rng.randrange(1, f.q)) for _ in range(300)]
+    for a, b in pairs:  # sigma(x) = top / bottom with top = 1, bottom = -b x - a
+        quad0 = [f.inv(b), f.div(a, b), 1]
+        (image,) = poly.homogeneous(f, [quad0], [1, 0], [f.neg(a), f.neg(b)], 2)
+        assert image == f.products(quad0, itertools.repeat(b)), (a, b)
+    assert plan.sigma == MoebiusMap(f, 0, 1, f.neg(plan.m_coeffs[1]), f.neg(plan.m_coeffs[0]))
+    assert list(plan.quads[0].coeffs) == [f.inv(plan.m_coeffs[1]),
+                                          f.div(*plan.m_coeffs), 1]
 
 
 def test_build_guards_refuse_a_corrupted_input(monkeypatch):
     """The cyclic build guards a tower line trace of the other tests never
     fails: a repeated orbit place, a full plan's x_r that is not the trace of
-    x, a non-monic level numerator and a level identity whose quadratic
-    splits, each reached by corrupting one input."""
+    x, a level numerator that vanishes at a pole and a level identity whose
+    quadratic splits, each reached by corrupting one input."""
     full = cyclic_plan(field_make(23), (2, 2, 2, 3))
     f = full.field
     with pytest.raises(ValidationError, match="orbit of the order-n map repeats a place"):
@@ -660,8 +670,9 @@ def test_build_guards_refuse_a_corrupted_input(monkeypatch):
     with pytest.raises(ValidationError, match="x_r is not the trace of x over the cycle"):
         full._build_scaling()
     level_map = cfft._level_map
+    # num = den (T + 1) is monic of degree p, but zero at every pole
     monkeypatch.setattr(cfft, "_level_map", lambda *a: (lambda num, den, poles: (
-        num[:-1] + [2], den, poles))(*level_map(*a)))
+        poly.mul_add(f, den, [1, 1]), den, poles))(*level_map(*a)))
     with pytest.raises(ValidationError, match="level 1 map numerator malformed"):
         cyclic_plan(f, (2, 3))
     monkeypatch.undo()

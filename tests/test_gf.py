@@ -61,8 +61,9 @@ def test_field_make_checks_the_bound_before_the_primality_test(monkeypatch):
 def test_field_make_refuses_degree_zero_and_a_prime_field_modulus():
     with pytest.raises(ValidationError, match="extension degree"):
         field_make(5, 0)
-    with pytest.raises(ValidationError, match="prime field takes no modulus"):
-        field_make(5, 1, [1, 2])
+    for modulus in ([1, 2], 0, [], ()):  # a falsy modulus too
+        with pytest.raises(ValidationError, match="prime field takes no modulus"):
+            field_make(5, 1, modulus)
 
 
 def test_field_make_f9_least_modulus():

@@ -1,8 +1,7 @@
 import pytest
 
-from gfft import mfft
 from gfft.errors import (BasisMismatch, DegreeTooLarge, InvalidFieldValue, LengthMismatch,
-                         RadixNotDividingGroupOrder, ValidationError)
+                         RadixNotDividingGroupOrder)
 from gfft.gf import field_make, find_primitive_element
 from gfft.mfft import mult_fft, mult_ifft, mult_plan
 from gfft.oracle import mpe_horner
@@ -105,11 +104,16 @@ def test_opcount_quasilinear_growth():
         assert 2.0 <= ratio <= 2.0 + 8 / (n.bit_length() - 1)
 
 
-def test_build_refuses_repeated_points(F17, monkeypatch):
-    # a generator of order 1 in place of the primitive element
-    monkeypatch.setattr(mfft, "find_primitive_element", lambda field: field.one())
-    with pytest.raises(ValidationError, match="evaluation points not distinct"):
-        mult_plan(F17, (2, 2))
+def test_points_are_distinct():
+    """alpha has order q - 1, so omega = alpha^((q-1)/n) has order n and the
+    points beta omega^j, j < n, are distinct: on F_17, F_127 and GF(3^2)."""
+    for args, radices, beta in [((17,), (2, 2, 2, 2), 1), ((127,), (7, 3, 2), 5),
+                                ((3, 2), (2, 2), 3)]:
+        field = field_make(*args)
+        plan = mult_plan(field, radices, beta)
+        assert field.element_order(plan.alpha) == field.q - 1, args
+        assert field.element_order(plan.omega) == plan.n, args
+        assert len(set(plan.points)) == plan.n, args
 
 
 @pytest.mark.parametrize("args, radices", [((17,), (2, 2, 2, 2)), ((3, 2), (2, 2, 2))])

@@ -1,6 +1,7 @@
 import pytest
 
 from divisors import cyclic_tower
+from gfft import cfft
 from gfft.afft import add_plan
 from gfft.cfft import cyclic_plan, tilde_to_std
 from gfft.errors import DuplicatePoint
@@ -100,6 +101,35 @@ def test_cyclic_fibers_are_fibers_of_the_symbolic_tower(p, r, radices, options):
         assert [len(set(places)) for places in fibers] == [plan.subgroup_sizes[i]] * lv.radix
         assert [set(mpe_horner(tower[i], places)) for places in fibers] == (
             [{INF}] + [{pole} for pole in lv.poles])
+
+
+@pytest.mark.parametrize("p, r, radices, options", TOWER_CONFIGS)
+def test_poles_run_in_the_order_of_the_pole_fiber(p, r, radices, options):
+    """Level i's t-th pole is x_(i-1) at tau_i^t(INF), tau_i = gen^(n_i),
+    the order the z-basis and the pole-fiber constants rely on; on a full
+    plan that place is point t n_i, so it is level_points[i - 1][t n_i]."""
+    plan = cyclic_plan(field_make(p, r), radices, **options)
+    f = plan.field
+    for i, lv in enumerate(plan.levels, start=1):
+        n_i = plan.sizes[i]
+        places = (plan.gen ** n_i).orbit(INF, lv.radix)[1:]
+        pairs = plan.tower_values(places, upto=i - 1)[-1]
+        assert list(lv.poles) == [f.div(num, den) for num, den in pairs]
+        if plan.is_full:
+            assert list(lv.poles) == [plan.level_points[i - 1][t * n_i]
+                                      for t in range(1, lv.radix)]
+
+
+@pytest.mark.parametrize("p, r, radices, options", TOWER_CONFIGS)
+def test_level_map_is_monic_of_degrees_p_and_p_minus_1(p, r, radices, options):
+    """_level_map starts from T / 1 and multiplies num and den by a monic
+    linear factor at each of its p - 1 steps, adding lower terms to num:
+    num comes out monic of degree p and den monic of degree p - 1."""
+    plan = cyclic_plan(field_make(p, r), radices, **options)
+    for i, lv in enumerate(plan.levels, start=1):
+        num, den, poles = cfft._level_map(plan.field, lv.induced, lv.radix, i)
+        assert (len(num), num[-1], len(den), den[-1]) == (lv.radix + 1, 1, lv.radix, 1)
+        assert (num, den, poles) == (list(lv.num.coeffs), list(lv.den.coeffs), list(lv.poles))
 
 
 @pytest.mark.parametrize("p, r, radices, options", TOWER_CONFIGS)
